@@ -301,9 +301,21 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _window_from_env() -> int:
+    """The default degree window: ``PIANO_CAT_WINDOW`` if set, else 6."""
+    raw = os.environ.get("PIANO_CAT_WINDOW", "6")
+    try:
+        window = int(raw)
+    except ValueError:
+        window = 0
+    if window < 2:
+        raise ValueError(f"PIANO_CAT_WINDOW must be an integer of at least 2, got {raw!r}")
+    return window
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="piano-cat")
-    default_window = int(os.environ.get("PIANO_CAT_WINDOW", "6"))
+    default_window = _window_from_env()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="list limit generators or dissections")
@@ -351,7 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ValueError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return EXIT_USAGE
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,7 +9,7 @@ or zero.  Products of distinguished basis elements have coefficients in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .dissections import dissection_from_generator
@@ -85,6 +85,14 @@ class EndoAlgebra:
     n: int
     arcs: tuple[Arc, ...]
     entries: tuple[tuple[GradedEntry, ...], ...]
+    # Filled lazily by ``suspended`` and ``summand_hom_dim``, so each
+    # suspended summand is built and validated once per algebra.
+    _suspensions: dict[tuple[int, int], Arc] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _hom_dims: dict[tuple[int, int, int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def from_arcs(arcs: list[Arc], n: int | None = None) -> "EndoAlgebra":
@@ -108,6 +116,22 @@ class EndoAlgebra:
 
     def dim(self, i: int, j: int, degree: int) -> int:
         return self.entries[i][j].dim(degree)
+
+    def suspended(self, k: int, shift: int) -> Arc:
+        """The ``shift``-fold suspension of summand k."""
+        key = (k, shift)
+        x = self._suspensions.get(key)
+        if x is None:
+            x = self._suspensions[key] = suspend(self.arcs[k], shift)
+        return x
+
+    def summand_hom_dim(self, i: int, l: int, degree: int) -> int:
+        """``hom_dim`` from summand i to summand l in the given degree."""
+        key = (i, l, degree)
+        d = self._hom_dims.get(key)
+        if d is None:
+            d = self._hom_dims[key] = hom_dim(self.arcs[i], self.arcs[l], degree)
+        return d
 
     def dims_matrix(self, degree: int) -> list[list[int]]:
         return [[self.dim(i, j, degree) for j in range(self.size)] for i in range(self.size)]
@@ -144,9 +168,9 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
     if a.dim(i, j1, p) == 0 or a.dim(j1, l, q) == 0:
         raise EndoError("zero operand")
     x = a.arcs[i]
-    w = suspend(a.arcs[j1], p)
-    z = suspend(a.arcs[l], p + q)
-    if hom_dim(x, a.arcs[l], p + q) == 0:
+    w = a.suspended(j1, p)
+    z = a.suspended(l, p + q)
+    if a.summand_hom_dim(i, l, p + q) == 0:
         return 0
     if z == x:
         # A round trip in total degree zero splits off the middle object,

@@ -4,7 +4,18 @@ A keyboard quiver is the gentle quiver of the induced admissible dissection
 of an extended one, remembering which vertices came from binding arcs (the
 sharp vertices).  The piano quiver adds a degree -1 loop at every vertex and
 a degree +1 loop at every non-sharp vertex; words in the resulting graded
-path algebra are normalised by a small confluent rewriting system.
+path algebra are normalised by a small rewriting system (the five rules of
+``one_step_rewrites``).
+
+``normal_form`` applies those rules in one left-to-right stack pass: loops
+travel as ``(tag, vertex, power)`` blocks, so a block crosses an arrow,
+moves along a commutation run or cancels against an inverse block in one
+step, and the arrow skeleton, which no rule changes, is checked once.  The
+rewriting system is confluent, so the word this one rewrite order reaches
+is the word every rewrite order reaches; ``confluence.all_terminals``, which
+follows every order, is its independent oracle.  Per-quiver lookup tables
+(symbol ends and degrees, commutation runs by start, radial chains and
+arrow paths) are built once and kept on the ``PianoQuiver``.
 """
 
 from __future__ import annotations
@@ -12,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 
 from .dissections import (
     ChordArc,
@@ -239,8 +250,61 @@ class PianoQuiver:
         e = self.arrows[k]
         return e.src, e.tgt
 
-    def symbol_degree(self, s: Symbol) -> int:
-        return {"a": -1, "b": 1, "d": 0}[s[0]]
+    @cached_property
+    def symbol_table(self) -> dict[Symbol, tuple[int, int, int]]:
+        """(source, target, degree) of every symbol the piano's words may use."""
+        table: dict[Symbol, tuple[int, int, int]] = {}
+        for v in range(self.num_vertices):
+            table[("a", v)] = (v, v, -1)
+            if self.has_beta(v):
+                table[("b", v)] = (v, v, 1)
+        for k, e in enumerate(self.arrows):
+            table[("d", k)] = (e.src, e.tgt, 0)
+        return table
+
+    @cached_property
+    def run_by_start(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Commutation runs keyed by (start vertex, first arrow); a later run wins a key."""
+        return {(start, run[0]): run for start, run, _ in self.beta_runs}
+
+    @cached_property
+    def runs_into(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """The (start, run) pairs of ``run_by_start``, keyed by the run's last arrow."""
+        out: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        for (start, _), run in self.run_by_start.items():
+            out[run[-1]] = out.get(run[-1], ()) + ((start, run),)
+        return out
+
+    @cached_property
+    def point_chains(self) -> dict[int, list[int]]:
+        """Vertices in radial order at each meet point, following the arrows."""
+        chains: dict[int, list[int]] = {}
+        by_point: dict[int, list[Arrow]] = {}
+        for e in self.arrows:
+            by_point.setdefault(e.meet, []).append(e)
+        for point, es in by_point.items():
+            nxt = {e.src: e.tgt for e in es}
+            sources = set(nxt) - set(nxt.values())
+            if len(sources) != 1:
+                raise QuiverError("meet point without a linear radial chain")
+            chain = [sources.pop()]
+            while chain[-1] in nxt:
+                chain.append(nxt[chain[-1]])
+            chains[point] = chain
+        return chains
+
+    @cached_property
+    def arrow_paths(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """The nonzero arrow path of every ordered pair of distinct vertices that
+        has one; the first radial chain holding the pair gives it."""
+        arrow_at = {(e.src, e.tgt, e.meet): k for k, e in enumerate(self.arrows)}
+        paths: dict[tuple[int, int], tuple[int, ...]] = {}
+        for point, chain in self.point_chains.items():
+            steps = [arrow_at[(u, v, point)] for u, v in zip(chain, chain[1:])]
+            for i, a in enumerate(chain):
+                for j in range(i + 1, len(chain)):
+                    paths.setdefault((a, chain[j]), tuple(steps[i:j]))
+        return paths
 
     def to_json(self) -> dict:
         obj = self.keyboard.to_json()
@@ -286,26 +350,29 @@ def piano_from_extended(
     return piano_from_keyboard(keyboard_from_extended(d, vertex_order))
 
 
+def _bad_symbol(p: PianoQuiver, s: Symbol) -> QuiverError:
+    tag, k = s
+    if tag == "b" and k in p.sharp:
+        return QuiverError(f"no degree +1 loop at sharp vertex {k}")
+    if tag == "d":
+        return QuiverError(f"no arrow {k}")
+    if tag in ("a", "b"):
+        return QuiverError(f"no vertex {k}")
+    return QuiverError(f"unknown symbol {s!r}")
+
+
 def validate_word(p: PianoQuiver, word: tuple[Symbol, ...]) -> tuple[int, int]:
     """Return (source, target) of a composable word; raise otherwise."""
     if not word:
         raise QuiverError("empty word needs a base vertex; use a loop power instead")
+    table = p.symbol_table
     for s in word:
-        tag, k = s
-        if tag == "b" and not p.has_beta(k):
-            raise QuiverError(f"no degree +1 loop at sharp vertex {k}")
-        if tag == "d" and not (0 <= k < len(p.arrows)):
-            raise QuiverError(f"no arrow {k}")
-        if tag == "a" and not (0 <= k < p.num_vertices):
-            raise QuiverError(f"no vertex {k}")
+        if s not in table:
+            raise _bad_symbol(p, s)
     for s, t in zip(word, word[1:]):
-        if p.symbol_ends(s)[1] != p.symbol_ends(t)[0]:
+        if table[s][1] != table[t][0]:
             raise QuiverError(f"word is not composable at {s} -> {t}")
-    return p.symbol_ends(word[0])[0], p.symbol_ends(word[-1])[1]
-
-
-def word_degree(p: PianoQuiver, word: tuple[Symbol, ...]) -> int:
-    return sum(p.symbol_degree(s) for s in word)
+    return table[word[0]][0], table[word[-1]][1]
 
 
 def _skeleton_dead(p: PianoQuiver, word: tuple[Symbol, ...]) -> bool:
@@ -326,9 +393,7 @@ def one_step_rewrites(
     out: list[tuple[Symbol, ...] | None] = []
     if _skeleton_dead(p, word):
         out.append(None)
-    run_by_start: dict[tuple[int, int], tuple[int, ...]] = {}
-    for start, run, _ in p.beta_runs:
-        run_by_start[(start, run[0])] = run
+    run_by_start = p.run_by_start
     for i, s in enumerate(word):
         tag, k = s
         nxt = word[i + 1] if i + 1 < len(word) else None
@@ -356,6 +421,11 @@ def one_step_rewrites(
     return out
 
 
+# A word in run-length form: ("d", k, 1) for the k-th arrow, (tag, v, power)
+# for a power of one loop at v.
+Block = tuple[str, int, int]
+
+
 def normal_form(
     p: PianoQuiver, word: tuple[Symbol, ...], base: int | None = None
 ) -> PathNormalForm:
@@ -365,75 +435,137 @@ def normal_form(
     reduces to a unique canonical representative consisting of the arrow
     path, a power of one loop, and at most one trailing arrow.  An empty
     word denotes the identity at ``base``.
+
+    One pass over the word validates it against the symbol table, sums its
+    degree, checks the arrow skeleton (no rule changes it, so once is
+    enough) and groups equal adjacent loops into blocks; ``_reduce_blocks``
+    then applies the other four rules of ``one_step_rewrites`` in a single
+    left-to-right stack pass.  That is one particular rewrite order; the
+    rewriting system is confluent, so it reaches the word every order
+    reaches, and ``confluence.all_terminals``, which follows every order, is
+    the oracle it is tested against.
     """
     if not word:
         if base is None:
             raise QuiverError("empty word needs a base vertex")
         return PathNormalForm(base, base, 0, Shape.DELTA_ALPHA, ())
-    src, tgt = validate_word(p, word)
-    degree = word_degree(p, word)
-    if _skeleton_dead(p, word):
+    table = p.symbol_table
+    relations = p.relations
+    blocks: list[Block] = []
+    degree = 0
+    dead = False
+    at = last_arrow = None
+    for s in word:
+        ends = table.get(s)
+        if ends is None or (at is not None and ends[0] != at):
+            validate_word(p, word)  # raises, naming the offending symbol
+        _, at, step = ends
+        degree += step
+        tag, k = s
+        if tag == "d":
+            dead = dead or (last_arrow, k) in relations
+            last_arrow = k
+            blocks.append(("d", k, 1))
+        elif blocks and blocks[-1][0] == tag:
+            blocks[-1] = (tag, k, blocks[-1][2] + 1)
+        else:
+            blocks.append((tag, k, 1))
+    if dead:
         return ZERO_FORM
-    current = tuple(word)
-    while True:
-        steps = [w for w in one_step_rewrites(p, current) if w is not None]
-        if not steps:
-            break
-        current = steps[0]
+    out: list[Symbol] = []
     shape = Shape.DELTA_ALPHA
-    beta_positions = [i for i, s in enumerate(current) if s[0] == "b"]
-    if beta_positions:
-        after = current[beta_positions[-1] + 1 :]
-        shape = Shape.DELTA_BETA_DELTA if any(s[0] == "d" for s in after) else Shape.DELTA_BETA
-    return PathNormalForm(src, tgt, degree, shape, current)
+    for tag, k, power in _reduce_blocks(p, blocks):
+        if tag == "d":
+            out.append(("d", k))
+            if shape == Shape.DELTA_BETA:
+                shape = Shape.DELTA_BETA_DELTA
+        else:
+            out.extend([(tag, k)] * power)
+            if tag == "b":
+                shape = Shape.DELTA_BETA
+    return PathNormalForm(table[word[0]][0], at, degree, shape, tuple(out))
 
 
-@lru_cache(maxsize=4096)
-def _point_chains(p: PianoQuiver) -> dict[int, list[int]]:
-    """Vertices in radial order at each meet point, following the arrows."""
-    chains: dict[int, list[int]] = {}
-    by_point: dict[int, list[Arrow]] = {}
-    for e in p.arrows:
-        by_point.setdefault(e.meet, []).append(e)
-    for point, es in by_point.items():
-        nxt = {e.src: e.tgt for e in es}
-        sources = set(nxt) - set(nxt.values())
-        if len(sources) != 1:
-            raise QuiverError("meet point without a linear radial chain")
-        chain = [sources.pop()]
-        while chain[-1] in nxt:
-            chain.append(nxt[chain[-1]])
-        chains[point] = chain
-    return chains
+def _reduce_blocks(p: PianoQuiver, blocks: list[Block]) -> list[Block]:
+    """The irreducible form of a composable block word without a dead skeleton.
+
+    Blocks are pushed in order onto a stack that never holds a redex.  Every
+    pattern of the rules is contiguous, so a push can only create a redex
+    that ends at the top: a degree -1 block followed by the new arrow, a
+    degree +1 block followed by the arrows of a commutation run, an inverse
+    loop block, or a degree +1 block, one arrow and the new degree -1 block.
+    That redex is rewritten a whole block at a time, and the blocks it frees
+    are pushed again.  Adjacent loop blocks always sit at one vertex, since
+    every rule keeps the word composable.
+    """
+    arrows = p.arrows
+    runs_into = p.runs_into
+    stack: list[Block] = []
+    pending = blocks[::-1]
+    while pending:
+        item = pending.pop()
+        tag, k, power = item
+        top = stack[-1] if stack else None
+        if tag == "d":
+            if top is not None and top[0] == "a":
+                # The degree -1 block crosses the arrow.
+                stack.pop()
+                pending.append(("a", arrows[k].tgt, top[2]))
+                pending.append(item)
+                continue
+            for start, run in runs_into.get(k, ()):
+                size = len(run)
+                if (
+                    len(stack) >= size
+                    and stack[-size][:2] == ("b", start)
+                    and all(stack[i - size + 1] == ("d", a, 1) for i, a in enumerate(run[:-1]))
+                ):
+                    # The arrow ends a commutation run: the degree +1 block
+                    # moves to the run's end.
+                    moved = stack[-size][2]
+                    del stack[-size:]
+                    pending.append(("b", arrows[k].tgt, moved))
+                    pending.extend(("d", a, 1) for a in reversed(run))
+                    break
+            else:
+                stack.append(item)
+        elif top is None:
+            stack.append(item)
+        elif top[0] == tag:
+            stack[-1] = (tag, k, top[2] + power)
+        elif top[0] != "d":
+            # Inverse loop blocks cancel.
+            if top[2] > power:
+                stack[-1] = (top[0], k, top[2] - power)
+            else:
+                stack.pop()
+                if power > top[2]:
+                    pending.append((tag, k, power - top[2]))
+        elif tag == "a" and len(stack) > 1 and stack[-2][0] == "b":
+            # Degree +1 loops, one arrow, degree -1 loops: pairs cancel across the arrow.
+            below = stack[-2]
+            if below[2] > power:
+                stack[-2] = ("b", below[1], below[2] - power)
+            else:
+                del stack[-2:]
+                if power > below[2]:
+                    pending.append(("a", k, power - below[2]))
+                pending.append(top)
+        else:
+            stack.append(item)
+    return stack
 
 
 def zero_degree_pairs(p: PianoQuiver) -> set[tuple[int, int]]:
     """Ordered vertex pairs joined by a nonzero arrow path (a radial run)."""
-    pairs: set[tuple[int, int]] = set()
-    for chain in _point_chains(p).values():
-        for i in range(len(chain)):
-            for j in range(i + 1, len(chain)):
-                pairs.add((chain[i], chain[j]))
-    return pairs
+    return set(p.arrow_paths)
 
 
 def arrow_path(p: PianoQuiver, a: int, b: int) -> tuple[int, ...] | None:
     """The unique nonzero arrow path from a to b, or None."""
     if a == b:
         return ()
-    for point, chain in _point_chains(p).items():
-        if a in chain and b in chain and chain.index(a) < chain.index(b):
-            ia, ib = chain.index(a), chain.index(b)
-            arrows = []
-            for u, v in zip(chain[ia:ib], chain[ia + 1 : ib + 1]):
-                (k,) = [
-                    i
-                    for i, e in enumerate(p.arrows)
-                    if e.src == u and e.tgt == v and e.meet == point
-                ]
-                arrows.append(k)
-            return tuple(arrows)
-    return None
+    return p.arrow_paths.get((a, b))
 
 
 def graded_dim(p: PianoQuiver, a: int, b: int, m: int) -> int:

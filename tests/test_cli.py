@@ -152,3 +152,22 @@ def test_render_empty_dissection():
     d = DissectionSet(1, (), ())
     svg = dissection_svg(d)
     assert "<circle" in svg and "<line" not in svg
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1", "-4"])
+def test_window_env_rejected(capsys, monkeypatch, value):
+    monkeypatch.setenv("PIANO_CAT_WINDOW", value)
+    code = main(["verify", "bijection", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "PIANO_CAT_WINDOW" in captured.err and "Traceback" not in captured.err
+
+
+def test_window_env_sets_default(capsys, monkeypatch):
+    monkeypatch.setenv("PIANO_CAT_WINDOW", "3")
+    source = '[{"acc":0},{"pt":[0,3]}]'
+    code, out = run(capsys, "homtable", "--n", "2", "--source", source, "--target", source)
+    assert code == 0
+    assert sorted(json.loads(out)["dims"], key=int) == [str(i) for i in range(-3, 4)]

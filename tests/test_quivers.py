@@ -1,6 +1,10 @@
-import pytest
+import functools
 
-from pianocat.confluence import confluence_report, enumerate_composable_words
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pianocat.confluence import all_terminals, confluence_report, enumerate_composable_words
 from pianocat.dissections import ChordArc, DissectionSet, dissection_from_generator
 from pianocat.endo import piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_summands
@@ -242,6 +246,51 @@ def test_confluence_small_quivers():
             p = piano_of_generator(list(g), n)
             ok, witness = confluence_report(p, max_length=6)
             assert ok, witness
+
+
+@functools.cache
+def _differential_pianos() -> tuple[PianoQuiver, ...]:
+    pianos = [
+        piano_of_generator(list(g), n) for n in (1, 2, 3) for g in enumerate_limit_generators(n)
+    ]
+    pianos.append(
+        piano_from_extended(
+            example_dissection(), vertex_order=[EXAMPLE_CHORDS[k] for k in range(1, 10)]
+        )
+    )
+    return tuple(pianos)
+
+
+@st.composite
+def piano_words(draw):
+    """A piano of size at most three (or the nine-vertex example) and a random
+    composable word of at most ten symbols on it; loops come in blocks of up
+    to six."""
+    pianos = _differential_pianos()
+    p = pianos[draw(st.integers(0, len(pianos) - 1))]
+    at = draw(st.integers(0, p.num_vertices - 1))
+    length = draw(st.integers(1, 10))
+    word: list = []
+    while len(word) < length:
+        symbols = [("a", at)] + ([("b", at)] if p.has_beta(at) else [])
+        symbols += [("d", k) for k, e in enumerate(p.arrows) if e.src == at]
+        s = draw(st.sampled_from(symbols))
+        power = 1 if s[0] == "d" else draw(st.integers(1, 6))
+        word += [s] * min(power, length - len(word))
+        at = p.symbol_ends(s)[1]
+    return p, tuple(word)
+
+
+@settings(deadline=None, max_examples=500)
+@given(piano_words())
+def test_normal_form_matches_exhaustive_rewriting(case):
+    # The one-pass normaliser against every rewrite order of the rules.
+    p, word = case
+    nf = normal_form(p, word)
+    terminals = all_terminals(p, word)
+    assert nf.is_zero == (terminals == {None})
+    if not nf.is_zero:
+        assert terminals == {nf.word}
 
 
 def test_removed_commutation_breaks_normal_form_uniqueness():
