@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run every structural verification over a range of sizes and print a table.
 
+Each row runs the checks of ``piano-cat verify`` at one size through the
+same driver and reports whether every record of each check passed.
+
 Example:
 
     python3 scripts/run_verification.py --max-n 3 --window 4
@@ -9,20 +12,14 @@ Example:
 import argparse
 import time
 
-from pianocat.dissections import (
-    dissection_from_generator,
-    enumerate_extended_dissections,
-    generator_from_dissection,
-)
-from pianocat.endo import verify_path_algebra_iso
-from pianocat.generators import enumerate_limit_generators
-from pianocat.geometry import Arc
-from pianocat.signs import (
-    both_signed_matrices,
-    check_beta_delta,
-    order_for_cone_blocks,
-    verify_phi_homomorphism,
-)
+from pianocat.cli import Config, run_verifiers
+
+COLUMNS = {
+    "bijection": "bijection",
+    "path-iso": "path-algebra-iso",
+    "beta-delta": "beta-delta",
+    "phi": "derived-equiv",
+}
 
 
 def main() -> None:
@@ -35,32 +32,15 @@ def main() -> None:
           f"{'beta-delta':>10} {'phi':>5} {'seconds':>8}")
     for n in range(1, args.max_n + 1):
         t0 = time.time()
-        gens = enumerate_limit_generators(n)
-        diss = enumerate_extended_dissections(n)
-        bij = len(gens) == len(diss) and all(
-            tuple(
-                sorted(
-                    generator_from_dissection(dissection_from_generator(list(g), n)),
-                    key=Arc.sort_key,
-                )
-            )
-            == g.arcs
-            for g in gens
-        )
-        iso = all(
-            verify_path_algebra_iso(list(g), n, window=args.window).passed for g in gens
-        )
-        bd = phi = True
-        for g in gens:
-            ordered = order_for_cone_blocks(list(g))
-            for m in both_signed_matrices(ordered):
-                bd &= check_beta_delta(m, ordered).passed
-                phi &= verify_phi_homomorphism(
-                    ordered, m, window=min(args.window, 4)
-                ).passed
+        records = list(run_verifiers(list(COLUMNS.values()), Config(n=n, window=args.window)))
+        passed = {
+            column: all(r["passed"] for r in records if r["check"] == check)
+            for column, check in COLUMNS.items()
+        }
         print(
-            f"{n:>2} {len(gens):>10} {str(bij):>9} {str(iso):>8} "
-            f"{str(bd):>10} {str(phi):>5} {time.time() - t0:>8.1f}"
+            f"{n:>2} {records[0]['generators']:>10} {str(passed['bijection']):>9} "
+            f"{str(passed['path-iso']):>8} {str(passed['beta-delta']):>10} "
+            f"{str(passed['phi']):>5} {time.time() - t0:>8.1f}"
         )
 
 

@@ -12,7 +12,6 @@ from .geometry import (
     ArcSet,
     BoundaryPoint,
     acc,
-    arc,
     arc_set,
     complete_orbit,
     cross,

@@ -10,7 +10,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 from . import dissections, endo, generators, geometry, quivers, render, signs
 
@@ -24,11 +26,9 @@ class Config:
     n: int
     window: int = 6
     word_cap: int = 8
-    enumeration_cap: int = 6
-    fmt: str = "json"
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.window < 2 or self.word_cap < 1 or self.enumeration_cap < 1:
+        if self.n < 1 or self.window < 2 or self.word_cap < 1:
             raise ValueError("caps must be positive and the window at least 2")
 
 
@@ -37,34 +37,24 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cfg = Config(n=args.n, window=args.window, enumeration_cap=args.cap, fmt=args.format)
-    if cfg.n > cfg.enumeration_cap:
-        sys.stderr.write(f"n={cfg.n} exceeds the enumeration cap {cfg.enumeration_cap}\n")
+    cfg = Config(n=args.n, window=args.window)
+    if cfg.n > generators.ENUMERATION_CAP:
+        sys.stderr.write(f"n={cfg.n} exceeds the enumeration cap {generators.ENUMERATION_CAP}\n")
         return EXIT_USAGE
     if args.kind == "generators":
         items = generators.enumerate_limit_generators(cfg.n, up_to_equivalence=args.equiv)
-        if args.render == "svg":
-            for g in items:
-                sys.stdout.write(render.arc_diagram_svg(g))
-            return EXIT_OK
-        records = [g.to_json() for g in items]
+        draw = render.arc_diagram_svg
     else:
         items = dissections.enumerate_extended_dissections(cfg.n)
         if args.equiv:
-            seen: set[str] = set()
-            kept = []
-            for d in items:
-                key = dissections.canonical_dissection_key(d)
-                if key not in seen:
-                    seen.add(key)
-                    kept.append(d)
-            items = kept
-        if args.render == "svg":
-            for d in items:
-                sys.stdout.write(render.dissection_svg(d))
-            return EXIT_OK
-        records = [d.to_json() for d in items]
-    if cfg.fmt == "csv":
+            items = dissections.rotation_class_representatives(items, items)
+        draw = render.dissection_svg
+    if args.render == "svg":
+        for item in items:
+            sys.stdout.write(draw(item))
+        return EXIT_OK
+    records = [item.to_json() for item in items]
+    if args.format == "csv":
         sys.stdout.write("index,record\n")
         for i, r in enumerate(records):
             sys.stdout.write(f"{i},\"{json.dumps(r, sort_keys=True)}\"\n")
@@ -118,111 +108,140 @@ def _parse_choice(text: str, size: int) -> tuple[str, int]:
     return slot, j
 
 
-def _verify_bijection(cfg: Config) -> list[dict]:
-    out = []
-    for n in (cfg.n,):
-        gens = generators.enumerate_limit_generators(n)
-        dissns = dissections.enumerate_extended_dissections(n)
-        round_trips = all(
-            sorted(
-                dissections.generator_from_dissection(
-                    dissections.dissection_from_generator(list(g), n)
-                ),
-                key=geometry.Arc.sort_key,
-            )
-            == list(g.arcs)
-            for g in gens
+@dataclass(frozen=True)
+class GeneratorContext:
+    """One limit generator and the objects the checks read, each built at most once.
+
+    ``choice`` is the initial sign choice of ``--choice``; without one, both
+    essentially different signed matrices are checked.
+    """
+
+    generator: geometry.ArcSet
+    choice: tuple[str, int] | None = None
+
+    @property
+    def n(self) -> int:
+        return self.generator.n
+
+    @cached_property
+    def piano(self) -> quivers.PianoQuiver:
+        return endo.piano_of_generator(list(self.generator), self.n)
+
+    @cached_property
+    def ordered(self) -> list[geometry.Arc]:
+        """The summands in cone-block order, as the signed matrices index them."""
+        return signs.order_for_cone_blocks(list(self.generator))
+
+    @cached_property
+    def matrices(self) -> list[signs.SignedMatrix]:
+        if self.choice is None:
+            return signs.both_signed_matrices(self.ordered)
+        return [signs.signed_matrix(self.ordered, self.choice)]
+
+
+Contexts = Callable[[int], list[GeneratorContext]]
+
+
+def _check_record(check: str, n: int, report, failures: str) -> dict:
+    """The JSON line of one check, with up to three witnesses when it failed."""
+    record = {"check": check, "n": n, "passed": report.passed}
+    if not report.passed:
+        record["witnesses"] = report.to_json()[failures][:3]
+    return record
+
+
+def _verify_bijection(contexts: Contexts, cfg: Config) -> list[dict]:
+    n = cfg.n
+    gens = [ctx.generator for ctx in contexts(n)]
+    images = [dissections.dissection_from_generator(g) for g in gens]
+    round_trips = all(
+        sorted(dissections.generator_from_dissection(d), key=geometry.Arc.sort_key)
+        == list(g.arcs)
+        for g, d in zip(gens, images)
+    )
+    dissns = dissections.enumerate_extended_dissections(n)
+    passed = round_trips and {d.dumps() for d in images} == {d.dumps() for d in dissns}
+    return [
+        {
+            "check": "bijection",
+            "n": n,
+            "generators": len(gens),
+            "dissections": len(dissns),
+            "passed": passed,
+        }
+    ]
+
+
+def _verify_path_algebra(contexts: Contexts, cfg: Config) -> list[dict]:
+    return [
+        _check_record(
+            "path-algebra-iso",
+            ctx.n,
+            endo.verify_path_algebra_iso(
+                list(ctx.generator), ctx.n, window=cfg.window, piano=ctx.piano
+            ),
+            "mismatches",
         )
-        images = {dissections.dissection_from_generator(list(g), n).dumps() for g in gens}
-        targets = {d.dumps() for d in dissns}
-        out.append(
-            {
-                "check": "bijection",
-                "n": n,
-                "generators": len(gens),
-                "dissections": len(dissns),
-                "passed": round_trips and images == targets,
-            }
-        )
-    return out
+        for ctx in contexts(cfg.n)
+    ]
 
 
-def _verify_path_algebra(cfg: Config) -> list[dict]:
-    out = []
-    for n in (cfg.n,):
-        for g in generators.enumerate_limit_generators(n):
-            report = endo.verify_path_algebra_iso(list(g), n, window=cfg.window)
-            entry = {"check": "path-algebra-iso", "n": n, "passed": report.passed}
-            if not report.passed:
-                entry["witnesses"] = report.to_json()["mismatches"][:3]
-            out.append(entry)
-    return out
+def _piano_as_paths(p: quivers.PianoQuiver, window: int) -> bool:
+    """Whether the degree components of the piano algebra have the predicted dimensions."""
+    for i in range(-window, window + 1):
+        actual = [
+            [quivers.graded_dim(p, a, b, i) for b in range(p.num_vertices)]
+            for a in range(p.num_vertices)
+        ]
+        if quivers.degree_component_structure(p, i) != actual:
+            return False
+    return True
 
 
-def _verify_piano_as_paths(cfg: Config) -> list[dict]:
-    out = []
-    for n in (cfg.n,):
-        for g in generators.enumerate_limit_generators(n):
-            p = endo.piano_of_generator(list(g), n)
-            ok = True
-            for i in range(-cfg.window, cfg.window + 1):
-                expected = quivers.degree_component_structure(p, i)
-                actual = [
-                    [quivers.graded_dim(p, a, b, i) for b in range(p.num_vertices)]
-                    for a in range(p.num_vertices)
-                ]
-                if expected != actual:
-                    ok = False
-                    break
-            out.append({"check": "piano-as-paths", "n": n, "passed": ok})
-    return out
+def _verify_piano_as_paths(contexts: Contexts, cfg: Config) -> list[dict]:
+    return [
+        {"check": "piano-as-paths", "n": ctx.n, "passed": _piano_as_paths(ctx.piano, cfg.window)}
+        for ctx in contexts(cfg.n)
+    ]
 
 
-def _verify_beta_delta(cfg: Config) -> list[dict]:
-    out = []
-    for n in (cfg.n,):
-        for g in generators.enumerate_limit_generators(n):
-            arcs = signs.order_for_cone_blocks(list(g))
-            for matrix in signs.both_signed_matrices(arcs):
-                report = signs.check_beta_delta(matrix, arcs)
-                entry = {"check": "beta-delta", "n": n, "passed": report.passed}
-                if not report.passed:
-                    entry["witnesses"] = report.to_json()["failures"][:3]
-                out.append(entry)
-    return out
+def _verify_beta_delta(contexts: Contexts, cfg: Config) -> list[dict]:
+    return [
+        _check_record("beta-delta", ctx.n, signs.check_beta_delta(m, ctx.ordered), "failures")
+        for ctx in contexts(cfg.n)
+        for m in ctx.matrices
+    ]
 
 
-def _verify_derived_equiv(cfg: Config) -> list[dict]:
-    out = []
+def _verify_derived_equiv(contexts: Contexts, cfg: Config) -> list[dict]:
     window = min(cfg.window, 4)
-    for n in (cfg.n,):
-        for g in generators.enumerate_limit_generators(n):
-            arcs = signs.order_for_cone_blocks(list(g))
-            for matrix in signs.both_signed_matrices(arcs):
-                report = signs.verify_phi_homomorphism(arcs, matrix, window=window)
-                entry = {"check": "derived-equiv", "n": n, "passed": report.passed}
-                if not report.passed:
-                    entry["witnesses"] = report.to_json()["failures"][:3]
-                out.append(entry)
-    return out
+    return [
+        _check_record(
+            "derived-equiv",
+            ctx.n,
+            signs.verify_phi_homomorphism(ctx.ordered, m, window=window),
+            "failures",
+        )
+        for ctx in contexts(cfg.n)
+        for m in ctx.matrices
+    ]
 
 
-def _verify_confluence(cfg: Config) -> list[dict]:
+def _verify_confluence(contexts: Contexts, cfg: Config) -> list[dict]:
     from .confluence import confluence_report
 
     out = []
-    for n in (min(cfg.n, 3),):  # word growth makes larger sizes impractical here
-        for g in generators.enumerate_limit_generators(n):
-            p = endo.piano_of_generator(list(g), n)
-            ok, witness = confluence_report(p, max_length=min(cfg.word_cap, 8))
-            entry = {"check": "confluence", "n": n, "passed": ok}
-            if witness is not None:
-                entry["witness"] = repr(witness)
-            out.append(entry)
+    # Word growth makes sizes beyond three impractical here.
+    for ctx in contexts(min(cfg.n, 3)):
+        ok, witness = confluence_report(ctx.piano, max_length=min(cfg.word_cap, 8))
+        record = {"check": "confluence", "n": ctx.n, "passed": ok}
+        if witness is not None:
+            record["witness"] = repr(witness)
+        out.append(record)
     return out
 
 
-VERIFIERS = {
+VERIFIERS: dict[str, Callable[[Contexts, Config], list[dict]]] = {
     "bijection": _verify_bijection,
     "path-algebra-iso": _verify_path_algebra,
     "piano-as-paths": _verify_piano_as_paths,
@@ -232,39 +251,32 @@ VERIFIERS = {
 }
 
 
+def run_verifiers(
+    names: list[str], cfg: Config, choice: tuple[str, int] | None = None
+) -> Iterator[dict]:
+    """The records of the named checks, in order.
+
+    The generators of each size are enumerated once per call and shared by
+    every check, so each per-generator object is built at most once.
+    """
+
+    @cache
+    def contexts(n: int) -> list[GeneratorContext]:
+        return [GeneratorContext(g, choice) for g in generators.enumerate_limit_generators(n)]
+
+    for name in names:
+        yield from VERIFIERS[name](contexts, cfg)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = Config(n=args.n, window=args.window, word_cap=args.word_cap)
-    which = args.which
-    names = list(VERIFIERS) if which == "all" else [which]
+    choice = None if args.choice is None else _parse_choice(args.choice, 2 * cfg.n - 1)
+    names = list(VERIFIERS) if args.which == "all" else [args.which]
     all_passed = True
-    for name in names:
-        if args.choice is not None and name in ("beta-delta", "derived-equiv"):
-            # A specific initial choice: run only the requested matrices.
-            try:
-                choice = _parse_choice(args.choice, 2 * cfg.n - 1)
-            except ValueError as exc:
-                sys.stderr.write(str(exc) + "\n")
-                return EXIT_USAGE
-            for n in (cfg.n,):
-                for g in generators.enumerate_limit_generators(n):
-                    arcs = signs.order_for_cone_blocks(list(g))
-                    matrix = signs.signed_matrix(arcs, choice)
-                    if name == "beta-delta":
-                        report = signs.check_beta_delta(matrix, arcs)
-                    else:
-                        report = signs.verify_phi_homomorphism(
-                            arcs, matrix, window=min(cfg.window, 4)
-                        )
-                    record = {"check": name, "n": n, "passed": report.passed}
-                    if not report.passed:
-                        record["witnesses"] = report.to_json()["failures"][:3]
-                        all_passed = False
-                    _emit(record)
-            continue
-        for record in VERIFIERS[name](cfg):
-            if not record["passed"]:
-                all_passed = False
-            _emit(record)
+    for record in run_verifiers(names, cfg, choice):
+        if not record["passed"]:
+            all_passed = False
+        _emit(record)
     return EXIT_OK if all_passed else EXIT_FAILED
 
 
@@ -292,7 +304,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             kb = quivers.keyboard_from_extended(d)
             if fmt != "dot":
                 raise ValueError("quivers render to dot")
-            sys.stdout.write(render.keyboard_dot(kb))
+            sys.stdout.write(quivers.quiver_to_dot(kb))
         else:
             raise ValueError(f"unknown figure kind {kind}")
     except (ValueError, KeyError) as exc:
@@ -324,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--kind", choices=["generators", "dissections"], default="generators")
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")
     p_enum.add_argument("--render", choices=["svg"], default=None)
-    p_enum.add_argument("--cap", type=int, default=6)
     p_enum.add_argument("--window", type=int, default=default_window)
     p_enum.set_defaults(func=cmd_enumerate)
 
@@ -349,7 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--window", type=int, default=default_window)
     p_verify.add_argument("--word-cap", type=int, default=8)
-    p_verify.add_argument("--choice", default=None, help="initial sign choice, e.g. beta:5")
+    p_verify.add_argument(
+        "--choice",
+        default=None,
+        help="initial sign choice of beta-delta and derived-equiv, e.g. beta:5",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="draw a figure")

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import TypeVar
 
-from .geometry import Arc, ArcKind, ArcSet, BoundaryPoint, GeometryError
+from .geometry import Arc, ArcKind, ArcSet, BoundaryPoint, GeometryError, is_connected
 
 
 class DissectionError(ValueError):
     pass
+
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -33,15 +38,6 @@ class MarkedDisc:
     @property
     def size(self) -> int:
         return 2 * self.n
-
-    def is_red(self, position: int) -> bool:
-        return position % 2 == 0
-
-    def red_positions(self) -> list[int]:
-        return list(range(0, self.size, 2))
-
-    def green_positions(self) -> list[int]:
-        return list(range(1, self.size, 2))
 
 
 @dataclass(frozen=True)
@@ -76,9 +72,6 @@ class ChordArc:
         if not self.is_binding:
             raise DissectionError("red arc has no green endpoint")
         return self.p if self.p % 2 == 1 else self.q
-
-    def red_endpoints(self) -> tuple[int, ...]:
-        return tuple(e for e in self.endpoints() if e % 2 == 0)
 
     def to_json(self) -> list[int]:
         return [self.p, self.q]
@@ -188,15 +181,26 @@ class DissectionSet:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "DissectionSet":
-        return DissectionSet(
-            int(obj["n"]),
-            tuple(ChordArc(*map(int, c)) for c in obj.get("red", [])),
-            tuple(ChordArc(*map(int, c)) for c in obj.get("binding", [])),
-        )
+    def from_json(obj: object) -> "DissectionSet":
+        if not isinstance(obj, dict):
+            raise DissectionError(f"a dissection is a JSON object, got {obj!r}")
+        try:
+            return DissectionSet(
+                int(obj["n"]),
+                tuple(_chord_from_json(c) for c in obj.get("red", [])),
+                tuple(_chord_from_json(c) for c in obj.get("binding", [])),
+            )
+        except TypeError as exc:
+            raise DissectionError(f"malformed dissection: {exc}") from exc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _chord_from_json(obj: object) -> ChordArc:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise DissectionError(f"a chord is a pair of positions, got {obj!r}")
+    return ChordArc(int(obj[0]), int(obj[1]))
 
 
 def admissible_arc_count(
@@ -313,13 +317,23 @@ def extendability_report(
     return True, None, rebuilt
 
 
-def dissection_from_generator(arcs: list[Arc] | ArcSet, n: int | None = None) -> DissectionSet:
-    """Image of a set of (double) limit arcs on the marked disc.
+def chord_of_arc(x: Arc) -> ChordArc:
+    """Image of one (double) limit arc on the marked disc.
 
     Accumulation point i goes to red position 2i and the whole segment i to
     green position 2i + 1, so double limit arcs become red arcs and limit
     arcs become binding arcs; the anticlockwise order is preserved.
     """
+    if x.kind == ArcKind.DOUBLE_LIMIT:
+        return ChordArc(2 * x.a.seg, 2 * x.b.seg)
+    if x.kind == ArcKind.LIMIT:
+        a_pt = x.a if x.a.is_accumulation else x.b
+        return ChordArc(2 * a_pt.seg, 2 * x.other_endpoint(a_pt).seg + 1)
+    raise DissectionError(f"{x} is not a (double) limit arc")
+
+
+def dissection_from_generator(arcs: list[Arc] | ArcSet, n: int | None = None) -> DissectionSet:
+    """Image of a set of (double) limit arcs on the marked disc; see ``chord_of_arc``."""
     items = list(arcs)
     if n is None:
         if isinstance(arcs, ArcSet):
@@ -328,17 +342,12 @@ def dissection_from_generator(arcs: list[Arc] | ArcSet, n: int | None = None) ->
             n = items[0].n
         else:
             raise DissectionError("cannot infer n from an empty arc list")
-    red, binding = [], []
-    for x in items:
-        if x.kind == ArcKind.DOUBLE_LIMIT:
-            red.append(ChordArc(2 * x.a.seg, 2 * x.b.seg))
-        elif x.kind == ArcKind.LIMIT:
-            a_pt = x.a if x.a.is_accumulation else x.b
-            free = x.other_endpoint(a_pt)
-            binding.append(ChordArc(2 * a_pt.seg, 2 * free.seg + 1))
-        else:
-            raise DissectionError(f"{x} is not a (double) limit arc")
-    return DissectionSet(n, tuple(red), tuple(binding))
+    chords = [chord_of_arc(x) for x in items]
+    return DissectionSet(
+        n,
+        tuple(c for c in chords if c.is_red_arc),
+        tuple(c for c in chords if c.is_binding),
+    )
 
 
 def chord_to_arc(c: ChordArc, n: int) -> Arc:
@@ -373,6 +382,21 @@ def canonical_dissection_key(d: DissectionSet) -> str:
     return min(rotate_dissection(d, r).dumps() for r in range(d.n))
 
 
+def rotation_class_representatives(
+    items: Sequence[T], images: Iterable[DissectionSet]
+) -> list[T]:
+    """The first item of each rotation class, the classes read off the items'
+    dissection images: the i-th image is that of the i-th item."""
+    seen: set[str] = set()
+    reps: list[T] = []
+    for item, d in zip(items, images):
+        key = canonical_dissection_key(d)
+        if key not in seen:
+            seen.add(key)
+            reps.append(item)
+    return reps
+
+
 def enumerate_admissible_dissections(n: int) -> list[DissectionSet]:
     """All admissible red dissections: non-crossing spanning trees on the red points."""
     size = 2 * n
@@ -383,25 +407,10 @@ def enumerate_admissible_dissections(n: int) -> list[DissectionSet]:
     ]
     out: list[DissectionSet] = []
 
-    def connected(chords: list[ChordArc]) -> bool:
-        parent = list(range(n))
-
-        def find(v: int) -> int:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for c in chords:
-            a, b = find(c.p // 2), find(c.q // 2)
-            if a == b:
-                return False  # a cycle among n-1 edges can never span
-            parent[a] = b
-        return len({find(v) for v in range(n)}) == 1
-
     def extend(start: int, chosen: list[ChordArc]) -> None:
         if len(chosen) == n - 1:
-            if connected(chosen):
+            # n - 1 edges on n red points span iff they are connected.
+            if is_connected(n, [(c.p // 2, c.q // 2) for c in chosen]):
                 out.append(DissectionSet(n, tuple(chosen), ()))
             return
         for idx in range(start, len(candidates)):

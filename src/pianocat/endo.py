@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .dissections import dissection_from_generator
+from .dissections import chord_of_arc, dissection_from_generator
 from .geometry import Arc, ArcKind, cross, cyclic_less, orbit_segments, arc_set, suspend
 from .homs import HomError, factors_through, hom_dim
 from .quivers import PianoQuiver, canonical_word, graded_dim, normal_form, piano_from_extended
@@ -43,9 +43,6 @@ class GradedEntry:
         if self.kind == RingKind.POLY:
             return 1 if degree <= 0 else 0
         return 0 if degree == 1 else 1
-
-    def dims_window(self, window: int) -> dict[int, int]:
-        return {i: self.dim(i) for i in range(-window, window + 1)}
 
 
 def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
@@ -218,11 +215,7 @@ class IsoReport:
 def piano_of_generator(arcs: list[Arc], n: int | None = None) -> PianoQuiver:
     """Piano quiver of a limit generator, vertices in summand order."""
     d = dissection_from_generator(arcs, n)
-    chords = []
-    for x in arcs:
-        img = dissection_from_generator([x], d.n)
-        chords.append((img.red + img.binding)[0])
-    return piano_from_extended(d, vertex_order=chords)
+    return piano_from_extended(d, vertex_order=[chord_of_arc(x) for x in arcs])
 
 
 def verify_path_algebra_iso(

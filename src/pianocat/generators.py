@@ -16,12 +16,12 @@ from .geometry import (
     ArcSet,
     BoundaryPoint,
     arc_set,
-    complete_orbit,
     cross,
     crosses_under_some_shift,
-    rotate_arc,
+    is_connected,
     suspend,
 )
+from .dissections import dissection_from_generator, rotation_class_representatives
 from .homs import factors_through, hom_dim
 
 
@@ -29,14 +29,6 @@ class GeneratorError(ValueError):
     pass
 
 ENUMERATION_CAP = 6
-
-
-@dataclass(frozen=True)
-class GeneratorCandidate:
-    arcs: ArcSet
-    homologically_connected: bool
-    complete_orbit: bool
-    limit_kind: bool  # all summands are (double) limit arcs
 
 
 @dataclass(frozen=True)
@@ -68,21 +60,13 @@ def is_homologically_connected(a: ArcSet) -> bool:
     arcs = list(a)
     if not _limit_regime(a) or not _pairwise_shift_noncrossing(arcs):
         raise GeneratorError("unsupported arc configuration")
-    if len(arcs) <= 1:
-        return True
-    adj: dict[int, set[int]] = {i: set() for i in range(len(arcs))}
-    for i, x in enumerate(arcs):
-        for j in range(i + 1, len(arcs)):
-            if x.shared_accumulation(arcs[j]) is not None:
-                adj[i].add(j)
-                adj[j].add(i)
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(arcs)
+    edges = [
+        (i, j)
+        for i, x in enumerate(arcs)
+        for j in range(i + 1, len(arcs))
+        if x.shared_accumulation(arcs[j]) is not None
+    ]
+    return is_connected(len(arcs), edges)
 
 
 def is_limit_pre_generator(a: ArcSet) -> bool:
@@ -98,21 +82,8 @@ def is_limit_pre_generator(a: ArcSet) -> bool:
         for y in arcs[i + 1 :]:
             if cross(x, y):
                 return False
-    touched = {p.seg for x in arcs for p in x.endpoints()}
-    if touched != set(range(a.n)):
-        return False
-    # n-1 edges covering n vertices form a tree iff connected.
-    adj: dict[int, set[int]] = {v: set() for v in range(a.n)}
-    for x in arcs:
-        adj[x.a.seg].add(x.b.seg)
-        adj[x.b.seg].add(x.a.seg)
-    seen, stack = {0}, [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == a.n
+    # n-1 edges on n vertices form a spanning tree iff they are connected.
+    return is_connected(a.n, [(x.a.seg, x.b.seg) for x in arcs])
 
 
 def decompose(a: ArcSet) -> LimitGeneratorDecomposition:
@@ -150,12 +121,6 @@ def is_limit_generator(a: ArcSet) -> bool:
     return _pairwise_shift_noncrossing(arcs)
 
 
-def candidate_flags(a: ArcSet) -> GeneratorCandidate:
-    limit_kind = _limit_regime(a)
-    connected = is_homologically_connected(a) if limit_kind else False
-    return GeneratorCandidate(a, connected, complete_orbit(a), limit_kind)
-
-
 def fan_summands(n: int) -> list[Arc]:
     """The 2n-1 fan arcs at the apex Acc(n-1), in radial (anticlockwise) order."""
     apex = BoundaryPoint((n - 1) % n)
@@ -168,16 +133,6 @@ def fan_summands(n: int) -> list[Arc]:
 
 def fan_generator(n: int) -> ArcSet:
     return arc_set(n, fan_summands(n))
-
-
-def normalise_limit_arcs(arcs: list[Arc]) -> list[Arc]:
-    """Move every marked endpoint to position 0, the orbit representative."""
-    out = []
-    for x in arcs:
-        a = BoundaryPoint(x.a.seg, 0) if x.a.is_marked else x.a
-        b = BoundaryPoint(x.b.seg, 0) if x.b.is_marked else x.b
-        out.append(Arc(x.n, a, b))
-    return out
 
 
 def enumerate_pre_generators(n: int) -> list[ArcSet]:
@@ -236,20 +191,9 @@ def enumerate_limit_generators(n: int, up_to_equivalence: bool = False) -> list[
     out.sort(key=ArcSet.dumps)
     if not up_to_equivalence:
         return out
-    seen: set[str] = set()
-    reps: list[ArcSet] = []
-    for g in out:
-        key = min(
-            arc_set(n, [rotate_arc(x, r) for x in g]).dumps() for r in range(n)
-        )
-        if key not in seen:
-            seen.add(key)
-            reps.append(g)
-    return reps
-
-
-def generator_equivalence_class_key(g: ArcSet) -> str:
-    return min(arc_set(g.n, [rotate_arc(x, r) for x in g]).dumps() for r in range(g.n))
+    # Rotating a generator rotates its dissection image, so the rotation
+    # classes of the two agree.
+    return rotation_class_representatives(out, map(dissection_from_generator, out))
 
 
 @dataclass(frozen=True)

@@ -78,11 +78,16 @@ class BoundaryPoint:
         return {"pt": [self.seg, self.pos]}
 
     @staticmethod
-    def from_json(obj: dict) -> "BoundaryPoint":
-        if "acc" in obj:
-            return BoundaryPoint(int(obj["acc"]))
-        i, p = obj["pt"]
-        return BoundaryPoint(int(i), int(p))
+    def from_json(obj: object) -> "BoundaryPoint":
+        try:
+            if "acc" in obj:
+                return BoundaryPoint(int(obj["acc"]))
+            i, p = obj["pt"]
+            return BoundaryPoint(int(i), int(p))
+        except TypeError as exc:
+            raise GeometryError(
+                f'a boundary point is {{"acc": i}} or {{"pt": [i, p]}}, got {obj!r}'
+            ) from exc
 
     def __repr__(self) -> str:
         if self.pos is None:
@@ -195,15 +200,13 @@ class Arc:
         return [self.a.to_json(), self.b.to_json()]
 
     @staticmethod
-    def from_json(obj: list, n: int) -> "Arc":
+    def from_json(obj: object, n: int) -> "Arc":
+        if not isinstance(obj, list) or len(obj) != 2:
+            raise GeometryError(f"an arc is a pair of boundary points, got {obj!r}")
         return Arc(n, BoundaryPoint.from_json(obj[0]), BoundaryPoint.from_json(obj[1]))
 
     def __repr__(self) -> str:
         return f"Arc({self.a!r},{self.b!r})"
-
-
-def arc(n: int, a: BoundaryPoint, b: BoundaryPoint) -> Arc:
-    return Arc(n, a, b)
 
 
 def suspend(x: Arc, k: int) -> Arc:
@@ -290,9 +293,14 @@ class ArcSet:
         return {"n": self.n, "arcs": [x.to_json() for x in self.arcs]}
 
     @staticmethod
-    def from_json(obj: dict) -> "ArcSet":
-        n = int(obj["n"])
-        return ArcSet(n, tuple(Arc.from_json(a, n) for a in obj["arcs"]))
+    def from_json(obj: object) -> "ArcSet":
+        if not isinstance(obj, dict):
+            raise GeometryError(f"an arc set is a JSON object, got {obj!r}")
+        try:
+            n = int(obj["n"])
+            return ArcSet(n, tuple(Arc.from_json(a, n) for a in obj["arcs"]))
+        except TypeError as exc:
+            raise GeometryError(f"malformed arc set: {exc}") from exc
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -318,3 +326,20 @@ def rotate_point(p: BoundaryPoint, r: int, n: int) -> BoundaryPoint:
 def rotate_arc(x: Arc, r: int) -> Arc:
     """Rotate all segment indices by r, the disc's orientation-preserving symmetry."""
     return Arc(x.n, rotate_point(x.a, r, x.n), rotate_point(x.b, r, x.n))
+
+
+def is_connected(num_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the undirected graph on vertices 0..num_vertices-1 is connected."""
+    if num_vertices <= 1:
+        return True
+    adj: dict[int, set[int]] = {v: set() for v in range(num_vertices)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == num_vertices

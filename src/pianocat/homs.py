@@ -143,53 +143,6 @@ def morphism_direction(
     return Direction.FORWARD
 
 
-def morphism_direction_strict(
-    x: Arc, y: Arc, degree: int = 0, apex: BoundaryPoint | None = None
-) -> Direction | None:
-    """Literal chain-inequality classification with a fixed reference point.
-
-    Cuts the circle at the apex and tests the two defining inequality chains;
-    arcs incident to the apex may satisfy neither chain, in which case None
-    is returned.  Kept as an alternative mode; the sweep-based classifier is
-    the default because it is total and composes consistently.
-    """
-    if apex is None:
-        apex = default_apex(x.n)
-    if hom_dim(x, y, degree) != 1:
-        raise HomError(f"no nonzero degree {degree} morphism {x} -> {y}")
-    target = suspend(y, degree)
-
-    def placements(p: BoundaryPoint) -> list[tuple]:
-        base = p.key()
-        shift = apex.key()
-        if p == apex:
-            return [(0,), (2,)]  # the cut point reads as either end
-        rel = (1, base) if base > shift else (1, (base[0] + x.n, base[1], base[2]))
-        return [rel]
-
-    def chains(xs, ys, forward: bool) -> bool:
-        for px1 in placements(xs[0]):
-            for px2 in placements(xs[1]):
-                for py1 in placements(ys[0]):
-                    for py2 in placements(ys[1]):
-                        if forward:
-                            ok = (0,) < px1 <= py1 < px2 <= py2 <= (2,) and xs[1] != apex
-                        else:
-                            ok = (0,) <= py1 < px1 <= py2 < px2 <= (2,)
-                        if ok:
-                            return True
-        return False
-
-    xe, te = x.endpoints(), target.endpoints()
-    fwd = any(chains(xs, ys, True) for xs in (xe, xe[::-1]) for ys in (te, te[::-1]))
-    bwd = any(chains(xs, ys, False) for xs in (xe, xe[::-1]) for ys in (te, te[::-1]))
-    if fwd and not bwd:
-        return Direction.FORWARD
-    if bwd and not fwd:
-        return Direction.BACKWARD
-    return None
-
-
 @dataclass(frozen=True)
 class MorphismHandle:
     """A nonzero homogeneous morphism, tagged with its direction class."""

@@ -31,6 +31,7 @@ from .dissections import (
     induced_admissible,
     is_admissible_dissection,
 )
+from .geometry import is_connected
 
 
 class QuiverError(ValueError):
@@ -119,20 +120,8 @@ def is_locally_gentle(q: GentleQuiver) -> bool:
     unique continuations both inside and outside the relation ideal."""
     if q.num_vertices < 1:
         return False
-    # Weak connectivity.
-    if q.num_vertices > 1:
-        adj: dict[int, set[int]] = {v: set() for v in range(q.num_vertices)}
-        for e in q.arrows:
-            adj[e.src].add(e.tgt)
-            adj[e.tgt].add(e.src)
-        seen, stack = {0}, [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != q.num_vertices:
-            return False
+    if not is_connected(q.num_vertices, ((e.src, e.tgt) for e in q.arrows)):
+        return False
     for v in range(q.num_vertices):
         if len(q.arrows_out(v)) > 2 or len(q.arrows_in(v)) > 2:
             return False

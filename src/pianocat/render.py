@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .dissections import DissectionSet
 from .geometry import Arc, ArcSet, BoundaryPoint
-from .quivers import KeyboardQuiver, quiver_to_dot
 
 SIZE = 400.0
 CENTER = 200.0
@@ -149,6 +148,3 @@ def dissection_tikz(d: DissectionSet) -> str:
     out.append("\\end{tikzpicture}")
     return "\n".join(out) + "\n"
 
-
-def keyboard_dot(kb: KeyboardQuiver) -> str:
-    return quiver_to_dot(kb)

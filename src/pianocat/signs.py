@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dissections import dissection_from_generator
-from .endo import EndoAlgebra, RingKind, chi_multiply
+from .endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
 from .generators import is_limit_generator
 from .geometry import Arc, ArcSet, BoundaryPoint, arc_set
 from .homs import (
@@ -25,7 +24,6 @@ from .homs import (
     hom_dim,
     morphism_direction,
 )
-from .quivers import keyboard_from_extended
 
 
 class SignError(ValueError):
@@ -127,11 +125,7 @@ def keyboard_edges_with_direction(
     n = arcs[0].n
     if apex is None:
         apex = default_apex(n)
-    d = dissection_from_generator(arcs, n)
-    chords = [
-        (dissection_from_generator([x], n).all_chords())[0] for x in arcs
-    ]
-    kb = keyboard_from_extended(d, vertex_order=chords)
+    kb = piano_of_generator(arcs, n).keyboard
     out = []
     for e in kb.gentle.arrows:
         direction = morphism_direction(arcs[e.src], arcs[e.tgt], 0, apex)
@@ -139,11 +133,32 @@ def keyboard_edges_with_direction(
     return out
 
 
-def signed_matrix(
-    arcs: list[Arc],
-    initial_choice: tuple[str, int],
-    apex: BoundaryPoint | None = None,
-) -> SignedMatrix:
+@dataclass(frozen=True)
+class SignGraph:
+    """The keyboard tree of a limit generator, each edge with its direction
+    class, and the split index of its cone presentations."""
+
+    n: int
+    m: int
+    adjacency: dict[int, list[tuple[int, Direction]]]
+
+
+def sign_graph(arcs: list[Arc], apex: BoundaryPoint | None = None) -> SignGraph:
+    """The graph a sign choice propagates over; see ``propagate_choice``."""
+    n = arcs[0].n
+    if apex is None:
+        apex = default_apex(n)
+    if not is_limit_generator(arc_set(n, arcs)):
+        raise SignError("not a limit generator")
+    cones = cone_data(arcs, apex)
+    adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(len(arcs))}
+    for src, tgt, direction in keyboard_edges_with_direction(arcs, apex):
+        adjacency[src].append((tgt, direction))
+        adjacency[tgt].append((src, direction))
+    return SignGraph(n, cones.m, adjacency)
+
+
+def propagate_choice(graph: SignGraph, initial_choice: tuple[str, int]) -> SignedMatrix:
     """Propagate a sign choice over the keyboard tree of a limit generator.
 
     ``initial_choice`` is ("beta", j) with j below the split index, or
@@ -152,18 +167,7 @@ def signed_matrix(
     the empty slot of a summand inside the suspension closure flips nothing
     there.
     """
-    n = arcs[0].n
-    if apex is None:
-        apex = default_apex(n)
-    if not is_limit_generator(arc_set(n, arcs)):
-        raise SignError("not a limit generator")
-    cones = cone_data(arcs, apex)
-    size = len(arcs)
-    edges = keyboard_edges_with_direction(arcs, apex)
-    adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(size)}
-    for src, tgt, direction in edges:
-        adjacency[src].append((tgt, direction))
-        adjacency[tgt].append((src, direction))
+    size = len(graph.adjacency)
     slot_name, root = initial_choice
     if slot_name not in ("beta", "delta"):
         raise SignError("initial choice must pick a beta or delta slot")
@@ -175,7 +179,7 @@ def signed_matrix(
     stack = [root]
     while stack:
         v = stack.pop()
-        for w, direction in adjacency[v]:
+        for w, direction in graph.adjacency[v]:
             if w in slots:
                 continue
             if direction == Direction.FORWARD:
@@ -185,19 +189,26 @@ def signed_matrix(
             stack.append(w)
     if len(slots) != size:
         raise SignError("keyboard graph is not connected")
-    beta = tuple(-1 if slots[j] == "beta" else 1 for j in range(cones.m))
+    beta = tuple(-1 if slots[j] == "beta" else 1 for j in range(graph.m))
     delta = tuple(-1 if slots[j] == "delta" else 1 for j in range(size))
-    return SignedMatrix(n, cones.m, beta, delta, initial_choice)
+    return SignedMatrix(graph.n, graph.m, beta, delta, initial_choice)
+
+
+def signed_matrix(
+    arcs: list[Arc],
+    initial_choice: tuple[str, int],
+    apex: BoundaryPoint | None = None,
+) -> SignedMatrix:
+    """The signed matrix of one initial choice; see ``propagate_choice``."""
+    return propagate_choice(sign_graph(arcs, apex), initial_choice)
 
 
 def both_signed_matrices(
     arcs: list[Arc], apex: BoundaryPoint | None = None
 ) -> list[SignedMatrix]:
     """The two essentially different sign choices (slot or flipped slot at vertex 0)."""
-    return [
-        signed_matrix(arcs, ("beta", 0), apex),
-        signed_matrix(arcs, ("delta", 0), apex),
-    ]
+    graph = sign_graph(arcs, apex)
+    return [propagate_choice(graph, ("beta", 0)), propagate_choice(graph, ("delta", 0))]
 
 
 @dataclass(frozen=True)

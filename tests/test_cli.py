@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,9 @@ def test_enumerate_single_and_cap(capsys):
     assert code == 0 and len(out.splitlines()) == 1
     code, _ = run(capsys, "enumerate", "--n", "9")
     assert code == 2
+    # Dissections share the generators' cap instead of running unbounded.
+    code, out = run(capsys, "enumerate", "--kind", "dissections", "--n", "7")
+    assert code == 2 and out == ""
 
 
 def test_enumerate_dissections_matches_generators(capsys):
@@ -62,7 +69,9 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     import pianocat.cli as cli
 
     monkeypatch.setitem(
-        cli.VERIFIERS, "bijection", lambda cfg: [{"check": "bijection", "passed": False}]
+        cli.VERIFIERS,
+        "bijection",
+        lambda contexts, cfg: [{"check": "bijection", "passed": False}],
     )
     code, out = run(capsys, "verify", "bijection", "--n", "2")
     assert code == 1
@@ -82,15 +91,110 @@ def test_render_spec_validation():
 def test_verify_all_small(capsys):
     code, out = run(capsys, "verify", "all", "--n", "2", "--window", "4")
     assert code == 0
-    for line in out.splitlines():
-        assert json.loads(line)["passed"] is True
+    records = [json.loads(line) for line in out.splitlines()]
+    assert all(r["passed"] is True and r["n"] == 2 for r in records)
+    # One bijection record, one per generator of the per-generator checks,
+    # and one per generator and sign choice of the two sign checks.
+    expected = (
+        ["bijection"]
+        + ["path-algebra-iso"] * 4
+        + ["piano-as-paths"] * 4
+        + ["beta-delta"] * 8
+        + ["derived-equiv"] * 8
+        + ["confluence"] * 4
+    )
+    assert [r["check"] for r in records] == expected
 
 
 def test_verify_with_choice(capsys):
     code, out = run(capsys, "verify", "derived-equiv", "--n", "2", "--choice", "delta:1")
     assert code == 0
-    code, _ = run(capsys, "verify", "derived-equiv", "--n", "2", "--choice", "gamma:1")
+    assert len(out.splitlines()) == 4
+    code, out = run(capsys, "verify", "beta-delta", "--n", "2", "--choice", "delta:1")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["check"] for r in records] == ["beta-delta"] * 4
+    assert all(r["passed"] for r in records)
+
+
+@pytest.mark.parametrize(
+    "which",
+    [
+        "all",
+        "bijection",
+        "path-algebra-iso",
+        "piano-as-paths",
+        "beta-delta",
+        "derived-equiv",
+        "confluence",
+    ],
+)
+@pytest.mark.parametrize("choice", ["gamma:1", "delta:4"])
+def test_bad_choice_rejected_before_any_check(capsys, which, choice):
+    code = main(["verify", which, "--n", "2", "--choice", choice])
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "choice" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        (["render", "--kind", "dissection"], [1, 2]),
+        (["render", "--kind", "arc-diagram"], [1, 2]),
+        (["render", "--kind", "quiver", "--format", "dot"], {"n": 2, "red": [[0, 2, 4]]}),
+        (["quiver"], {"n": 2, "red": [[0, 2, 4]]}),
+        (["quiver"], {"n": 2, "red": 5}),
+        (["render", "--kind", "arc-diagram"], {"n": 2, "arcs": [[{"pt": None}, {"acc": 1}]]}),
+        (["homtable", "--n", "2", "--source", "5"], None),
+        (["homtable", "--n", "2", "--source", "[5, 6]"], None),
+    ],
+    ids=[
+        "render-dissection-list",
+        "render-arcs-list",
+        "render-quiver-three-entry-chord",
+        "quiver-three-entry-chord",
+        "quiver-chords-not-a-list",
+        "render-arcs-null-point",
+        "homtable-arc-not-a-list",
+        "homtable-point-not-an-object",
+    ],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, command, payload):
+    argv = list(command)
+    if command[0] == "homtable":
+        argv += ["--target", '[{"acc":0},{"pt":[0,3]}]']
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        argv += ["--from" if command[0] == "quiver" else "--input", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+def test_run_verification_script():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_verification.py"), "--max-n", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    header, *rows = result.stdout.splitlines()
+    assert header.split() == [
+        "n", "generators", "bijection", "path-iso", "beta-delta", "phi", "seconds"
+    ]
+    cells = [row.split() for row in rows]
+    assert [(c[0], c[1]) for c in cells] == [("1", "1"), ("2", "4")]
+    assert all(c[2:6] == ["True"] * 4 for c in cells)
 
 
 def test_quiver_dot(capsys, fan3_files):

@@ -73,17 +73,6 @@ def test_limit_generator_and_decomposition():
     assert not is_limit_generator(extra)
 
 
-def test_candidate_flags():
-    from pianocat.generators import candidate_flags
-
-    flags = candidate_flags(fan_generator(2))
-    assert flags.homologically_connected and flags.complete_orbit and flags.limit_kind
-    n = 2
-    short_only = arc_set(n, [Arc(n, pt(0, 0, n), pt(0, 2, n))])
-    flags = candidate_flags(short_only)
-    assert not flags.limit_kind and not flags.homologically_connected
-
-
 def test_n_equals_one_has_no_long_or_double_limit_arcs():
     # With a single accumulation point those kinds cannot be constructed.
     from pianocat.geometry import ArcKind, GeometryError

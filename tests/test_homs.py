@@ -16,7 +16,6 @@ from pianocat.homs import (
     factors_through,
     hom_dim,
     morphism_direction,
-    morphism_direction_strict,
     morphism_handle,
 )
 from pianocat.generators import fan_generator
@@ -259,18 +258,15 @@ def test_cone_presentation_unreachable():
         cone_presentation(Arc(n, acc(0, n), acc(3, n)), arc_set(n, tree[:2]))
 
 
-def test_strict_direction_mode():
+def test_direction_backward_edge_and_apex_incident_arcs():
     n = 4
     # The backward edge of the standard four-point example.
     x = Arc(n, acc(0, n), acc(2, n))
     y = Arc(n, acc(0, n), pt(3, 0, n))
     assert morphism_direction(x, y, 0) == Direction.BACKWARD
-    assert morphism_direction_strict(x, y, 0) == Direction.BACKWARD
-    # Arcs incident to the reference point expose the boundary defect of the
-    # literal chain reading: the sweep classifier keeps these forward (the
-    # sweep starts at the reference point), which is what the sign
-    # propagation of the signed matrix needs, while the chains flip them.
+    # Arcs incident to the reference point stay forward: the sweep starts at
+    # the reference point, which is what the sign propagation of the signed
+    # matrix needs.
     a = Arc(n, acc(3, n), acc(1, n))
     b = Arc(n, acc(3, n), acc(2, n))
     assert morphism_direction(a, b, 0) == Direction.FORWARD
-    assert morphism_direction_strict(a, b, 0) != Direction.FORWARD

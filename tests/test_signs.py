@@ -158,3 +158,15 @@ def test_signed_matrix_rejects_non_generator():
     n = 3
     with pytest.raises(SignError):
         signed_matrix([Arc(n, BP(0), BP(1))], ("delta", 0))
+
+
+def test_both_signed_matrices_match_single_choices():
+    # One shared sign graph gives the same matrices as two separate builds.
+    gens = [g for n in (1, 2, 3) for g in enumerate_limit_generators(n)]
+    gens += enumerate_limit_generators(4)[::7]
+    for g in gens:
+        arcs = order_for_cone_blocks(list(g))
+        assert both_signed_matrices(arcs) == [
+            signed_matrix(arcs, ("beta", 0)),
+            signed_matrix(arcs, ("delta", 0)),
+        ]
