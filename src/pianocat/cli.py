@@ -20,6 +20,11 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
+# Word growth makes confluence exploration impractical beyond this size, and
+# derived-equiv checks at most this degree window.
+CONFLUENCE_MAX_N = 3
+DERIVED_EQUIV_MAX_WINDOW = 4
+
 
 @dataclass(frozen=True)
 class Config:
@@ -133,6 +138,11 @@ class GeneratorContext:
         return signs.order_for_cone_blocks(list(self.generator))
 
     @cached_property
+    def algebra(self) -> endo.EndoAlgebra:
+        """The endomorphism algebra of ``ordered``, shared by every sign choice."""
+        return endo.EndoAlgebra.from_arcs(self.ordered, self.n)
+
+    @cached_property
     def matrices(self) -> list[signs.SignedMatrix]:
         if self.choice is None:
             return signs.both_signed_matrices(self.ordered)
@@ -214,12 +224,12 @@ def _verify_beta_delta(contexts: Contexts, cfg: Config) -> list[dict]:
 
 
 def _verify_derived_equiv(contexts: Contexts, cfg: Config) -> list[dict]:
-    window = min(cfg.window, 4)
+    window = min(cfg.window, DERIVED_EQUIV_MAX_WINDOW)
     return [
         _check_record(
             "derived-equiv",
             ctx.n,
-            signs.verify_phi_homomorphism(ctx.ordered, m, window=window),
+            signs.verify_phi_homomorphism(ctx.ordered, m, window=window, algebra=ctx.algebra),
             "failures",
         )
         for ctx in contexts(cfg.n)
@@ -231,8 +241,7 @@ def _verify_confluence(contexts: Contexts, cfg: Config) -> list[dict]:
     from .confluence import confluence_report
 
     out = []
-    # Word growth makes sizes beyond three impractical here.
-    for ctx in contexts(min(cfg.n, 3)):
+    for ctx in contexts(min(cfg.n, CONFLUENCE_MAX_N)):
         ok, witness = confluence_report(ctx.piano, max_length=min(cfg.word_cap, 8))
         record = {"check": "confluence", "n": ctx.n, "passed": ok}
         if witness is not None:
@@ -272,6 +281,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = Config(n=args.n, window=args.window, word_cap=args.word_cap)
     choice = None if args.choice is None else _parse_choice(args.choice, 2 * cfg.n - 1)
     names = list(VERIFIERS) if args.which == "all" else [args.which]
+    if "confluence" in names and cfg.n > CONFLUENCE_MAX_N:
+        sys.stderr.write(
+            f"confluence explores n={CONFLUENCE_MAX_N}, not the requested n={cfg.n}\n"
+        )
+    if "derived-equiv" in names and cfg.window > DERIVED_EQUIV_MAX_WINDOW:
+        sys.stderr.write(
+            f"derived-equiv checks window {DERIVED_EQUIV_MAX_WINDOW}, "
+            f"not the requested window {cfg.window}\n"
+        )
     all_passed = True
     for record in run_verifiers(names, cfg, choice):
         if not record["passed"]:

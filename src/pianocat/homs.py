@@ -171,6 +171,19 @@ def factors_through(y: Arc, w: Arc, z: Arc) -> bool:
     aligned = hom_alignment(y, z)
     if aligned is None:
         raise HomError("no morphism to factor")
+    return within_alignment(w, aligned)
+
+
+def within_alignment(
+    w: Arc,
+    aligned: tuple[tuple[BoundaryPoint, BoundaryPoint], tuple[BoundaryPoint, BoundaryPoint]],
+) -> bool:
+    """Whether w sits between the two arcs of an alignment (see ``hom_alignment``).
+
+    With ``aligned = ((y1, y2), (z1, z2))`` the endpoints of w must lie in
+    the closed anticlockwise intervals [y1, z1] and [y2, z2], in one of the
+    two labellings of w.
+    """
     (y1, y2), (z1, z2) = aligned
     wa, wb = w.endpoints()
     for w1, w2 in ((wa, wb), (wb, wa)):

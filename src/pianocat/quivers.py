@@ -16,14 +16,22 @@ is the word every rewrite order reaches; ``confluence.all_terminals``, which
 follows every order, is its independent oracle.  Per-quiver lookup tables
 (symbol ends and degrees, commutation runs by start, radial chains and
 arrow paths) are built once and kept on the ``PianoQuiver``.
+
+``compose`` multiplies two normal forms without normalising their
+concatenation again.  A normal form keeps its reduced block stack and the
+first and last arrow of its skeleton; the product is zero when the two
+skeletons meet in a relation at the junction, and otherwise the second
+form's blocks are pushed onto a copy of the first form's stack, so only the
+redexes across the junction are rewritten.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import Iterable
 
 from .dissections import (
     ChordArc,
@@ -190,6 +198,11 @@ class Shape(Enum):
     ZERO = "zero"
 
 
+# A word in run-length form: ("d", k, 1) for the k-th arrow, (tag, v, power)
+# for a power of one loop at v.
+Block = tuple[str, int, int]
+
+
 @dataclass(frozen=True)
 class PathNormalForm:
     source: int | None
@@ -197,6 +210,11 @@ class PathNormalForm:
     degree: int | None
     shape: Shape
     word: tuple[Symbol, ...] = ()
+    # What ``compose`` continues from: the irreducible word as blocks, and
+    # the first and last arrow of its skeleton (None without arrows).
+    blocks: tuple[Block, ...] = field(default=(), compare=False, repr=False)
+    first_arrow: int | None = field(default=None, compare=False, repr=False)
+    last_arrow: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def is_zero(self) -> bool:
@@ -410,11 +428,6 @@ def one_step_rewrites(
     return out
 
 
-# A word in run-length form: ("d", k, 1) for the k-th arrow, (tag, v, power)
-# for a power of one loop at v.
-Block = tuple[str, int, int]
-
-
 def normal_form(
     p: PianoQuiver, word: tuple[Symbol, ...], base: int | None = None
 ) -> PathNormalForm:
@@ -425,19 +438,52 @@ def normal_form(
     path, a power of one loop, and at most one trailing arrow.  An empty
     word denotes the identity at ``base``.
 
-    One pass over the word validates it against the symbol table, sums its
-    degree, checks the arrow skeleton (no rule changes it, so once is
-    enough) and groups equal adjacent loops into blocks; ``_reduce_blocks``
-    then applies the other four rules of ``one_step_rewrites`` in a single
-    left-to-right stack pass.  That is one particular rewrite order; the
-    rewriting system is confluent, so it reaches the word every order
-    reaches, and ``confluence.all_terminals``, which follows every order, is
-    the oracle it is tested against.
+    ``_scan_blocks`` validates the word, sums its degree, checks the arrow
+    skeleton (no rule changes it, so once is enough) and groups equal
+    adjacent loops into blocks; ``_reduce_blocks`` then applies the other
+    four rules of ``one_step_rewrites`` in a single left-to-right stack
+    pass.  That is one particular rewrite order; the rewriting system is
+    confluent, so it reaches the word every order reaches, and
+    ``confluence.all_terminals``, which follows every order, is the oracle
+    it is tested against.
     """
     if not word:
         if base is None:
             raise QuiverError("empty word needs a base vertex")
         return PathNormalForm(base, base, 0, Shape.DELTA_ALPHA, ())
+    blocks, degree = _scan_blocks(p, word)
+    if blocks is None:
+        return ZERO_FORM
+    table = p.symbol_table
+    return _form(table[word[0]][0], table[word[-1]][1], degree, _reduce_blocks(p, blocks))
+
+
+def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalForm:
+    """The normal form of the product ``u`` then ``v`` of two normal forms.
+
+    Both are irreducible, so every redex of the concatenation straddles the
+    junction.  The skeleton is dead exactly when one of the two is zero or
+    the last arrow of ``u`` and the first arrow of ``v`` form a relation;
+    otherwise pushing ``v``'s blocks onto a copy of ``u``'s stack finishes
+    the one stack pass of ``normal_form`` over the concatenation.  The
+    identity (the empty word at a vertex) is a unit.
+    """
+    if u.is_zero or v.is_zero:
+        return ZERO_FORM
+    if u.target != v.source:
+        raise QuiverError(f"normal forms do not compose: {u.target} -> {v.source}")
+    if (u.last_arrow, v.first_arrow) in p.relations:
+        return ZERO_FORM
+    stack = _reduce_blocks(p, v.blocks, list(u.blocks))
+    return _form(u.source, v.target, u.degree + v.degree, stack)
+
+
+def _scan_blocks(p: PianoQuiver, word: tuple[Symbol, ...]) -> tuple[list[Block] | None, int]:
+    """One pass over a nonempty word: its blocks and its degree.
+
+    The word is validated against the symbol table on the way; the blocks
+    are None when its arrow skeleton meets a relation.
+    """
     table = p.symbol_table
     relations = p.relations
     blocks: list[Block] = []
@@ -459,26 +505,36 @@ def normal_form(
             blocks[-1] = (tag, k, blocks[-1][2] + 1)
         else:
             blocks.append((tag, k, 1))
-    if dead:
-        return ZERO_FORM
+    return (None if dead else blocks), degree
+
+
+def _form(source: int, target: int, degree: int, stack: list[Block]) -> PathNormalForm:
+    """The normal form of an irreducible block word."""
     out: list[Symbol] = []
     shape = Shape.DELTA_ALPHA
-    for tag, k, power in _reduce_blocks(p, blocks):
+    first = last = None
+    for tag, k, power in stack:
         if tag == "d":
             out.append(("d", k))
+            if first is None:
+                first = k
+            last = k
             if shape == Shape.DELTA_BETA:
                 shape = Shape.DELTA_BETA_DELTA
         else:
             out.extend([(tag, k)] * power)
             if tag == "b":
                 shape = Shape.DELTA_BETA
-    return PathNormalForm(table[word[0]][0], at, degree, shape, tuple(out))
+    return PathNormalForm(source, target, degree, shape, tuple(out), tuple(stack), first, last)
 
 
-def _reduce_blocks(p: PianoQuiver, blocks: list[Block]) -> list[Block]:
+def _reduce_blocks(
+    p: PianoQuiver, blocks: Iterable[Block], stack: list[Block] | None = None
+) -> list[Block]:
     """The irreducible form of a composable block word without a dead skeleton.
 
-    Blocks are pushed in order onto a stack that never holds a redex.  Every
+    Blocks are pushed in order onto a stack that never holds a redex (by
+    default an empty one; ``compose`` starts from an irreducible word).  Every
     pattern of the rules is contiguous, so a push can only create a redex
     that ends at the top: a degree -1 block followed by the new arrow, a
     degree +1 block followed by the arrows of a commutation run, an inverse
@@ -489,8 +545,9 @@ def _reduce_blocks(p: PianoQuiver, blocks: list[Block]) -> list[Block]:
     """
     arrows = p.arrows
     runs_into = p.runs_into
-    stack: list[Block] = []
-    pending = blocks[::-1]
+    if stack is None:
+        stack = []
+    pending = list(reversed(blocks))
     while pending:
         item = pending.pop()
         tag, k, power = item

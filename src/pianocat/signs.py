@@ -55,14 +55,16 @@ def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
     Requires the summands outside the suspension closure of the fan to come
     first, matching the block layout of the signed matrix.
     """
+    n = arcs[0].n
     if apex is None:
-        apex = default_apex(arcs[0].n)
+        apex = default_apex(n)
+    fan = _fan_arcset(n, apex)
     entries: list[ConeSummand] = []
     for x in arcs:
         if _fan_member(x, apex):
             entries.append(ConeSummand(None, x, True))
             continue
-        q, p = cone_presentation(x, _fan_arcset(x.n, apex))
+        q, p = cone_presentation(x, fan)
         entries.append(ConeSummand(q, p, False))
     m = sum(1 for e in entries if not e.in_generated_one)
     if any(e.in_generated_one for e in entries[:m]):
@@ -328,6 +330,7 @@ def verify_phi_homomorphism(
     window: int = 4,
     apex: BoundaryPoint | None = None,
     max_failures: int = 20,
+    algebra: EndoAlgebra | None = None,
 ) -> PhiReport:
     """Verify that the signed block assignment is a degree-zero algebra map.
 
@@ -336,10 +339,16 @@ def verify_phi_homomorphism(
     Part (b): for every composable pair of homogeneous basis elements the
     product of signed blocks equals the signed block of the product, and the
     summed matrix identity phi(x) phi(x') = phi(x x') holds over the window.
+    ``algebra``, when given, is the endomorphism algebra of ``arcs`` in this
+    order, so that several sign choices can share one algebra and its caches.
     """
     n = arcs[0].n
     if apex is None:
         apex = default_apex(n)
+    if algebra is None:
+        algebra = EndoAlgebra.from_arcs(arcs, n)
+    elif algebra.arcs != tuple(arcs):
+        raise SignError("the algebra is not the one of these summands in this order")
     failures: list[CheckFailure] = []
 
     def record(identity: str, witness: tuple) -> bool:
@@ -353,7 +362,6 @@ def verify_phi_homomorphism(
                 if record("differential", (j, i)):
                     return PhiReport(tuple(failures))
 
-    algebra = EndoAlgebra.from_arcs(arcs, n)
     size = len(arcs)
     directions: dict[tuple[int, int], Direction] = {}
     for j in range(size):

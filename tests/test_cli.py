@@ -106,6 +106,36 @@ def test_verify_all_small(capsys):
     assert [r["check"] for r in records] == expected
 
 
+def test_in_range_verify_writes_no_stderr(capsys):
+    code = main(["verify", "all", "--n", "2", "--window", "4"])
+    captured = capsys.readouterr()
+    assert code == 0 and len(captured.out.splitlines()) == 29
+    assert captured.err == ""
+
+
+def test_confluence_size_cap_is_reported(capsys):
+    code = main(["verify", "confluence", "--n", "4", "--word-cap", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(records) == 36 and all(r["n"] == 3 for r in records)
+    assert captured.err.splitlines() == [
+        "confluence explores n=3, not the requested n=4"
+    ]
+
+
+def test_derived_equiv_window_cap_is_reported(capsys):
+    code = main(["verify", "derived-equiv", "--n", "1", "--window", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert [json.loads(line)["check"] for line in captured.out.splitlines()] == [
+        "derived-equiv"
+    ] * 2
+    assert captured.err.splitlines() == [
+        "derived-equiv checks window 4, not the requested window 6"
+    ]
+
+
 def test_verify_with_choice(capsys):
     code, out = run(capsys, "verify", "derived-equiv", "--n", "2", "--choice", "delta:1")
     assert code == 0

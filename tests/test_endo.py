@@ -13,8 +13,9 @@ from pianocat.endo import (
     verify_path_algebra_iso,
 )
 from pianocat.generators import enumerate_limit_generators, fan_summands
-from pianocat.geometry import Arc, acc, pt
-from pianocat.quivers import KeyboardQuiver, piano_from_keyboard
+from pianocat.geometry import Arc, acc, pt, suspend
+from pianocat.homs import HomError, factors_through, hom_dim
+from pianocat.quivers import KeyboardQuiver, graded_dim, piano_from_keyboard
 
 
 def test_entry_dimension_profiles():
@@ -195,3 +196,90 @@ def test_scalar_degree_independence_matches_per_degree_products():
                             assert (
                                 chi_multiply(algebra, (j, j2, i), (j2, l, i2)) == base
                             )
+
+
+def _product_oracle(algebra: EndoAlgebra, f, g) -> int:
+    """``chi_multiply`` from scratch: fresh suspensions, the degree-zero
+    round-trip rule, and otherwise ``factors_through`` with a HomError as 0."""
+    (i, j, p), (_, l, q) = f, g
+    x = algebra.arcs[i]
+    w = suspend(algebra.arcs[j], p)
+    z = suspend(algebra.arcs[l], p + q)
+    if z == x:
+        return int(w == x and hom_dim(x, z, 0) == 1)
+    try:
+        return 1 if factors_through(x, w, z) else 0
+    except HomError:
+        return 0
+
+
+def _composable_pairs(algebra: EndoAlgebra, degrees: range):
+    size = algebra.size
+    basis = [
+        (i, j, p) for i in range(size) for j in range(size) for p in degrees if algebra.dim(i, j, p)
+    ]
+    for f in basis:
+        for g in basis:
+            if g[0] == f[1]:
+                yield f, g
+
+
+@pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 8)], ids=["n1", "n2", "n3", "n4"])
+def test_chi_multiply_matches_factorisation_oracle(n, stride):
+    # Every composable pair of basis elements in degrees -6 .. 6: the
+    # cached alignments and Hom dimensions decide each product as
+    # factors_through does.
+    for g in enumerate_limit_generators(n)[::stride]:
+        algebra = EndoAlgebra.from_arcs(list(g), n)
+        for f, h in _composable_pairs(algebra, range(-6, 7)):
+            assert chi_multiply(algebra, f, h) == _product_oracle(algebra, f, h), (g, f, h)
+
+
+def test_chi_multiply_matches_oracle_where_the_interval_test_decides():
+    # On limit generators every product that reaches the closed-interval
+    # test passes it, so a chi_multiply that skipped the test would still
+    # agree there.  Two-summand algebras at n = 2 that are no generator have
+    # products the test rejects; chi_multiply must reject the same ones.
+    n = 2
+    ends = [acc(i, n) for i in range(n)] + [pt(i, 0, n) for i in range(n)]
+    arcs = [Arc(n, a, b) for a, b in itertools.combinations(ends, 2)]
+    rejected = 0
+    for pair in itertools.combinations(arcs, 2):
+        try:
+            algebra = EndoAlgebra.from_arcs(list(pair), n)
+        except EndoError:
+            continue
+        for f, h in _composable_pairs(algebra, range(-4, 5)):
+            expected = _product_oracle(algebra, f, h)
+            assert chi_multiply(algebra, f, h) == expected, (pair, f, h)
+            x, z = algebra.arcs[f[0]], suspend(algebra.arcs[h[1]], f[2] + h[2])
+            rejected += expected == 0 and z != x and hom_dim(x, z, 0) == 1
+    assert rejected > 0
+
+
+def test_iso_report_counts_every_composable_pair():
+    # An independent count of the composable pairs of nonzero classes on
+    # both sides; a verifier that skipped a pair would report fewer.
+    window = 4
+    degrees = range(-window, window + 1)
+    for n in (1, 2, 3):
+        for g in enumerate_limit_generators(n):
+            arcs = list(g)
+            algebra = EndoAlgebra.from_arcs(arcs, n)
+            p = piano_of_generator(arcs, n)
+            size = algebra.size
+            count = {
+                (a, b): sum(1 for m in degrees if algebra.dim(a, b, m) and graded_dim(p, a, b, m))
+                for a in range(size)
+                for b in range(size)
+            }
+            expected = sum(
+                count[(a, b)] * count[(b, c)]
+                for a in range(size)
+                for b in range(size)
+                for c in range(size)
+            )
+            report = verify_path_algebra_iso(arcs, n, window=window, piano=p)
+            assert report.passed
+            assert report.products == expected > 0
+            assert "products" not in report.to_json()

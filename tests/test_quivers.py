@@ -11,10 +11,12 @@ from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.quivers import (
     GentleQuiver,
     Arrow,
+    KeyboardQuiver,
     PianoQuiver,
     QuiverError,
     Shape,
     canonical_word,
+    compose,
     degree_component_structure,
     gentle_from_dissection,
     graded_dim,
@@ -291,6 +293,106 @@ def test_normal_form_matches_exhaustive_rewriting(case):
     assert nf.is_zero == (terminals == {None})
     if not nf.is_zero:
         assert terminals == {nf.word}
+
+
+@st.composite
+def split_piano_words(draw):
+    """A random piano word of at most eight symbols, cut at a random point."""
+    p, word = draw(piano_words())
+    word = word[:8]
+    cut = draw(st.integers(0, len(word)))
+    return p, word[:cut], word[cut:]
+
+
+@settings(deadline=None, max_examples=300)
+@given(split_piano_words())
+def test_compose_matches_exhaustive_rewriting(case):
+    # Composing the normal forms of the two pieces lands where every rewrite
+    # order of the whole word lands; an empty piece is an identity.
+    p, u, v = case
+    whole = u + v
+    source, target = p.symbol_ends(whole[0])[0], p.symbol_ends(whole[-1])[1]
+    product = compose(p, normal_form(p, u, base=source), normal_form(p, v, base=target))
+    terminals = all_terminals(p, whole)
+    assert product.is_zero == (terminals == {None})
+    if not product.is_zero:
+        assert terminals == {product.word}
+        assert (product.source, product.target) == (source, target)
+
+
+def _canonical_forms(p: PianoQuiver, window: int) -> dict:
+    """Canonical word and normal form of every nonzero class (a, b, m) with |m| <= window."""
+    forms = {}
+    for a in range(p.num_vertices):
+        for b in range(p.num_vertices):
+            for m in range(-window, window + 1):
+                word = canonical_word(p, a, b, m)
+                if word is not None:
+                    forms[(a, b, m)] = (word, normal_form(p, word, base=a))
+    return forms
+
+
+def _with_junction_state(f):
+    """A normal form with the fields ``compose`` continues from, which equality skips."""
+    return f, f.blocks, f.first_arrow, f.last_arrow
+
+
+def _compose_mismatches(p: PianoQuiver, composer, window: int = 6) -> tuple[list, int]:
+    """Composable canonical-word pairs where ``composer`` disagrees with
+    normalising the concatenated word, and the number of pairs checked."""
+    forms = _canonical_forms(p, window)
+    by_source: dict[int, list] = {}
+    for (a, b, m), entry in forms.items():
+        by_source.setdefault(a, []).append(((a, b, m), entry))
+    bad, pairs = [], 0
+    for (a, b, m), (u, nu) in forms.items():
+        for (_, c, m2), (v, nv) in by_source.get(b, ()):
+            pairs += 1
+            got = composer(p, nu, nv)
+            want = normal_form(p, u + v, base=a)
+            if _with_junction_state(got) != _with_junction_state(want):
+                bad.append((a, b, c, m, m2))
+    return bad, pairs
+
+
+@functools.cache
+def _compose_pianos() -> tuple[PianoQuiver, ...]:
+    pianos = list(_differential_pianos())
+    pianos += [piano_of_generator(list(g), 4) for g in enumerate_limit_generators(4)[::7]]
+    return tuple(pianos)
+
+
+def test_compose_matches_normal_form_on_canonical_words():
+    # Every composable pair of canonical words of every piano of size at
+    # most three, every seventh at size four, and the worked example.
+    total = 0
+    for p in _compose_pianos():
+        bad, pairs = _compose_mismatches(p, compose)
+        assert not bad, bad[:5]
+        total += pairs
+    assert total > 100_000
+
+
+def test_compose_needs_the_junction_relation_check():
+    # The same composer on a copy of the piano without relations skips the
+    # junction check and nothing else; the differential test must catch it.
+    def without_junction_check(p, u, v):
+        g = p.keyboard.gentle
+        stripped = GentleQuiver(g.num_vertices, g.labels, g.arrows, frozenset())
+        crippled = PianoQuiver(KeyboardQuiver(stripped, p.sharp), p.beta_runs)
+        return compose(crippled, u, v)
+
+    assert any(_compose_mismatches(p, without_junction_check)[0] for p in _differential_pianos())
+
+
+def test_compose_identity_and_composability():
+    p = piano_of_generator(fan_summands(3))
+    path = normal_form(p, (("d", 0), ("d", 1), ("d", 2), ("b", 3), ("b", 3)))
+    ends = (path.source, path.target)
+    assert compose(p, normal_form(p, (), base=ends[0]), path) == path
+    assert compose(p, path, normal_form(p, (), base=ends[1])) == path
+    with pytest.raises(QuiverError, match="do not compose"):
+        compose(p, path, path)
 
 
 def test_removed_commutation_breaks_normal_form_uniqueness():

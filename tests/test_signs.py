@@ -1,5 +1,6 @@
 import pytest
 
+from pianocat.endo import EndoAlgebra
 from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.geometry import Arc, BoundaryPoint as BP
 from pianocat.homs import Direction
@@ -121,8 +122,9 @@ def test_phi_blocks():
 
 def test_phi_homomorphism_worked_example_and_fans():
     arcs = worked_example_arcs()
+    algebra = EndoAlgebra.from_arcs(arcs)  # shared by both sign choices
     for m in both_signed_matrices(arcs):
-        report = verify_phi_homomorphism(arcs, m, window=4)
+        report = verify_phi_homomorphism(arcs, m, window=4, algebra=algebra)
         assert report.passed, report.to_json()
     for n in (1, 2, 3):
         fan = fan_summands(n)
@@ -143,6 +145,11 @@ def test_phi_detects_sign_violation():
     assert not (r1.passed and r2.passed)
     witnesses = r1.failures + r2.failures
     assert witnesses and witnesses[0].witness
+    # A given algebra yields the same report; one of reordered summands is refused.
+    shared = verify_phi_homomorphism(arcs, corrupted, window=2, algebra=EndoAlgebra.from_arcs(arcs))
+    assert shared == r2
+    with pytest.raises(SignError, match="algebra"):
+        verify_phi_homomorphism(arcs, m, algebra=EndoAlgebra.from_arcs(arcs[::-1]))
 
 
 def test_all_small_generators_pass():
