@@ -20,9 +20,10 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
-# Word growth makes confluence exploration impractical beyond this size, and
-# derived-equiv checks at most this degree window.
+# Word growth makes confluence exploration impractical beyond this size and
+# this word length, and derived-equiv checks at most this degree window.
 CONFLUENCE_MAX_N = 3
+CONFLUENCE_MAX_WORD_CAP = 8
 DERIVED_EQUIV_MAX_WINDOW = 4
 
 
@@ -240,9 +241,10 @@ def _verify_derived_equiv(contexts: Contexts, cfg: Config) -> list[dict]:
 def _verify_confluence(contexts: Contexts, cfg: Config) -> list[dict]:
     from .confluence import confluence_report
 
+    max_length = min(cfg.word_cap, CONFLUENCE_MAX_WORD_CAP)
     out = []
     for ctx in contexts(min(cfg.n, CONFLUENCE_MAX_N)):
-        ok, witness = confluence_report(ctx.piano, max_length=min(cfg.word_cap, 8))
+        ok, witness = confluence_report(ctx.piano, max_length=max_length)
         record = {"check": "confluence", "n": ctx.n, "passed": ok}
         if witness is not None:
             record["witness"] = repr(witness)
@@ -284,6 +286,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if "confluence" in names and cfg.n > CONFLUENCE_MAX_N:
         sys.stderr.write(
             f"confluence explores n={CONFLUENCE_MAX_N}, not the requested n={cfg.n}\n"
+        )
+    if "confluence" in names and cfg.word_cap > CONFLUENCE_MAX_WORD_CAP:
+        sys.stderr.write(
+            f"confluence explores words up to length {CONFLUENCE_MAX_WORD_CAP}, "
+            f"not the requested word cap {cfg.word_cap}\n"
         )
     if "derived-equiv" in names and cfg.window > DERIVED_EQUIV_MAX_WINDOW:
         sys.stderr.write(

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .dissections import chord_of_arc, dissection_from_generator
-from .geometry import Arc, ArcKind, cross, cyclic_less, orbit_segments, arc_set, suspend
-from .homs import hom_alignment, hom_dim, within_alignment
+from .geometry import Arc, ArcKind, suspend
+from .homs import ext1_dim, hom_alignment, hom_dim, within_alignment
 from .quivers import (
     PathNormalForm,
     PianoQuiver,
@@ -59,10 +59,11 @@ class GradedEntry:
 def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
     """Entry (i, j) of the generalised matrix algebra of the given summands.
 
-    Requires the suspension orbits of distinct summands to be disjoint at the
-    segment level; diagonal entries are fixed by arc kind, off-diagonal ones
-    are Laurent in the anticlockwise-rotation or crossing direction and zero
-    otherwise.
+    Requires the suspension orbits of distinct summands to be disjoint: no
+    two share the segment of a marked endpoint, and no summand is repeated.
+    Diagonal entries are fixed by arc kind; an off-diagonal one is Laurent
+    when there is a degree-one extension (``homs.ext1_dim``), that is in the
+    anticlockwise-rotation or crossing direction, and zero otherwise.
     """
     x, y = arcs[i], arcs[j]
     if i == j:
@@ -73,17 +74,14 @@ def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
         if x.kind == ArcKind.LONG:
             return GradedEntry(RingKind.LONG)
         raise EndoError("short arcs are never summands of a minimal generator")
-    if orbit_segments(arc_set(x.n, [x])) & orbit_segments(arc_set(y.n, [y])):
+    if x == y or _marked_segments(x) & _marked_segments(y):
         raise EndoError("orbits overlap")
-    if cross(x, y):
-        return GradedEntry(RingKind.LAURENT)
-    shared = x.shared_accumulation(y)
-    if shared is not None:
-        x_free = x.other_endpoint(shared)
-        y_free = y.other_endpoint(shared)
-        if cyclic_less(x_free, y_free, shared):
-            return GradedEntry(RingKind.LAURENT)
-    return GradedEntry(RingKind.ZERO)
+    return GradedEntry(RingKind.LAURENT if ext1_dim(x, y) else RingKind.ZERO)
+
+
+def _marked_segments(x: Arc) -> set[int]:
+    """Segments swept by the suspension orbit of x: those of its marked endpoints."""
+    return {p.seg for p in x.endpoints() if p.is_marked}
 
 
 @dataclass(frozen=True)

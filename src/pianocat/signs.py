@@ -10,18 +10,19 @@ degree on a finite window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
 from .generators import is_limit_generator
-from .geometry import Arc, ArcSet, BoundaryPoint, arc_set
+from .geometry import Arc, ArcSet, BoundaryPoint, arc_set, suspend
 from .homs import (
     Direction,
+    HomError,
     cone_presentation,
     default_apex,
-    hom_dim,
+    ext1_dim,
     morphism_direction,
 )
 
@@ -100,6 +101,9 @@ class SignedMatrix:
     beta: tuple[int, ...]
     delta: tuple[int, ...]
     initial_choice: tuple[str, int]
+    # The sign graph the matrix was propagated over; the checks read its
+    # degree-0 table and cone data when they are given the same summands.
+    graph: SignGraph | None = field(default=None, compare=False, repr=False)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.beta + self.delta
@@ -120,29 +124,64 @@ class SignedMatrix:
         }
 
 
+def degree_zero_table(
+    arcs: list[Arc], apex: BoundaryPoint | None = None
+) -> dict[tuple[int, int], Direction]:
+    """Direction of every nonzero degree-0 morphism between distinct summands.
+
+    Keys (j, l) are the ordered pairs with ``hom_dim(arcs[j], arcs[l], 0) == 1``
+    in row-major order.  That dimension is ``ext1_dim(x_j, x_l[-1])``, so
+    each summand is desuspended once rather than once per pair.
+    """
+    if apex is None:
+        apex = default_apex(arcs[0].n)
+    desuspended = [suspend(y, -1) for y in arcs]
+    return {
+        (j, l): morphism_direction(x, arcs[l], 0, apex)
+        for j, x in enumerate(arcs)
+        for l, y in enumerate(desuspended)
+        if j != l and ext1_dim(x, y) == 1
+    }
+
+
+def _keyboard_arrows(
+    arcs: list[Arc], table: dict[tuple[int, int], Direction]
+) -> list[tuple[int, int, Direction]]:
+    """Keyboard arrows of a limit generator, each direction read from ``table``."""
+    out = []
+    for e in piano_of_generator(arcs, arcs[0].n).keyboard.gentle.arrows:
+        direction = table.get((e.src, e.tgt))
+        if direction is None:
+            raise HomError(
+                f"no nonzero degree 0 morphism {arcs[e.src]} -> {arcs[e.tgt]}"
+            )
+        out.append((e.src, e.tgt, direction))
+    return out
+
+
 def keyboard_edges_with_direction(
     arcs: list[Arc], apex: BoundaryPoint | None = None
 ) -> list[tuple[int, int, Direction]]:
     """Keyboard arrows of a limit generator with their direction classes."""
-    n = arcs[0].n
-    if apex is None:
-        apex = default_apex(n)
-    kb = piano_of_generator(arcs, n).keyboard
-    out = []
-    for e in kb.gentle.arrows:
-        direction = morphism_direction(arcs[e.src], arcs[e.tgt], 0, apex)
-        out.append((e.src, e.tgt, direction))
-    return out
+    return _keyboard_arrows(arcs, degree_zero_table(arcs, apex))
 
 
 @dataclass(frozen=True)
 class SignGraph:
     """The keyboard tree of a limit generator, each edge with its direction
-    class, and the split index of its cone presentations."""
+    class, with the degree-0 table and cone presentations of its summands."""
 
     n: int
-    m: int
+    arcs: tuple[Arc, ...]
+    apex: BoundaryPoint
+    table: dict[tuple[int, int], Direction]
+    cones: ConeData
     adjacency: dict[int, list[tuple[int, Direction]]]
+
+    @property
+    def m(self) -> int:
+        """The split index of the cone presentations."""
+        return self.cones.m
 
 
 def sign_graph(arcs: list[Arc], apex: BoundaryPoint | None = None) -> SignGraph:
@@ -153,11 +192,22 @@ def sign_graph(arcs: list[Arc], apex: BoundaryPoint | None = None) -> SignGraph:
     if not is_limit_generator(arc_set(n, arcs)):
         raise SignError("not a limit generator")
     cones = cone_data(arcs, apex)
+    table = degree_zero_table(arcs, apex)
     adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(len(arcs))}
-    for src, tgt, direction in keyboard_edges_with_direction(arcs, apex):
+    for src, tgt, direction in _keyboard_arrows(arcs, table):
         adjacency[src].append((tgt, direction))
         adjacency[tgt].append((src, direction))
-    return SignGraph(n, cones.m, adjacency)
+    return SignGraph(n, tuple(arcs), apex, table, cones, adjacency)
+
+
+def _graph_for(
+    m: SignedMatrix, arcs: list[Arc], apex: BoundaryPoint
+) -> SignGraph | None:
+    """The sign graph of ``m`` if it was built for these summands and apex."""
+    graph = m.graph
+    if graph is None or graph.apex != apex or graph.arcs != tuple(arcs):
+        return None
+    return graph
 
 
 def propagate_choice(graph: SignGraph, initial_choice: tuple[str, int]) -> SignedMatrix:
@@ -193,7 +243,7 @@ def propagate_choice(graph: SignGraph, initial_choice: tuple[str, int]) -> Signe
         raise SignError("keyboard graph is not connected")
     beta = tuple(-1 if slots[j] == "beta" else 1 for j in range(graph.m))
     delta = tuple(-1 if slots[j] == "delta" else 1 for j in range(size))
-    return SignedMatrix(graph.n, graph.m, beta, delta, initial_choice)
+    return SignedMatrix(graph.n, graph.m, beta, delta, initial_choice, graph)
 
 
 def signed_matrix(
@@ -225,6 +275,8 @@ class CheckFailure:
 @dataclass(frozen=True)
 class CheckReport:
     failures: tuple[CheckFailure, ...]
+    # Nonzero degree-0 morphisms between distinct summands that were checked.
+    pairs: int = 0
 
     @property
     def passed(self) -> bool:
@@ -241,33 +293,31 @@ def check_beta_delta(
 
     Forward morphisms must preserve both rows of signs, backward ones must
     swap them; additionally the two signs at a cone summand multiply to -1.
+    The degree-0 table comes from the matrix's sign graph when that graph
+    was built for ``arcs`` and ``apex``, and is built afresh otherwise.
     """
-    n = arcs[0].n
     if apex is None:
-        apex = default_apex(n)
+        apex = default_apex(arcs[0].n)
+    graph = _graph_for(m, arcs, apex)
+    table = graph.table if graph is not None else degree_zero_table(arcs, apex)
     failures: list[CheckFailure] = []
-    size = len(arcs)
-    for j in range(size):
+    for j in range(len(arcs)):
         if j < m.m and m.beta[j] * m.delta[j] != -1:
             failures.append(CheckFailure("beta*delta=-1", (j,)))
-    for j in range(size):
-        for l in range(size):
-            if j == l or hom_dim(arcs[j], arcs[l], 0) != 1:
-                continue
-            direction = morphism_direction(arcs[j], arcs[l], 0, apex)
-            bj, bl = m.beta_of(j), m.beta_of(l)
-            dj, dl = m.delta_of(j), m.delta_of(l)
-            if direction == Direction.FORWARD:
-                if bj is not None and bl is not None and bj != bl:
-                    failures.append(CheckFailure("forward beta", (j, l)))
-                if dj != dl:
-                    failures.append(CheckFailure("forward delta", (j, l)))
-            else:
-                if bj is not None and bj != dl:
-                    failures.append(CheckFailure("backward beta/delta", (j, l)))
-                if bl is not None and dj != bl:
-                    failures.append(CheckFailure("backward delta/beta", (j, l)))
-    return CheckReport(tuple(failures))
+    for (j, l), direction in table.items():
+        bj, bl = m.beta_of(j), m.beta_of(l)
+        dj, dl = m.delta_of(j), m.delta_of(l)
+        if direction == Direction.FORWARD:
+            if bj is not None and bl is not None and bj != bl:
+                failures.append(CheckFailure("forward beta", (j, l)))
+            if dj != dl:
+                failures.append(CheckFailure("forward delta", (j, l)))
+        else:
+            if bj is not None and bj != dl:
+                failures.append(CheckFailure("backward beta/delta", (j, l)))
+            if bl is not None and dj != bl:
+                failures.append(CheckFailure("backward delta/beta", (j, l)))
+    return CheckReport(tuple(failures), len(table))
 
 
 @dataclass(frozen=True)
@@ -341,6 +391,8 @@ def verify_phi_homomorphism(
     summed matrix identity phi(x) phi(x') = phi(x x') holds over the window.
     ``algebra``, when given, is the endomorphism algebra of ``arcs`` in this
     order, so that several sign choices can share one algebra and its caches.
+    The cone data and off-diagonal directions come from the matrix's sign
+    graph when that graph was built for ``arcs`` and ``apex``.
     """
     n = arcs[0].n
     if apex is None:
@@ -355,7 +407,11 @@ def verify_phi_homomorphism(
         failures.append(CheckFailure(identity, witness))
         return len(failures) >= max_failures
 
-    cones = cone_data(arcs, apex)
+    graph = _graph_for(m, arcs, apex)
+    if graph is not None:
+        cones, table = graph.cones, graph.table
+    else:
+        cones, table = cone_data(arcs, apex), {}
     for j in range(m.m):
         for i in range(-window, window + 1):
             if _sign_power(m.beta[j], i) != (-1) ** i * _sign_power(m.delta[j], i):
@@ -366,10 +422,12 @@ def verify_phi_homomorphism(
     directions: dict[tuple[int, int], Direction] = {}
     for j in range(size):
         for l in range(size):
-            if algebra.entry(j, l).kind != RingKind.ZERO:
-                directions[(j, l)] = morphism_direction(
-                    arcs[j], arcs[l], 0, apex
-                )
+            if algebra.entry(j, l).kind == RingKind.ZERO:
+                continue
+            direction = table.get((j, l))
+            if direction is None:
+                direction = morphism_direction(arcs[j], arcs[l], 0, apex)
+            directions[(j, l)] = direction
 
     # In a limit generator the marked endpoints of distinct summands sit in
     # distinct segments, so whether a composite of basis elements survives

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pianocat import confluence
 from pianocat.cli import main
 from pianocat.dissections import DissectionSet, dissection_from_generator
 from pianocat.generators import fan_generator, fan_summands
@@ -113,7 +114,7 @@ def test_in_range_verify_writes_no_stderr(capsys):
     assert captured.err == ""
 
 
-def test_confluence_size_cap_is_reported(capsys):
+def test_confluence_size_cap_is_reported(capsys, monkeypatch):
     code = main(["verify", "confluence", "--n", "4", "--word-cap", "2"])
     captured = capsys.readouterr()
     assert code == 0
@@ -121,6 +122,21 @@ def test_confluence_size_cap_is_reported(capsys):
     assert len(records) == 36 and all(r["n"] == 3 for r in records)
     assert captured.err.splitlines() == [
         "confluence explores n=3, not the requested n=4"
+    ]
+    # A word cap above the explorer's limit is explored at the limit, and said so.
+    lengths = []
+    real_report = confluence.confluence_report
+
+    def spy(piano, max_length):
+        lengths.append(max_length)
+        return real_report(piano, max_length=max_length)
+
+    monkeypatch.setattr(confluence, "confluence_report", spy)
+    code = main(["verify", "confluence", "--n", "1", "--word-cap", "12"])
+    captured = capsys.readouterr()
+    assert code == 0 and lengths == [8]
+    assert captured.err.splitlines() == [
+        "confluence explores words up to length 8, not the requested word cap 12"
     ]
 
 

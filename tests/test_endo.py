@@ -53,6 +53,11 @@ def test_classify_entry_errors():
         classify_entry(arcs, 0, 1)
     with pytest.raises(EndoError, match="short"):
         classify_entry([Arc(n, pt(0, 0, n), pt(0, 2, n))], 0, 0)
+    # A double limit arc is its own suspension orbit: listed twice, the
+    # orbits overlap although no marked endpoint is shared.
+    double = Arc(n, acc(0, n), acc(2, n))
+    with pytest.raises(EndoError, match="orbits overlap"):
+        classify_entry([double, double], 0, 1)
 
 
 def test_crossing_double_limits_laurent_both_ways():

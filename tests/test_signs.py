@@ -1,18 +1,23 @@
+import dataclasses
+
 import pytest
 
-from pianocat.endo import EndoAlgebra
+from pianocat import signs
+from pianocat.endo import EndoAlgebra, RingKind
 from pianocat.generators import enumerate_limit_generators, fan_summands
-from pianocat.geometry import Arc, BoundaryPoint as BP
-from pianocat.homs import Direction
+from pianocat.geometry import Arc, BoundaryPoint as BP, suspend
+from pianocat.homs import Direction, HomError, hom_dim, morphism_direction
 from pianocat.signs import (
     SignError,
     SignedMatrix,
     both_signed_matrices,
     check_beta_delta,
     cone_data,
+    degree_zero_table,
     keyboard_edges_with_direction,
     order_for_cone_blocks,
     phi_block,
+    sign_graph,
     signed_matrix,
     verify_phi_homomorphism,
 )
@@ -31,6 +36,18 @@ def worked_example_arcs():
         Arc(n, BP(3), BP(2)),
         Arc(n, BP(3), BP(2, 0)),
     ]
+
+
+def ordered_generators(ns, n4_stride=7):
+    """Every generator of the sizes ns, and every n4_stride-th at n = 4, in cone-block order."""
+    gens = [g for n in ns for g in enumerate_limit_generators(n)]
+    if n4_stride is not None:
+        gens += enumerate_limit_generators(4)[::n4_stride]
+    return [order_for_cone_blocks(list(g)) for g in gens]
+
+
+def graphless(m):
+    return dataclasses.replace(m, graph=None)
 
 
 def test_cone_data_split_index():
@@ -103,6 +120,11 @@ def test_beta_delta_detects_flipped_sign():
     report = check_beta_delta(corrupted, arcs)
     assert not report.passed
     assert any("delta" in f.identity or "beta" in f.identity for f in report.failures)
+    # The same corruption of a matrix that keeps its sign graph, whose
+    # table is then read, fails identically.
+    kept = dataclasses.replace(m, delta=corrupted.delta)
+    assert kept.graph is m.graph is not None
+    assert check_beta_delta(kept, arcs) == report
 
 
 def test_phi_blocks():
@@ -169,11 +191,101 @@ def test_signed_matrix_rejects_non_generator():
 
 def test_both_signed_matrices_match_single_choices():
     # One shared sign graph gives the same matrices as two separate builds.
-    gens = [g for n in (1, 2, 3) for g in enumerate_limit_generators(n)]
-    gens += enumerate_limit_generators(4)[::7]
-    for g in gens:
-        arcs = order_for_cone_blocks(list(g))
+    for arcs in ordered_generators((1, 2, 3)):
         assert both_signed_matrices(arcs) == [
             signed_matrix(arcs, ("beta", 0)),
             signed_matrix(arcs, ("delta", 0)),
         ]
+
+
+def test_degree_zero_table_matches_pairwise_loop():
+    # The pairwise hom_dim / morphism_direction loop the table replaces.  On
+    # generators hom_dim between distinct summands does not depend on the
+    # degree, so a list sharing marked segments checks the desuspension.
+    n = 3
+    x, z = Arc(n, BP(0), BP(1, 0)), Arc(n, BP(2), BP(1, 0))
+    shared = [x, suspend(x, 1), suspend(x, 2), z, suspend(z, -1), Arc(n, BP(0, 0), BP(2, 0))]
+    for arcs in ordered_generators((1, 2, 3)) + [shared]:
+        size = len(arcs)
+        expected = {
+            (j, l): morphism_direction(arcs[j], arcs[l], 0)
+            for j in range(size)
+            for l in range(size)
+            if j != l and hom_dim(arcs[j], arcs[l], 0) == 1
+        }
+        assert list(degree_zero_table(arcs).items()) == list(expected.items())
+
+
+def test_signed_matrices_carry_their_sign_graph():
+    arcs = worked_example_arcs()
+    graph = sign_graph(arcs)
+    assert graph.arcs == tuple(arcs) and graph.apex == BP(3)
+    assert graph.table == degree_zero_table(arcs)
+    assert graph.cones == cone_data(arcs) and graph.m == 5
+    m = signed_matrix(arcs, ("beta", 4))
+    assert m.graph == graph
+    # The graph is neither compared, printed nor serialised.
+    assert m == graphless(m) and repr(m) == repr(graphless(m))
+    assert "graph" not in m.to_json()
+
+
+def test_keyboard_arrow_missing_from_table_is_refused(monkeypatch):
+    monkeypatch.setattr(signs, "degree_zero_table", lambda arcs, apex=None: {})
+    with pytest.raises(HomError, match="no nonzero degree 0 morphism"):
+        sign_graph(worked_example_arcs())
+
+
+def test_checks_read_the_table_of_their_own_graph(monkeypatch):
+    arcs = worked_example_arcs()
+    m = signed_matrix(arcs, ("beta", 4))
+    expected = check_beta_delta(graphless(m), arcs)
+
+    def refuse(arcs, apex=None):
+        raise AssertionError("table rebuilt for the summands of the graph")
+
+    monkeypatch.setattr(signs, "degree_zero_table", refuse)
+    assert check_beta_delta(m, arcs) == expected
+    with pytest.raises(AssertionError, match="rebuilt"):
+        check_beta_delta(graphless(m), arcs)
+
+
+def test_graph_is_never_read_for_other_summands_or_apex():
+    for arcs in ordered_generators((2, 3), n4_stride=None) + [worked_example_arcs()]:
+        for m in both_signed_matrices(arcs):
+            bare = graphless(m)
+            other = arcs[::-1]
+            assert check_beta_delta(m, other) == check_beta_delta(bare, other)
+            apex = BP(0)
+            assert check_beta_delta(m, arcs, apex) == check_beta_delta(bare, arcs, apex)
+
+
+def test_phi_with_graph_matches_graphless():
+    arcs = worked_example_arcs()
+    for m in both_signed_matrices(arcs):
+        corrupted = dataclasses.replace(m, beta=tuple(-b for b in m.beta))
+        for matrix in (m, corrupted):
+            assert verify_phi_homomorphism(arcs, matrix, window=2) == verify_phi_homomorphism(
+                arcs, graphless(matrix), window=2
+            )
+            # Another apex puts a fan summand first: the cone data of the
+            # graph is not used, so the block order is refused either way.
+            for candidate in (matrix, graphless(matrix)):
+                with pytest.raises(SignError, match="order"):
+                    verify_phi_homomorphism(arcs, candidate, window=2, apex=BP(0))
+
+
+def test_beta_delta_counts_checked_pairs():
+    # The count of checked morphisms against an independent source: the
+    # non-ZERO off-diagonal entries of the endomorphism algebra.
+    for arcs in ordered_generators((2, 3), n4_stride=None):
+        algebra = EndoAlgebra.from_arcs(arcs)
+        expected = sum(
+            1
+            for j in range(len(arcs))
+            for l in range(len(arcs))
+            if j != l and algebra.entry(j, l).kind != RingKind.ZERO
+        )
+        for m in both_signed_matrices(arcs):
+            report = check_beta_delta(m, arcs)
+            assert report.pairs == expected > 0
+            assert "pairs" not in report.to_json()
