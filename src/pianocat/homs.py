@@ -268,14 +268,24 @@ def _shift_family(x: Arc) -> tuple:
     return tuple(parts)
 
 
-def cone_presentation(x: Arc, gens: ArcSet) -> tuple[Arc | None, Arc]:
+def shift_families(gens: ArcSet) -> frozenset[tuple]:
+    """The summands of gens up to suspension, as ``cone_presentation`` reads them."""
+    return frozenset(_shift_family(g) for g in gens)
+
+
+def cone_presentation(
+    x: Arc, gens: ArcSet, families: frozenset[tuple] | None = None
+) -> tuple[Arc | None, Arc]:
     """Present x as the cone of a map between suspended summands of gens.
 
     Returns (q, p) with x isomorphic to cone(q -> p); q is None when x is
     already a suspension of a summand.  Works whenever one shared-endpoint
     triangle suffices, in particular for every arc against a fan.
+    ``families``, when given, is ``shift_families(gens)``, so that a caller
+    presenting many arcs over the same summands computes it once.
     """
-    families = {_shift_family(g) for g in gens}
+    if families is None:
+        families = shift_families(gens)
     if _shift_family(x) in families:
         return None, x
     e1, e2 = x.endpoints()

@@ -10,9 +10,9 @@ degree on a finite window.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import islice
 
 from .endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
 from .generators import is_limit_generator
@@ -24,6 +24,7 @@ from .homs import (
     default_apex,
     ext1_dim,
     morphism_direction,
+    shift_families,
 )
 
 
@@ -60,12 +61,13 @@ def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
     if apex is None:
         apex = default_apex(n)
     fan = _fan_arcset(n, apex)
+    families = shift_families(fan)
     entries: list[ConeSummand] = []
     for x in arcs:
         if _fan_member(x, apex):
             entries.append(ConeSummand(None, x, True))
             continue
-        q, p = cone_presentation(x, fan)
+        q, p = cone_presentation(x, fan, families)
         entries.append(ConeSummand(q, p, False))
     m = sum(1 for e in entries if not e.in_generated_one)
     if any(e.in_generated_one for e in entries[:m]):
@@ -386,13 +388,18 @@ def verify_phi_homomorphism(
 
     Part (a): at every cone summand the sign identity beta^i = (-1)^i delta^i
     holds for all |i| <= window, which makes the induced differential vanish.
-    Part (b): for every composable pair of homogeneous basis elements the
-    product of signed blocks equals the signed block of the product, and the
-    summed matrix identity phi(x) phi(x') = phi(x x') holds over the window.
+    Part (b), one pass over every composable pair of homogeneous basis
+    elements with degrees in the window and a nonzero product: two backward
+    morphisms never compose, the product lands in a nonzero entry whose
+    direction is the composite's, and the product of the two signed blocks
+    equals the signed block of the product.  The matrix identity
+    phi(x) phi(x') = phi(x x') summed over each degree pair adds up exactly
+    these block identities, so it holds whenever part (b) does.
     ``algebra``, when given, is the endomorphism algebra of ``arcs`` in this
     order, so that several sign choices can share one algebra and its caches.
     The cone data and off-diagonal directions come from the matrix's sign
-    graph when that graph was built for ``arcs`` and ``apex``.
+    graph when that graph was built for ``arcs`` and ``apex``.  At most
+    ``max_failures`` witnesses are reported, in the order they are found.
     """
     n = arcs[0].n
     if apex is None:
@@ -401,25 +408,36 @@ def verify_phi_homomorphism(
         algebra = EndoAlgebra.from_arcs(arcs, n)
     elif algebra.arcs != tuple(arcs):
         raise SignError("the algebra is not the one of these summands in this order")
-    failures: list[CheckFailure] = []
-
-    def record(identity: str, witness: tuple) -> bool:
-        failures.append(CheckFailure(identity, witness))
-        return len(failures) >= max_failures
-
     graph = _graph_for(m, arcs, apex)
     if graph is not None:
         cones, table = graph.cones, graph.table
     else:
         cones, table = cone_data(arcs, apex), {}
-    for j in range(m.m):
-        for i in range(-window, window + 1):
-            if _sign_power(m.beta[j], i) != (-1) ** i * _sign_power(m.delta[j], i):
-                if record("differential", (j, i)):
-                    return PhiReport(tuple(failures))
+    failures = _phi_failures(arcs, m, window, apex, algebra, cones, table)
+    return PhiReport(tuple(islice(failures, max_failures)))
 
+
+def _phi_failures(
+    arcs: list[Arc],
+    m: SignedMatrix,
+    window: int,
+    apex: BoundaryPoint,
+    algebra: EndoAlgebra,
+    cones: ConeData,
+    table: dict[tuple[int, int], Direction],
+) -> Iterator[CheckFailure]:
+    """The failures of ``verify_phi_homomorphism``, lazily and in order."""
+    degrees = range(-window, window + 1)
+    for j in range(m.m):
+        for i in degrees:
+            if _sign_power(m.beta[j], i) != (-1) ** i * _sign_power(m.delta[j], i):
+                yield CheckFailure("differential", (j, i))
+
+    # The nonzero entries with their directions, grouped by source, each
+    # with the degrees of the window where it has a basis element.
     size = len(arcs)
     directions: dict[tuple[int, int], Direction] = {}
+    by_source: list[list[tuple[int, Direction, list[int]]]] = [[] for _ in range(size)]
     for j in range(size):
         for l in range(size):
             if algebra.entry(j, l).kind == RingKind.ZERO:
@@ -428,111 +446,56 @@ def verify_phi_homomorphism(
             if direction is None:
                 direction = morphism_direction(arcs[j], arcs[l], 0, apex)
             directions[(j, l)] = direction
+            by_source[j].append((l, direction, [i for i in degrees if algebra.dim(j, l, i)]))
 
-    # In a limit generator the marked endpoints of distinct summands sit in
-    # distinct segments, so whether a composite of basis elements survives
-    # does not depend on the degrees; compute each triple once at (0, 0).
-    s_cache: dict[tuple[int, int, int], int] = {}
+    # A block depends on its degree only through the parity.
+    blocks: dict[tuple[int, int, int, Direction], tuple] = {}
 
-    def scalar(j: int, j2: int, l: int) -> int:
-        key = (j, j2, l)
-        if key not in s_cache:
-            s_cache[key] = chi_multiply(algebra, (j, j2, 0), (j2, l, 0))
-        return s_cache[key]
+    def block(j: int, l: int, degree: int, direction: Direction) -> tuple:
+        key = (j, l, degree & 1, direction)
+        b = blocks.get(key)
+        if b is None:
+            b = blocks[key] = phi_block(m, cones, j, l, degree, direction).block
+        return b
 
-    # Per-component multiplicativity with granular witnesses.  Vanishing
-    # composites carry no sign constraint; nonzero ones must respect the
-    # direction table and the propagated signs.
-    for (j, j2), dir1 in directions.items():
-        for (j2b, l), dir2 in directions.items():
-            if j2b != j2:
-                continue
-            for i in range(-window, window + 1):
-                if algebra.dim(j, j2, i) == 0:
+    for j in range(size):
+        for j2, dir1, live1 in by_source[j]:
+            for l, dir2, live2 in by_source[j2]:
+                if not (live1 and live2):
                     continue
-                for i2 in range(-window, window + 1):
-                    if algebra.dim(j2, l, i2) == 0:
-                        continue
-                    s = scalar(j, j2, l)
-                    if dir1 == Direction.BACKWARD and dir2 == Direction.BACKWARD:
-                        if s != 0:
-                            if record("backward-backward", (j, j2, l, i, i2)):
-                                return PhiReport(tuple(failures))
-                        continue
-                    if s == 0:
-                        continue
-                    comp_dir = (
-                        Direction.FORWARD
-                        if dir1 == dir2 == Direction.FORWARD
-                        else Direction.BACKWARD
-                    )
-                    if (j, l) not in directions:
-                        if record("closure", (j, j2, l, i, i2)):
-                            return PhiReport(tuple(failures))
-                        continue
-                    if directions[(j, l)] != comp_dir:
-                        if record("direction clash", (j, j2, l, i, i2)):
-                            return PhiReport(tuple(failures))
-                        continue
-                    lhs1 = phi_block(m, cones, j, j2, i, dir1).block
-                    lhs2 = phi_block(m, cones, j2, l, i2, dir2).block
-                    prod = (
-                        (
-                            lhs1[0][0] * lhs2[0][0],
-                            lhs1[0][0] * lhs2[0][1] + lhs1[0][1] * lhs2[1][1],
-                        ),
-                        (0, lhs1[1][1] * lhs2[1][1]),
-                    )
-                    rhs = phi_block(m, cones, j, l, i + i2, comp_dir).block
-                    if prod != rhs:
-                        if record("multiplicativity", (j, j2, l, i, i2, prod, rhs)):
-                            return PhiReport(tuple(failures))
-
-    # Summed matrix identity: both sides assembled from the basis products
-    # that survive (the composition of the underlying module maps follows
-    # the basis scalars), so distinct factorisation paths must accumulate
-    # consistently in every block entry.
-    degrees = list(range(-window, window + 1))
-    dim_total = m.m + size
-    for i in degrees:
-        for i2 in degrees:
-            lhs = np.zeros((dim_total, dim_total), dtype=np.int64)
-            product_coeffs = np.zeros((size, size), dtype=np.int64)
-            for (j, j2), dir1 in directions.items():
-                if algebra.dim(j, j2, i) == 0:
+                # In a limit generator the marked endpoints of distinct
+                # summands sit in distinct segments, so whether a composite
+                # of basis elements survives does not depend on the degrees.
+                # Vanishing composites carry no sign constraint.
+                if not chi_multiply(algebra, (j, j2, 0), (j2, l, 0)):
                     continue
-                for (j2b, l), dir2 in directions.items():
-                    if j2b != j2 or algebra.dim(j2, l, i2) == 0:
-                        continue
-                    if scalar(j, j2, l) == 0:
-                        continue
-                    product_coeffs[j, l] += 1
-                    b1 = phi_block(m, cones, j, j2, i, dir1).block
-                    b2 = phi_block(m, cones, j2, l, i2, dir2).block
-                    if j < m.m and l < m.m:
-                        lhs[j, l] += b1[0][0] * b2[0][0]
-                    if j < m.m:
-                        lhs[j, m.m + l] += b1[0][0] * b2[0][1] + b1[0][1] * b2[1][1]
-                    lhs[m.m + j, m.m + l] += b1[1][1] * b2[1][1]
-            rhs = np.zeros_like(lhs)
-            for j in range(size):
-                for l in range(size):
-                    c = int(product_coeffs[j, l])
-                    if c == 0:
-                        continue
-                    if (j, l) not in directions:
-                        if record("closure", (j, l, i, i2)):
-                            return PhiReport(tuple(failures))
-                        continue
-                    block = phi_block(
-                        m, cones, j, l, i + i2, directions[(j, l)]
-                    ).block
-                    if j < m.m and l < m.m:
-                        rhs[j, l] += c * block[0][0]
-                    if j < m.m:
-                        rhs[j, m.m + l] += c * block[0][1]
-                    rhs[m.m + j, m.m + l] += c * block[1][1]
-            if not np.array_equal(lhs, rhs):
-                if record("matrix identity", (i, i2)):
-                    return PhiReport(tuple(failures))
-    return PhiReport(tuple(failures))
+                comp_dir = (
+                    Direction.FORWARD if dir1 == dir2 == Direction.FORWARD else Direction.BACKWARD
+                )
+                if dir1 == dir2 == Direction.BACKWARD:
+                    identity = "backward-backward"
+                elif (j, l) not in directions:
+                    identity = "closure"
+                elif directions[(j, l)] != comp_dir:
+                    identity = "direction clash"
+                else:
+                    identity = None
+                if identity is not None:
+                    for i in live1:
+                        for i2 in live2:
+                            yield CheckFailure(identity, (j, j2, l, i, i2))
+                    continue
+                for i in live1:
+                    lhs1 = block(j, j2, i, dir1)
+                    for i2 in live2:
+                        lhs2 = block(j2, l, i2, dir2)
+                        prod = (
+                            (
+                                lhs1[0][0] * lhs2[0][0],
+                                lhs1[0][0] * lhs2[0][1] + lhs1[0][1] * lhs2[1][1],
+                            ),
+                            (0, lhs1[1][1] * lhs2[1][1]),
+                        )
+                        rhs = block(j, l, i + i2, comp_dir)
+                        if prod != rhs:
+                            yield CheckFailure("multiplicativity", (j, j2, l, i, i2, prod, rhs))

@@ -140,16 +140,58 @@ def test_confluence_size_cap_is_reported(capsys, monkeypatch):
     ]
 
 
-def test_derived_equiv_window_cap_is_reported(capsys):
+def test_derived_equiv_runs_at_the_requested_window(capsys, monkeypatch):
+    import pianocat.cli as cli
+
+    windows = []
+    real_check = cli.signs.verify_phi_homomorphism
+
+    def spy(arcs, m, window, **kwargs):
+        windows.append(window)
+        return real_check(arcs, m, window=window, **kwargs)
+
+    monkeypatch.setattr(cli.signs, "verify_phi_homomorphism", spy)
     code = main(["verify", "derived-equiv", "--n", "1", "--window", "6"])
     captured = capsys.readouterr()
     assert code == 0
     assert [json.loads(line)["check"] for line in captured.out.splitlines()] == [
         "derived-equiv"
     ] * 2
-    assert captured.err.splitlines() == [
-        "derived-equiv checks window 4, not the requested window 6"
-    ]
+    assert windows == [6, 6]
+    assert captured.err == ""
+
+
+def test_check_that_raises_exits_3_with_traceback(capsys, monkeypatch):
+    import pianocat.cli as cli
+    from pianocat.endo import EndoError
+
+    def broken(contexts, cfg):
+        raise EndoError("internal defect")
+
+    monkeypatch.setitem(cli.VERIFIERS, "bijection", broken)
+    code = main(["verify", "bijection", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 3
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "EndoError: internal defect" in captured.err
+    # Bad input is still refused before any check runs, with exit 2.
+    code = main(["verify", "bijection", "--n", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and "Traceback" not in captured.err
+
+
+def test_import_does_not_load_numpy():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", "import pianocat, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_verify_with_choice(capsys):

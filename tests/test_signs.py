@@ -1,12 +1,24 @@
 import dataclasses
+from collections import defaultdict
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pianocat import signs
-from pianocat.endo import EndoAlgebra, RingKind
-from pianocat.generators import enumerate_limit_generators, fan_summands
+from pianocat.endo import EndoAlgebra, RingKind, chi_multiply
+from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
 from pianocat.geometry import Arc, BoundaryPoint as BP, suspend
-from pianocat.homs import Direction, HomError, hom_dim, morphism_direction
+from pianocat.homs import (
+    Direction,
+    HomError,
+    cone_presentation,
+    default_apex,
+    hom_dim,
+    morphism_direction,
+    shift_families,
+)
 from pianocat.signs import (
     SignError,
     SignedMatrix,
@@ -289,3 +301,151 @@ def test_beta_delta_counts_checked_pairs():
             report = check_beta_delta(m, arcs)
             assert report.pairs == expected > 0
             assert "pairs" not in report.to_json()
+
+
+def test_cone_data_shares_the_fan_families():
+    # cone_data computes the fan's shift families once for all summands;
+    # presenting each summand on its own gives the same cones.
+    for arcs in ordered_generators((1, 2, 3), n4_stride=None):
+        n = arcs[0].n
+        fan, apex = fan_generator(n), default_apex(n)
+        families = shift_families(fan)
+        for x, summand in zip(arcs, cone_data(arcs).summands):
+            if x.contains(apex):
+                continue
+            assert cone_presentation(x, fan) == cone_presentation(x, fan, families)
+            assert (summand.q, summand.p) == cone_presentation(x, fan)
+
+
+def summed_identity_failures(arcs, m, window):
+    """Test oracle: the summed matrix identity phi(x) phi(x') = phi(x x').
+
+    For each degree pair (i, i2) both sides are (m + size)-square matrices,
+    the left one summing the block products of every surviving composable
+    pair of basis elements, the right one the blocks of their products, one
+    per pair.  Returns the identities that fail with their degree pairs.
+    """
+    algebra = EndoAlgebra.from_arcs(arcs)
+    cones = cone_data(arcs)
+    size = len(arcs)
+    directions = {
+        (j, l): morphism_direction(arcs[j], arcs[l], 0)
+        for j in range(size)
+        for l in range(size)
+        if algebra.entry(j, l).kind != RingKind.ZERO
+    }
+    failures = []
+    degrees = range(-window, window + 1)
+    for i in degrees:
+        for i2 in degrees:
+            lhs, rhs, coeffs = defaultdict(int), defaultdict(int), defaultdict(int)
+            for (j, j2), dir1 in directions.items():
+                if algebra.dim(j, j2, i) == 0:
+                    continue
+                for (j2b, l), dir2 in directions.items():
+                    if j2b != j2 or algebra.dim(j2, l, i2) == 0:
+                        continue
+                    if chi_multiply(algebra, (j, j2, 0), (j2, l, 0)) == 0:
+                        continue
+                    coeffs[j, l] += 1
+                    b1 = phi_block(m, cones, j, j2, i, dir1).block
+                    b2 = phi_block(m, cones, j2, l, i2, dir2).block
+                    if j < m.m and l < m.m:
+                        lhs[j, l] += b1[0][0] * b2[0][0]
+                    if j < m.m:
+                        lhs[j, m.m + l] += b1[0][0] * b2[0][1] + b1[0][1] * b2[1][1]
+                    lhs[m.m + j, m.m + l] += b1[1][1] * b2[1][1]
+            for (j, l), c in coeffs.items():
+                if (j, l) not in directions:
+                    failures.append(("closure", i, i2))
+                    continue
+                block = phi_block(m, cones, j, l, i + i2, directions[(j, l)]).block
+                if j < m.m and l < m.m:
+                    rhs[j, l] += c * block[0][0]
+                if j < m.m:
+                    rhs[j, m.m + l] += c * block[0][1]
+                rhs[m.m + j, m.m + l] += c * block[1][1]
+            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                failures.append(("matrix identity", i, i2))
+    return failures
+
+
+@cache
+def small_generators():
+    return ordered_generators((1, 2, 3), n4_stride=None)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_one_pass_check_implies_summed_identity(data):
+    arcs = data.draw(st.sampled_from(small_generators()))
+    m = data.draw(st.sampled_from(both_signed_matrices(arcs)))
+    window = data.draw(st.integers(2, 3))
+    flip = st.lists(st.booleans(), min_size=len(arcs), max_size=len(arcs))
+    beta_flips, delta_flips = data.draw(flip), data.draw(flip)
+    corrupted = dataclasses.replace(
+        m,
+        beta=tuple(-b if f else b for b, f in zip(m.beta, beta_flips)),
+        delta=tuple(-d if f else d for d, f in zip(m.delta, delta_flips)),
+    )
+    for matrix in (m, graphless(m)):
+        assert verify_phi_homomorphism(arcs, matrix, window=window).passed
+    assert summed_identity_failures(arcs, m, window) == []
+    if summed_identity_failures(arcs, corrupted, window):
+        assert not verify_phi_homomorphism(arcs, corrupted, window=window).passed
+
+
+def first_identity(report):
+    kinds = {f.identity for f in report.failures}
+    assert len(kinds) == 1, kinds
+    return report.failures[0].identity
+
+
+def test_each_phi_identity_has_a_negative_control():
+    # The five witness kinds of verify_phi_homomorphism, each tripped alone.
+    # The summed "matrix identity" kind no longer exists: part (b) checks
+    # every block identity that the summed identity adds up.
+    arcs = worked_example_arcs()
+    m = signed_matrix(arcs, ("beta", 4))
+    assert verify_phi_homomorphism(arcs, m, window=2).passed
+
+    # All signs +1: beta^i = (-1)^i delta^i fails at odd i, products hold.
+    plus = SignedMatrix(m.n, m.m, (1,) * m.m, (1,) * len(arcs), m.initial_choice)
+    assert first_identity(verify_phi_homomorphism(arcs, plus, window=2)) == "differential"
+
+    # Both signs of one cone summand flipped: the differential still
+    # vanishes, but the signed blocks no longer multiply.
+    flipped = dataclasses.replace(
+        m, beta=(-m.beta[0],) + m.beta[1:], delta=(-m.delta[0],) + m.delta[1:]
+    )
+    report = verify_phi_homomorphism(arcs, flipped, window=2)
+    assert first_identity(report) == "multiplicativity"
+    assert summed_identity_failures(arcs, flipped, 2)  # the oracle agrees
+
+    # A nonzero product landing in an entry the algebra says is zero.
+    algebra = EndoAlgebra.from_arcs(arcs)
+    entries = [list(row) for row in algebra.entries]
+    entries[1][3] = dataclasses.replace(entries[1][3], kind=RingKind.ZERO)
+    hollow = dataclasses.replace(algebra, entries=tuple(map(tuple, entries)))
+    report = verify_phi_homomorphism(arcs, m, window=2, algebra=hollow)
+    assert first_identity(report) == "closure"
+
+    def with_table(m, changes):
+        graph = dataclasses.replace(m.graph, table=m.graph.table | changes)
+        return dataclasses.replace(m, graph=graph)
+
+    # Two backward morphisms that compose to a nonzero one.
+    n = 2
+    tree = [Arc(n, BP(0), BP(0, 0)), Arc(n, BP(0), BP(1, 0)), Arc(n, BP(0), BP(1))]
+    m2 = signed_matrix(tree, ("beta", 0))
+    assert m2.graph.table[(0, 2)] == Direction.BACKWARD
+    both = with_table(m2, {(2, 1): Direction.BACKWARD})
+    report = verify_phi_homomorphism(tree, both, window=2)
+    assert first_identity(report) == "backward-backward"
+
+    # A composite of forward morphisms whose entry is labelled backward.
+    fan = fan_summands(2)
+    m3 = signed_matrix(fan, ("delta", 0))
+    assert set(m3.graph.table.values()) == {Direction.FORWARD}
+    clash = with_table(m3, {(0, 1): Direction.BACKWARD})
+    assert first_identity(verify_phi_homomorphism(fan, clash, window=2)) == "direction clash"
