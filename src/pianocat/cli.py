@@ -46,7 +46,7 @@ def _emit(obj: dict) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cfg = Config(n=args.n, window=args.window)
+    cfg = Config(n=args.n)
     if cfg.n > generators.ENUMERATION_CAP:
         sys.stderr.write(f"n={cfg.n} exceeds the enumeration cap {generators.ENUMERATION_CAP}\n")
         return EXIT_USAGE
@@ -121,8 +121,9 @@ def _parse_choice(text: str, size: int) -> tuple[str, int]:
 class GeneratorContext:
     """One limit generator and the objects the checks read, each built at most once.
 
-    ``choice`` is the initial sign choice of ``--choice``; without one, both
-    essentially different signed matrices are checked.
+    Every object indexes the summands in one order, the cone-block order of
+    ``arcs``.  ``choice`` is the initial sign choice of ``--choice``; without
+    one, both essentially different signed matrices are checked.
     """
 
     generator: geometry.ArcSet
@@ -133,24 +134,23 @@ class GeneratorContext:
         return self.generator.n
 
     @cached_property
-    def piano(self) -> quivers.PianoQuiver:
-        return endo.piano_of_generator(list(self.generator), self.n)
-
-    @cached_property
-    def ordered(self) -> list[geometry.Arc]:
+    def arcs(self) -> list[geometry.Arc]:
         """The summands in cone-block order, as the signed matrices index them."""
         return signs.order_for_cone_blocks(list(self.generator))
 
     @cached_property
+    def piano(self) -> quivers.PianoQuiver:
+        return endo.piano_of_generator(self.arcs, self.n)
+
+    @cached_property
     def algebra(self) -> endo.EndoAlgebra:
-        """The endomorphism algebra of ``ordered``, shared by every sign choice."""
-        return endo.EndoAlgebra.from_arcs(self.ordered, self.n)
+        return endo.EndoAlgebra.from_arcs(self.arcs, self.n)
 
     @cached_property
     def matrices(self) -> list[signs.SignedMatrix]:
-        if self.choice is None:
-            return signs.both_signed_matrices(self.ordered)
-        return [signs.signed_matrix(self.ordered, self.choice)]
+        graph = signs.sign_graph(self.arcs, self.piano)
+        choices = signs.DEFAULT_CHOICES if self.choice is None else (self.choice,)
+        return [signs.propagate_choice(graph, choice) for choice in choices]
 
 
 Contexts = Callable[[int], list[GeneratorContext]]
@@ -192,7 +192,7 @@ def _verify_path_algebra(contexts: Contexts, cfg: Config) -> list[dict]:
             "path-algebra-iso",
             ctx.n,
             endo.verify_path_algebra_iso(
-                list(ctx.generator), ctx.n, window=cfg.window, piano=ctx.piano
+                ctx.arcs, ctx.n, window=cfg.window, piano=ctx.piano, algebra=ctx.algebra
             ),
             "mismatches",
         )
@@ -221,7 +221,7 @@ def _verify_piano_as_paths(contexts: Contexts, cfg: Config) -> list[dict]:
 
 def _verify_beta_delta(contexts: Contexts, cfg: Config) -> list[dict]:
     return [
-        _check_record("beta-delta", ctx.n, signs.check_beta_delta(m, ctx.ordered), "failures")
+        _check_record("beta-delta", ctx.n, signs.check_beta_delta(m, ctx.arcs), "failures")
         for ctx in contexts(cfg.n)
         for m in ctx.matrices
     ]
@@ -232,9 +232,7 @@ def _verify_derived_equiv(contexts: Contexts, cfg: Config) -> list[dict]:
         _check_record(
             "derived-equiv",
             ctx.n,
-            signs.verify_phi_homomorphism(
-                ctx.ordered, m, window=cfg.window, algebra=ctx.algebra
-            ),
+            signs.verify_phi_homomorphism(ctx.arcs, m, window=cfg.window, algebra=ctx.algebra),
             "failures",
         )
         for ctx in contexts(cfg.n)
@@ -365,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--kind", choices=["generators", "dissections"], default="generators")
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")
     p_enum.add_argument("--render", choices=["svg"], default=None)
-    p_enum.add_argument("--window", type=int, default=default_window)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_quiver = sub.add_parser("quiver", help="quiver of a dissection file")

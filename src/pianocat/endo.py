@@ -12,7 +12,7 @@ tests where its middle arc sits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .dissections import chord_of_arc, dissection_from_generator
@@ -248,17 +248,27 @@ def verify_path_algebra_iso(
     window: int = 6,
     piano: PianoQuiver | None = None,
     max_mismatches: int = 20,
+    algebra: EndoAlgebra | None = None,
 ) -> IsoReport:
     """Compare the matrix algebra of a limit generator with its path algebra.
 
     Checks degreewise dimensions on [-window, window] for every vertex pair,
     and that products of canonical path words are nonzero exactly when the
     corresponding matrix products are, over all composable pairs.
+    ``piano`` and ``algebra``, when given, are those of ``arcs`` in this
+    order, so that other checks can share them.
     """
     items = list(arcs)
     if n is None:
         n = items[0].n
-    algebra = EndoAlgebra.from_arcs(items, n)
+    if algebra is None:
+        algebra = EndoAlgebra.from_arcs(items, n)
+    elif algebra.arcs != tuple(items):
+        raise EndoError("the algebra is not the one of these summands in this order")
+    else:
+        # The products below fill the caches for every degree of the window;
+        # a copy with fresh caches keeps them from outliving this check.
+        algebra = replace(algebra)
     p = piano if piano is not None else piano_of_generator(items, n)
     size = len(items)
     mismatches: list[IsoMismatch] = []

@@ -121,11 +121,13 @@ def is_limit_generator(a: ArcSet) -> bool:
     return _pairwise_shift_noncrossing(arcs)
 
 
-def fan_summands(n: int) -> list[Arc]:
-    """The 2n-1 fan arcs at the apex Acc(n-1), in radial (anticlockwise) order."""
-    apex = BoundaryPoint((n - 1) % n)
-    out: list[Arc] = [Arc(n, apex, BoundaryPoint(n - 1, 0))]
-    for j in range(n - 1):
+def fan_summands(n: int, apex: BoundaryPoint | None = None) -> list[Arc]:
+    """The 2n-1 fan arcs at the apex (default Acc(n-1)), in radial (anticlockwise) order."""
+    if apex is None:
+        apex = BoundaryPoint(n - 1)
+    out: list[Arc] = [Arc(n, apex, BoundaryPoint(apex.seg, 0))]
+    for k in range(1, n):
+        j = (apex.seg + k) % n
         out.append(Arc(n, apex, BoundaryPoint(j)))
         out.append(Arc(n, apex, BoundaryPoint(j, 0)))
     return out

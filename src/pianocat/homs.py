@@ -192,19 +192,23 @@ def within_alignment(
     return False
 
 
-def compose_nonzero(f: MorphismHandle, g: MorphismHandle) -> tuple[bool, Direction | None]:
-    """Composite of f then g: nonzero unless both are backward, with direction.
+def compose_directions(first: Direction, second: Direction) -> Direction | None:
+    """Direction of a composite, first then second; None when it is zero.
 
     Forward after forward stays forward; a single backward factor makes the
     composite backward; two backward factors compose to zero.
     """
+    if first != second:
+        return Direction.BACKWARD
+    return Direction.FORWARD if first == Direction.FORWARD else None
+
+
+def compose_nonzero(f: MorphismHandle, g: MorphismHandle) -> tuple[bool, Direction | None]:
+    """Composite of f then g: nonzero unless both are backward, with direction."""
     if f.target != g.source:
         raise HomError(f"handles do not compose: {f.target} vs {g.source}")
-    if f.direction == Direction.BACKWARD and g.direction == Direction.BACKWARD:
-        return False, None
-    if f.direction == Direction.FORWARD and g.direction == Direction.FORWARD:
-        return True, Direction.FORWARD
-    return True, Direction.BACKWARD
+    direction = compose_directions(f.direction, g.direction)
+    return direction is not None, direction
 
 
 @dataclass(frozen=True)

@@ -14,18 +14,21 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
+from .dissections import DissectionError, chord_of_arc
 from .endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
-from .generators import is_limit_generator
-from .geometry import Arc, ArcSet, BoundaryPoint, arc_set, suspend
+from .generators import fan_summands, is_limit_generator
+from .geometry import Arc, BoundaryPoint, arc_set, suspend
 from .homs import (
     Direction,
     HomError,
+    compose_directions,
     cone_presentation,
     default_apex,
     ext1_dim,
     morphism_direction,
     shift_families,
 )
+from .quivers import PianoQuiver
 
 
 class SignError(ValueError):
@@ -34,9 +37,8 @@ class SignError(ValueError):
 
 @dataclass(frozen=True)
 class ConeSummand:
-    q: Arc | None
+    q: Arc | None  # None for a summand of the fan, which is its own cone
     p: Arc
-    in_generated_one: bool
 
 
 @dataclass(frozen=True)
@@ -45,10 +47,6 @@ class ConeData:
 
     summands: tuple[ConeSummand, ...]
     m: int  # number of summands outside the reference suspension closure
-
-
-def _fan_member(x: Arc, apex: BoundaryPoint) -> bool:
-    return x.contains(apex)
 
 
 def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
@@ -60,27 +58,19 @@ def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
     n = arcs[0].n
     if apex is None:
         apex = default_apex(n)
-    fan = _fan_arcset(n, apex)
+    fan = arc_set(n, fan_summands(n, apex))
     families = shift_families(fan)
     entries: list[ConeSummand] = []
     for x in arcs:
-        if _fan_member(x, apex):
-            entries.append(ConeSummand(None, x, True))
+        if x.contains(apex):
+            entries.append(ConeSummand(None, x))
             continue
         q, p = cone_presentation(x, fan, families)
-        entries.append(ConeSummand(q, p, False))
-    m = sum(1 for e in entries if not e.in_generated_one)
-    if any(e.in_generated_one for e in entries[:m]):
-        raise SignError(
-            "summand order must list the non-fan summands before the fan ones"
-        )
+        entries.append(ConeSummand(q, p))
+    m = sum(1 for e in entries if e.q is not None)
+    if any(e.q is None for e in entries[:m]):
+        raise SignError("summand order must list the non-fan summands before the fan ones")
     return ConeData(tuple(entries), m)
-
-
-def _fan_arcset(n: int, apex: BoundaryPoint) -> ArcSet:
-    arcs = [Arc(n, apex, BoundaryPoint(j)) for j in range(n) if j != apex.seg]
-    arcs += [Arc(n, apex, BoundaryPoint(j, 0)) for j in range(n)]
-    return arc_set(n, arcs)
 
 
 def order_for_cone_blocks(
@@ -89,9 +79,7 @@ def order_for_cone_blocks(
     """Stable reorder putting the summands outside the fan closure first."""
     if apex is None:
         apex = default_apex(arcs[0].n)
-    outside = [x for x in arcs if not _fan_member(x, apex)]
-    inside = [x for x in arcs if _fan_member(x, apex)]
-    return outside + inside
+    return sorted(arcs, key=lambda x: x.contains(apex))
 
 
 @dataclass(frozen=True)
@@ -104,17 +92,14 @@ class SignedMatrix:
     delta: tuple[int, ...]
     initial_choice: tuple[str, int]
     # The sign graph the matrix was propagated over; the checks read its
-    # degree-0 table and cone data when they are given the same summands.
-    graph: SignGraph | None = field(default=None, compare=False, repr=False)
+    # degree-0 table and cone data.
+    graph: SignGraph = field(compare=False, repr=False)
 
     def diagonal(self) -> tuple[int, ...]:
         return self.beta + self.delta
 
     def beta_of(self, j: int) -> int | None:
         return self.beta[j] if j < self.m else None
-
-    def delta_of(self, j: int) -> int:
-        return self.delta[j]
 
     def to_json(self) -> dict:
         return {
@@ -146,28 +131,6 @@ def degree_zero_table(
     }
 
 
-def _keyboard_arrows(
-    arcs: list[Arc], table: dict[tuple[int, int], Direction]
-) -> list[tuple[int, int, Direction]]:
-    """Keyboard arrows of a limit generator, each direction read from ``table``."""
-    out = []
-    for e in piano_of_generator(arcs, arcs[0].n).keyboard.gentle.arrows:
-        direction = table.get((e.src, e.tgt))
-        if direction is None:
-            raise HomError(
-                f"no nonzero degree 0 morphism {arcs[e.src]} -> {arcs[e.tgt]}"
-            )
-        out.append((e.src, e.tgt, direction))
-    return out
-
-
-def keyboard_edges_with_direction(
-    arcs: list[Arc], apex: BoundaryPoint | None = None
-) -> list[tuple[int, int, Direction]]:
-    """Keyboard arrows of a limit generator with their direction classes."""
-    return _keyboard_arrows(arcs, degree_zero_table(arcs, apex))
-
-
 @dataclass(frozen=True)
 class SignGraph:
     """The keyboard tree of a limit generator, each edge with its direction
@@ -186,29 +149,37 @@ class SignGraph:
         return self.cones.m
 
 
-def sign_graph(arcs: list[Arc], apex: BoundaryPoint | None = None) -> SignGraph:
-    """The graph a sign choice propagates over; see ``propagate_choice``."""
+def sign_graph(arcs: list[Arc], piano: PianoQuiver, apex: BoundaryPoint | None = None) -> SignGraph:
+    """The graph a sign choice propagates over; see ``propagate_choice``.
+
+    ``piano`` is the piano quiver of ``arcs`` with its vertices in summand
+    order (``endo.piano_of_generator``); each keyboard arrow reads its
+    direction from the degree-0 table.
+    """
     n = arcs[0].n
     if apex is None:
         apex = default_apex(n)
     if not is_limit_generator(arc_set(n, arcs)):
         raise SignError("not a limit generator")
+    if piano.keyboard.gentle.labels != tuple(chord_of_arc(x) for x in arcs):
+        raise SignError("the piano's vertices are not these summands in this order")
     cones = cone_data(arcs, apex)
     table = degree_zero_table(arcs, apex)
     adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(len(arcs))}
-    for src, tgt, direction in _keyboard_arrows(arcs, table):
-        adjacency[src].append((tgt, direction))
-        adjacency[tgt].append((src, direction))
+    for e in piano.arrows:
+        direction = table.get((e.src, e.tgt))
+        if direction is None:
+            raise HomError(f"no nonzero degree 0 morphism {arcs[e.src]} -> {arcs[e.tgt]}")
+        adjacency[e.src].append((e.tgt, direction))
+        adjacency[e.tgt].append((e.src, direction))
     return SignGraph(n, tuple(arcs), apex, table, cones, adjacency)
 
 
-def _graph_for(
-    m: SignedMatrix, arcs: list[Arc], apex: BoundaryPoint
-) -> SignGraph | None:
-    """The sign graph of ``m`` if it was built for these summands and apex."""
+def _own_graph(m: SignedMatrix, arcs: list[Arc], apex: BoundaryPoint | None) -> SignGraph:
+    """The sign graph of ``m``, refused unless built for these summands and apex."""
     graph = m.graph
-    if graph is None or graph.apex != apex or graph.arcs != tuple(arcs):
-        return None
+    if graph.arcs != tuple(arcs) or apex not in (None, graph.apex):
+        raise SignError("the signed matrix was built for other summands or another apex")
     return graph
 
 
@@ -248,21 +219,34 @@ def propagate_choice(graph: SignGraph, initial_choice: tuple[str, int]) -> Signe
     return SignedMatrix(graph.n, graph.m, beta, delta, initial_choice, graph)
 
 
+# The two essentially different sign choices: a slot or the flipped slot at vertex 0.
+DEFAULT_CHOICES: tuple[tuple[str, int], ...] = (("beta", 0), ("delta", 0))
+
+
+def _sign_graph_of(arcs: list[Arc], apex: BoundaryPoint | None) -> SignGraph:
+    """The sign graph of bare summands, over a piano built for them."""
+    try:
+        piano = piano_of_generator(arcs, arcs[0].n)
+    except DissectionError as exc:  # by the bijection, not a limit generator
+        raise SignError("not a limit generator") from exc
+    return sign_graph(arcs, piano, apex)
+
+
 def signed_matrix(
     arcs: list[Arc],
     initial_choice: tuple[str, int],
     apex: BoundaryPoint | None = None,
 ) -> SignedMatrix:
     """The signed matrix of one initial choice; see ``propagate_choice``."""
-    return propagate_choice(sign_graph(arcs, apex), initial_choice)
+    return propagate_choice(_sign_graph_of(arcs, apex), initial_choice)
 
 
 def both_signed_matrices(
     arcs: list[Arc], apex: BoundaryPoint | None = None
 ) -> list[SignedMatrix]:
-    """The two essentially different sign choices (slot or flipped slot at vertex 0)."""
-    graph = sign_graph(arcs, apex)
-    return [propagate_choice(graph, ("beta", 0)), propagate_choice(graph, ("delta", 0))]
+    """The signed matrices of the two ``DEFAULT_CHOICES``, over one sign graph."""
+    graph = _sign_graph_of(arcs, apex)
+    return [propagate_choice(graph, choice) for choice in DEFAULT_CHOICES]
 
 
 @dataclass(frozen=True)
@@ -295,26 +279,27 @@ def check_beta_delta(
 
     Forward morphisms must preserve both rows of signs, backward ones must
     swap them; additionally the two signs at a cone summand multiply to -1.
-    The degree-0 table comes from the matrix's sign graph when that graph
-    was built for ``arcs`` and ``apex``, and is built afresh otherwise.
+    Between two fan summands every morphism is forward: the anticlockwise
+    advance from one free endpoint to the other stops before the apex.
+    The degree-0 table is the one of the matrix's sign graph; ``arcs`` and
+    ``apex``, if given, must be the ones that graph was built for.
     """
-    if apex is None:
-        apex = default_apex(arcs[0].n)
-    graph = _graph_for(m, arcs, apex)
-    table = graph.table if graph is not None else degree_zero_table(arcs, apex)
+    table = _own_graph(m, arcs, apex).table
     failures: list[CheckFailure] = []
-    for j in range(len(arcs)):
-        if j < m.m and m.beta[j] * m.delta[j] != -1:
+    for j in range(m.m):
+        if m.beta[j] * m.delta[j] != -1:
             failures.append(CheckFailure("beta*delta=-1", (j,)))
     for (j, l), direction in table.items():
         bj, bl = m.beta_of(j), m.beta_of(l)
-        dj, dl = m.delta_of(j), m.delta_of(l)
+        dj, dl = m.delta[j], m.delta[l]
         if direction == Direction.FORWARD:
             if bj is not None and bl is not None and bj != bl:
                 failures.append(CheckFailure("forward beta", (j, l)))
             if dj != dl:
                 failures.append(CheckFailure("forward delta", (j, l)))
         else:
+            if j >= m.m and l >= m.m:
+                failures.append(CheckFailure("fan backward", (j, l)))
             if bj is not None and bj != dl:
                 failures.append(CheckFailure("backward beta/delta", (j, l)))
             if bl is not None and dj != bl:
@@ -397,34 +382,21 @@ def verify_phi_homomorphism(
     these block identities, so it holds whenever part (b) does.
     ``algebra``, when given, is the endomorphism algebra of ``arcs`` in this
     order, so that several sign choices can share one algebra and its caches.
-    The cone data and off-diagonal directions come from the matrix's sign
-    graph when that graph was built for ``arcs`` and ``apex``.  At most
-    ``max_failures`` witnesses are reported, in the order they are found.
+    The cone data and directions come from the matrix's sign graph, built for
+    ``arcs`` and ``apex`` (if given).  At most ``max_failures`` witnesses are reported,
+    in the order they are found.
     """
-    n = arcs[0].n
-    if apex is None:
-        apex = default_apex(n)
+    graph = _own_graph(m, arcs, apex)
     if algebra is None:
-        algebra = EndoAlgebra.from_arcs(arcs, n)
-    elif algebra.arcs != tuple(arcs):
+        algebra = EndoAlgebra.from_arcs(arcs, graph.n)
+    elif algebra.arcs != graph.arcs:
         raise SignError("the algebra is not the one of these summands in this order")
-    graph = _graph_for(m, arcs, apex)
-    if graph is not None:
-        cones, table = graph.cones, graph.table
-    else:
-        cones, table = cone_data(arcs, apex), {}
-    failures = _phi_failures(arcs, m, window, apex, algebra, cones, table)
+    failures = _phi_failures(m, window, algebra, graph)
     return PhiReport(tuple(islice(failures, max_failures)))
 
 
 def _phi_failures(
-    arcs: list[Arc],
-    m: SignedMatrix,
-    window: int,
-    apex: BoundaryPoint,
-    algebra: EndoAlgebra,
-    cones: ConeData,
-    table: dict[tuple[int, int], Direction],
+    m: SignedMatrix, window: int, algebra: EndoAlgebra, graph: SignGraph
 ) -> Iterator[CheckFailure]:
     """The failures of ``verify_phi_homomorphism``, lazily and in order."""
     degrees = range(-window, window + 1)
@@ -435,16 +407,18 @@ def _phi_failures(
 
     # The nonzero entries with their directions, grouped by source, each
     # with the degrees of the window where it has a basis element.
-    size = len(arcs)
+    size = algebra.size
     directions: dict[tuple[int, int], Direction] = {}
     by_source: list[list[tuple[int, Direction, list[int]]]] = [[] for _ in range(size)]
     for j in range(size):
         for l in range(size):
             if algebra.entry(j, l).kind == RingKind.ZERO:
                 continue
-            direction = table.get((j, l))
+            # The degree-0 basis element of a diagonal entry is the identity.
+            direction = Direction.FORWARD if j == l else graph.table.get((j, l))
             if direction is None:
-                direction = morphism_direction(arcs[j], arcs[l], 0, apex)
+                x, y = algebra.arcs[j], algebra.arcs[l]
+                raise HomError(f"no nonzero degree 0 morphism {x} -> {y}")
             directions[(j, l)] = direction
             by_source[j].append((l, direction, [i for i in degrees if algebra.dim(j, l, i)]))
 
@@ -455,7 +429,7 @@ def _phi_failures(
         key = (j, l, degree & 1, direction)
         b = blocks.get(key)
         if b is None:
-            b = blocks[key] = phi_block(m, cones, j, l, degree, direction).block
+            b = blocks[key] = phi_block(m, graph.cones, j, l, degree, direction).block
         return b
 
     for j in range(size):
@@ -469,10 +443,8 @@ def _phi_failures(
                 # Vanishing composites carry no sign constraint.
                 if not chi_multiply(algebra, (j, j2, 0), (j2, l, 0)):
                     continue
-                comp_dir = (
-                    Direction.FORWARD if dir1 == dir2 == Direction.FORWARD else Direction.BACKWARD
-                )
-                if dir1 == dir2 == Direction.BACKWARD:
+                comp_dir = compose_directions(dir1, dir2)
+                if comp_dir is None:
                     identity = "backward-backward"
                 elif (j, l) not in directions:
                     identity = "closure"

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the summary lines
 and the timings.
 """
 
+import dataclasses
 import time
 
 from pianocat.confluence import confluence_report, enumerate_composable_words
@@ -38,7 +39,6 @@ from pianocat.quivers import (
     piano_from_keyboard,
 )
 from pianocat.signs import (
-    SignedMatrix,
     both_signed_matrices,
     check_beta_delta,
     order_for_cone_blocks,
@@ -251,9 +251,7 @@ def test_criterion_10_negative_controls():
     # Flipped sign in a signed matrix.
     arcs = _four_point_example()
     m = signed_matrix(arcs, ("beta", 4))
-    corrupted = SignedMatrix(
-        m.n, m.m, tuple(-b for b in m.beta), m.delta, m.initial_choice
-    )
+    corrupted = dataclasses.replace(m, beta=tuple(-b for b in m.beta))
     r = check_beta_delta(corrupted, arcs)
     r2 = verify_phi_homomorphism(arcs, corrupted, window=2)
     detections.append(not (r.passed and r2.passed) and bool(r.failures + r2.failures))

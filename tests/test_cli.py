@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from pianocat import confluence
 from pianocat.cli import main
 from pianocat.dissections import DissectionSet, dissection_from_generator
-from pianocat.generators import fan_generator, fan_summands
+from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
 from pianocat.geometry import ArcSet
 from pianocat.render import arc_diagram_svg, dissection_svg, dissection_tikz
 
@@ -48,6 +49,11 @@ def test_enumerate_single_and_cap(capsys):
     # Dissections share the generators' cap instead of running unbounded.
     code, out = run(capsys, "enumerate", "--kind", "dissections", "--n", "7")
     assert code == 2 and out == ""
+
+
+def test_enumerate_has_no_window_flag(capsys):
+    assert main(["enumerate", "--n", "1", "--window", "4"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_enumerate_dissections_matches_generators(capsys):
@@ -105,6 +111,33 @@ def test_verify_all_small(capsys):
         + ["confluence"] * 4
     )
     assert [r["check"] for r in records] == expected
+
+
+@pytest.mark.parametrize("choice", [[], ["--choice", "delta:2"]])
+def test_verify_all_builds_each_object_once(capsys, monkeypatch, choice):
+    from pianocat import endo, quivers, signs
+
+    calls = Counter()
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    piano_spy = spy("piano", endo.piano_of_generator)
+    for module in (endo, signs):  # signs imports piano_of_generator by name
+        monkeypatch.setattr(module, "piano_of_generator", piano_spy)
+    algebra_spy = staticmethod(spy("algebra", endo.EndoAlgebra.from_arcs))
+    monkeypatch.setattr(endo.EndoAlgebra, "from_arcs", algebra_spy)
+    monkeypatch.setattr(
+        quivers, "keyboard_from_extended", spy("keyboard", quivers.keyboard_from_extended)
+    )
+    code, _ = run(capsys, "verify", "all", "--n", "2", "--window", "4", *choice)
+    size = len(enumerate_limit_generators(2))
+    assert code == 0 and size == 4
+    assert calls == {"piano": size, "algebra": size, "keyboard": size}
 
 
 def test_in_range_verify_writes_no_stderr(capsys):

@@ -150,6 +150,18 @@ def test_verify_path_algebra_iso_examples():
         assert verify_path_algebra_iso(list(g), 3, window=4).passed
 
 
+def test_verify_path_algebra_iso_shares_a_given_algebra():
+    for g in enumerate_limit_generators(3)[::9]:
+        arcs = list(g)
+        report = verify_path_algebra_iso(arcs, 3, window=3)
+        shared = EndoAlgebra.from_arcs(arcs, 3)
+        assert verify_path_algebra_iso(arcs, 3, window=3, algebra=shared) == report
+        # The caches of the check's products do not outlive it.
+        assert not (shared._suspensions or shared._hom_dims or shared._alignments)
+        with pytest.raises(EndoError, match="algebra"):
+            verify_path_algebra_iso(arcs, 3, window=3, algebra=EndoAlgebra.from_arcs(arcs[::-1]))
+
+
 def test_verify_detects_corrupted_sharp_set():
     n = 2
     arcs = fan_summands(n)

@@ -95,6 +95,21 @@ def test_fan_generator_counts():
         assert len(fan_summands(n)) == 2 * n - 1
 
 
+def test_fan_summands_at_any_apex():
+    # The fan at Acc(a) is the default fan rotated by a + 1, in the same
+    # radial order, and is a limit generator; Acc(n-1) is the default.
+    n, apex = 3, acc(2, 3)
+    radial = [pt(2, 0, n), acc(0, n), pt(0, 0, n), acc(1, n), pt(1, 0, n)]
+    assert fan_summands(n) == [Arc(n, apex, p) for p in radial]
+    for n in range(1, 6):
+        assert fan_summands(n, acc(n - 1, n)) == fan_summands(n)
+        for a in range(n):
+            fan = fan_summands(n, acc(a, n))
+            assert fan == [rotate_arc(x, a + 1) for x in fan_summands(n)]
+            assert all(x.contains(acc(a, n)) for x in fan)
+            assert is_limit_generator(arc_set(n, fan))
+
+
 def test_enumeration_counts():
     assert len(enumerate_limit_generators(1)) == 1
     assert len(enumerate_limit_generators(2)) == 4

@@ -9,6 +9,7 @@ from pianocat.homs import (
     Direction,
     HomDegreeTable,
     HomError,
+    compose_directions,
     compose_nonzero,
     cone_presentation,
     ext1_dim,
@@ -125,6 +126,13 @@ def test_factors_through_requires_morphism():
     y = Arc(n, acc(0, n), pt(0, 0, n))
     with pytest.raises(HomError, match="no morphism"):
         factors_through(y, y, y)
+
+
+def test_compose_directions_rule():
+    fwd, bwd = Direction.FORWARD, Direction.BACKWARD
+    assert compose_directions(fwd, fwd) == fwd
+    assert compose_directions(fwd, bwd) == compose_directions(bwd, fwd) == bwd
+    assert compose_directions(bwd, bwd) is None
 
 
 def test_compose_direction_table():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pianocat import signs
-from pianocat.endo import EndoAlgebra, RingKind, chi_multiply
+from pianocat.endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
 from pianocat.geometry import Arc, BoundaryPoint as BP, suspend
 from pianocat.homs import (
@@ -21,12 +21,10 @@ from pianocat.homs import (
 )
 from pianocat.signs import (
     SignError,
-    SignedMatrix,
     both_signed_matrices,
     check_beta_delta,
     cone_data,
     degree_zero_table,
-    keyboard_edges_with_direction,
     order_for_cone_blocks,
     phi_block,
     sign_graph,
@@ -58,8 +56,10 @@ def ordered_generators(ns, n4_stride=7):
     return [order_for_cone_blocks(list(g)) for g in gens]
 
 
-def graphless(m):
-    return dataclasses.replace(m, graph=None)
+def keyboard_edges(arcs):
+    """The keyboard edges of the sign graph, each once as (low, high) with its direction."""
+    graph = sign_graph(arcs, piano_of_generator(arcs))
+    return {(v, w): d for v, nbrs in graph.adjacency.items() for w, d in nbrs if v < w}
 
 
 def test_cone_data_split_index():
@@ -77,11 +77,13 @@ def test_cone_data_requires_block_order():
 
 
 def test_keyboard_edge_directions():
-    edges = keyboard_edges_with_direction(worked_example_arcs())
-    table = {(s, t): d for s, t, d in edges}
-    assert table[(1, 0)] == Direction.BACKWARD  # the single backward arrow
-    forwards = [k for k, d in table.items() if d == Direction.FORWARD]
-    assert sorted(forwards) == [(1, 4), (2, 1), (4, 3), (5, 1), (5, 6)]
+    arcs = worked_example_arcs()
+    arrows = sorted((e.src, e.tgt) for e in piano_of_generator(arcs).arrows)
+    assert arrows == [(1, 0), (1, 4), (2, 1), (4, 3), (5, 1), (5, 6)]
+    edges = keyboard_edges(arcs)
+    assert edges[(0, 1)] == Direction.BACKWARD  # the single backward arrow 1 -> 0
+    forwards = [k for k, d in edges.items() if d == Direction.FORWARD]
+    assert sorted(forwards) == [(1, 2), (1, 4), (1, 5), (3, 4), (5, 6)]
 
 
 def test_signed_matrix_reproduces_worked_example():
@@ -115,28 +117,36 @@ def test_fan_matrix_trivial_block():
     # All edges are forward, so the slot choice is constant over the tree.
     assert m_beta.delta == (1, 1, 1, 1, 1)
     assert m_delta.delta == (-1, -1, -1, -1, -1)
-    edges = keyboard_edges_with_direction(arcs)
-    assert all(d == Direction.FORWARD for _, _, d in edges)
+    edges = keyboard_edges(arcs)
+    assert len(edges) == 4 and set(edges.values()) == {Direction.FORWARD}
 
 
 def test_beta_delta_detects_flipped_sign():
     arcs = worked_example_arcs()
     m = signed_matrix(arcs, ("beta", 4))
-    corrupted = SignedMatrix(
-        m.n,
-        m.m,
-        m.beta,
-        tuple(-d if j == 2 else d for j, d in enumerate(m.delta)),
-        m.initial_choice,
+    corrupted = dataclasses.replace(
+        m, delta=tuple(-d if j == 2 else d for j, d in enumerate(m.delta))
     )
+    assert corrupted.graph is m.graph
     report = check_beta_delta(corrupted, arcs)
     assert not report.passed
     assert any("delta" in f.identity or "beta" in f.identity for f in report.failures)
-    # The same corruption of a matrix that keeps its sign graph, whose
-    # table is then read, fails identically.
-    kept = dataclasses.replace(m, delta=corrupted.delta)
-    assert kept.graph is m.graph is not None
-    assert check_beta_delta(kept, arcs) == report
+
+
+def test_beta_delta_detects_backward_fan_morphism():
+    # Between two fan summands the advance stops before the apex, so every
+    # morphism there is forward; no generator with n <= 3 has a backward one.
+    for arcs in ordered_generators((1, 2, 3), n4_stride=None):
+        graph = sign_graph(arcs, piano_of_generator(arcs))
+        fan_pairs = [d for (j, l), d in graph.table.items() if j >= graph.m and l >= graph.m]
+        assert set(fan_pairs) <= {Direction.FORWARD}
+    # Relabelling the worked example's fan morphism 5 -> 6 as backward.
+    arcs = worked_example_arcs()
+    m = signed_matrix(arcs, ("beta", 4))
+    assert m.graph.table[(5, 6)] == Direction.FORWARD
+    graph = dataclasses.replace(m.graph, table=m.graph.table | {(5, 6): Direction.BACKWARD})
+    report = check_beta_delta(dataclasses.replace(m, graph=graph), arcs)
+    assert [(f.identity, f.witness) for f in report.failures] == [("fan backward", (5, 6))]
 
 
 def test_phi_blocks():
@@ -169,9 +179,7 @@ def test_phi_homomorphism_worked_example_and_fans():
 def test_phi_detects_sign_violation():
     arcs = worked_example_arcs()
     m = signed_matrix(arcs, ("beta", 4))
-    corrupted = SignedMatrix(
-        m.n, m.m, tuple(-b for b in m.beta), m.delta, m.initial_choice
-    )
+    corrupted = dataclasses.replace(m, beta=tuple(-b for b in m.beta))
     # Now beta_j * delta_j = +1 at flipped vertices: the differential or the
     # multiplicativity identities must fail with a located witness.
     r1 = check_beta_delta(corrupted, arcs)
@@ -230,60 +238,79 @@ def test_degree_zero_table_matches_pairwise_loop():
 
 def test_signed_matrices_carry_their_sign_graph():
     arcs = worked_example_arcs()
-    graph = sign_graph(arcs)
+    graph = sign_graph(arcs, piano_of_generator(arcs))
     assert graph.arcs == tuple(arcs) and graph.apex == BP(3)
     assert graph.table == degree_zero_table(arcs)
     assert graph.cones == cone_data(arcs) and graph.m == 5
     m = signed_matrix(arcs, ("beta", 4))
     assert m.graph == graph
     # The graph is neither compared, printed nor serialised.
-    assert m == graphless(m) and repr(m) == repr(graphless(m))
+    fan = fan_summands(4)
+    other = dataclasses.replace(m, graph=sign_graph(fan, piano_of_generator(fan)))
+    assert m == other and repr(m) == repr(other)
     assert "graph" not in m.to_json()
 
 
 def test_keyboard_arrow_missing_from_table_is_refused(monkeypatch):
+    arcs = worked_example_arcs()
     monkeypatch.setattr(signs, "degree_zero_table", lambda arcs, apex=None: {})
     with pytest.raises(HomError, match="no nonzero degree 0 morphism"):
-        sign_graph(worked_example_arcs())
+        sign_graph(arcs, piano_of_generator(arcs))
+
+
+def test_sign_graph_refuses_a_piano_in_another_order():
+    arcs = worked_example_arcs()
+    assert sign_graph(arcs, piano_of_generator(arcs)).arcs == tuple(arcs)
+    swapped = arcs[:3] + [arcs[4], arcs[3]] + arcs[5:]
+    with pytest.raises(SignError, match="piano"):
+        sign_graph(arcs, piano_of_generator(swapped))
+    with pytest.raises(SignError, match="piano"):
+        sign_graph(arcs, piano_of_generator(fan_summands(4)))
 
 
 def test_checks_read_the_table_of_their_own_graph(monkeypatch):
     arcs = worked_example_arcs()
     m = signed_matrix(arcs, ("beta", 4))
-    expected = check_beta_delta(graphless(m), arcs)
+    corrupted = dataclasses.replace(m, beta=tuple(-b for b in m.beta))
+    matrices = (m, corrupted)
+    expected = [
+        (check_beta_delta(x, arcs), verify_phi_homomorphism(arcs, x, window=2)) for x in matrices
+    ]
+    assert not all(r.passed for r in expected[1])
 
-    def refuse(arcs, apex=None):
-        raise AssertionError("table rebuilt for the summands of the graph")
+    def refuse(*args, **kwargs):
+        raise AssertionError("rebuilt for the summands of the graph")
 
-    monkeypatch.setattr(signs, "degree_zero_table", refuse)
-    assert check_beta_delta(m, arcs) == expected
-    with pytest.raises(AssertionError, match="rebuilt"):
-        check_beta_delta(graphless(m), arcs)
+    for name in ("degree_zero_table", "cone_data", "morphism_direction"):
+        monkeypatch.setattr(signs, name, refuse)
+    for x, (beta_delta, phi) in zip(matrices, expected):
+        assert check_beta_delta(x, arcs) == beta_delta
+        assert verify_phi_homomorphism(arcs, x, window=2) == phi
 
 
 def test_graph_is_never_read_for_other_summands_or_apex():
+    # A matrix is checked only against the summands and apex of its graph.
     for arcs in ordered_generators((2, 3), n4_stride=None) + [worked_example_arcs()]:
+        default = default_apex(arcs[0].n)
         for m in both_signed_matrices(arcs):
-            bare = graphless(m)
-            other = arcs[::-1]
-            assert check_beta_delta(m, other) == check_beta_delta(bare, other)
-            apex = BP(0)
-            assert check_beta_delta(m, arcs, apex) == check_beta_delta(bare, arcs, apex)
+            assert check_beta_delta(m, arcs, default) == check_beta_delta(m, arcs)
+            with pytest.raises(SignError, match="other summands or another apex"):
+                check_beta_delta(m, arcs[::-1])
+            with pytest.raises(SignError, match="other summands or another apex"):
+                check_beta_delta(m, arcs, BP(0))
 
 
-def test_phi_with_graph_matches_graphless():
+def test_phi_refuses_other_summands_or_apex():
     arcs = worked_example_arcs()
     for m in both_signed_matrices(arcs):
         corrupted = dataclasses.replace(m, beta=tuple(-b for b in m.beta))
         for matrix in (m, corrupted):
-            assert verify_phi_homomorphism(arcs, matrix, window=2) == verify_phi_homomorphism(
-                arcs, graphless(matrix), window=2
-            )
-            # Another apex puts a fan summand first: the cone data of the
-            # graph is not used, so the block order is refused either way.
-            for candidate in (matrix, graphless(matrix)):
-                with pytest.raises(SignError, match="order"):
-                    verify_phi_homomorphism(arcs, candidate, window=2, apex=BP(0))
+            report = verify_phi_homomorphism(arcs, matrix, window=2)
+            assert verify_phi_homomorphism(arcs, matrix, window=2, apex=BP(3)) == report
+            with pytest.raises(SignError, match="other summands or another apex"):
+                verify_phi_homomorphism(arcs[::-1], matrix, window=2)
+            with pytest.raises(SignError, match="other summands or another apex"):
+                verify_phi_homomorphism(arcs, matrix, window=2, apex=BP(0))
 
 
 def test_beta_delta_counts_checked_pairs():
@@ -388,8 +415,7 @@ def test_one_pass_check_implies_summed_identity(data):
         beta=tuple(-b if f else b for b, f in zip(m.beta, beta_flips)),
         delta=tuple(-d if f else d for d, f in zip(m.delta, delta_flips)),
     )
-    for matrix in (m, graphless(m)):
-        assert verify_phi_homomorphism(arcs, matrix, window=window).passed
+    assert verify_phi_homomorphism(arcs, m, window=window).passed
     assert summed_identity_failures(arcs, m, window) == []
     if summed_identity_failures(arcs, corrupted, window):
         assert not verify_phi_homomorphism(arcs, corrupted, window=window).passed
@@ -410,7 +436,7 @@ def test_each_phi_identity_has_a_negative_control():
     assert verify_phi_homomorphism(arcs, m, window=2).passed
 
     # All signs +1: beta^i = (-1)^i delta^i fails at odd i, products hold.
-    plus = SignedMatrix(m.n, m.m, (1,) * m.m, (1,) * len(arcs), m.initial_choice)
+    plus = dataclasses.replace(m, beta=(1,) * m.m, delta=(1,) * len(arcs))
     assert first_identity(verify_phi_homomorphism(arcs, plus, window=2)) == "differential"
 
     # Both signs of one cone summand flipped: the differential still
