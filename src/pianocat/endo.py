@@ -8,6 +8,13 @@ or zero.  Products of distinguished basis elements have coefficients in
 ``EndoAlgebra`` caches its suspended summands, and the Hom dimension and
 endpoint alignment of each (source, target, degree), so a product only
 tests where its middle arc sits.
+
+``verify_path_algebra_iso`` compares this algebra with the piano's path
+algebra product by product.  It visits only pairs of nonzero classes, so
+it skips the operand checks of ``chi_multiply`` and applies the product
+rule (``_chi_product``) directly, and it decides each path product with the
+junction lookup ``quivers.product_is_zero`` instead of building the
+product's normal form.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from .quivers import (
     PathNormalForm,
     PianoQuiver,
     canonical_word,
-    compose,
     graded_dim,
     normal_form,
     piano_from_extended,
+    product_is_zero,
 )
 
 
@@ -177,10 +184,10 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
     ``g = (j, l, q)`` likewise; the product lands in entry (i, l) in degree
     p + q.  Nonzero exactly when the corresponding composite of arc
     morphisms is nonzero, which is decided by the factorisation calculus:
-    the composite x -> w -> z factors the morphism x -> z through w.  The
-    Hom dimension and the alignment of x -> z depend only on (i, l, p + q)
-    and come from the algebra's caches; ``homs.factors_through`` decides the
-    same question from scratch and is the test oracle.
+    the composite x -> w -> z factors the morphism x -> z through w.  This
+    entry point checks that the operands compose and are nonzero, then
+    applies the product rule (``_chi_product``); ``homs.factors_through``
+    decides the same question from scratch and is the test oracle.
     """
     i, j1, p = f
     j2, l, q = g
@@ -188,18 +195,28 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
         raise EndoError("entries do not compose")
     if a.dim(i, j1, p) == 0 or a.dim(j1, l, q) == 0:
         raise EndoError("zero operand")
-    if a.summand_hom_dim(i, l, p + q) == 0:
+    return _chi_product(a, i, a.suspended(j1, p), l, p + q)
+
+
+def _chi_product(a: EndoAlgebra, i: int, w: Arc, l: int, degree: int) -> int:
+    """The product rule of ``chi_multiply``, without its operand checks.
+
+    Decides the composite x -> w -> z, where x is summand i, w the middle
+    summand shifted by the first factor's degree, and z summand l shifted
+    by the total ``degree``.  The Hom dimension and the alignment of x -> z
+    depend only on (i, l, degree) and come from the algebra's caches.
+    """
+    if a.summand_hom_dim(i, l, degree) == 0:
         return 0
     x = a.arcs[i]
-    w = a.suspended(j1, p)
-    z = a.suspended(l, p + q)
+    z = a.suspended(l, degree)
     if z == x:
         # A round trip in total degree zero splits off the middle object,
         # so it vanishes unless the middle is the object itself.
         return 1 if w == x else 0
     if w == x or w == z:
         return 1
-    aligned = a.summand_alignment(i, l, p + q)
+    aligned = a.summand_alignment(i, l, degree)
     return 1 if aligned is not None and within_alignment(w, aligned) else 0
 
 
@@ -257,6 +274,11 @@ def verify_path_algebra_iso(
     corresponding matrix products are, over all composable pairs.
     ``piano`` and ``algebra``, when given, are those of ``arcs`` in this
     order, so that other checks can share them.
+
+    Both factors of every pair are nonzero classes, so a path product is
+    decided by the junction lookup ``quivers.product_is_zero`` without
+    building its normal form, and a matrix product by ``_chi_product``
+    without the operand checks of ``chi_multiply``.
     """
     items = list(arcs)
     if n is None:
@@ -286,47 +308,46 @@ def verify_path_algebra_iso(
                         return IsoReport(tuple(mismatches))
 
     degrees = range(-window, window + 1)
-    nonzero = {
-        (a, b): [m for m in degrees if algebra.dim(a, b, m) == 1]
+    # Every class nonzero on both sides, with the normal form of its
+    # canonical word and the suspended summand it ends at.
+    classes: dict[tuple[int, int], list[tuple[int, PathNormalForm, Arc]]] = {
+        (a, b): [
+            (m, normal_form(p, canonical_word(p, a, b, m), base=a), algebra.suspended(b, m))
+            for m in degrees
+            if algebra.dim(a, b, m) == 1 and graded_dim(p, a, b, m) == 1
+        ]
         for a in range(size)
         for b in range(size)
     }
-    # Each canonical word is normalised once; a product composes two forms.
-    forms: dict[tuple[int, int, int], PathNormalForm] = {}
-    for (a, b), ms in nonzero.items():
-        for m in ms:
-            if graded_dim(p, a, b, m) == 1:
-                forms[(a, b, m)] = normal_form(p, canonical_word(p, a, b, m), base=a)
+    totals = range(-2 * window, 2 * window + 1)
     products = 0
-    for (a, b), ms in nonzero.items():
-        for c in range(size):
-            ms2 = nonzero[(b, c)]
-            for m in ms:
-                left = forms.get((a, b, m))
-                if left is None:
-                    continue
-                for m2 in ms2:
-                    right = forms.get((b, c, m2))
-                    if right is None:
-                        continue
-                    products += 1
-                    path_nonzero = not compose(p, left, right).is_zero
-                    if path_nonzero and graded_dim(p, a, c, m + m2) == 0:
-                        mismatches.append(
-                            IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1)
-                        )
-                        if len(mismatches) >= max_mismatches:
-                            return IsoReport(tuple(mismatches), products)
-                    chi = chi_multiply(algebra, (a, b, m), (b, c, m2))
-                    if int(path_nonzero) != chi:
-                        mismatches.append(
-                            IsoMismatch(
-                                "multiplication",
-                                (a, b, c, m, m2),
-                                chi,
-                                int(path_nonzero),
+    for a in range(size):
+        # The degrees of the nonzero path classes from a to each c.
+        on_piano = [{t for t in totals if graded_dim(p, a, c, t)} for c in range(size)]
+        for b in range(size):
+            lefts = classes[(a, b)]
+            for c in range(size):
+                rights = classes[(b, c)]
+                for m, left, w in lefts:
+                    for m2, right, _ in rights:
+                        products += 1
+                        path_nonzero = not product_is_zero(p, left, right)
+                        if path_nonzero and m + m2 not in on_piano[c]:
+                            mismatches.append(
+                                IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1)
                             )
-                        )
-                        if len(mismatches) >= max_mismatches:
-                            return IsoReport(tuple(mismatches), products)
+                            if len(mismatches) >= max_mismatches:
+                                return IsoReport(tuple(mismatches), products)
+                        chi = _chi_product(algebra, a, w, c, m + m2)
+                        if int(path_nonzero) != chi:
+                            mismatches.append(
+                                IsoMismatch(
+                                    "multiplication",
+                                    (a, b, c, m, m2),
+                                    chi,
+                                    int(path_nonzero),
+                                )
+                            )
+                            if len(mismatches) >= max_mismatches:
+                                return IsoReport(tuple(mismatches), products)
     return IsoReport(tuple(mismatches), products)

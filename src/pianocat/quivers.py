@@ -19,10 +19,11 @@ arrow paths) are built once and kept on the ``PianoQuiver``.
 
 ``compose`` multiplies two normal forms without normalising their
 concatenation again.  A normal form keeps its reduced block stack and the
-first and last arrow of its skeleton; the product is zero when the two
-skeletons meet in a relation at the junction, and otherwise the second
-form's blocks are pushed onto a copy of the first form's stack, so only the
-redexes across the junction are rewritten.
+first and last arrow of its skeleton; the product is zero when either form
+is or the two skeletons meet in a relation at the junction
+(``product_is_zero``, one lookup), and otherwise the second form's blocks
+are pushed onto a copy of the first form's stack, so only the redexes
+across the junction are rewritten.
 """
 
 from __future__ import annotations
@@ -458,21 +459,33 @@ def normal_form(
     return _form(table[word[0]][0], table[word[-1]][1], degree, _reduce_blocks(p, blocks))
 
 
+def product_is_zero(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> bool:
+    """Whether the product ``u`` then ``v`` of two composable normal forms is zero.
+
+    Both are irreducible and no rule but the skeleton rule yields zero, so
+    the product is zero exactly when one of the two is zero or the last
+    arrow of ``u`` and the first arrow of ``v`` form a relation.  Both
+    halves are needed: a zero form has no arrows, so the relation lookup
+    alone would read it as nonzero.
+    """
+    return u.is_zero or v.is_zero or (u.last_arrow, v.first_arrow) in p.relations
+
+
 def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalForm:
     """The normal form of the product ``u`` then ``v`` of two normal forms.
 
     Both are irreducible, so every redex of the concatenation straddles the
-    junction.  The skeleton is dead exactly when one of the two is zero or
-    the last arrow of ``u`` and the first arrow of ``v`` form a relation;
-    otherwise pushing ``v``'s blocks onto a copy of ``u``'s stack finishes
-    the one stack pass of ``normal_form`` over the concatenation.  The
-    identity (the empty word at a vertex) is a unit.
+    junction.  ``product_is_zero`` decides at the junction whether the
+    product vanishes; otherwise pushing ``v``'s blocks onto a copy of
+    ``u``'s stack finishes the one stack pass of ``normal_form`` over the
+    concatenation.  The identity (the empty word at a vertex) is a unit.
+    A caller that reads only whether the product is zero calls
+    ``product_is_zero`` alone; ``compose`` is the product it is tested
+    against.
     """
-    if u.is_zero or v.is_zero:
-        return ZERO_FORM
-    if u.target != v.source:
+    if not (u.is_zero or v.is_zero) and u.target != v.source:
         raise QuiverError(f"normal forms do not compose: {u.target} -> {v.source}")
-    if (u.last_arrow, v.first_arrow) in p.relations:
+    if product_is_zero(p, u, v):
         return ZERO_FORM
     stack = _reduce_blocks(p, v.blocks, list(u.blocks))
     return _form(u.source, v.target, u.degree + v.degree, stack)

@@ -2,10 +2,13 @@ import itertools
 
 import pytest
 
+from pianocat import endo
 from pianocat.endo import (
     EndoAlgebra,
     EndoError,
     GradedEntry,
+    IsoMismatch,
+    IsoReport,
     RingKind,
     chi_multiply,
     classify_entry,
@@ -15,7 +18,16 @@ from pianocat.endo import (
 from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.geometry import Arc, acc, pt, suspend
 from pianocat.homs import HomError, factors_through, hom_dim
-from pianocat.quivers import KeyboardQuiver, graded_dim, piano_from_keyboard
+from pianocat.quivers import (
+    GentleQuiver,
+    KeyboardQuiver,
+    PianoQuiver,
+    canonical_word,
+    compose,
+    graded_dim,
+    normal_form,
+    piano_from_keyboard,
+)
 
 
 def test_entry_dimension_profiles():
@@ -300,3 +312,136 @@ def test_iso_report_counts_every_composable_pair():
             assert report.passed
             assert report.products == expected > 0
             assert "products" not in report.to_json()
+
+
+def _reference_iso(arcs, n, window, piano=None, max_mismatches=20) -> IsoReport:
+    """``verify_path_algebra_iso`` as a plain per-pair loop: every composable
+    pair of nonzero classes is composed in full (``compose(...).is_zero``)
+    and multiplied by the checked ``chi_multiply``."""
+    algebra = EndoAlgebra.from_arcs(arcs, n)
+    p = piano if piano is not None else piano_of_generator(arcs, n)
+    size = len(arcs)
+    degrees = range(-window, window + 1)
+    mismatches = []
+    for a, b, m in itertools.product(range(size), range(size), degrees):
+        lhs, rhs = algebra.dim(a, b, m), graded_dim(p, a, b, m)
+        if lhs != rhs:
+            mismatches.append(IsoMismatch("dimension", (a, b, m), lhs, rhs))
+            if len(mismatches) >= max_mismatches:
+                return IsoReport(tuple(mismatches))
+    forms = {
+        (a, b, m): normal_form(p, canonical_word(p, a, b, m), base=a)
+        for a, b, m in itertools.product(range(size), range(size), degrees)
+        if algebra.dim(a, b, m) and graded_dim(p, a, b, m)
+    }
+    classes = {
+        (a, b): [m for m in degrees if (a, b, m) in forms]
+        for a, b in itertools.product(range(size), repeat=2)
+    }
+    products = 0
+    for a, b, c in itertools.product(range(size), repeat=3):
+        for m, m2 in itertools.product(classes[(a, b)], classes[(b, c)]):
+            products += 1
+            path_nonzero = not compose(p, forms[(a, b, m)], forms[(b, c, m2)]).is_zero
+            if path_nonzero and graded_dim(p, a, c, m + m2) == 0:
+                mismatches.append(IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1))
+                if len(mismatches) >= max_mismatches:
+                    return IsoReport(tuple(mismatches), products)
+            chi = chi_multiply(algebra, (a, b, m), (b, c, m2))
+            if int(path_nonzero) != chi:
+                mismatches.append(
+                    IsoMismatch("multiplication", (a, b, c, m, m2), chi, int(path_nonzero))
+                )
+                if len(mismatches) >= max_mismatches:
+                    return IsoReport(tuple(mismatches), products)
+    return IsoReport(tuple(mismatches), products)
+
+
+def _with_relations(p: PianoQuiver, relations) -> PianoQuiver:
+    """The piano p with another relation set and nothing else changed."""
+    g = p.keyboard.gentle
+    gentle = GentleQuiver(g.num_vertices, g.labels, g.arrows, frozenset(relations))
+    return PianoQuiver(KeyboardQuiver(gentle, p.sharp), p.beta_runs)
+
+
+def _corrupted_pianos():
+    """An n = 3 generator, and its piano without its one relation and with
+    one spurious relation between two composable arrows."""
+    arcs = list(enumerate_limit_generators(3)[0])
+    honest = piano_of_generator(arcs, 3)
+    (dropped,) = honest.relations
+    spurious = min(
+        (i, j)
+        for i, e in enumerate(honest.arrows)
+        for j, f in enumerate(honest.arrows)
+        if e.tgt == f.src and (i, j) not in honest.relations
+    )
+    return arcs, {
+        "dropped": _with_relations(honest, honest.relations - {dropped}),
+        "spurious": _with_relations(honest, honest.relations | {spurious}),
+    }
+
+
+def test_verify_detects_a_dropped_relation():
+    # Without the relation some zero products of paths survive: they are
+    # nonzero where the matrix product is zero, and land in a class the
+    # piano says is zero.
+    arcs, pianos = _corrupted_pianos()
+    report = verify_path_algebra_iso(arcs, 3, window=3, piano=pianos["dropped"])
+    assert {m.kind for m in report.mismatches} == {"multiplication", "rewriting"}
+
+
+def test_verify_detects_a_spurious_relation():
+    # The spurious relation kills canonical words outright (a zero normal
+    # form has no arrows for the junction lookup to see) and products
+    # across the junction; both are zero where the matrix product is not.
+    arcs, pianos = _corrupted_pianos()
+    p = pianos["spurious"]
+    assert any(
+        normal_form(p, canonical_word(p, a, b, 0)).is_zero
+        for a in range(p.num_vertices)
+        for b in range(p.num_vertices)
+        if a != b and canonical_word(p, a, b, 0)
+    )
+    report = verify_path_algebra_iso(arcs, 3, window=3, piano=p)
+    assert {m.kind for m in report.mismatches} == {"multiplication"}
+
+
+@pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 7)], ids=["n1", "n2", "n3", "n4"])
+def test_verify_path_algebra_iso_matches_the_reference_loop(n, stride):
+    # The same mismatches in the same order and the same product count as
+    # composing every pair in full and multiplying with the checked entry point.
+    for g in enumerate_limit_generators(n)[::stride]:
+        arcs = list(g)
+        assert verify_path_algebra_iso(arcs, n, window=6) == _reference_iso(arcs, n, 6), g
+
+
+def test_verify_on_corrupted_pianos_matches_the_reference_loop():
+    arcs, pianos = _corrupted_pianos()
+    for p in pianos.values():
+        for cap in (1, 4, 10**6):
+            expected = _reference_iso(arcs, 3, 3, piano=p, max_mismatches=cap)
+            assert verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=cap) == expected
+            if cap < 10**6:
+                assert len(expected.mismatches) == cap  # the cut happened
+            else:
+                assert len(expected.mismatches) > 4
+
+
+def test_interval_test_never_rejects_on_generators(monkeypatch):
+    # Every product of the verifier that reaches the closed-interval test
+    # passes it on every generator with n <= 3 (window 6); the test stays as
+    # a guard, and the non-generator control above shows it can reject.
+    seen = []
+    real = endo.within_alignment
+
+    def spy(w, aligned):
+        seen.append(real(w, aligned))
+        return seen[-1]
+
+    monkeypatch.setattr(endo, "within_alignment", spy)
+    for n in (1, 2, 3):
+        for g in enumerate_limit_generators(n):
+            assert verify_path_algebra_iso(list(g), n, window=6).passed
+    assert len(seen) > 0
+    assert all(seen)
