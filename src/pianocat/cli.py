@@ -37,8 +37,10 @@ class Config:
     word_cap: int = 8
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.window < 2 or self.word_cap < 1:
-            raise ValueError("caps must be positive and the window at least 2")
+        for name, least in (("n", 1), ("window", 2), ("word_cap", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _emit(obj: dict) -> None:
@@ -92,13 +94,14 @@ def cmd_quiver(args: argparse.Namespace) -> int:
 def cmd_homtable(args: argparse.Namespace) -> int:
     from .homs import HomDegreeTable
 
+    cfg = Config(n=args.n, window=args.window)
     try:
-        source = geometry.Arc.from_json(json.loads(args.source), args.n)
-        target = geometry.Arc.from_json(json.loads(args.target), args.n)
+        source = geometry.Arc.from_json(json.loads(args.source), cfg.n)
+        target = geometry.Arc.from_json(json.loads(args.target), cfg.n)
     except (ValueError, KeyError, IndexError) as exc:
         sys.stderr.write(f"cannot parse arcs: {exc}\n")
         return EXIT_USAGE
-    table = HomDegreeTable.build(source, target, args.window)
+    table = HomDegreeTable.build(source, target, cfg.window)
     if args.format == "csv":
         for row in table.to_csv_rows():
             sys.stdout.write(",".join(str(x) for x in row) + "\n")
@@ -148,7 +151,7 @@ class GeneratorContext:
 
     @cached_property
     def matrices(self) -> list[signs.SignedMatrix]:
-        graph = signs.sign_graph(self.arcs, self.piano)
+        graph = signs.sign_graph(self.algebra, self.piano)
         choices = signs.DEFAULT_CHOICES if self.choice is None else (self.choice,)
         return [signs.propagate_choice(graph, choice) for choice in choices]
 
@@ -232,7 +235,7 @@ def _verify_derived_equiv(contexts: Contexts, cfg: Config) -> list[dict]:
         _check_record(
             "derived-equiv",
             ctx.n,
-            signs.verify_phi_homomorphism(ctx.arcs, m, window=cfg.window, algebra=ctx.algebra),
+            signs.verify_phi_homomorphism(ctx.arcs, m, window=cfg.window),
             "failures",
         )
         for ctx in contexts(cfg.n)
@@ -323,6 +326,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             sys.stdout.write(render.arc_diagram_svg(arcset))
         elif kind == "dissection":
             d = dissections.DissectionSet.from_json(payload)
+            if fmt == "dot":
+                raise ValueError("dissections render to svg or tikz")
             sys.stdout.write(
                 render.dissection_svg(d) if fmt == "svg" else render.dissection_tikz(d)
             )

@@ -61,7 +61,7 @@ def enumerate_composable_words(
             nxt = word + (s,)
             yield nxt
             if remaining > 1:
-                yield from extend(nxt, p.symbol_ends(s)[1], remaining - 1)
+                yield from extend(nxt, p.symbol_table[s][1], remaining - 1)
 
     for v in range(p.num_vertices):
         yield from extend((), v, max_length)

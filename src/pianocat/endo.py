@@ -66,13 +66,13 @@ class GradedEntry:
 def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
     """Entry (i, j) of the generalised matrix algebra of the given summands.
 
-    Requires the suspension orbits of distinct summands to be disjoint: no
-    two share the segment of a marked endpoint, and no summand is repeated.
-    Diagonal entries are fixed by arc kind; an off-diagonal one is Laurent
-    when there is a degree-one extension (``homs.ext1_dim``), that is in the
+    Assumes the suspension orbits of distinct summands are disjoint, which
+    ``EndoAlgebra.from_arcs`` checks once for all of them.  Diagonal entries
+    are fixed by arc kind; an off-diagonal one is Laurent when there is a
+    degree-one extension (``homs.ext1_dim``), that is in the
     anticlockwise-rotation or crossing direction, and zero otherwise.
     """
-    x, y = arcs[i], arcs[j]
+    x = arcs[i]
     if i == j:
         if x.kind == ArcKind.LIMIT:
             return GradedEntry(RingKind.POLY)
@@ -81,9 +81,7 @@ def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
         if x.kind == ArcKind.LONG:
             return GradedEntry(RingKind.LONG)
         raise EndoError("short arcs are never summands of a minimal generator")
-    if x == y or _marked_segments(x) & _marked_segments(y):
-        raise EndoError("orbits overlap")
-    return GradedEntry(RingKind.LAURENT if ext1_dim(x, y) else RingKind.ZERO)
+    return GradedEntry(RingKind.LAURENT if ext1_dim(x, arcs[j]) else RingKind.ZERO)
 
 
 def _marked_segments(x: Arc) -> set[int]:
@@ -113,11 +111,20 @@ class EndoAlgebra:
 
     @staticmethod
     def from_arcs(arcs: list[Arc], n: int | None = None) -> "EndoAlgebra":
+        """The algebra of the summands in this order; a sign graph is built over it.
+
+        Refuses (``EndoError``) a short summand and overlapping suspension orbits.
+        """
         items = list(arcs)
         if n is None:
             if not items:
                 raise EndoError("need at least one summand")
             n = items[0].n
+        # Disjoint suspension orbits: no summand is repeated, and no two
+        # sweep the same segment (a segment counts once per summand).
+        swept = [seg for x in items for seg in _marked_segments(x)]
+        if len(set(swept)) != len(swept) or len(set(items)) != len(items):
+            raise EndoError("orbits overlap")
         size = len(items)
         entries = tuple(
             tuple(classify_entry(items, i, j) for j in range(size)) for i in range(size)

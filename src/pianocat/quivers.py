@@ -251,13 +251,6 @@ class PianoQuiver:
     def has_beta(self, v: int) -> bool:
         return v not in self.sharp
 
-    def symbol_ends(self, s: Symbol) -> tuple[int, int]:
-        tag, k = s
-        if tag in ("a", "b"):
-            return k, k
-        e = self.arrows[k]
-        return e.src, e.tgt
-
     @cached_property
     def symbol_table(self) -> dict[Symbol, tuple[int, int, int]]:
         """(source, target, degree) of every symbol the piano's words may use."""

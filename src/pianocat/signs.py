@@ -5,7 +5,9 @@ suspended fan arcs (trivially, when it already is one).  A sign choice is
 propagated over the keyboard tree, flipping across backward arrows; the
 resulting diagonal of signs makes the block assignment of homogeneous
 morphisms into a degree-zero algebra map, which is verified here degree by
-degree on a finite window.
+degree on a finite window.  The sign graph is built over the generator's
+endomorphism algebra and carries it: the directions of its degree-0 table
+are those of the algebra's nonzero off-diagonal entries.
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .dissections import DissectionError, chord_of_arc
-from .endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
+from .endo import EndoAlgebra, EndoError, RingKind, chi_multiply, piano_of_generator
 from .generators import fan_summands, is_limit_generator
-from .geometry import Arc, BoundaryPoint, arc_set, suspend
+from .geometry import Arc, BoundaryPoint, arc_set
 from .homs import (
     Direction,
     HomError,
     compose_directions,
     cone_presentation,
     default_apex,
-    ext1_dim,
     morphism_direction,
     shift_families,
 )
@@ -92,7 +93,7 @@ class SignedMatrix:
     delta: tuple[int, ...]
     initial_choice: tuple[str, int]
     # The sign graph the matrix was propagated over; the checks read its
-    # degree-0 table and cone data.
+    # algebra, degree-0 table and cone data.
     graph: SignGraph = field(compare=False, repr=False)
 
     def diagonal(self) -> tuple[int, ...]:
@@ -111,37 +112,25 @@ class SignedMatrix:
         }
 
 
-def degree_zero_table(
-    arcs: list[Arc], apex: BoundaryPoint | None = None
-) -> dict[tuple[int, int], Direction]:
-    """Direction of every nonzero degree-0 morphism between distinct summands.
-
-    Keys (j, l) are the ordered pairs with ``hom_dim(arcs[j], arcs[l], 0) == 1``
-    in row-major order.  That dimension is ``ext1_dim(x_j, x_l[-1])``, so
-    each summand is desuspended once rather than once per pair.
-    """
-    if apex is None:
-        apex = default_apex(arcs[0].n)
-    desuspended = [suspend(y, -1) for y in arcs]
-    return {
-        (j, l): morphism_direction(x, arcs[l], 0, apex)
-        for j, x in enumerate(arcs)
-        for l, y in enumerate(desuspended)
-        if j != l and ext1_dim(x, y) == 1
-    }
-
-
 @dataclass(frozen=True)
 class SignGraph:
     """The keyboard tree of a limit generator, each edge with its direction
-    class, with the degree-0 table and cone presentations of its summands."""
+    class, over the generator's endomorphism algebra, with the degree-0
+    table and cone presentations of its summands."""
 
-    n: int
-    arcs: tuple[Arc, ...]
+    algebra: EndoAlgebra
     apex: BoundaryPoint
     table: dict[tuple[int, int], Direction]
     cones: ConeData
     adjacency: dict[int, list[tuple[int, Direction]]]
+
+    @property
+    def n(self) -> int:
+        return self.algebra.n
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        return self.algebra.arcs
 
     @property
     def m(self) -> int:
@@ -149,30 +138,40 @@ class SignGraph:
         return self.cones.m
 
 
-def sign_graph(arcs: list[Arc], piano: PianoQuiver, apex: BoundaryPoint | None = None) -> SignGraph:
+def sign_graph(
+    algebra: EndoAlgebra, piano: PianoQuiver, apex: BoundaryPoint | None = None
+) -> SignGraph:
     """The graph a sign choice propagates over; see ``propagate_choice``.
 
-    ``piano`` is the piano quiver of ``arcs`` with its vertices in summand
-    order (``endo.piano_of_generator``); each keyboard arrow reads its
-    direction from the degree-0 table.
+    ``algebra`` and ``piano`` belong to one limit generator with the summands
+    in one order (``EndoAlgebra.from_arcs``, ``endo.piano_of_generator``).
+    A nonzero entry between distinct summands is Laurent, so the degree-0
+    table holds the direction of each, row-major; each keyboard arrow reads
+    its direction from that table.
     """
-    n = arcs[0].n
+    arcs, n = algebra.arcs, algebra.n
     if apex is None:
         apex = default_apex(n)
     if not is_limit_generator(arc_set(n, arcs)):
         raise SignError("not a limit generator")
     if piano.keyboard.gentle.labels != tuple(chord_of_arc(x) for x in arcs):
         raise SignError("the piano's vertices are not these summands in this order")
-    cones = cone_data(arcs, apex)
-    table = degree_zero_table(arcs, apex)
-    adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(len(arcs))}
+    cones = cone_data(list(arcs), apex)
+    size = algebra.size
+    table = {
+        (j, l): morphism_direction(arcs[j], arcs[l], 0, apex)
+        for j in range(size)
+        for l in range(size)
+        if j != l and algebra.entry(j, l).kind != RingKind.ZERO
+    }
+    adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(size)}
     for e in piano.arrows:
         direction = table.get((e.src, e.tgt))
         if direction is None:
             raise HomError(f"no nonzero degree 0 morphism {arcs[e.src]} -> {arcs[e.tgt]}")
         adjacency[e.src].append((e.tgt, direction))
         adjacency[e.tgt].append((e.src, direction))
-    return SignGraph(n, tuple(arcs), apex, table, cones, adjacency)
+    return SignGraph(algebra, apex, table, cones, adjacency)
 
 
 def _own_graph(m: SignedMatrix, arcs: list[Arc], apex: BoundaryPoint | None) -> SignGraph:
@@ -224,12 +223,14 @@ DEFAULT_CHOICES: tuple[tuple[str, int], ...] = (("beta", 0), ("delta", 0))
 
 
 def _sign_graph_of(arcs: list[Arc], apex: BoundaryPoint | None) -> SignGraph:
-    """The sign graph of bare summands, over a piano built for them."""
+    """The sign graph of bare summands, over a piano and an algebra built for them."""
+    n = arcs[0].n
     try:
-        piano = piano_of_generator(arcs, arcs[0].n)
-    except DissectionError as exc:  # by the bijection, not a limit generator
+        piano = piano_of_generator(arcs, n)
+        algebra = EndoAlgebra.from_arcs(arcs, n)
+    except (DissectionError, EndoError) as exc:  # summands of no limit generator
         raise SignError("not a limit generator") from exc
-    return sign_graph(arcs, piano, apex)
+    return sign_graph(algebra, piano, apex)
 
 
 def signed_matrix(
@@ -261,7 +262,8 @@ class CheckFailure:
 @dataclass(frozen=True)
 class CheckReport:
     failures: tuple[CheckFailure, ...]
-    # Nonzero degree-0 morphisms between distinct summands that were checked.
+    # What the check walked: for beta-delta the nonzero degree-0 morphisms
+    # between distinct summands, for phi the composable pairs of entries.
     pairs: int = 0
 
     @property
@@ -349,26 +351,13 @@ def phi_block(
     return BlockMorphism(j, l, degree, direction, ((y, w), (0, z)))
 
 
-@dataclass(frozen=True)
-class PhiReport:
-    failures: tuple[CheckFailure, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "failures": [f.to_json() for f in self.failures]}
-
-
 def verify_phi_homomorphism(
     arcs: list[Arc],
     m: SignedMatrix,
     window: int = 4,
     apex: BoundaryPoint | None = None,
     max_failures: int = 20,
-    algebra: EndoAlgebra | None = None,
-) -> PhiReport:
+) -> CheckReport:
     """Verify that the signed block assignment is a degree-zero algebra map.
 
     Part (a): at every cone summand the sign identity beta^i = (-1)^i delta^i
@@ -380,23 +369,20 @@ def verify_phi_homomorphism(
     equals the signed block of the product.  The matrix identity
     phi(x) phi(x') = phi(x x') summed over each degree pair adds up exactly
     these block identities, so it holds whenever part (b) does.
-    ``algebra``, when given, is the endomorphism algebra of ``arcs`` in this
-    order, so that several sign choices can share one algebra and its caches.
-    The cone data and directions come from the matrix's sign graph, built for
-    ``arcs`` and ``apex`` (if given).  At most ``max_failures`` witnesses are reported,
-    in the order they are found.
+    The algebra, cone data and directions come from the matrix's sign graph,
+    built for ``arcs`` and ``apex`` (if given).  At most ``max_failures``
+    witnesses are reported, in the order they are found; ``pairs`` counts
+    the composable pairs of nonzero entries (j -> j2, j2 -> l) that part (b)
+    examined.
     """
     graph = _own_graph(m, arcs, apex)
-    if algebra is None:
-        algebra = EndoAlgebra.from_arcs(arcs, graph.n)
-    elif algebra.arcs != graph.arcs:
-        raise SignError("the algebra is not the one of these summands in this order")
-    failures = _phi_failures(m, window, algebra, graph)
-    return PhiReport(tuple(islice(failures, max_failures)))
+    examined = [0]  # incremented by part (b), which may be cut short
+    failures = tuple(islice(_phi_failures(m, window, graph, examined), max_failures))
+    return CheckReport(failures, examined[0])
 
 
 def _phi_failures(
-    m: SignedMatrix, window: int, algebra: EndoAlgebra, graph: SignGraph
+    m: SignedMatrix, window: int, graph: SignGraph, examined: list[int]
 ) -> Iterator[CheckFailure]:
     """The failures of ``verify_phi_homomorphism``, lazily and in order."""
     degrees = range(-window, window + 1)
@@ -407,6 +393,7 @@ def _phi_failures(
 
     # The nonzero entries with their directions, grouped by source, each
     # with the degrees of the window where it has a basis element.
+    algebra = graph.algebra
     size = algebra.size
     directions: dict[tuple[int, int], Direction] = {}
     by_source: list[list[tuple[int, Direction, list[int]]]] = [[] for _ in range(size)]
@@ -415,10 +402,7 @@ def _phi_failures(
             if algebra.entry(j, l).kind == RingKind.ZERO:
                 continue
             # The degree-0 basis element of a diagonal entry is the identity.
-            direction = Direction.FORWARD if j == l else graph.table.get((j, l))
-            if direction is None:
-                x, y = algebra.arcs[j], algebra.arcs[l]
-                raise HomError(f"no nonzero degree 0 morphism {x} -> {y}")
+            direction = Direction.FORWARD if j == l else graph.table[(j, l)]
             directions[(j, l)] = direction
             by_source[j].append((l, direction, [i for i in degrees if algebra.dim(j, l, i)]))
 
@@ -437,6 +421,7 @@ def _phi_failures(
             for l, dir2, live2 in by_source[j2]:
                 if not (live1 and live2):
                     continue
+                examined[0] += 1
                 # In a limit generator the marked endpoints of distinct
                 # summands sit in distinct segments, so whether a composite
                 # of basis elements survives does not depend on the degrees.

@@ -270,6 +270,8 @@ def test_bad_choice_rejected_before_any_check(capsys, which, choice):
         (["render", "--kind", "arc-diagram"], {"n": 2, "arcs": [[{"pt": None}, {"acc": 1}]]}),
         (["homtable", "--n", "2", "--source", "5"], None),
         (["homtable", "--n", "2", "--source", "[5, 6]"], None),
+        (["homtable", "--n", "2", "--source", '[{"acc":0},{"acc":1}]', "--window", "-2"], None),
+        (["homtable", "--n", "0", "--source", '[{"acc":0},{"acc":1}]'], None),
     ],
     ids=[
         "render-dissection-list",
@@ -280,6 +282,8 @@ def test_bad_choice_rejected_before_any_check(capsys, which, choice):
         "render-arcs-null-point",
         "homtable-arc-not-a-list",
         "homtable-point-not-an-object",
+        "homtable-negative-window",
+        "homtable-n-zero",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, payload):
@@ -357,6 +361,30 @@ def test_render_svg_structure(capsys, fan3_files):
     assert code == 0
     assert out.count("<line") == 5
     assert out.count('stroke="red"') == 3
+
+
+def test_render_dissection_refuses_dot(capsys, fan3_files):
+    diss, _ = fan3_files
+    code = main(["render", "--input", diss, "--kind", "dissection", "--format", "dot"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "dissections render to svg or tikz\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "--n", "0"], "n must be at least 1, got 0"),
+        (["verify", "all", "--n", "2", "--word-cap", "0"], "word_cap must be at least 1, got 0"),
+        (["verify", "bijection", "--n", "1", "--window", "1"], "window must be at least 2, got 1"),
+        (["verify", "bijection", "--n", "-3"], "n must be at least 1, got -3"),
+    ],
+)
+def test_config_errors_name_the_field(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == message + "\n"
 
 
 def test_render_unknown_kind(capsys, fan3_files):

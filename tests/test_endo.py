@@ -59,17 +59,23 @@ def test_fan3_dimension_counts():
 
 
 def test_classify_entry_errors():
+    # The algebra checks orbit disjointness once for all its summands.
     n = 3
     arcs = [Arc(n, acc(0, n), pt(2, 0, n)), Arc(n, acc(1, n), pt(2, 5, n))]
     with pytest.raises(EndoError, match="orbits overlap"):
-        classify_entry(arcs, 0, 1)
+        EndoAlgebra.from_arcs(arcs)
+    with pytest.raises(EndoError, match="orbits overlap"):
+        EndoAlgebra.from_arcs(arcs[::-1])
     with pytest.raises(EndoError, match="short"):
-        classify_entry([Arc(n, pt(0, 0, n), pt(0, 2, n))], 0, 0)
+        EndoAlgebra.from_arcs([Arc(n, pt(0, 0, n), pt(0, 2, n))])
     # A double limit arc is its own suspension orbit: listed twice, the
     # orbits overlap although no marked endpoint is shared.
     double = Arc(n, acc(0, n), acc(2, n))
     with pytest.raises(EndoError, match="orbits overlap"):
-        classify_entry([double, double], 0, 1)
+        EndoAlgebra.from_arcs([double, double])
+    # The overlap is refused wherever the pair sits in the list.
+    with pytest.raises(EndoError, match="orbits overlap"):
+        EndoAlgebra.from_arcs([arcs[0], double, arcs[1]])
 
 
 def test_crossing_double_limits_laurent_both_ways():

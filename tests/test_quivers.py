@@ -279,7 +279,7 @@ def piano_words(draw):
         s = draw(st.sampled_from(symbols))
         power = 1 if s[0] == "d" else draw(st.integers(1, 6))
         word += [s] * min(power, length - len(word))
-        at = p.symbol_ends(s)[1]
+        at = p.symbol_table[s][1]
     return p, tuple(word)
 
 
@@ -311,7 +311,7 @@ def test_compose_matches_exhaustive_rewriting(case):
     # order of the whole word lands; an empty piece is an identity.
     p, u, v = case
     whole = u + v
-    source, target = p.symbol_ends(whole[0])[0], p.symbol_ends(whole[-1])[1]
+    source, target = p.symbol_table[whole[0]][0], p.symbol_table[whole[-1]][1]
     product = compose(p, normal_form(p, u, base=source), normal_form(p, v, base=target))
     terminals = all_terminals(p, whole)
     assert product.is_zero == (terminals == {None})

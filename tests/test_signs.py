@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pianocat import signs
 from pianocat.endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
-from pianocat.geometry import Arc, BoundaryPoint as BP, suspend
+from pianocat.geometry import Arc, BoundaryPoint as BP
 from pianocat.homs import (
     Direction,
     HomError,
@@ -24,7 +24,6 @@ from pianocat.signs import (
     both_signed_matrices,
     check_beta_delta,
     cone_data,
-    degree_zero_table,
     order_for_cone_blocks,
     phi_block,
     sign_graph,
@@ -56,9 +55,14 @@ def ordered_generators(ns, n4_stride=7):
     return [order_for_cone_blocks(list(g)) for g in gens]
 
 
+def graph_of(arcs):
+    """The sign graph of the summands, over their algebra and piano in this order."""
+    return sign_graph(EndoAlgebra.from_arcs(arcs), piano_of_generator(arcs))
+
+
 def keyboard_edges(arcs):
     """The keyboard edges of the sign graph, each once as (low, high) with its direction."""
-    graph = sign_graph(arcs, piano_of_generator(arcs))
+    graph = graph_of(arcs)
     return {(v, w): d for v, nbrs in graph.adjacency.items() for w, d in nbrs if v < w}
 
 
@@ -137,7 +141,7 @@ def test_beta_delta_detects_backward_fan_morphism():
     # Between two fan summands the advance stops before the apex, so every
     # morphism there is forward; no generator with n <= 3 has a backward one.
     for arcs in ordered_generators((1, 2, 3), n4_stride=None):
-        graph = sign_graph(arcs, piano_of_generator(arcs))
+        graph = graph_of(arcs)
         fan_pairs = [d for (j, l), d in graph.table.items() if j >= graph.m and l >= graph.m]
         assert set(fan_pairs) <= {Direction.FORWARD}
     # Relabelling the worked example's fan morphism 5 -> 6 as backward.
@@ -166,9 +170,10 @@ def test_phi_blocks():
 
 def test_phi_homomorphism_worked_example_and_fans():
     arcs = worked_example_arcs()
-    algebra = EndoAlgebra.from_arcs(arcs)  # shared by both sign choices
-    for m in both_signed_matrices(arcs):
-        report = verify_phi_homomorphism(arcs, m, window=4, algebra=algebra)
+    m1, m2 = both_signed_matrices(arcs)
+    assert m1.graph.algebra is m2.graph.algebra  # shared by both sign choices
+    for m in (m1, m2):
+        report = verify_phi_homomorphism(arcs, m, window=4)
         assert report.passed, report.to_json()
     for n in (1, 2, 3):
         fan = fan_summands(n)
@@ -187,11 +192,12 @@ def test_phi_detects_sign_violation():
     assert not (r1.passed and r2.passed)
     witnesses = r1.failures + r2.failures
     assert witnesses and witnesses[0].witness
-    # A given algebra yields the same report; one of reordered summands is refused.
-    shared = verify_phi_homomorphism(arcs, corrupted, window=2, algebra=EndoAlgebra.from_arcs(arcs))
-    assert shared == r2
-    with pytest.raises(SignError, match="algebra"):
-        verify_phi_homomorphism(arcs, m, algebra=EndoAlgebra.from_arcs(arcs[::-1]))
+    # A graph over a freshly built algebra yields the same report; an
+    # algebra of reordered summands does not pair with this piano.
+    rebuilt = dataclasses.replace(corrupted, graph=graph_of(arcs))
+    assert verify_phi_homomorphism(arcs, rebuilt, window=2) == r2
+    with pytest.raises(SignError, match="piano"):
+        sign_graph(EndoAlgebra.from_arcs(arcs[::-1]), piano_of_generator(arcs))
 
 
 def test_all_small_generators_pass():
@@ -218,54 +224,60 @@ def test_both_signed_matrices_match_single_choices():
         ]
 
 
+def pairwise_table(arcs):
+    """Test oracle: the direction of every nonzero degree-0 morphism between
+    distinct summands, row-major, from hom_dim and morphism_direction."""
+    size = len(arcs)
+    return {
+        (j, l): morphism_direction(arcs[j], arcs[l], 0)
+        for j in range(size)
+        for l in range(size)
+        if j != l and hom_dim(arcs[j], arcs[l], 0) == 1
+    }
+
+
 def test_degree_zero_table_matches_pairwise_loop():
-    # The pairwise hom_dim / morphism_direction loop the table replaces.  On
-    # generators hom_dim between distinct summands does not depend on the
-    # degree, so a list sharing marked segments checks the desuspension.
-    n = 3
-    x, z = Arc(n, BP(0), BP(1, 0)), Arc(n, BP(2), BP(1, 0))
-    shared = [x, suspend(x, 1), suspend(x, 2), z, suspend(z, -1), Arc(n, BP(0, 0), BP(2, 0))]
-    for arcs in ordered_generators((1, 2, 3)) + [shared]:
-        size = len(arcs)
-        expected = {
-            (j, l): morphism_direction(arcs[j], arcs[l], 0)
-            for j in range(size)
-            for l in range(size)
-            if j != l and hom_dim(arcs[j], arcs[l], 0) == 1
-        }
-        assert list(degree_zero_table(arcs).items()) == list(expected.items())
+    # The table read off the algebra's nonzero off-diagonal entries against
+    # the pairwise hom_dim / morphism_direction loop, items and order.
+    for arcs in ordered_generators((1, 2, 3)):
+        assert list(graph_of(arcs).table.items()) == list(pairwise_table(arcs).items())
 
 
 def test_signed_matrices_carry_their_sign_graph():
     arcs = worked_example_arcs()
-    graph = sign_graph(arcs, piano_of_generator(arcs))
-    assert graph.arcs == tuple(arcs) and graph.apex == BP(3)
-    assert graph.table == degree_zero_table(arcs)
+    graph = graph_of(arcs)
+    assert graph.arcs == tuple(arcs) and graph.n == 4 and graph.apex == BP(3)
+    assert graph.algebra == EndoAlgebra.from_arcs(arcs)
     assert graph.cones == cone_data(arcs) and graph.m == 5
     m = signed_matrix(arcs, ("beta", 4))
     assert m.graph == graph
     # The graph is neither compared, printed nor serialised.
     fan = fan_summands(4)
-    other = dataclasses.replace(m, graph=sign_graph(fan, piano_of_generator(fan)))
+    other = dataclasses.replace(m, graph=graph_of(fan))
     assert m == other and repr(m) == repr(other)
     assert "graph" not in m.to_json()
 
 
-def test_keyboard_arrow_missing_from_table_is_refused(monkeypatch):
+def test_keyboard_arrow_missing_from_table_is_refused():
+    # An algebra whose entry for the keyboard arrow 1 -> 0 is zero.
     arcs = worked_example_arcs()
-    monkeypatch.setattr(signs, "degree_zero_table", lambda arcs, apex=None: {})
+    algebra = EndoAlgebra.from_arcs(arcs)
+    entries = [list(row) for row in algebra.entries]
+    entries[1][0] = dataclasses.replace(entries[1][0], kind=RingKind.ZERO)
+    hollow = dataclasses.replace(algebra, entries=tuple(map(tuple, entries)))
     with pytest.raises(HomError, match="no nonzero degree 0 morphism"):
-        sign_graph(arcs, piano_of_generator(arcs))
+        sign_graph(hollow, piano_of_generator(arcs))
 
 
 def test_sign_graph_refuses_a_piano_in_another_order():
     arcs = worked_example_arcs()
-    assert sign_graph(arcs, piano_of_generator(arcs)).arcs == tuple(arcs)
+    algebra = EndoAlgebra.from_arcs(arcs)
+    assert sign_graph(algebra, piano_of_generator(arcs)).arcs == tuple(arcs)
     swapped = arcs[:3] + [arcs[4], arcs[3]] + arcs[5:]
     with pytest.raises(SignError, match="piano"):
-        sign_graph(arcs, piano_of_generator(swapped))
+        sign_graph(algebra, piano_of_generator(swapped))
     with pytest.raises(SignError, match="piano"):
-        sign_graph(arcs, piano_of_generator(fan_summands(4)))
+        sign_graph(algebra, piano_of_generator(fan_summands(4)))
 
 
 def test_checks_read_the_table_of_their_own_graph(monkeypatch):
@@ -281,8 +293,9 @@ def test_checks_read_the_table_of_their_own_graph(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rebuilt for the summands of the graph")
 
-    for name in ("degree_zero_table", "cone_data", "morphism_direction"):
+    for name in ("cone_data", "morphism_direction"):
         monkeypatch.setattr(signs, name, refuse)
+    monkeypatch.setattr(EndoAlgebra, "from_arcs", staticmethod(refuse))
     for x, (beta_delta, phi) in zip(matrices, expected):
         assert check_beta_delta(x, arcs) == beta_delta
         assert verify_phi_homomorphism(arcs, x, window=2) == phi
@@ -327,6 +340,26 @@ def test_beta_delta_counts_checked_pairs():
         for m in both_signed_matrices(arcs):
             report = check_beta_delta(m, arcs)
             assert report.pairs == expected > 0
+            assert "pairs" not in report.to_json()
+
+
+def test_phi_counts_examined_pairs():
+    # The count of composable pairs of nonzero entries (j -> j2, j2 -> l)
+    # against an independent source: per middle summand, the nonzero
+    # entries into it times the nonzero entries out of it.
+    for arcs in ordered_generators((2, 3), n4_stride=None):
+        algebra = EndoAlgebra.from_arcs(arcs)
+        size = len(arcs)
+        nonzero = [
+            [algebra.entry(j, l).kind != RingKind.ZERO for l in range(size)] for j in range(size)
+        ]
+        expected = sum(
+            sum(nonzero[j][k] for j in range(size)) * sum(nonzero[k][l] for l in range(size))
+            for k in range(size)
+        )
+        for m in both_signed_matrices(arcs):
+            report = verify_phi_homomorphism(arcs, m, window=2)
+            assert report.passed and report.pairs == expected > 0
             assert "pairs" not in report.to_json()
 
 
@@ -453,7 +486,8 @@ def test_each_phi_identity_has_a_negative_control():
     entries = [list(row) for row in algebra.entries]
     entries[1][3] = dataclasses.replace(entries[1][3], kind=RingKind.ZERO)
     hollow = dataclasses.replace(algebra, entries=tuple(map(tuple, entries)))
-    report = verify_phi_homomorphism(arcs, m, window=2, algebra=hollow)
+    over_hollow = dataclasses.replace(m, graph=sign_graph(hollow, piano_of_generator(arcs)))
+    report = verify_phi_homomorphism(arcs, over_hollow, window=2)
     assert first_identity(report) == "closure"
 
     def with_table(m, changes):
