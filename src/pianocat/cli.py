@@ -23,6 +23,8 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+# The shell's status for a writer killed by SIGPIPE (128 + 13).
+EXIT_PIPE = 141
 
 # Word growth makes confluence exploration impractical beyond this size and
 # this word length.
@@ -303,6 +305,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if not record["passed"]:
                 all_passed = False
             _emit(record)
+    except BrokenPipeError:
+        raise  # the reader left; ``main`` handles it
     except Exception:
         # Bad input was refused above, so a check that raises is a defect.
         traceback.print_exc()
@@ -420,6 +424,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  That is no
+        # counterexample, so not exit 1; what is still buffered, and the
+        # flush at exit, go to the null device instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE

@@ -5,34 +5,37 @@ Entries are one of four graded rings determined by arc geometry: polynomial
 everywhere), the long-arc ring (one dimension everywhere except degree one),
 or zero.  Products of distinguished basis elements have coefficients in
 {0, 1}, computed from the factorisation calculus on arcs.  An
-``EndoAlgebra`` caches its suspended summands, and the Hom dimension and
-endpoint alignment of each (source, target, degree), so a product only
-tests where its middle arc sits.
+``EndoAlgebra`` caches its suspended summands and, for each (source,
+target, degree), one ``ProductTarget`` record: None when the Hom space is
+zero, otherwise the suspended target, whether it is the source summand and
+the endpoint alignment.  A product then only tests where its middle arc
+sits, and the point keys of ``geometry`` are computed once per point.
 
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
-algebra product by product.  It visits only pairs of nonzero classes, so
-it skips the operand checks of ``chi_multiply`` and applies the product
-rule (``_chi_product``) directly, and it decides each path product with the
-junction lookup ``quivers.product_is_zero`` instead of building the
-product's normal form.
+algebra product by product.  It builds one record per nonzero class (its
+degree, whether its normal form is zero, the first and last arrow of that
+form, its middle arc and whether that arc is the source summand), decides
+each path product at the junction from two such records, the way
+``quivers.product_is_zero`` does, and applies the product rule
+(``_chi_product``) to the cached target record without the operand checks
+of ``chi_multiply``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .dissections import chord_of_arc, dissection_from_generator
 from .geometry import Arc, ArcKind, suspend
 from .homs import ext1_dim, hom_alignment, hom_dim, within_alignment
 from .quivers import (
-    PathNormalForm,
     PianoQuiver,
     canonical_word,
     graded_dim,
     normal_form,
     piano_from_extended,
-    product_is_zero,
 )
 
 
@@ -84,6 +87,19 @@ def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
     return GradedEntry(RingKind.LAURENT if ext1_dim(x, arcs[j]) else RingKind.ZERO)
 
 
+class ProductTarget(NamedTuple):
+    """Where a nonzero Hom from summand i to a suspended summand l lands.
+
+    ``z`` is summand l suspended by the degree.  ``aligned`` is the endpoint
+    alignment of summand i with ``z`` (``homs.hom_alignment``); it is None,
+    and never read, when ``z_is_source``.
+    """
+
+    z: Arc
+    z_is_source: bool
+    aligned: tuple | None
+
+
 def _marked_segments(x: Arc) -> set[int]:
     """Segments swept by the suspension orbit of x: those of its marked endpoints."""
     return {p.seg for p in x.endpoints() if p.is_marked}
@@ -96,16 +112,13 @@ class EndoAlgebra:
     n: int
     arcs: tuple[Arc, ...]
     entries: tuple[tuple[GradedEntry, ...], ...]
-    # Filled lazily by ``suspended``, ``summand_hom_dim`` and
-    # ``summand_alignment``, so each suspended summand is built and validated
-    # once per algebra, and each Hom dimension and alignment found once.
+    # Filled lazily by ``suspended`` and ``product_target``, so each
+    # suspended summand is built and validated once per algebra, and each
+    # target record found once.
     _suspensions: dict[tuple[int, int], Arc] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _hom_dims: dict[tuple[int, int, int], int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _alignments: dict[tuple[int, int, int], tuple | None] = field(
+    _targets: dict[tuple[int, int, int], ProductTarget | None] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -149,20 +162,27 @@ class EndoAlgebra:
             x = self._suspensions[key] = suspend(self.arcs[k], shift)
         return x
 
-    def summand_hom_dim(self, i: int, l: int, degree: int) -> int:
-        """``hom_dim`` from summand i to summand l in the given degree."""
-        key = (i, l, degree)
-        d = self._hom_dims.get(key)
-        if d is None:
-            d = self._hom_dims[key] = hom_dim(self.arcs[i], self.arcs[l], degree)
-        return d
+    def product_target(self, i: int, l: int, degree: int) -> ProductTarget | None:
+        """The record of products from summand i to summand l in the given degree.
 
-    def summand_alignment(self, i: int, l: int, degree: int) -> tuple | None:
-        """``hom_alignment`` from summand i to the ``degree``-fold suspension of summand l."""
+        None when ``hom_dim`` is zero there.  Suspension orbits of distinct
+        summands are disjoint (``from_arcs``), so the suspended target can
+        be the source summand only when ``l == i``.
+        """
         key = (i, l, degree)
-        if key not in self._alignments:
-            self._alignments[key] = hom_alignment(self.arcs[i], self.suspended(l, degree))
-        return self._alignments[key]
+        if key in self._targets:
+            return self._targets[key]
+        x = self.arcs[i]
+        if hom_dim(x, self.arcs[l], degree) == 0:
+            target = None
+        else:
+            z = self.suspended(l, degree)
+            if l == i and z == x:
+                target = ProductTarget(z, True, None)
+            else:
+                target = ProductTarget(z, False, hom_alignment(x, z))
+        self._targets[key] = target
+        return target
 
     def dims_matrix(self, degree: int) -> list[list[int]]:
         return [[self.dim(i, j, degree) for j in range(self.size)] for i in range(self.size)]
@@ -202,28 +222,31 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
         raise EndoError("entries do not compose")
     if a.dim(i, j1, p) == 0 or a.dim(j1, l, q) == 0:
         raise EndoError("zero operand")
-    return _chi_product(a, i, a.suspended(j1, p), l, p + q)
+    w = a.suspended(j1, p)
+    return _chi_product(a.product_target(i, l, p + q), w, j1 == i and w == a.arcs[i], j1 == l)
 
 
-def _chi_product(a: EndoAlgebra, i: int, w: Arc, l: int, degree: int) -> int:
+def _chi_product(
+    target: ProductTarget | None, w: Arc, w_is_source: bool, w_in_target_orbit: bool
+) -> int:
     """The product rule of ``chi_multiply``, without its operand checks.
 
     Decides the composite x -> w -> z, where x is summand i, w the middle
     summand shifted by the first factor's degree, and z summand l shifted
-    by the total ``degree``.  The Hom dimension and the alignment of x -> z
-    depend only on (i, l, degree) and come from the algebra's caches.
+    by the total degree; ``target`` is the algebra's record for
+    (i, l, degree).  ``w_is_source`` says whether w is x, and
+    ``w_in_target_orbit`` whether the middle summand is summand l, the
+    only case in which w can be z, so only then are w and z compared.
     """
-    if a.summand_hom_dim(i, l, degree) == 0:
+    if target is None:
         return 0
-    x = a.arcs[i]
-    z = a.suspended(l, degree)
-    if z == x:
+    z, z_is_source, aligned = target
+    if z_is_source:
         # A round trip in total degree zero splits off the middle object,
         # so it vanishes unless the middle is the object itself.
-        return 1 if w == x else 0
-    if w == x or w == z:
+        return 1 if w_is_source else 0
+    if w_is_source or (w_in_target_orbit and w == z):
         return 1
-    aligned = a.summand_alignment(i, l, degree)
     return 1 if aligned is not None and within_alignment(w, aligned) else 0
 
 
@@ -266,6 +289,20 @@ def piano_of_generator(arcs: list[Arc], n: int | None = None) -> PianoQuiver:
     return piano_from_extended(d, vertex_order=[chord_of_arc(x) for x in arcs])
 
 
+def _class_record(
+    p: PianoQuiver, algebra: EndoAlgebra, a: int, b: int, m: int
+) -> tuple[int, bool, int | None, int | None, Arc, bool]:
+    """What the products of a nonzero class from a to b in degree m read.
+
+    Its degree; whether the normal form of its canonical word is zero, and
+    that form's first and last arrow; the suspended summand w it ends at;
+    and whether w is summand a, which it can be only when ``b == a``.
+    """
+    form = normal_form(p, canonical_word(p, a, b, m), base=a)
+    w = algebra.suspended(b, m)
+    return (m, form.is_zero, form.first_arrow, form.last_arrow, w, b == a and w == algebra.arcs[a])
+
+
 def verify_path_algebra_iso(
     arcs: list[Arc],
     n: int | None = None,
@@ -283,9 +320,10 @@ def verify_path_algebra_iso(
     order, so that other checks can share them.
 
     Both factors of every pair are nonzero classes, so a path product is
-    decided by the junction lookup ``quivers.product_is_zero`` without
-    building its normal form, and a matrix product by ``_chi_product``
-    without the operand checks of ``chi_multiply``.
+    decided at the junction from the two class records, as
+    ``quivers.product_is_zero`` decides it, without building its normal
+    form, and a matrix product by ``_chi_product`` on the algebra's target
+    record, without the operand checks of ``chi_multiply``.
     """
     items = list(arcs)
     if n is None:
@@ -314,39 +352,45 @@ def verify_path_algebra_iso(
                     if len(mismatches) >= max_mismatches:
                         return IsoReport(tuple(mismatches))
 
-    degrees = range(-window, window + 1)
-    # Every class nonzero on both sides, with the normal form of its
-    # canonical word and the suspended summand it ends at.
-    classes: dict[tuple[int, int], list[tuple[int, PathNormalForm, Arc]]] = {
+    classes = {
         (a, b): [
-            (m, normal_form(p, canonical_word(p, a, b, m), base=a), algebra.suspended(b, m))
-            for m in degrees
+            _class_record(p, algebra, a, b, m)
+            for m in range(-window, window + 1)
             if algebra.dim(a, b, m) == 1 and graded_dim(p, a, b, m) == 1
         ]
         for a in range(size)
         for b in range(size)
     }
+    relations = p.relations
     totals = range(-2 * window, 2 * window + 1)
     products = 0
     for a in range(size):
-        # The degrees of the nonzero path classes from a to each c.
+        # For each c, the degrees of the nonzero path classes from a to c,
+        # and the algebra's target records from a to c, filled as totals occur.
         on_piano = [{t for t in totals if graded_dim(p, a, c, t)} for c in range(size)]
+        targets: list[dict[int, ProductTarget | None]] = [{} for _ in range(size)]
         for b in range(size):
             lefts = classes[(a, b)]
             for c in range(size):
                 rights = classes[(b, c)]
-                for m, left, w in lefts:
-                    for m2, right, _ in rights:
+                on_c, row, w_in_target_orbit = on_piano[c], targets[c], b == c
+                for m, left_zero, _, last, w, w_is_source in lefts:
+                    for m2, right_zero, first, _, _, _ in rights:
                         products += 1
-                        path_nonzero = not product_is_zero(p, left, right)
-                        if path_nonzero and m + m2 not in on_piano[c]:
+                        total = m + m2
+                        path_nonzero = not (left_zero or right_zero or (last, first) in relations)
+                        if path_nonzero and total not in on_c:
                             mismatches.append(
                                 IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1)
                             )
                             if len(mismatches) >= max_mismatches:
                                 return IsoReport(tuple(mismatches), products)
-                        chi = _chi_product(algebra, a, w, c, m + m2)
-                        if int(path_nonzero) != chi:
+                        if total in row:
+                            target = row[total]
+                        else:
+                            target = row[total] = algebra.product_target(a, c, total)
+                        chi = _chi_product(target, w, w_is_source, w_in_target_orbit)
+                        if path_nonzero != chi:
                             mismatches.append(
                                 IsoMismatch(
                                     "multiplication",

@@ -4,13 +4,14 @@ The boundary carries n accumulation points Acc(0..n-1) in anticlockwise
 order; between Acc(i) and Acc(i+1) sits a copy of the integers, the marked
 points Pt(i, p).  All predicates are exact (no floating point): points are
 compared through a lexicographic key that linearises one full anticlockwise
-turn starting at Acc(0).
+turn starting at Acc(0).  Each point computes its key once, at construction,
+and the order predicates compare the stored keys.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -37,10 +38,15 @@ class BoundaryPoint:
 
     seg: int
     pos: int | None = None
+    # ``key()``, stored; the key is injective, so equal keys mean equal points.
+    _key: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.seg < 0:
             raise GeometryError(f"segment index must be reduced mod n, got {self.seg}")
+        # Linear order of one anticlockwise turn starting at Acc(0).
+        key = (self.seg, 0, 0) if self.pos is None else (self.seg, 1, self.pos)
+        object.__setattr__(self, "_key", key)
 
     @property
     def is_accumulation(self) -> bool:
@@ -51,20 +57,7 @@ class BoundaryPoint:
         return self.pos is not None
 
     def key(self) -> tuple[int, int, int]:
-        # Linear order of one anticlockwise turn starting at Acc(0).
-        if self.pos is None:
-            return (self.seg, 0, 0)
-        return (self.seg, 1, self.pos)
-
-    def successor(self) -> "BoundaryPoint":
-        if self.pos is None:
-            return self
-        return BoundaryPoint(self.seg, self.pos + 1)
-
-    def predecessor(self) -> "BoundaryPoint":
-        if self.pos is None:
-            return self
-        return BoundaryPoint(self.seg, self.pos - 1)
+        return self._key
 
     def shifted(self, k: int) -> "BoundaryPoint":
         """Apply the suspension k times: marked points move p -> p - k."""
@@ -111,28 +104,28 @@ def pt(i: int, p: int, n: int) -> BoundaryPoint:
 
 def cyclic_less(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> bool:
     """True iff travelling anticlockwise from x reaches y strictly before z."""
-    if x == y or y == z or x == z:
+    kx, ky, kz = x._key, y._key, z._key
+    if kx == ky or ky == kz or kx == kz:
         raise GeometryError("degenerate triple")
-    kx, ky, kz = x.key(), y.key(), z.key()
     return (kx < ky < kz) or (ky < kz < kx) or (kz < kx < ky)
 
 
 def in_open_interval(p: BoundaryPoint, start: BoundaryPoint, end: BoundaryPoint) -> bool:
     """Membership in the open anticlockwise interval (start, end)."""
-    if p == start or p == end:
+    kp, ks, ke = p._key, start._key, end._key
+    if kp == ks or kp == ke or ks == ke:
         return False
-    if start == end:
-        return False
-    return cyclic_less(start, p, end)
+    return (ks < kp < ke) or (kp < ke < ks) or (ke < ks < kp)
 
 
 def in_closed_interval(p: BoundaryPoint, start: BoundaryPoint, end: BoundaryPoint) -> bool:
     """Membership in the closed anticlockwise interval [start, end]."""
-    if p == start or p == end:
+    kp, ks, ke = p._key, start._key, end._key
+    if kp == ks or kp == ke:
         return True
-    if start == end:
+    if ks == ke:
         return False
-    return cyclic_less(start, p, end)
+    return (ks < kp < ke) or (kp < ke < ks) or (ke < ks < kp)
 
 
 @dataclass(frozen=True)
@@ -153,12 +146,13 @@ class Arc:
         for e in (self.a, self.b):
             if e.seg >= self.n:
                 raise GeometryError(f"endpoint {e} outside 0..{self.n - 1}")
-        if self.a == self.b:
+        a, b = self.a, self.b
+        if a._key == b._key:
             raise GeometryError("arc endpoints must be distinct")
-        if self.b in (self.a.predecessor(), self.a.successor()):
-            raise GeometryError(f"arc endpoints {self.a},{self.b} are neighbours")
-        if self.a.key() > self.b.key():
-            a, b = self.a, self.b
+        # Only marked points at adjacent positions of one segment are neighbours.
+        if a.seg == b.seg and a.pos is not None and b.pos is not None and abs(a.pos - b.pos) == 1:
+            raise GeometryError(f"arc endpoints {a},{b} are neighbours")
+        if a._key > b._key:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
 
@@ -194,7 +188,7 @@ class Arc:
         return None
 
     def sort_key(self) -> tuple:
-        return (self.a.key(), self.b.key())
+        return (self.a._key, self.b._key)
 
     def to_json(self) -> list:
         return [self.a.to_json(), self.b.to_json()]
@@ -221,9 +215,13 @@ def cross(x: Arc, y: Arc) -> bool:
     """
     if x.n != y.n:
         raise GeometryError("arcs live on circles with different n")
-    if x.contains(y.a) or x.contains(y.b):
+    xa, xb, ya, yb = x.a._key, x.b._key, y.a._key, y.b._key
+    if ya == xa or ya == xb or yb == xa or yb == xb:
         return False
-    return in_open_interval(y.a, x.a, x.b) != in_open_interval(y.b, x.a, x.b)
+    # The endpoints of an arc differ, so each open-interval test is a cyclic order.
+    return ((xa < ya < xb) or (ya < xb < xa) or (xb < xa < ya)) != (
+        (xa < yb < xb) or (yb < xb < xa) or (xb < xa < yb)
+    )
 
 
 def coarse_position(p: BoundaryPoint) -> int:

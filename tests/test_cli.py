@@ -424,3 +424,68 @@ def test_window_env_sets_default(capsys, monkeypatch):
     code, out = run(capsys, "homtable", "--n", "2", "--source", source, "--target", source)
     assert code == 0
     assert sorted(json.loads(out)["dims"], key=int) == [str(i) for i in range(-3, 4)]
+
+
+def test_reader_closing_stdout_early_exits_141_quietly():
+    # ``piano-cat enumerate --n 4 | head -1``: the output (about 90 kB) is
+    # larger than a pipe holds, so the writer meets the closed pipe.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from pianocat import cli; sys.exit(cli.main())",
+         "enumerate", "--n", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+    assert "arcs" in json.loads(first)
+
+
+FAKE_RUN = """\
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+if seed == 99:
+    sys.exit(2)
+print(json.dumps({"env": {"src_sha256": %r}}))
+wall = seed * %d
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"wall_s": {"value": wall, "unit": "s"}}}))
+"""
+
+
+def test_bench_record_alternates_checkouts_and_summarises(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    for name, scale in (("old", 10), ("new", 1)):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(FAKE_RUN % (name, scale))
+    script = root / "scripts" / "bench_record.py"
+    out = tmp_path / "BENCH_t.json"
+    argv = [sys.executable, str(script), "--label", "t", "--workload", "w",
+            "--checkout", f"old={tmp_path / 'old'}", "--checkout", f"new={tmp_path / 'new'}"]
+    result = subprocess.run(
+        argv + ["--seeds", "1-3"], capture_output=True, text=True, timeout=120, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    record = json.loads(out.read_text())
+    out.unlink()
+    assert record["checkouts"]["old"]["env"] == {"src_sha256": "old"}
+    runs = record["workloads"]["w"]["runs"]
+    # Which checkout runs first alternates from seed to seed.
+    assert [(r["seed"], r["checkout"]) for r in runs if r["order"] == 0] == [
+        (1, "old"), (2, "new"), (3, "old")
+    ]
+    summary = record["workloads"]["w"]["summary"]
+    assert summary["old"]["wall_s"] == {"median": 20, "q1": 15, "q3": 25}
+    assert summary["new"]["wall_s"]["median"] == 2
+    failed = subprocess.run(
+        argv + ["--seeds", "99"], capture_output=True, text=True, timeout=120, cwd=tmp_path
+    )
+    assert failed.returncode == 2 and not out.exists()

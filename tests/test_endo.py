@@ -175,7 +175,7 @@ def test_verify_path_algebra_iso_shares_a_given_algebra():
         shared = EndoAlgebra.from_arcs(arcs, 3)
         assert verify_path_algebra_iso(arcs, 3, window=3, algebra=shared) == report
         # The caches of the check's products do not outlive it.
-        assert not (shared._suspensions or shared._hom_dims or shared._alignments)
+        assert not (shared._suspensions or shared._targets)
         with pytest.raises(EndoError, match="algebra"):
             verify_path_algebra_iso(arcs, 3, window=3, algebra=EndoAlgebra.from_arcs(arcs[::-1]))
 

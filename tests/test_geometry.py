@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from pianocat.geometry import (
     cross,
     crosses_under_some_shift,
     cyclic_less,
+    in_closed_interval,
+    in_open_interval,
     orbit_segments,
     pt,
     rotate_arc,
@@ -50,10 +54,83 @@ def test_arc_neighbour_endpoints_rejected():
     n = 2
     with pytest.raises(GeometryError):
         Arc(n, pt(0, 0, n), pt(0, 1, n))
+    for a, b in ((pt(0, 1, n), pt(0, 2, n)), (pt(0, 2, n), pt(0, 1, n))):
+        with pytest.raises(GeometryError, match="neighbours"):
+            Arc(n, a, b)
     with pytest.raises(GeometryError):
         Arc(n, acc(0, n), acc(0, n))
-    # An accumulation point and any marked point are never neighbours.
+    # An accumulation point and any marked point are never neighbours, nor
+    # are adjacent positions on different segments.
     Arc(n, acc(0, n), pt(0, 0, n))
+    assert Arc(n, acc(0, n), pt(0, 1, n)).kind == ArcKind.LIMIT
+    assert Arc(n, pt(0, 1, n), pt(1, 2, n)).kind == ArcKind.LONG
+
+
+# Reference predicates as they were before points stored their keys: they
+# compare points, rebuild each key, and build the neighbours of an endpoint.
+def _ref_key(p):
+    return (p.seg, 0, 0) if p.pos is None else (p.seg, 1, p.pos)
+
+
+def _ref_cyclic_less(x, y, z):
+    if x == y or y == z or x == z:
+        raise GeometryError("degenerate triple")
+    kx, ky, kz = _ref_key(x), _ref_key(y), _ref_key(z)
+    return (kx < ky < kz) or (ky < kz < kx) or (kz < kx < ky)
+
+
+def _ref_in_open_interval(p, start, end):
+    if p == start or p == end or start == end:
+        return False
+    return _ref_cyclic_less(start, p, end)
+
+
+def _ref_in_closed_interval(p, start, end):
+    if p == start or p == end:
+        return True
+    if start == end:
+        return False
+    return _ref_cyclic_less(start, p, end)
+
+
+def _ref_is_arc(a, b):
+    if a == b:
+        return False
+    if a.pos is None:
+        return True
+    return b not in (BoundaryPoint(a.seg, a.pos - 1), BoundaryPoint(a.seg, a.pos + 1))
+
+
+def _ref_cross(x, y):
+    if y.a in (x.a, x.b) or y.b in (x.a, x.b):
+        return False
+    return _ref_in_open_interval(y.a, x.a, x.b) != _ref_in_open_interval(y.b, x.a, x.b)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except GeometryError as exc:
+        return ("raises", str(exc))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_key_predicates_match_point_equality_reference(n):
+    points = [acc(i, n) for i in range(n)] + [pt(i, p, n) for i in range(n) for p in range(-3, 4)]
+    for x, y, z in itertools.product(points, repeat=3):
+        assert _outcome(cyclic_less, x, y, z) == _outcome(_ref_cyclic_less, x, y, z), (x, y, z)
+        assert in_open_interval(x, y, z) == _ref_in_open_interval(x, y, z), (x, y, z)
+        assert in_closed_interval(x, y, z) == _ref_in_closed_interval(x, y, z), (x, y, z)
+    arcs = []
+    for a, b in itertools.product(points, repeat=2):
+        built = _outcome(Arc, n, a, b)
+        assert isinstance(built, Arc) == _ref_is_arc(a, b), (a, b)
+        if isinstance(built, Arc):
+            assert _ref_key(built.a) < _ref_key(built.b)
+            if built.a == a:
+                arcs.append(built)
+    for x, y in itertools.product(arcs, repeat=2):
+        assert cross(x, y) == _ref_cross(x, y), (x, y)
 
 
 def test_cross_examples():
