@@ -12,9 +12,9 @@ Example, ten alternating pairs of a parent and a change on one workload:
 For every workload and seed, ``perfbench/run.py --trace 0`` runs once in
 each checkout, from that checkout's root, so each measures its own
 ``src/``.  The checkout that runs first rotates from seed to seed, so two
-checkouts alternate.  The file holds, per checkout, its commit and the
-environment of its first run's detail line (which includes the SHA-256 of
-its sources), and, per workload, every run's end-to-end metrics and the
+checkouts alternate.  The file holds, per checkout, the environment of its
+first run's detail line (its commit and the SHA-256 of its sources among
+them), and, per workload, every run's end-to-end metrics and the
 median and quartiles of each metric per checkout.  A run that could not be
 made stops the recording with exit 2.
 """
@@ -36,13 +36,6 @@ def parse_seeds(text: str) -> list[int]:
         low, _, high = part.partition("-")
         seeds.extend(range(int(low), int(high or low) + 1))
     return seeds
-
-
-def commit_of(path: Path) -> str | None:
-    result = subprocess.run(
-        ["git", "-C", str(path), "rev-parse", "HEAD"], capture_output=True, text=True
-    )
-    return result.stdout.strip() if result.returncode == 0 else None
 
 
 def run_once(path: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -85,7 +78,7 @@ def main() -> int:
             parser.error(f"--checkout wants NAME=PATH of a checkout with perfbench/, got {item!r}")
         checkouts[name] = Path(path).resolve()
 
-    sides = {name: {"commit": commit_of(path), "env": None} for name, path in checkouts.items()}
+    sides = {name: {"env": None} for name in checkouts}
     workloads = {}
     names = list(checkouts)
     try:
