@@ -11,12 +11,13 @@ Example, ten alternating pairs of a parent and a change on one workload:
 
 For every workload and seed, ``perfbench/run.py --trace 0`` runs once in
 each checkout, from that checkout's root, so each measures its own
-``src/``.  The checkout that runs first rotates from seed to seed, so two
-checkouts alternate.  The file holds, per checkout, the environment of its
-first run's detail line (its commit and the SHA-256 of its sources among
-them), and, per workload, every run's end-to-end metrics and the
-median and quartiles of each metric per checkout.  A run that could not be
-made stops the recording with exit 2.
+``src/``, for the ``run_seconds`` of that checkout's ``BENCHMARK.json``.
+The checkout that runs first rotates from seed to seed, so two checkouts
+alternate.  The file holds, per checkout, its run length and the
+environment of its first run's detail line (its commit and the SHA-256 of
+its sources among them), and, per workload, every run's end-to-end metrics
+and the median and quartiles of each metric per checkout.  A run that
+could not be made stops the recording with exit 2.
 """
 
 import argparse
@@ -27,6 +28,7 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 300
+CHECKOUT_FILES = ("perfbench/run.py", "BENCHMARK.json")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -36,6 +38,11 @@ def parse_seeds(text: str) -> list[int]:
         low, _, high = part.partition("-")
         seeds.extend(range(int(low), int(high or low) + 1))
     return seeds
+
+
+def run_seconds(path: Path) -> int:
+    """The run length the benchmark of a checkout sets."""
+    return json.loads((path / "BENCHMARK.json").read_text())["run_seconds"]
 
 
 def run_once(path: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
@@ -65,7 +72,6 @@ def main() -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument(
         "--checkout", action="append", required=True, metavar="NAME=PATH",
         help="a checkout to measure; repeat for each side",
@@ -74,11 +80,16 @@ def main() -> int:
     checkouts = {}
     for item in args.checkout:
         name, sep, path = item.partition("=")
-        if not sep or not (Path(path) / "perfbench" / "run.py").is_file():
-            parser.error(f"--checkout wants NAME=PATH of a checkout with perfbench/, got {item!r}")
+        if not sep or not all((Path(path) / f).is_file() for f in CHECKOUT_FILES):
+            parser.error(
+                f"--checkout wants NAME=PATH of a checkout with {' and '.join(CHECKOUT_FILES)}, "
+                f"got {item!r}"
+            )
         checkouts[name] = Path(path).resolve()
 
-    sides = {name: {"env": None} for name in checkouts}
+    sides = {
+        name: {"env": None, "run_seconds": run_seconds(path)} for name, path in checkouts.items()
+    }
     workloads = {}
     names = list(checkouts)
     try:
@@ -86,7 +97,9 @@ def main() -> int:
             runs = []
             for k, seed in enumerate(args.seeds):
                 for order, name in enumerate(names[k % len(names):] + names[: k % len(names)]):
-                    detail, result = run_once(checkouts[name], workload, seed, args.seconds)
+                    detail, result = run_once(
+                        checkouts[name], workload, seed, sides[name]["run_seconds"]
+                    )
                     if sides[name]["env"] is None:
                         sides[name]["env"] = detail["env"]
                     runs.append({
@@ -116,7 +129,7 @@ def main() -> int:
 
     record = {
         "label": args.label,
-        "command": f"perfbench/run.py --seconds {args.seconds} --trace 0",
+        "command": "perfbench/run.py --seconds <run_seconds> --trace 0",
         "checkouts": sides,
         "workloads": workloads,
     }

@@ -13,12 +13,11 @@ sits, and the point keys of ``geometry`` are computed once per point.
 
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
 algebra product by product.  It builds one record per nonzero class (its
-degree, whether its normal form is zero, the first and last arrow of that
-form, its middle arc and whether that arc is the source summand), decides
-each path product at the junction from two such records, the way
-``quivers.product_is_zero`` does, and applies the product rule
-(``_chi_product``) to the cached target record without the operand checks
-of ``chi_multiply``.
+degree, the normal form of its canonical word, its middle arc and whether
+that arc is the source summand), decides each path product from two such
+forms with ``quivers.product_is_zero``, and applies the product rule
+(``_chi_product``) to the algebra's cached target record without the
+operand checks of ``chi_multiply``.
 """
 
 from __future__ import annotations
@@ -31,11 +30,13 @@ from .dissections import chord_of_arc, dissection_from_generator
 from .geometry import Arc, ArcKind, suspend
 from .homs import ext1_dim, hom_alignment, hom_dim, within_alignment
 from .quivers import (
+    PathNormalForm,
     PianoQuiver,
     canonical_word,
     graded_dim,
     normal_form,
     piano_from_extended,
+    product_is_zero,
 )
 
 
@@ -170,8 +171,10 @@ class EndoAlgebra:
         be the source summand only when ``l == i``.
         """
         key = (i, l, degree)
-        if key in self._targets:
+        try:
             return self._targets[key]
+        except KeyError:
+            pass
         x = self.arcs[i]
         if hom_dim(x, self.arcs[l], degree) == 0:
             target = None
@@ -222,8 +225,18 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
         raise EndoError("entries do not compose")
     if a.dim(i, j1, p) == 0 or a.dim(j1, l, q) == 0:
         raise EndoError("zero operand")
-    w = a.suspended(j1, p)
-    return _chi_product(a.product_target(i, l, p + q), w, j1 == i and w == a.arcs[i], j1 == l)
+    w, w_is_source = _middle(a, i, j1, p)
+    return _chi_product(a.product_target(i, l, p + q), w, w_is_source, j1 == l)
+
+
+def _middle(a: EndoAlgebra, i: int, j: int, p: int) -> tuple[Arc, bool]:
+    """The middle object w of a product whose first factor is (i, j, p).
+
+    w is summand j suspended by p; the flag says whether w is summand i,
+    which it can be only when ``j == i``, since orbits are disjoint.
+    """
+    w = a.suspended(j, p)
+    return w, j == i and w == a.arcs[i]
 
 
 def _chi_product(
@@ -291,16 +304,14 @@ def piano_of_generator(arcs: list[Arc], n: int | None = None) -> PianoQuiver:
 
 def _class_record(
     p: PianoQuiver, algebra: EndoAlgebra, a: int, b: int, m: int
-) -> tuple[int, bool, int | None, int | None, Arc, bool]:
+) -> tuple[int, PathNormalForm, Arc, bool]:
     """What the products of a nonzero class from a to b in degree m read.
 
-    Its degree; whether the normal form of its canonical word is zero, and
-    that form's first and last arrow; the suspended summand w it ends at;
-    and whether w is summand a, which it can be only when ``b == a``.
+    Its degree, the normal form of its canonical word, and the middle
+    object (``_middle``) of the products it is the first factor of.
     """
     form = normal_form(p, canonical_word(p, a, b, m), base=a)
-    w = algebra.suspended(b, m)
-    return (m, form.is_zero, form.first_arrow, form.last_arrow, w, b == a and w == algebra.arcs[a])
+    return (m, form, *_middle(algebra, a, b, m))
 
 
 def verify_path_algebra_iso(
@@ -320,10 +331,10 @@ def verify_path_algebra_iso(
     order, so that other checks can share them.
 
     Both factors of every pair are nonzero classes, so a path product is
-    decided at the junction from the two class records, as
-    ``quivers.product_is_zero`` decides it, without building its normal
-    form, and a matrix product by ``_chi_product`` on the algebra's target
-    record, without the operand checks of ``chi_multiply``.
+    decided at the junction by ``quivers.product_is_zero`` on the two class
+    forms, without building its normal form, and a matrix product by
+    ``_chi_product`` on the algebra's target record, without the operand
+    checks of ``chi_multiply``.
     """
     items = list(arcs)
     if n is None:
@@ -361,35 +372,30 @@ def verify_path_algebra_iso(
         for a in range(size)
         for b in range(size)
     }
-    relations = p.relations
     totals = range(-2 * window, 2 * window + 1)
     products = 0
     for a in range(size):
-        # For each c, the degrees of the nonzero path classes from a to c,
-        # and the algebra's target records from a to c, filled as totals occur.
+        # For each c, the degrees of the nonzero path classes from a to c.
         on_piano = [{t for t in totals if graded_dim(p, a, c, t)} for c in range(size)]
-        targets: list[dict[int, ProductTarget | None]] = [{} for _ in range(size)]
         for b in range(size):
             lefts = classes[(a, b)]
             for c in range(size):
                 rights = classes[(b, c)]
-                on_c, row, w_in_target_orbit = on_piano[c], targets[c], b == c
-                for m, left_zero, _, last, w, w_is_source in lefts:
-                    for m2, right_zero, first, _, _, _ in rights:
+                on_c, w_in_target_orbit = on_piano[c], b == c
+                for m, left, w, w_is_source in lefts:
+                    for m2, right, _, _ in rights:
                         products += 1
                         total = m + m2
-                        path_nonzero = not (left_zero or right_zero or (last, first) in relations)
+                        path_nonzero = not product_is_zero(p, left, right)
                         if path_nonzero and total not in on_c:
                             mismatches.append(
                                 IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1)
                             )
                             if len(mismatches) >= max_mismatches:
                                 return IsoReport(tuple(mismatches), products)
-                        if total in row:
-                            target = row[total]
-                        else:
-                            target = row[total] = algebra.product_target(a, c, total)
-                        chi = _chi_product(target, w, w_is_source, w_in_target_orbit)
+                        chi = _chi_product(
+                            algebra.product_target(a, c, total), w, w_is_source, w_in_target_orbit
+                        )
                         if path_nonzero != chi:
                             mismatches.append(
                                 IsoMismatch(

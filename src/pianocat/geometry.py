@@ -32,8 +32,8 @@ class BoundaryPoint:
     """A boundary point: Pt(seg, pos) when pos is an int, Acc(seg) when pos is None.
 
     Within segment ``seg`` the order is Acc(seg) < Pt(seg, p) < Pt(seg, q) <
-    Acc(seg + 1) for p < q.  Accumulation points are their own successor and
-    predecessor; marked points have Pt(seg, p +/- 1) as neighbours.
+    Acc(seg + 1) for p < q.  Two marked points of one segment at adjacent
+    positions are neighbours; an accumulation point has none.
     """
 
     seg: int

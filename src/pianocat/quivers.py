@@ -217,7 +217,7 @@ class PathNormalForm:
     first_arrow: int | None = field(default=None, compare=False, repr=False)
     last_arrow: int | None = field(default=None, compare=False, repr=False)
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
         return self.shape == Shape.ZERO
 
@@ -244,7 +244,7 @@ class PianoQuiver:
     def arrows(self) -> tuple[Arrow, ...]:
         return self.keyboard.gentle.arrows
 
-    @property
+    @cached_property
     def relations(self) -> frozenset[tuple[int, int]]:
         return self.keyboard.gentle.relations
 
@@ -472,9 +472,9 @@ def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalF
     product vanishes; otherwise pushing ``v``'s blocks onto a copy of
     ``u``'s stack finishes the one stack pass of ``normal_form`` over the
     concatenation.  The identity (the empty word at a vertex) is a unit.
-    A caller that reads only whether the product is zero calls
-    ``product_is_zero`` alone; ``compose`` is the product it is tested
-    against.
+    A caller that reads only whether the product is zero, such as
+    ``endo.verify_path_algebra_iso``, calls ``product_is_zero`` alone;
+    ``compose`` is the product it is tested against.
     """
     if not (u.is_zero or v.is_zero) and u.target != v.source:
         raise QuiverError(f"normal forms do not compose: {u.target} -> {v.source}")

@@ -454,7 +454,7 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 seed = int(args["--seed"])
 if seed == 99:
     sys.exit(2)
-print(json.dumps({"env": {"src_sha256": %r}}))
+print(json.dumps({"env": {"src_sha256": %r, "seconds": args["--seconds"]}}))
 wall = seed * %d
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
                   "metrics": {"wall_s": {"value": wall, "unit": "s"}}}))
@@ -466,6 +466,7 @@ def test_bench_record_alternates_checkouts_and_summarises(tmp_path):
     for name, scale in (("old", 10), ("new", 1)):
         (tmp_path / name / "perfbench").mkdir(parents=True)
         (tmp_path / name / "perfbench" / "run.py").write_text(FAKE_RUN % (name, scale))
+        (tmp_path / name / "BENCHMARK.json").write_text('{"run_seconds": 7}')
     script = root / "scripts" / "bench_record.py"
     out = tmp_path / "BENCH_t.json"
     argv = [sys.executable, str(script), "--label", "t", "--workload", "w",
@@ -476,7 +477,10 @@ def test_bench_record_alternates_checkouts_and_summarises(tmp_path):
     assert result.returncode == 0, result.stderr
     record = json.loads(out.read_text())
     out.unlink()
-    assert record["checkouts"]["old"]["env"] == {"src_sha256": "old"}
+    # Each checkout runs for the run length its BENCHMARK.json sets.
+    assert record["checkouts"]["old"] == {
+        "env": {"src_sha256": "old", "seconds": "7"}, "run_seconds": 7
+    }
     runs = record["workloads"]["w"]["runs"]
     # Which checkout runs first alternates from seed to seed.
     assert [(r["seed"], r["checkout"]) for r in runs if r["order"] == 0] == [

@@ -451,3 +451,25 @@ def test_interval_test_never_rejects_on_generators(monkeypatch):
             assert verify_path_algebra_iso(list(g), n, window=6).passed
     assert len(seen) > 0
     assert all(seen)
+
+
+def test_class_records_mark_the_source_summand_only_where_it_is_met():
+    # A class from a to a ends at summand a suspended by its degree; its
+    # products see the source summand only where that suspension is the
+    # summand itself, and the verifier must not read every loop class so.
+    shifted = 0
+    for n in (1, 2, 3):
+        for g in enumerate_limit_generators(n):
+            arcs = list(g)
+            algebra = EndoAlgebra.from_arcs(arcs, n)
+            p = piano_of_generator(arcs, n)
+            for a, b in itertools.product(range(len(arcs)), repeat=2):
+                for m in range(-6, 7):
+                    if not (algebra.dim(a, b, m) and graded_dim(p, a, b, m)):
+                        continue
+                    degree, form, w, w_is_source = endo._class_record(p, algebra, a, b, m)
+                    assert (degree, form) == (m, normal_form(p, canonical_word(p, a, b, m), a))
+                    assert w == suspend(arcs[b], m)
+                    assert w_is_source == (w == arcs[a]), (g, a, b, m)
+                    shifted += b == a and w != arcs[a]
+    assert shifted > 0
