@@ -19,7 +19,9 @@ COLUMNS = {
     "path-iso": "path-algebra-iso",
     "beta-delta": "beta-delta",
     "phi": "derived-equiv",
+    "confluence": "confluence",
 }
+WIDTHS = {column: max(len(column), len("False")) for column in COLUMNS}
 
 
 def main() -> None:
@@ -28,20 +30,16 @@ def main() -> None:
     parser.add_argument("--window", type=int, default=4)
     args = parser.parse_args()
 
-    print(f"{'n':>2} {'generators':>10} {'bijection':>9} {'path-iso':>8} "
-          f"{'beta-delta':>10} {'phi':>5} {'seconds':>8}")
+    headers = " ".join(f"{column:>{width}}" for column, width in WIDTHS.items())
+    print(f"{'n':>2} {'generators':>10} {headers} {'seconds':>8}")
     for n in range(1, args.max_n + 1):
         t0 = time.time()
         records = list(run_verifiers(list(COLUMNS.values()), Config(n=n, window=args.window)))
-        passed = {
-            column: all(r["passed"] for r in records if r["check"] == check)
+        cells = " ".join(
+            f"{str(all(r['passed'] for r in records if r['check'] == check)):>{WIDTHS[column]}}"
             for column, check in COLUMNS.items()
-        }
-        print(
-            f"{n:>2} {records[0]['generators']:>10} {str(passed['bijection']):>9} "
-            f"{str(passed['path-iso']):>8} {str(passed['beta-delta']):>10} "
-            f"{str(passed['phi']):>5} {time.time() - t0:>8.1f}"
         )
+        print(f"{n:>2} {records[0]['generators']:>10} {cells} {time.time() - t0:>8.1f}")
 
 
 if __name__ == "__main__":

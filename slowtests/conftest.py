@@ -6,4 +6,6 @@
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+# The library, and the test oracles kept under tests/ (``exhaustive``).
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]

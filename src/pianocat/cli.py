@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from . import dissections, endo, generators, geometry, quivers, render, signs
+from . import confluence, dissections, endo, generators, geometry, quivers, render, signs
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -26,22 +26,17 @@ EXIT_INTERNAL = 3
 # The shell's status for a writer killed by SIGPIPE (128 + 13).
 EXIT_PIPE = 141
 
-# Word growth makes confluence exploration impractical beyond this size and
-# this word length.
-CONFLUENCE_MAX_N = 3
-CONFLUENCE_MAX_WORD_CAP = 8
-
 
 @dataclass(frozen=True)
 class Config:
     n: int
     window: int = 6
-    word_cap: int = 8
+    word_cap: int | None = None  # bounds nothing; kept so existing command lines parse
 
     def __post_init__(self) -> None:
         for name, least in (("n", 1), ("window", 2), ("word_cap", 1)):
             value = getattr(self, name)
-            if value < least:
+            if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
@@ -246,16 +241,12 @@ def _verify_derived_equiv(contexts: Contexts, cfg: Config) -> list[dict]:
 
 
 def _verify_confluence(contexts: Contexts, cfg: Config) -> list[dict]:
-    from .confluence import confluence_report
-
-    max_length = min(cfg.word_cap, CONFLUENCE_MAX_WORD_CAP)
     out = []
-    for ctx in contexts(min(cfg.n, CONFLUENCE_MAX_N)):
-        ok, witness = confluence_report(ctx.piano, max_length=max_length)
-        record = {"check": "confluence", "n": ctx.n, "passed": ok}
+    for ctx in contexts(cfg.n):
+        ok, witness = confluence.critical_pair_report(ctx.piano)
+        out.append({"check": "confluence", "n": ctx.n, "passed": ok})
         if witness is not None:
-            record["witness"] = repr(witness)
-        out.append(record)
+            out[-1]["witness"] = repr(witness)  # an unjoined pair, or a rule instance
     return out
 
 
@@ -290,14 +281,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = Config(n=args.n, window=args.window, word_cap=args.word_cap)
     choice = None if args.choice is None else _parse_choice(args.choice, 2 * cfg.n - 1)
     names = list(VERIFIERS) if args.which == "all" else [args.which]
-    if "confluence" in names and cfg.n > CONFLUENCE_MAX_N:
+    if cfg.word_cap is not None:
         sys.stderr.write(
-            f"confluence explores n={CONFLUENCE_MAX_N}, not the requested n={cfg.n}\n"
-        )
-    if "confluence" in names and cfg.word_cap > CONFLUENCE_MAX_WORD_CAP:
-        sys.stderr.write(
-            f"confluence explores words up to length {CONFLUENCE_MAX_WORD_CAP}, "
-            f"not the requested word cap {cfg.word_cap}\n"
+            "--word-cap bounds nothing: confluence is checked on words of every length\n"
         )
     all_passed = True
     try:
@@ -394,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--n", type=int, required=True)
     p_verify.add_argument("--window", type=int, default=default_window)
-    p_verify.add_argument("--word-cap", type=int, default=8)
+    p_verify.add_argument("--word-cap", type=int, default=None)
     p_verify.add_argument(
         "--choice",
         default=None,

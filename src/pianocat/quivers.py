@@ -11,9 +11,9 @@ path algebra are normalised by a small rewriting system (the five rules of
 travel as ``(tag, vertex, power)`` blocks, so a block crosses an arrow,
 moves along a commutation run or cancels against an inverse block in one
 step, and the arrow skeleton, which no rule changes, is checked once.  The
-rewriting system is confluent, so the word this one rewrite order reaches
-is the word every rewrite order reaches; ``confluence.all_terminals``, which
-follows every order, is its independent oracle.  Per-quiver lookup tables
+rewriting system is confluent (``confluence.critical_pair_report``), so
+this rewrite order reaches the word every order reaches, which
+``confluence.all_terminals`` finds independently.  Per-quiver lookup tables
 (symbol ends and degrees, commutation runs by start, radial chains and
 arrow paths) are built once and kept on the ``PianoQuiver``.
 
@@ -376,7 +376,7 @@ def validate_word(p: PianoQuiver, word: tuple[Symbol, ...]) -> tuple[int, int]:
     return table[word[0]][0], table[word[-1]][1]
 
 
-def _skeleton_dead(p: PianoQuiver, word: tuple[Symbol, ...]) -> bool:
+def skeleton_dead(p: PianoQuiver, word: tuple[Symbol, ...]) -> bool:
     skeleton = [k for tag, k in word if tag == "d"]
     return any((a, b) in p.relations for a, b in zip(skeleton, skeleton[1:]))
 
@@ -389,10 +389,11 @@ def one_step_rewrites(
     Rules: cancel adjacent inverse loop pairs at a vertex, move a degree -1
     loop right across an arrow, cancel a loop pair across one arrow into a
     sharp vertex, move a degree +1 loop right along a commutation run, and
-    collapse any word whose arrow skeleton meets a length-two relation.
+    collapse any word whose arrow skeleton meets a length-two relation
+    (``confluence.rule_instances`` lists the first four as instances).
     """
     out: list[tuple[Symbol, ...] | None] = []
-    if _skeleton_dead(p, word):
+    if skeleton_dead(p, word):
         out.append(None)
     run_by_start = p.run_by_start
     for i, s in enumerate(word):
@@ -436,10 +437,10 @@ def normal_form(
     skeleton (no rule changes it, so once is enough) and groups equal
     adjacent loops into blocks; ``_reduce_blocks`` then applies the other
     four rules of ``one_step_rewrites`` in a single left-to-right stack
-    pass.  That is one particular rewrite order; the rewriting system is
-    confluent, so it reaches the word every order reaches, and
-    ``confluence.all_terminals``, which follows every order, is the oracle
-    it is tested against.
+    pass.  That is one particular rewrite order; ``verify confluence``
+    proves the system confluent by critical pairs, so it reaches the word
+    every order reaches, and ``confluence.all_terminals``, which follows
+    every order, is the oracle it is tested against.
     """
     if not word:
         if base is None:

@@ -7,7 +7,8 @@ and the timings.
 import dataclasses
 import time
 
-from pianocat.confluence import confluence_report, enumerate_composable_words
+from exhaustive import confluence_report, enumerate_composable_words
+from pianocat.confluence import critical_pair_report
 from pianocat.dissections import (
     ChordArc,
     DissectionSet,
@@ -176,6 +177,11 @@ def test_criterion_07_confluence_and_oracle():
     assert all(q.num_vertices <= 9 for q in quivers)
     for p in quivers:
         good, witness = confluence_report(p, max_length=8)
+        # The critical-pair proof, which covers words of every length, gives
+        # the verdict of the exhaustive search up to length 8.
+        if critical_pair_report(p)[0] != good:
+            ok = False
+            print("  critical pairs and the length-8 search disagree:", p.dumps())
         if not good:
             ok = False
             print("  divergent word:", witness)

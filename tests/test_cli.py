@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from pianocat import confluence
 from pianocat.cli import main
 from pianocat.dissections import DissectionSet, dissection_from_generator
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
@@ -147,30 +147,31 @@ def test_in_range_verify_writes_no_stderr(capsys):
     assert captured.err == ""
 
 
-def test_confluence_size_cap_is_reported(capsys, monkeypatch):
-    code = main(["verify", "confluence", "--n", "4", "--word-cap", "2"])
+def test_confluence_runs_at_the_requested_n(capsys, monkeypatch):
+    code = main(["verify", "confluence", "--n", "4"])
     captured = capsys.readouterr()
-    assert code == 0
     records = [json.loads(line) for line in captured.out.splitlines()]
-    assert len(records) == 36 and all(r["n"] == 3 for r in records)
-    assert captured.err.splitlines() == [
-        "confluence explores n=3, not the requested n=4"
-    ]
-    # A word cap above the explorer's limit is explored at the limit, and said so.
-    lengths = []
-    real_report = confluence.confluence_report
-
-    def spy(piano, max_length):
-        lengths.append(max_length)
-        return real_report(piano, max_length=max_length)
-
-    monkeypatch.setattr(confluence, "confluence_report", spy)
-    code = main(["verify", "confluence", "--n", "1", "--word-cap", "12"])
+    assert code == 0 and captured.err == ""
+    assert len(records) == 416
+    assert all(r == {"check": "confluence", "n": 4, "passed": True} for r in records)
+    # The word cap still parses, and bounds nothing.
+    code = main(["verify", "confluence", "--n", "1", "--word-cap", "2"])
     captured = capsys.readouterr()
-    assert code == 0 and lengths == [8]
+    assert code == 0 and len(captured.out.splitlines()) == 1
     assert captured.err.splitlines() == [
-        "confluence explores words up to length 8, not the requested word cap 12"
+        "--word-cap bounds nothing: confluence is checked on words of every length"
     ]
+    # A piano without its commutation runs fails, with an unjoined pair.
+    from pianocat import endo
+
+    real = endo.piano_of_generator
+    monkeypatch.setattr(
+        endo, "piano_of_generator", lambda *a: dataclasses.replace(real(*a), beta_runs=())
+    )
+    code, out = run(capsys, "verify", "confluence", "--n", "3")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and len(records) == 36
+    assert all(not r["passed"] and r["witness"].startswith("((") for r in records)
 
 
 def test_derived_equiv_runs_at_the_requested_window(capsys, monkeypatch):
@@ -315,11 +316,11 @@ def test_run_verification_script():
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
     assert header.split() == [
-        "n", "generators", "bijection", "path-iso", "beta-delta", "phi", "seconds"
+        "n", "generators", "bijection", "path-iso", "beta-delta", "phi", "confluence", "seconds"
     ]
     cells = [row.split() for row in rows]
     assert [(c[0], c[1]) for c in cells] == [("1", "1"), ("2", "4")]
-    assert all(c[2:6] == ["True"] * 4 for c in cells)
+    assert all(c[2:7] == ["True"] * 5 for c in cells)
 
 
 def test_quiver_dot(capsys, fan3_files):

@@ -1,10 +1,14 @@
+import dataclasses
 import functools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pianocat.confluence import all_terminals, confluence_report, enumerate_composable_words
+from exhaustive import confluence_report, enumerate_composable_words
+from pianocat import confluence
+from pianocat.confluence import all_terminals, critical_pair_report, rule_instances
 from pianocat.dissections import ChordArc, DissectionSet, dissection_from_generator
 from pianocat.endo import piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_summands
@@ -23,8 +27,12 @@ from pianocat.quivers import (
     is_locally_gentle,
     keyboard_from_extended,
     normal_form,
+    one_step_rewrites,
     piano_from_extended,
+    piano_from_keyboard,
     quiver_to_dot,
+    skeleton_dead,
+    validate_word,
     zero_degree_pairs,
 )
 
@@ -248,6 +256,93 @@ def test_confluence_small_quivers():
             p = piano_of_generator(list(g), n)
             ok, witness = confluence_report(p, max_length=6)
             assert ok, witness
+
+
+def _instance_rewrites(word, rules):
+    """Every word that one listed rule instance, applied at one match, makes of ``word``."""
+    return [
+        word[:i] + rhs + word[i + len(lhs) :]
+        for lhs, rhs in rules.items()
+        for i in range(len(word) - len(lhs) + 1)
+        if word[i : i + len(lhs)] == lhs
+    ]
+
+
+def test_rule_instances_state_the_local_rules_of_one_step_rewrites():
+    # The critical pairs are built from ``rule_instances`` and joined with
+    # ``one_step_rewrites``: a rule edited in one and not the other fails here.
+    for p in _differential_pianos():
+        rules = rule_instances(p)
+        for word in enumerate_composable_words(p, 4):
+            expected = Counter(w for w in one_step_rewrites(p, word) if w is not None)
+            assert Counter(_instance_rewrites(word, rules)) == expected, word
+
+
+def _assert_unjoined(p, report):
+    """The report fails, and its witness is a pair of live words with no common terminal."""
+    ok, witness = report
+    assert not ok
+    first, second = witness
+    for word in witness:
+        validate_word(p, word)
+    terminals = all_terminals(p, first), all_terminals(p, second)
+    assert None not in terminals[0] | terminals[1]
+    assert not terminals[0] & terminals[1], witness
+
+
+def test_critical_pairs_flag_a_piano_without_commutation_runs():
+    # Without its commutation runs a degree +1 loop is stuck in front of
+    # an arrow; the exhaustive explorer finds the same defect.
+    for g in enumerate_limit_generators(3):
+        bare = dataclasses.replace(piano_of_generator(list(g), 3), beta_runs=())
+        _assert_unjoined(bare, critical_pair_report(bare))
+        assert not confluence_report(bare, max_length=5)[0]
+
+
+def _drop_rules(monkeypatch, keep):
+    """Make the confluence check see only the rule instances ``keep`` accepts."""
+
+    def instances(p):
+        return {lhs: rhs for lhs, rhs in rule_instances(p).items() if keep(lhs)}
+
+    def rewrites(p, word):
+        return ([None] if skeleton_dead(p, word) else []) + _instance_rewrites(word, instances(p))
+
+    monkeypatch.setattr(confluence, "rule_instances", instances)
+    monkeypatch.setattr(confluence, "one_step_rewrites", rewrites)
+
+
+def test_critical_pairs_flag_rules_without_inverse_loop_cancellation(monkeypatch):
+    # Every other rule instance has an arrow as its second symbol.
+    _drop_rules(monkeypatch, lambda lhs: lhs[1][0] == "d")
+    for g in enumerate_limit_generators(3):
+        p = piano_of_generator(list(g), 3)
+        _assert_unjoined(p, critical_pair_report(p))
+        assert not confluence_report(p, max_length=5)[0]
+
+
+def test_critical_pairs_include_a_rule_inside_another(monkeypatch):
+    # One arrow between two non-sharp vertices: b0 d0 is a commutation run
+    # inside the rule b0 d0 a1 -> d0, and that inclusion is the only overlap
+    # whose reducts need b1 a1 to cancel.
+    one_arrow = GentleQuiver(2, ("u", "w"), (Arrow(0, 1, 0),), frozenset())
+    p = piano_from_keyboard(KeyboardQuiver(one_arrow, frozenset()))
+    assert critical_pair_report(p) == (True, None)
+    _drop_rules(monkeypatch, lambda lhs: lhs != (("b", 1), ("a", 1)))
+    _assert_unjoined(p, critical_pair_report(p))
+    assert set(critical_pair_report(p)[1]) == {(("d", 0),), (("d", 0), ("b", 1), ("a", 1))}
+
+
+def test_critical_pairs_refuse_a_rule_that_does_not_terminate(monkeypatch):
+    # A degree -1 loop moving back across an arrow undoes the crossing rule,
+    # so rewriting could cycle: the instance itself is the witness.
+    p = piano_of_generator(fan_summands(2), 2)
+    e = p.arrows[0]
+    backwards = ((("d", 0), ("a", e.tgt)), (("a", e.src), ("d", 0)))
+    monkeypatch.setattr(
+        confluence, "rule_instances", lambda q: {**rule_instances(q), backwards[0]: backwards[1]}
+    )
+    assert critical_pair_report(p) == (False, backwards)
 
 
 @functools.cache
