@@ -13,18 +13,14 @@ from .geometry import (
     BoundaryPoint,
     acc,
     arc_set,
-    complete_orbit,
     cross,
     cyclic_less,
-    orbit_segments,
     pt,
     suspend,
 )
 from .homs import (
     Direction,
     HomDegreeTable,
-    MorphismHandle,
-    compose_nonzero,
     cone_presentation,
     ext1_dim,
     extension_triangles,

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
-from .geometry import Arc, ArcKind, ArcSet, BoundaryPoint, GeometryError, is_connected
+from .geometry import Arc, ArcKind, ArcSet, BoundaryPoint, GeometryError, is_connected, json_int
 
 
 class DissectionError(ValueError):
@@ -186,7 +186,7 @@ class DissectionSet:
             raise DissectionError(f"a dissection is a JSON object, got {obj!r}")
         try:
             return DissectionSet(
-                int(obj["n"]),
+                json_int(obj["n"], DissectionError),
                 tuple(_chord_from_json(c) for c in obj.get("red", [])),
                 tuple(_chord_from_json(c) for c in obj.get("binding", [])),
             )
@@ -200,7 +200,7 @@ class DissectionSet:
 def _chord_from_json(obj: object) -> ChordArc:
     if not isinstance(obj, list) or len(obj) != 2:
         raise DissectionError(f"a chord is a pair of positions, got {obj!r}")
-    return ChordArc(int(obj[0]), int(obj[1]))
+    return ChordArc(json_int(obj[0], DissectionError), json_int(obj[1], DissectionError))
 
 
 def admissible_arc_count(
@@ -303,13 +303,9 @@ def extendability_report(
     if chosen_class is None:
         return False, 2, None
     start = 1 if chosen_class == 0 else 0  # begin relabelling at a kept red point
-
-    def new_position(k: int) -> int:
-        return (k - start) % n_red
-
     red, binding = [], []
     for c in d.red:
-        chord = ChordArc(new_position(c.p // 2), new_position(c.q // 2))
+        chord = ChordArc((c.p // 2 - start) % n_red, (c.q // 2 - start) % n_red)
         (binding if chord.is_binding else red).append(chord)
     rebuilt = DissectionSet(n_red // 2, tuple(red), tuple(binding))
     if not is_extended_admissible(rebuilt):

@@ -190,22 +190,6 @@ class EndoAlgebra:
     def dims_matrix(self, degree: int) -> list[list[int]]:
         return [[self.dim(i, j, degree) for j in range(self.size)] for i in range(self.size)]
 
-    def to_json(self, window: int = 6) -> dict:
-        return {
-            "n": self.n,
-            "summands": [x.to_json() for x in self.arcs],
-            "entries": [[self.entries[i][j].kind.value for j in range(self.size)] for i in range(self.size)],
-            "dims": {str(d): self.dims_matrix(d) for d in range(-window, window + 1)},
-        }
-
-    def dims_csv_rows(self, window: int = 6) -> list[list[int]]:
-        rows = [["degree", "row", "col", "dim"]]
-        for d in range(-window, window + 1):
-            for i in range(self.size):
-                for j in range(self.size):
-                    rows.append([d, i, j, self.dim(i, j, d)])
-        return rows
-
 
 def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int]) -> int:
     """Coefficient (0 or 1) of the product of two distinguished basis elements.

@@ -27,6 +27,13 @@ class ArcKind(Enum):
     DOUBLE_LIMIT = "double_limit"
 
 
+def json_int(value: object, error: type[ValueError] = GeometryError) -> int:
+    """A number read from JSON input, which must be an integer and not a bool."""
+    if type(value) is not int:
+        raise error(f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class BoundaryPoint:
     """A boundary point: Pt(seg, pos) when pos is an int, Acc(seg) when pos is None.
@@ -74,9 +81,9 @@ class BoundaryPoint:
     def from_json(obj: object) -> "BoundaryPoint":
         try:
             if "acc" in obj:
-                return BoundaryPoint(int(obj["acc"]))
+                return BoundaryPoint(json_int(obj["acc"]))
             i, p = obj["pt"]
-            return BoundaryPoint(int(i), int(p))
+            return BoundaryPoint(json_int(i), json_int(p))
         except TypeError as exc:
             raise GeometryError(
                 f'a boundary point is {{"acc": i}} or {{"pt": [i, p]}}, got {obj!r}'
@@ -108,14 +115,6 @@ def cyclic_less(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> bool:
     if kx == ky or ky == kz or kx == kz:
         raise GeometryError("degenerate triple")
     return (kx < ky < kz) or (ky < kz < kx) or (kz < kx < ky)
-
-
-def in_open_interval(p: BoundaryPoint, start: BoundaryPoint, end: BoundaryPoint) -> bool:
-    """Membership in the open anticlockwise interval (start, end)."""
-    kp, ks, ke = p._key, start._key, end._key
-    if kp == ks or kp == ke or ks == ke:
-        return False
-    return (ks < kp < ke) or (kp < ke < ks) or (ke < ks < kp)
 
 
 def in_closed_interval(p: BoundaryPoint, start: BoundaryPoint, end: BoundaryPoint) -> bool:
@@ -295,7 +294,7 @@ class ArcSet:
         if not isinstance(obj, dict):
             raise GeometryError(f"an arc set is a JSON object, got {obj!r}")
         try:
-            n = int(obj["n"])
+            n = json_int(obj["n"])
             return ArcSet(n, tuple(Arc.from_json(a, n) for a in obj["arcs"]))
         except TypeError as exc:
             raise GeometryError(f"malformed arc set: {exc}") from exc
@@ -308,22 +307,10 @@ def arc_set(n: int, arcs: Iterable[Arc]) -> ArcSet:
     return ArcSet(n, tuple(arcs))
 
 
-def orbit_segments(a: ArcSet) -> set[int]:
-    """Segments swept by the suspension orbit: those holding a marked endpoint."""
-    return {p.seg for x in a for p in x.endpoints() if p.is_marked}
-
-
-def complete_orbit(a: ArcSet) -> bool:
-    return orbit_segments(a) == set(range(a.n))
-
-
-def rotate_point(p: BoundaryPoint, r: int, n: int) -> BoundaryPoint:
-    return BoundaryPoint((p.seg + r) % n, p.pos)
-
-
 def rotate_arc(x: Arc, r: int) -> Arc:
     """Rotate all segment indices by r, the disc's orientation-preserving symmetry."""
-    return Arc(x.n, rotate_point(x.a, r, x.n), rotate_point(x.b, r, x.n))
+    a, b = (BoundaryPoint((p.seg + r) % x.n, p.pos) for p in x.endpoints())
+    return Arc(x.n, a, b)
 
 
 def is_connected(num_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:

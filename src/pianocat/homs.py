@@ -143,23 +143,6 @@ def morphism_direction(
     return Direction.FORWARD
 
 
-@dataclass(frozen=True)
-class MorphismHandle:
-    """A nonzero homogeneous morphism, tagged with its direction class."""
-
-    source: Arc
-    target: Arc
-    degree: int
-    direction: Direction
-
-
-def morphism_handle(
-    x: Arc, y: Arc, degree: int, apex: BoundaryPoint | None = None
-) -> MorphismHandle:
-    direction = morphism_direction(x, y, degree, apex)
-    return MorphismHandle(x, y, degree, direction)
-
-
 def factors_through(y: Arc, w: Arc, z: Arc) -> bool:
     """Whether the nonzero degree-zero morphism y -> z factors through w.
 
@@ -201,14 +184,6 @@ def compose_directions(first: Direction, second: Direction) -> Direction | None:
     if first != second:
         return Direction.BACKWARD
     return Direction.FORWARD if first == Direction.FORWARD else None
-
-
-def compose_nonzero(f: MorphismHandle, g: MorphismHandle) -> tuple[bool, Direction | None]:
-    """Composite of f then g: nonzero unless both are backward, with direction."""
-    if f.target != g.source:
-        raise HomError(f"handles do not compose: {f.target} vs {g.source}")
-    direction = compose_directions(f.direction, g.direction)
-    return direction is not None, direction
 
 
 @dataclass(frozen=True)

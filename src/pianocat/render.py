@@ -10,29 +10,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from dataclasses import dataclass
-
 from .dissections import DissectionSet
 from .geometry import Arc, ArcSet, BoundaryPoint
 
 SIZE = 400.0
 CENTER = 200.0
 RADIUS = 170.0
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """Figure kind plus the fixed styling: hollow red and filled green points,
-    dashed binding arcs, dotted relation edges, equally spaced layout."""
-
-    kind: str  # arc-diagram | dissection | quiver
-    fmt: str = "svg"  # svg | tikz | dot
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("arc-diagram", "dissection", "quiver"):
-            raise ValueError(f"unknown figure kind {self.kind}")
-        if self.fmt not in ("svg", "tikz", "dot"):
-            raise ValueError(f"unknown render format {self.fmt}")
 
 
 def _fmt(x: float) -> str:

@@ -102,15 +102,6 @@ class SignedMatrix:
     def beta_of(self, j: int) -> int | None:
         return self.beta[j] if j < self.m else None
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "beta": list(self.beta),
-            "delta": list(self.delta),
-            "initial_choice": list(self.initial_choice),
-        }
-
 
 @dataclass(frozen=True)
 class SignGraph:

@@ -6,16 +6,17 @@ and the timings.
 
 import dataclasses
 import time
+from collections import Counter
 
-from exhaustive import confluence_report, enumerate_composable_words
-from pianocat.confluence import critical_pair_report
+from exhaustive import enumerate_composable_words
+from pianocat.cli import Config, run_verifiers
+from pianocat.confluence import all_terminals, critical_pair_report
 from pianocat.dissections import (
     ChordArc,
     DissectionSet,
     dissection_from_generator,
     enumerate_admissible_dissections,
     enumerate_extended_dissections,
-    generator_from_dissection,
     is_admissible_dissection,
     is_extended_admissible,
 )
@@ -34,18 +35,21 @@ from pianocat.quivers import (
     GentleQuiver,
     KeyboardQuiver,
     PianoQuiver,
+    arrow_path,
     degree_component_structure,
     graded_dim,
     normal_form,
     piano_from_keyboard,
 )
 from pianocat.signs import (
-    both_signed_matrices,
     check_beta_delta,
-    order_for_cone_blocks,
     signed_matrix,
     verify_phi_homomorphism,
 )
+
+
+# Limit generators, and so extended admissible dissections, for n = 1..5.
+GENERATOR_COUNTS = {1: 1, 2: 4, 3: 36, 4: 416, 5: 5440}
 
 
 def _report(number: int, name: str, passed: bool, started: float) -> None:
@@ -74,16 +78,9 @@ def test_criterion_02_bijection():
     t0 = time.time()
     ok = True
     for n in range(1, 6):
-        gens = enumerate_limit_generators(n)
-        diss = enumerate_extended_dissections(n)
-        ok &= len(gens) == len(diss)
-        images = set()
-        for g in gens:
-            d = dissection_from_generator(list(g), n)
-            back = sorted(generator_from_dissection(d), key=Arc.sort_key)
-            ok &= tuple(back) == g.arcs
-            images.add(d.dumps())
-        ok &= images == {d.dumps() for d in diss}
+        (record,) = run_verifiers(["bijection"], Config(n=n))
+        ok &= record["n"] == n and record["passed"]
+        ok &= record["generators"] == record["dissections"] == GENERATOR_COUNTS[n]
     elapsed = time.time() - t0
     _report(2, "bijection with dissections", ok and elapsed < 60.0, t0)
 
@@ -175,30 +172,32 @@ def test_criterion_07_confluence_and_oracle():
     quivers += [piano_of_generator(fan_summands(n)) for n in (4, 5)]
     quivers.append(_nine_vertex_example_piano())
     assert all(q.num_vertices <= 9 for q in quivers)
-    for p in quivers:
-        good, witness = confluence_report(p, max_length=8)
-        # The critical-pair proof, which covers words of every length, gives
-        # the verdict of the exhaustive search up to length 8.
-        if critical_pair_report(p)[0] != good:
-            ok = False
-            print("  critical pairs and the length-8 search disagree:", p.dumps())
-        if not good:
-            ok = False
-            print("  divergent word:", witness)
-            break
-    # The closed-form dimensions agree with exhaustive path enumeration
-    # wherever a witness word fits under the length cap.
+    # One pass over the composable words of each piano up to the length cap
+    # feeds two oracles: the exhaustive confluence search, and the
+    # exhaustive path enumeration that the closed-form dimensions must match
+    # wherever a witness word fits under the cap.
     cap = 8
-    for p in quivers[:50] + quivers[-1:]:
+    for p in quivers:
+        terminals: dict = {}
+        divergent = None
         found = {(v, v, 0) for v in range(p.num_vertices)}
         for w in enumerate_composable_words(p, cap):
+            if divergent is None and len(all_terminals(p, w, terminals)) != 1:
+                divergent = w
             nf = normal_form(p, w)
             if not nf.is_zero:
                 found.add((nf.source, nf.target, nf.degree))
+        # The critical-pair proof, which covers words of every length, gives
+        # the verdict of the exhaustive search up to length 8.
+        if critical_pair_report(p)[0] != (divergent is None):
+            ok = False
+            print("  critical pairs and the length-8 search disagree:", p.dumps())
+        if divergent is not None:
+            ok = False
+            print("  divergent word:", divergent)
+            break
         for a in range(p.num_vertices):
             for b in range(p.num_vertices):
-                from pianocat.quivers import arrow_path
-
                 path = arrow_path(p, a, b)
                 for m in range(-4, 5):
                     if graded_dim(p, a, b, m) == 1:
@@ -229,14 +228,15 @@ def test_criterion_08_signed_matrix():
     arcs = _four_point_example()
     m = signed_matrix(arcs, ("beta", 4))
     ok = m.diagonal() == (1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1)
+    # Both sign choices of every generator, at window 4.
     for n in range(1, 5):
-        for g in enumerate_limit_generators(n):
-            ordered = order_for_cone_blocks(list(g))
-            for matrix in both_signed_matrices(ordered):
-                if not check_beta_delta(matrix, ordered).passed:
-                    ok = False
-                if not verify_phi_homomorphism(ordered, matrix, window=4).passed:
-                    ok = False
+        records = list(run_verifiers(["beta-delta", "derived-equiv"], Config(n=n, window=4)))
+        ok &= all(r["passed"] and r["n"] == n for r in records)
+        per_check = 2 * GENERATOR_COUNTS[n]
+        ok &= Counter(r["check"] for r in records) == {
+            "beta-delta": per_check,
+            "derived-equiv": per_check,
+        }
     elapsed = time.time() - t0
     _report(8, "signed matrix and sign homomorphism", ok and elapsed < 300.0, t0)
 

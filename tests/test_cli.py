@@ -85,16 +85,6 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert json.loads(out.splitlines()[0])["passed"] is False
 
 
-def test_render_spec_validation():
-    from pianocat.render import RenderSpec
-
-    assert RenderSpec("quiver", "dot").kind == "quiver"
-    with pytest.raises(ValueError):
-        RenderSpec("portrait")
-    with pytest.raises(ValueError):
-        RenderSpec("quiver", "png")
-
-
 def test_verify_all_small(capsys):
     code, out = run(capsys, "verify", "all", "--n", "2", "--window", "4")
     assert code == 0
@@ -300,6 +290,44 @@ def test_malformed_input_exits_2(capsys, tmp_path, command, payload):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "number", ["1e400", "0.9", "3.7", "true", '"1"'], ids=["1e400", "0.9", "3.7", "true", "string"]
+)
+@pytest.mark.parametrize(
+    "command, template",
+    [
+        (["homtable", "--n", "2", "--source"], '[{"acc":0},{"pt":[0,NUMBER]}]'),
+        (["homtable", "--n", "2", "--source"], '[{"acc":NUMBER},{"pt":[0,3]}]'),
+        (["quiver", "--from"], '{"n": NUMBER, "red": [], "binding": []}'),
+        (["quiver", "--from"], '{"n": 2, "red": [], "binding": [[0, NUMBER]]}'),
+        (["render", "--kind", "dissection", "--input"], '{"n": NUMBER, "red": []}'),
+        (["render", "--kind", "arc-diagram", "--input"], '{"n": NUMBER, "arcs": []}'),
+    ],
+    ids=[
+        "homtable-position",
+        "homtable-segment",
+        "quiver-n",
+        "quiver-chord",
+        "render-dissection-n",
+        "render-arcs-n",
+    ],
+)
+def test_json_numbers_must_be_integers(capsys, tmp_path, command, template, number):
+    # Neither truncated (3.7 -> 3), coerced (true -> 1) nor overflowing (1e400).
+    text = template.replace("NUMBER", number)
+    if command[0] == "homtable":
+        argv = command + [text, "--target", '[{"acc":0},{"pt":[0,3]}]']
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = command + [str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "expected an integer" in captured.err
 
 
 def test_run_verification_script():

@@ -115,14 +115,6 @@ def test_chi_identity_action():
                 assert chi_multiply(algebra, (j, l, 2), (l, l, 0)) == 1
 
 
-def test_dims_csv_rows():
-    algebra = EndoAlgebra.from_arcs(fan_summands(2))
-    rows = algebra.dims_csv_rows(window=1)
-    assert rows[0] == ["degree", "row", "col", "dim"]
-    assert len(rows) == 1 + 3 * 9
-    assert [1, 0, 0, 0] in rows  # poly diagonal vanishes in positive degree
-
-
 def _assert_associative(algebra: EndoAlgebra, window: range) -> None:
     size = algebra.size
     outgoing: dict[int, list[int]] = {}

@@ -12,19 +12,15 @@ from pianocat.geometry import (
     GeometryError,
     acc,
     arc_set,
-    complete_orbit,
     coarse_position,
     cross,
     crosses_under_some_shift,
     cyclic_less,
     in_closed_interval,
-    in_open_interval,
-    orbit_segments,
     pt,
     rotate_arc,
     suspend,
 )
-from pianocat.generators import fan_generator
 
 
 def test_cyclic_less_segment_order():
@@ -119,7 +115,6 @@ def test_key_predicates_match_point_equality_reference(n):
     points = [acc(i, n) for i in range(n)] + [pt(i, p, n) for i in range(n) for p in range(-3, 4)]
     for x, y, z in itertools.product(points, repeat=3):
         assert _outcome(cyclic_less, x, y, z) == _outcome(_ref_cyclic_less, x, y, z), (x, y, z)
-        assert in_open_interval(x, y, z) == _ref_in_open_interval(x, y, z), (x, y, z)
         assert in_closed_interval(x, y, z) == _ref_in_closed_interval(x, y, z), (x, y, z)
     arcs = []
     for a, b in itertools.product(points, repeat=2):
@@ -150,14 +145,6 @@ def test_suspend_examples():
     dl = Arc(n, acc(0, n), acc(1, n))
     assert suspend(dl, 7) == dl
     assert suspend(suspend(x, 4), -4) == x
-
-
-def test_orbit_segments():
-    assert orbit_segments(fan_generator(3)) == {0, 1, 2}
-    assert complete_orbit(fan_generator(3))
-    n = 4
-    assert orbit_segments(arc_set(n, [Arc(n, acc(0, n), acc(1, n))])) == set()
-    assert orbit_segments(arc_set(n, [Arc(n, acc(0, n), pt(1, 0, n))])) == {1}
 
 
 points = st.builds(

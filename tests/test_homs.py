@@ -10,14 +10,12 @@ from pianocat.homs import (
     HomDegreeTable,
     HomError,
     compose_directions,
-    compose_nonzero,
     cone_presentation,
     ext1_dim,
     extension_triangles,
     factors_through,
     hom_dim,
     morphism_direction,
-    morphism_handle,
 )
 from pianocat.generators import fan_generator
 
@@ -141,35 +139,25 @@ def test_compose_direction_table():
     a = Arc(n, apex, pt(2, 0, n))
     b = Arc(n, apex, acc(0, n))
     c = Arc(n, apex, pt(0, 0, n))
-    f = morphism_handle(a, b, 0)
-    g = morphism_handle(b, c, 0)
-    assert (f.direction, g.direction) == (Direction.FORWARD, Direction.FORWARD)
-    assert compose_nonzero(f, g) == (True, Direction.FORWARD)
+    f, g = morphism_direction(a, b), morphism_direction(b, c)
+    assert (f, g) == (Direction.FORWARD, Direction.FORWARD)
+    assert compose_directions(f, g) == Direction.FORWARD
 
-    # A backward handle: the free endpoint sweeps across the apex.
+    # A backward morphism: the free endpoint sweeps across the apex.
     x = Arc(n, acc(0, n), acc(1, n))
     y = Arc(n, acc(0, n), pt(2, 0, n))
-    h = morphism_handle(x, y, 0)
-    assert h.direction == Direction.BACKWARD
-    k = morphism_handle(y, Arc(n, acc(0, n), pt(2, 5, n)), 0)
-    assert compose_nonzero(h, k)[1] == Direction.BACKWARD
-    assert compose_nonzero(h, morphism_handle(x, y, 0).__class__(y, x, 0, Direction.BACKWARD))[0] is False
+    h = morphism_direction(x, y)
+    assert h == Direction.BACKWARD
+    k = morphism_direction(y, Arc(n, acc(0, n), pt(2, 5, n)))
+    assert compose_directions(h, k) == Direction.BACKWARD
+    assert compose_directions(h, Direction.BACKWARD) is None
 
 
 def test_handles_only_exist_for_nonzero_spaces():
     n = 2
     x = Arc(n, acc(0, n), pt(0, 3, n))
     with pytest.raises(HomError):
-        morphism_handle(x, x, 1)  # positive self-degree of a limit arc
-
-
-def test_compose_requires_matching_ends():
-    n = 2
-    a = Arc(n, acc(0, n), pt(0, 0, n))
-    b = Arc(n, acc(0, n), pt(0, 5, n))
-    f = morphism_handle(a, b, 0)
-    with pytest.raises(HomError):
-        compose_nonzero(f, f)
+        morphism_direction(x, x, 1)  # positive self-degree of a limit arc
 
 
 def _windowed_fan_objects(n, window):
@@ -189,10 +177,8 @@ def test_compose_agrees_with_factorisation_on_connected_triples():
             and hom_dim(y, z, 0) == 1
             and hom_dim(x, z, 0) == 1
         ):
-            f = morphism_handle(x, y, 0)
-            g = morphism_handle(y, z, 0)
-            nonzero, _ = compose_nonzero(f, g)
-            assert nonzero == factors_through(x, y, z), (x, y, z)
+            composite = compose_directions(morphism_direction(x, y), morphism_direction(y, z))
+            assert (composite is not None) == factors_through(x, y, z), (x, y, z)
 
 
 def test_extension_triangle_shared_point():

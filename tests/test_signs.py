@@ -251,11 +251,10 @@ def test_signed_matrices_carry_their_sign_graph():
     assert graph.cones == cone_data(arcs) and graph.m == 5
     m = signed_matrix(arcs, ("beta", 4))
     assert m.graph == graph
-    # The graph is neither compared, printed nor serialised.
+    # The graph is neither compared nor printed.
     fan = fan_summands(4)
     other = dataclasses.replace(m, graph=graph_of(fan))
     assert m == other and repr(m) == repr(other)
-    assert "graph" not in m.to_json()
 
 
 def test_keyboard_arrow_missing_from_table_is_refused():
