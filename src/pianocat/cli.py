@@ -310,25 +310,28 @@ def cmd_render(args: argparse.Namespace) -> int:
     kind, fmt = args.kind, args.format
     try:
         if kind == "arc-diagram":
-            arcset = geometry.ArcSet.from_json(payload)
+            figure = geometry.ArcSet.from_json(payload)
+        elif kind in ("dissection", "quiver"):
+            figure = dissections.DissectionSet.from_json(payload)
+        else:
+            raise ValueError(f"unknown figure kind {kind}")
+        if figure.n > render.RENDER_CAP:
+            raise ValueError(f"n={figure.n} exceeds the render cap {render.RENDER_CAP}")
+        if kind == "arc-diagram":
             if fmt != "svg":
                 raise ValueError("arc diagrams render to svg only")
-            sys.stdout.write(render.arc_diagram_svg(arcset))
+            sys.stdout.write(render.arc_diagram_svg(figure))
         elif kind == "dissection":
-            d = dissections.DissectionSet.from_json(payload)
             if fmt == "dot":
                 raise ValueError("dissections render to svg or tikz")
             sys.stdout.write(
-                render.dissection_svg(d) if fmt == "svg" else render.dissection_tikz(d)
+                render.dissection_svg(figure) if fmt == "svg" else render.dissection_tikz(figure)
             )
-        elif kind == "quiver":
-            d = dissections.DissectionSet.from_json(payload)
-            kb = quivers.keyboard_from_extended(d)
+        else:
+            kb = quivers.keyboard_from_extended(figure)
             if fmt != "dot":
                 raise ValueError("quivers render to dot")
             sys.stdout.write(quivers.quiver_to_dot(kb))
-        else:
-            raise ValueError(f"unknown figure kind {kind}")
     except (ValueError, KeyError) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE

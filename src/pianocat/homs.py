@@ -176,10 +176,12 @@ def within_alignment(
 
 
 def compose_directions(first: Direction, second: Direction) -> Direction | None:
-    """Direction of a composite, first then second; None when it is zero.
+    """Direction of a composite already known to be nonzero, first then second.
 
     Forward after forward stays forward; a single backward factor makes the
-    composite backward; two backward factors compose to zero.
+    composite backward.  Two backward factors always compose to zero, so
+    they give None.  Otherwise the rule does not decide whether the
+    composite vanishes: one backward factor may still compose to zero.
     """
     if first != second:
         return Direction.BACKWARD

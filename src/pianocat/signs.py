@@ -382,34 +382,28 @@ def _phi_failures(
             if _sign_power(m.beta[j], i) != (-1) ** i * _sign_power(m.delta[j], i):
                 yield CheckFailure("differential", (j, i))
 
-    # The nonzero entries with their directions, grouped by source, each
-    # with the degrees of the window where it has a basis element.
+    # The nonzero entries, grouped by source, each with its direction, the
+    # degrees of the window where it has a basis element, and its signed
+    # blocks at even and odd degrees: a block depends on its degree only
+    # through the parity.
     algebra = graph.algebra
     size = algebra.size
-    directions: dict[tuple[int, int], Direction] = {}
-    by_source: list[list[tuple[int, Direction, list[int]]]] = [[] for _ in range(size)]
+    entries: dict[tuple[int, int], tuple[Direction, tuple]] = {}
+    by_source: list[list[tuple[int, Direction, list[int], tuple]]] = [[] for _ in range(size)]
     for j in range(size):
         for l in range(size):
             if algebra.entry(j, l).kind == RingKind.ZERO:
                 continue
             # The degree-0 basis element of a diagonal entry is the identity.
             direction = Direction.FORWARD if j == l else graph.table[(j, l)]
-            directions[(j, l)] = direction
-            by_source[j].append((l, direction, [i for i in degrees if algebra.dim(j, l, i)]))
-
-    # A block depends on its degree only through the parity.
-    blocks: dict[tuple[int, int, int, Direction], tuple] = {}
-
-    def block(j: int, l: int, degree: int, direction: Direction) -> tuple:
-        key = (j, l, degree & 1, direction)
-        b = blocks.get(key)
-        if b is None:
-            b = blocks[key] = phi_block(m, graph.cones, j, l, degree, direction).block
-        return b
+            blocks = tuple(phi_block(m, graph.cones, j, l, p, direction).block for p in (0, 1))
+            entries[(j, l)] = direction, blocks
+            live = [i for i in degrees if algebra.dim(j, l, i)]
+            by_source[j].append((l, direction, live, blocks))
 
     for j in range(size):
-        for j2, dir1, live1 in by_source[j]:
-            for l, dir2, live2 in by_source[j2]:
+        for j2, dir1, live1, lhs1 in by_source[j]:
+            for l, dir2, live2, lhs2 in by_source[j2]:
                 if not (live1 and live2):
                     continue
                 examined[0] += 1
@@ -420,11 +414,12 @@ def _phi_failures(
                 if not chi_multiply(algebra, (j, j2, 0), (j2, l, 0)):
                     continue
                 comp_dir = compose_directions(dir1, dir2)
+                entry = entries.get((j, l))
                 if comp_dir is None:
                     identity = "backward-backward"
-                elif (j, l) not in directions:
+                elif entry is None:
                     identity = "closure"
-                elif directions[(j, l)] != comp_dir:
+                elif entry[0] != comp_dir:
                     identity = "direction clash"
                 else:
                     identity = None
@@ -433,17 +428,20 @@ def _phi_failures(
                         for i2 in live2:
                             yield CheckFailure(identity, (j, j2, l, i, i2))
                     continue
+                # The four products of the parity blocks of the two factors;
+                # each cell compares the product of its two parities with
+                # the block of the product at the parity of their sum.
+                rhs = entry[1]
+                prods = [
+                    [
+                        ((a00 * b00, a00 * b01 + a01 * b11), (0, a11 * b11))
+                        for (b00, b01), (_, b11) in lhs2
+                    ]
+                    for (a00, a01), (_, a11) in lhs1
+                ]
                 for i in live1:
-                    lhs1 = block(j, j2, i, dir1)
+                    row = prods[i & 1]
                     for i2 in live2:
-                        lhs2 = block(j2, l, i2, dir2)
-                        prod = (
-                            (
-                                lhs1[0][0] * lhs2[0][0],
-                                lhs1[0][0] * lhs2[0][1] + lhs1[0][1] * lhs2[1][1],
-                            ),
-                            (0, lhs1[1][1] * lhs2[1][1]),
-                        )
-                        rhs = block(j, l, i + i2, comp_dir)
-                        if prod != rhs:
-                            yield CheckFailure("multiplicativity", (j, j2, l, i, i2, prod, rhs))
+                        prod, want = row[i2 & 1], rhs[(i + i2) & 1]
+                        if prod != want:
+                            yield CheckFailure("multiplicativity", (j, j2, l, i, i2, prod, want))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pianocat import render
 from pianocat.cli import main
 from pianocat.dissections import DissectionSet, dissection_from_generator
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
@@ -398,6 +399,30 @@ def test_render_dissection_refuses_dot(capsys, fan3_files):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "dissections render to svg or tikz\n"
+
+
+@pytest.mark.parametrize(
+    "kind, fmt, key",
+    [("arc-diagram", "svg", "arcs"), ("dissection", "svg", "red"), ("quiver", "dot", "red")],
+)
+def test_render_refuses_n_above_the_cap(capsys, tmp_path, kind, fmt, key):
+    # Every kind draws the fan at the cap, and refuses one point more, or
+    # a hundred million, at once with one stderr line naming the cap.
+    cap = render.RENDER_CAP
+    if kind == "arc-diagram":
+        fan = fan_generator(cap).to_json()
+    else:
+        fan = dissection_from_generator(fan_summands(cap), cap).to_json()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(fan))
+    code, out = run(capsys, "render", "--input", str(path), "--kind", kind, "--format", fmt)
+    assert code == 0 and out
+    for n in (cap + 1, 10**8):
+        path.write_text(json.dumps({"n": n, key: []}))
+        code = main(["render", "--input", str(path), "--kind", kind, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"n={n} exceeds the render cap {cap}\n"
 
 
 @pytest.mark.parametrize(

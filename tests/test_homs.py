@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from pianocat.homs import (
     hom_dim,
     morphism_direction,
 )
-from pianocat.generators import fan_generator
+from pianocat.generators import enumerate_limit_generators, fan_generator
 
 
 def test_ext1_double_limit_self():
@@ -179,6 +180,22 @@ def test_compose_agrees_with_factorisation_on_connected_triples():
         ):
             composite = compose_directions(morphism_direction(x, y), morphism_direction(y, z))
             assert (composite is not None) == factors_through(x, y, z), (x, y, z)
+
+
+def test_compose_directions_zero_side_on_generator_summands():
+    # The suspensions (window 1) of the summands of every n = 3 generator.
+    # On triples with x -> z nonzero, two backward factors never factor,
+    # as the rule says; one backward factor may still not factor, so the
+    # rule gives the direction of a composite only once it is nonzero.
+    objs = {suspend(x, k) for g in enumerate_limit_generators(3) for x in g for k in (-1, 0, 1)}
+    assert len(objs) == 30
+    tally = Counter()
+    for x, y, z in itertools.permutations(sorted(objs, key=Arc.sort_key), 3):
+        if hom_dim(x, y, 0) == 1 and hom_dim(y, z, 0) == 1 and hom_dim(x, z, 0) == 1:
+            composite = compose_directions(morphism_direction(x, y), morphism_direction(y, z))
+            tally[composite, factors_through(x, y, z)] += 1
+    fwd, bwd = Direction.FORWARD, Direction.BACKWARD
+    assert tally == {(fwd, True): 541, (bwd, True): 599, (bwd, False): 183, (None, False): 45}
 
 
 def test_extension_triangle_shared_point():

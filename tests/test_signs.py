@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import defaultdict
 from functools import cache
 
@@ -13,6 +14,7 @@ from pianocat.geometry import Arc, BoundaryPoint as BP
 from pianocat.homs import (
     Direction,
     HomError,
+    compose_directions,
     cone_presentation,
     default_apex,
     hom_dim,
@@ -20,6 +22,9 @@ from pianocat.homs import (
     shift_families,
 )
 from pianocat.signs import (
+    DEFAULT_CHOICES,
+    CheckFailure,
+    CheckReport,
     SignError,
     both_signed_matrices,
     check_beta_delta,
@@ -508,3 +513,143 @@ def test_each_phi_identity_has_a_negative_control():
     assert set(m3.graph.table.values()) == {Direction.FORWARD}
     clash = with_table(m3, {(0, 1): Direction.BACKWARD})
     assert first_identity(verify_phi_homomorphism(fan, clash, window=2)) == "direction clash"
+
+
+def _reference_phi_failures(m, window, graph, examined):
+    """Test oracle: part (b) of the phi check as a per-cell loop.
+
+    Fetches the signed blocks of every (i, i2) cell through a memo keyed on
+    (j, l, parity, direction) and multiplies them in the cell.
+    """
+    degrees = range(-window, window + 1)
+    for j in range(m.m):
+        for i in degrees:
+            if signs._sign_power(m.beta[j], i) != (-1) ** i * signs._sign_power(m.delta[j], i):
+                yield CheckFailure("differential", (j, i))
+
+    algebra = graph.algebra
+    size = algebra.size
+    directions = {}
+    by_source = [[] for _ in range(size)]
+    for j in range(size):
+        for l in range(size):
+            if algebra.entry(j, l).kind == RingKind.ZERO:
+                continue
+            direction = Direction.FORWARD if j == l else graph.table[(j, l)]
+            directions[(j, l)] = direction
+            by_source[j].append((l, direction, [i for i in degrees if algebra.dim(j, l, i)]))
+
+    blocks = {}
+
+    def block(j, l, degree, direction):
+        key = (j, l, degree & 1, direction)
+        b = blocks.get(key)
+        if b is None:
+            b = blocks[key] = signs.phi_block(m, graph.cones, j, l, degree, direction).block
+        return b
+
+    for j in range(size):
+        for j2, dir1, live1 in by_source[j]:
+            for l, dir2, live2 in by_source[j2]:
+                if not (live1 and live2):
+                    continue
+                examined[0] += 1
+                if not chi_multiply(algebra, (j, j2, 0), (j2, l, 0)):
+                    continue
+                comp_dir = compose_directions(dir1, dir2)
+                if comp_dir is None:
+                    identity = "backward-backward"
+                elif (j, l) not in directions:
+                    identity = "closure"
+                elif directions[(j, l)] != comp_dir:
+                    identity = "direction clash"
+                else:
+                    identity = None
+                if identity is not None:
+                    for i in live1:
+                        for i2 in live2:
+                            yield CheckFailure(identity, (j, j2, l, i, i2))
+                    continue
+                for i in live1:
+                    lhs1 = block(j, j2, i, dir1)
+                    for i2 in live2:
+                        lhs2 = block(j2, l, i2, dir2)
+                        prod = (
+                            (
+                                lhs1[0][0] * lhs2[0][0],
+                                lhs1[0][0] * lhs2[0][1] + lhs1[0][1] * lhs2[1][1],
+                            ),
+                            (0, lhs1[1][1] * lhs2[1][1]),
+                        )
+                        rhs = block(j, l, i + i2, comp_dir)
+                        if prod != rhs:
+                            yield CheckFailure("multiplicativity", (j, j2, l, i, i2, prod, rhs))
+
+
+def reference_phi(arcs, m, window, max_failures=20):
+    """The report of ``verify_phi_homomorphism`` from the per-cell loop."""
+    assert m.graph.arcs == tuple(arcs)
+    examined = [0]
+    failures = _reference_phi_failures(m, window, m.graph, examined)
+    return CheckReport(tuple(itertools.islice(failures, max_failures)), examined[0])
+
+
+@pytest.mark.parametrize(
+    "ns, n4_stride, windows", [((1, 2, 3), None, (2, 4, 6)), ((), 7, (6,))], ids=["n1-n3", "n4"]
+)
+def test_phi_check_matches_the_per_cell_loop(ns, n4_stride, windows):
+    arcs_list = ordered_generators(ns, n4_stride)
+    assert len(arcs_list) == (41 if ns else 60)
+    for arcs in arcs_list:
+        matrices = both_signed_matrices(arcs)
+        assert [x.initial_choice for x in matrices] == list(DEFAULT_CHOICES)
+        for m in matrices:
+            for window in windows:
+                report = verify_phi_homomorphism(arcs, m, window=window)
+                assert report.passed and report.pairs > 0
+                assert report == reference_phi(arcs, m, window)
+
+
+def test_phi_check_matches_the_per_cell_loop_on_corrupted_matrices():
+    arcs = worked_example_arcs()
+    m = signed_matrix(arcs, ("beta", 4))
+    corrupted = {
+        "plus": dataclasses.replace(m, beta=(1,) * m.m, delta=(1,) * len(arcs)),
+        "flipped": dataclasses.replace(
+            m, beta=(-m.beta[0],) + m.beta[1:], delta=(-m.delta[0],) + m.delta[1:]
+        ),
+        "reversed": dataclasses.replace(m, beta=tuple(-b for b in m.beta)),
+    }
+    uncapped = 10**6
+    for name, bad in corrupted.items():
+        for window in (2, 4):
+            full = verify_phi_homomorphism(arcs, bad, window=window, max_failures=uncapped)
+            assert full == reference_phi(arcs, bad, window, uncapped)
+            assert 4 < len(full.failures) < uncapped, name
+            for cap in (1, 4):
+                report = verify_phi_homomorphism(arcs, bad, window=window, max_failures=cap)
+                assert report == reference_phi(arcs, bad, window, cap)
+                # The cut happens: the first cap witnesses of the full list.
+                assert report.failures == full.failures[:cap]
+
+
+def test_phi_check_compares_every_cell(monkeypatch):
+    # Every block given a nonzero lower-left corner, which no product of two
+    # blocks has: each cell the check compares fails, so the witnesses count
+    # the cells, 90,990 over both matrices of every n = 3 generator.
+    real = signs.phi_block
+
+    def marked(*args):
+        b = real(*args)
+        (y, w), (_, z) = b.block
+        return dataclasses.replace(b, block=((y, w), (1, z)))
+
+    monkeypatch.setattr(signs, "phi_block", marked)
+    cells = 0
+    for arcs in ordered_generators((3,), n4_stride=None):
+        for m in both_signed_matrices(arcs):
+            report = verify_phi_homomorphism(arcs, m, window=4, max_failures=10**6)
+            assert report == reference_phi(arcs, m, 4, 10**6)
+            assert {f.identity for f in report.failures} <= {"multiplicativity"}
+            cells += len(report.failures)
+    assert cells == 90_990
