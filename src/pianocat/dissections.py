@@ -3,8 +3,13 @@
 Positions 0..2n-1 run anticlockwise; even positions are the hollow (red)
 points, odd positions the filled (green) points.  Chords are straight
 position pairs; crossing means strict interleaving, so chords sharing an
-endpoint never cross.  Faces of a non-crossing chord collection are computed
-by recursive splitting of the boundary cycle.
+endpoint never cross.  Read as position intervals, non-crossing chords nest,
+so one sweep in order of their first endpoint both checks that no two cross
+and finds the chord directly enclosing each (``_nesting``).  Each face is
+then walked once, iteratively: a chord's inner face steps along the unit
+sides between its endpoints and jumps over the chords it directly encloses
+(``_faces``).  ``faces_with_sides`` lists the faces in the order of cutting
+the disc by the chords one at a time, without making the cuts.
 """
 
 from __future__ import annotations
@@ -78,15 +83,80 @@ class ChordArc:
 
 
 def chords_cross(c1: ChordArc, c2: ChordArc, size: int) -> bool:
-    """Strict interleaving of endpoint pairs on the boundary cycle."""
-    if set(c1.endpoints()) & set(c2.endpoints()):
+    """Strict interleaving of endpoint pairs on the boundary cycle of ``size`` positions.
+
+    Both chords have their endpoints in 0..size-1, stored sorted (p < q), so
+    they interleave when exactly one endpoint of c2 lies strictly between
+    those of c1 and no endpoint is shared.
+    """
+    a, b, c, d = c1.p, c1.q, c2.p, c2.q
+    if a == c or a == d or b == c or b == d:
         return False
+    return (a < c < b) != (a < d < b)
 
-    def inside(x: int, s: int, e: int) -> bool:
-        return 0 < (x - s) % size < (e - s) % size
 
-    a, b = c1.endpoints()
-    return inside(c2.p, a, b) != inside(c2.q, a, b)
+# The faces of a non-crossing chord collection, each as its boundary
+# positions in increasing order and the unit boundary arcs it owns.
+Face = tuple[list[int], list[tuple[int, int]]]
+
+
+def _nesting(chords: Sequence[ChordArc]) -> list[int] | None:
+    """The innermost chord enclosing each chord, or None when two chords cross.
+
+    Read as position intervals [p, q], non-crossing chords are nested or
+    disjoint (sharing an endpoint at most).  One sweep in order of p, longer
+    chords first, keeps the chain of intervals still open; a chord that ends
+    beyond the innermost open interval it starts in crosses it.  Entry i is
+    the index of the enclosing chord, or -1 at the top level.
+    """
+    order = sorted(range(len(chords)), key=lambda i: (chords[i].p, -chords[i].q))
+    parent = [-1] * len(chords)
+    open_: list[int] = []
+    for i in order:
+        p, q = chords[i].p, chords[i].q
+        while open_ and chords[open_[-1]].q <= p:
+            open_.pop()
+        if open_:
+            if q > chords[open_[-1]].q:
+                return None
+            parent[i] = open_[-1]
+        open_.append(i)
+    return parent
+
+
+def _faces(size: int, chords: Sequence[ChordArc], parent: list[int]) -> list[Face]:
+    """The faces of pairwise non-crossing distinct chords with their ``_nesting``.
+
+    Face i < len(chords) is the inner face of chord i: its endpoints and the
+    positions between them that no chord it directly encloses passes over.
+    The last face is the outer one, which owns the side (size - 1, 0).  Each
+    face is walked once, stepping along unit sides and jumping along the
+    chords it directly encloses, in order of their first endpoint.
+    """
+    m = len(chords)
+    inside: list[list[int]] = [[] for _ in range(m + 1)]
+    for i in sorted(range(m), key=lambda i: chords[i].p):
+        inside[parent[i] if parent[i] >= 0 else m].append(i)
+    faces: list[Face] = []
+    for f in range(m + 1):
+        x, end = (chords[f].p, chords[f].q) if f < m else (0, size - 1)
+        points, sides = [x], []
+        for k in inside[f]:
+            a = chords[k].p
+            while x < a:
+                sides.append((x, x + 1))
+                x += 1
+                points.append(x)
+            x = chords[k].q
+            points.append(x)
+        while x < end:
+            sides.append((x, x + 1))
+            x += 1
+            points.append(x)
+        if f == m:
+            sides.append((size - 1, 0))
+        faces.append((points, sides))
+    return faces
 
 
 def faces_with_sides(
@@ -98,41 +168,65 @@ def faces_with_sides(
     with the unit boundary arcs (p, p+1 mod size) it owns; ownership matters
     because a chord between circle-adjacent positions cuts off a bigon whose
     two edges join the same position pair.
+
+    The order is that of cutting the disc by the chords in list order: the
+    first chord cuts the boundary cycle (0, ..., size - 1) in two, the
+    part running from the endpoint met first to the other endpoint before
+    the rest; each part is cut on by the first of the remaining chords
+    inside it, and starts at the endpoint of the chord that cut it off.
+    The faces come out as the parts of a depth-first walk over those cuts.
+    The cuts are not made one by one: chord i separates the faces on its
+    two sides, so joining them over the chords in reverse list order
+    builds the tree of cuts, and each face is found once (``_faces``).
     """
-    for c1, c2 in itertools.combinations(chords, 2):
-        if chords_cross(c1, c2, size):
-            raise DissectionError(f"chords {c1} and {c2} cross")
+    chords = list(chords)
+    for c in chords:
+        if not 0 <= c.p < c.q < size:
+            raise DissectionError(f"{c} outside the disc with {size} positions")
+    if len(set(chords)) != len(chords):
+        raise DissectionError("duplicate chords")
+    parent = _nesting(chords)
+    if parent is None:
+        c1, c2 = next(
+            pair for pair in itertools.combinations(chords, 2) if chords_cross(*pair, size)
+        )
+        raise DissectionError(f"chords {c1} and {c2} cross")
+    faces = _faces(size, chords, parent)
+    m = len(chords)
+    # Tree of cuts: nodes 0..m are the faces, m + 1 + i the cut by chord i,
+    # whose two parts are (the part inside [p, q], the part outside).
+    union = list(range(m + 1))
+    node = list(range(m + 1))  # tree node of each part, at its union root
 
-    def split(
-        boundary: tuple[int, ...],
-        sides: frozenset[tuple[int, int]],
-        inner: list[ChordArc],
-    ) -> list[tuple[tuple[int, ...], frozenset[tuple[int, int]]]]:
-        if not inner:
-            return [(boundary, sides)]
-        chord, rest = inner[0], inner[1:]
-        ia = boundary.index(chord.p)
-        ib = boundary.index(chord.q)
-        if ia > ib:
-            ia, ib = ib, ia
-        side1 = boundary[ia : ib + 1]
-        side2 = boundary[ib:] + boundary[: ia + 1]
-        walk1 = set(boundary[ia:ib])  # start points of unit arcs inside side1
-        sides1 = frozenset(s for s in sides if s[0] in walk1)
-        sides2 = sides - sides1
-        set1, set2 = set(side1), set(side2)
-        in1, in2 = [], []
-        for c in rest:
-            if set(c.endpoints()) <= set1:
-                in1.append(c)
-            elif set(c.endpoints()) <= set2:
-                in2.append(c)
-            else:
-                raise DissectionError("chord escapes both sides of a split")
-        return split(side1, sides1, in1) + split(side2, sides2, in2)
+    def root(f: int) -> int:
+        while union[f] != f:
+            union[f] = f = union[union[f]]  # path halving
+        return f
 
-    all_sides = frozenset((p, (p + 1) % size) for p in range(size))
-    return split(tuple(range(size)), all_sides, list(chords))
+    parts: list[tuple[int, int]] = [(0, 0)] * m
+    for i in reversed(range(m)):
+        inner, outer = root(i), root(parent[i] if parent[i] >= 0 else m)
+        parts[i] = (node[inner], node[outer])
+        union[inner] = outer
+        node[outer] = m + 1 + i
+    out = []
+    stack = [(node[root(m)], 0)]
+    while stack:
+        t, start = stack.pop()
+        if t <= m:
+            points, sides = faces[t]
+            at = points.index(start)
+            out.append((tuple(points[at:] + points[:at]), frozenset(sides)))
+            continue
+        c = chords[t - m - 1]
+        inner, outer = parts[t - m - 1]
+        # The inner part starts at p, the outer at q; the one that begins at
+        # the endpoint met first from ``start`` comes first.
+        if (c.p - start) % size < (c.q - start) % size:
+            stack += [(outer, c.q), (inner, c.p)]
+        else:
+            stack += [(inner, c.p), (outer, c.q)]
+    return out
 
 
 def faces_of_chords(size: int, chords: list[ChordArc]) -> list[tuple[int, ...]]:
@@ -225,9 +319,11 @@ def extended_arc_count(
     return marked_points + punctures + green_punctures + boundary_components + 2 * genus - 2
 
 
-def _pairwise_noncrossing(chords: tuple[ChordArc, ...], size: int) -> bool:
-    return all(
-        not chords_cross(c1, c2, size) for c1, c2 in itertools.combinations(chords, 2)
+def _red_admissible(n: int, red: Sequence[ChordArc]) -> bool:
+    """Whether distinct red chords are non-crossing with one green point per face."""
+    parent = _nesting(red)
+    return parent is not None and all(
+        sum(p & 1 for p in points) == 1 for points, _ in _faces(2 * n, red, parent)
     )
 
 
@@ -235,28 +331,26 @@ def is_admissible_dissection(d: DissectionSet) -> bool:
     """Red arcs only, pairwise non-crossing, n-1 of them, one green per face."""
     if d.binding:
         raise DissectionError("admissibility applies to the red part alone")
-    size = d.disc.size
-    if not _pairwise_noncrossing(d.red, size):
-        return False
-    if len(d.red) != d.n - 1:
-        return False
-    for face in faces_of_chords(size, list(d.red)):
-        if sum(1 for p in face if p % 2 == 1) != 1:
-            return False
-    return True
+    return len(d.red) == d.n - 1 and _red_admissible(d.n, d.red)
+
+
+def _extended_faces(d: DissectionSet) -> list[Face] | None:
+    """The faces of all chords of an extended admissible dissection; None for
+    any other dissection.  One crossing sweep covers all chords, red ones too."""
+    if len(d.red) != d.n - 1 or len(d.binding) != d.n:
+        return None
+    if len({c.green_endpoint() for c in d.binding}) != d.n:
+        return None
+    chords = d.all_chords()
+    parent = _nesting(chords)
+    if parent is None or not _red_admissible(d.n, d.red):
+        return None
+    return _faces(d.disc.size, chords, parent)
 
 
 def is_extended_admissible(d: DissectionSet) -> bool:
     """Admissible red part plus one binding arc per green point, all non-crossing."""
-    size = d.disc.size
-    if not is_admissible_dissection(DissectionSet(d.n, d.red, ())):
-        return False
-    if len(d.binding) != d.n:
-        return False
-    greens = [c.green_endpoint() for c in d.binding]
-    if len(set(greens)) != d.n:
-        return False
-    return _pairwise_noncrossing(d.all_chords(), size)
+    return _extended_faces(d) is not None
 
 
 def induced_admissible(d: DissectionSet) -> tuple[MarkedDisc, DissectionSet]:
@@ -265,11 +359,13 @@ def induced_admissible(d: DissectionSet) -> tuple[MarkedDisc, DissectionSet]:
     All 2n old points become red, and one new green point is placed on the
     single boundary side of each face cut out by the full dissection; old
     position p becomes 2p and the new green on side (p, p+1) becomes 2p + 1.
+    The result is always admissible (tested on every extended dissection up
+    to n = 5), so ``quivers.keyboard_from_extended`` does not check it again.
     """
-    if not is_extended_admissible(d):
+    faces = _extended_faces(d)
+    if faces is None:
         raise DissectionError("input is not an extended admissible dissection")
-    size = d.disc.size
-    for _, sides in faces_with_sides(size, list(d.all_chords())):
+    for _, sides in faces:
         if len(sides) != 1:
             raise DissectionError("face without a unique boundary side")
     new_red = tuple(ChordArc(2 * c.p, 2 * c.q) for c in d.all_chords())

@@ -67,6 +67,12 @@ class GradedEntry:
         return 0 if degree == 1 else 1
 
 
+# One shared entry per ring kind; entries compare by value.
+_POLY, _LAURENT, _LONG, _ZERO = (
+    GradedEntry(kind) for kind in (RingKind.POLY, RingKind.LAURENT, RingKind.LONG, RingKind.ZERO)
+)
+
+
 def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
     """Entry (i, j) of the generalised matrix algebra of the given summands.
 
@@ -79,13 +85,13 @@ def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
     x = arcs[i]
     if i == j:
         if x.kind == ArcKind.LIMIT:
-            return GradedEntry(RingKind.POLY)
+            return _POLY
         if x.kind == ArcKind.DOUBLE_LIMIT:
-            return GradedEntry(RingKind.LAURENT)
+            return _LAURENT
         if x.kind == ArcKind.LONG:
-            return GradedEntry(RingKind.LONG)
+            return _LONG
         raise EndoError("short arcs are never summands of a minimal generator")
-    return GradedEntry(RingKind.LAURENT if ext1_dim(x, arcs[j]) else RingKind.ZERO)
+    return _LAURENT if ext1_dim(x, arcs[j]) else _ZERO
 
 
 class ProductTarget(NamedTuple):

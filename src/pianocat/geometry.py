@@ -27,6 +27,13 @@ class ArcKind(Enum):
     DOUBLE_LIMIT = "double_limit"
 
 
+# The members as module globals, read on hot paths: reading a member off
+# its enum class costs about ten times as much.
+_SHORT, _LONG, _LIMIT, _DOUBLE_LIMIT = (
+    ArcKind.SHORT, ArcKind.LONG, ArcKind.LIMIT, ArcKind.DOUBLE_LIMIT
+)
+
+
 def json_int(value: object, error: type[ValueError] = GeometryError) -> int:
     """A number read from JSON input, which must be an integer and not a bool."""
     if type(value) is not int:
@@ -132,20 +139,22 @@ class Arc:
     """An unordered pair of non-neighbouring boundary points on the n-marked circle.
 
     Endpoints are stored canonically ordered by their key, so equal arcs
-    compare and hash equal.  The kind is derived from the endpoints alone.
+    compare and hash equal.  The kind is derived from the endpoints alone,
+    once, at construction; the endpoint predicates compare stored point keys.
     """
 
     n: int
     a: BoundaryPoint
     b: BoundaryPoint
+    kind: ArcKind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n, a, b = self.n, self.a, self.b
+        if n < 1:
             raise GeometryError("need n >= 1")
-        for e in (self.a, self.b):
-            if e.seg >= self.n:
-                raise GeometryError(f"endpoint {e} outside 0..{self.n - 1}")
-        a, b = self.a, self.b
+        for e in (a, b):
+            if e.seg >= n:
+                raise GeometryError(f"endpoint {e} outside 0..{n - 1}")
         if a._key == b._key:
             raise GeometryError("arc endpoints must be distinct")
         # Only marked points at adjacent positions of one segment are neighbours.
@@ -154,37 +163,38 @@ class Arc:
         if a._key > b._key:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
-
-    @property
-    def kind(self) -> ArcKind:
-        acc_count = self.a.is_accumulation + self.b.is_accumulation
-        if acc_count == 2:
-            return ArcKind.DOUBLE_LIMIT
-        if acc_count == 1:
-            return ArcKind.LIMIT
-        if self.a.seg == self.b.seg:
-            return ArcKind.SHORT
-        return ArcKind.LONG
+        if a.pos is None:
+            kind = _DOUBLE_LIMIT if b.pos is None else _LIMIT
+        elif b.pos is None:
+            kind = _LIMIT
+        else:
+            kind = _SHORT if a.seg == b.seg else _LONG
+        object.__setattr__(self, "kind", kind)
 
     def endpoints(self) -> tuple[BoundaryPoint, BoundaryPoint]:
         return (self.a, self.b)
 
     def contains(self, p: BoundaryPoint) -> bool:
-        return p == self.a or p == self.b
+        k = p._key
+        return k == self.a._key or k == self.b._key
 
     def other_endpoint(self, p: BoundaryPoint) -> BoundaryPoint:
-        if p == self.a:
+        k = p._key
+        if k == self.a._key:
             return self.b
-        if p == self.b:
+        if k == self.b._key:
             return self.a
         raise GeometryError(f"{p} is not an endpoint of {self}")
 
     def shared_accumulation(self, other: "Arc") -> BoundaryPoint | None:
         """The unique shared accumulation-point endpoint, if there is exactly one."""
-        common = [p for p in self.endpoints() if other.contains(p) and p.is_accumulation]
-        if len(common) == 1:
-            return common[0]
-        return None
+        ka, kb = other.a._key, other.b._key
+        a, b = self.a, self.b
+        in_a = a.pos is None and (a._key == ka or a._key == kb)
+        in_b = b.pos is None and (b._key == ka or b._key == kb)
+        if in_a == in_b:
+            return None
+        return a if in_a else b
 
     def sort_key(self) -> tuple:
         return (self.a._key, self.b._key)
@@ -238,27 +248,27 @@ def crosses_under_some_shift(x: Arc, y: Arc) -> bool:
     endpoint pairs, or two limit arcs whose free endpoints share a segment
     while their accumulation endpoints differ.
     """
-    if x.kind not in (ArcKind.LIMIT, ArcKind.DOUBLE_LIMIT):
+    if x.kind is not _LIMIT and x.kind is not _DOUBLE_LIMIT:
         raise GeometryError(f"unsupported arc configuration: {x}")
-    if y.kind not in (ArcKind.LIMIT, ArcKind.DOUBLE_LIMIT):
+    if y.kind is not _LIMIT and y.kind is not _DOUBLE_LIMIT:
         raise GeometryError(f"unsupported arc configuration: {y}")
-    m = 2 * x.n
-    xa, xb = coarse_position(x.a), coarse_position(x.b)
-    ya, yb = coarse_position(y.a), coarse_position(y.b)
-    if x.kind == ArcKind.LIMIT and y.kind == ArcKind.LIMIT:
+    if x.kind is _LIMIT and y.kind is _LIMIT:
         # Free endpoints in one segment: some relative shift interleaves them
         # unless the accumulation endpoints coincide (shared endpoint).
-        x_free = x.a if x.a.is_marked else x.b
-        y_free = y.a if y.a.is_marked else y.b
-        if x_free.seg == y_free.seg and x.other_endpoint(x_free) != y.other_endpoint(y_free):
+        x_acc, x_free = (x.a, x.b) if x.b.pos is not None else (x.b, x.a)
+        y_acc, y_free = (y.a, y.b) if y.b.pos is not None else (y.b, y.a)
+        if x_free.seg == y_free.seg and x_acc.seg != y_acc.seg:
             return True
-    if {xa, xb} & {ya, yb}:
+    # The endpoints' ``coarse_position``s.
+    xa, xb = 2 * x.a.seg + (x.a.pos is not None), 2 * x.b.seg + (x.b.pos is not None)
+    ya, yb = 2 * y.a.seg + (y.a.pos is not None), 2 * y.b.seg + (y.b.pos is not None)
+    if xa == ya or xa == yb or xb == ya or xb == yb:
         return False
-
-    def strictly_inside(q: int, s: int, e: int) -> bool:
-        return (q - s) % m < (e - s) % m and q != s
-
-    return strictly_inside(ya, xa, xb) != strictly_inside(yb, xa, xb)
+    # Neither of y's endpoints is one of x's: each is strictly inside the
+    # anticlockwise run from xa to xb or strictly outside it.
+    m = 2 * x.n
+    span = (xb - xa) % m
+    return ((ya - xa) % m < span) != ((yb - xa) % m < span)
 
 
 @dataclass(frozen=True)

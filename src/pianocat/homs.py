@@ -43,7 +43,7 @@ def ext1_dim(x: Arc, y: Arc) -> int:
     """Dimension of the space of degree-one extensions of y by x (0 or 1)."""
     if x.n != y.n:
         raise HomError("arcs live on circles with different n")
-    if x == y:
+    if x.a._key == y.a._key and x.b._key == y.b._key:  # x == y
         return 1 if x.kind == ArcKind.DOUBLE_LIMIT else 0
     if cross(x, y):
         return 1
@@ -242,11 +242,11 @@ def extension_triangles(x: Arc, y: Arc) -> list[Triangle]:
 
 
 def _shift_family(x: Arc) -> tuple:
-    """Identify an arc up to suspension: marked positions are forgotten."""
-    parts = []
-    for p in sorted(x.endpoints(), key=BoundaryPoint.key):
-        parts.append(("acc", p.seg) if p.is_accumulation else ("seg", p.seg))
-    return tuple(parts)
+    """Identify an arc up to suspension: marked positions are forgotten.
+
+    The endpoints are read in key order, the order the arc stores them in.
+    """
+    return tuple(("acc", p.seg) if p.pos is None else ("seg", p.seg) for p in (x.a, x.b))
 
 
 def shift_families(gens: ArcSet) -> frozenset[tuple]:

@@ -96,32 +96,41 @@ def gentle_from_dissection(
     if not is_admissible_dissection(d):
         raise QuiverError("dissection is not admissible")
     chords = list(vertex_order) if vertex_order is not None else list(d.red)
-    if sorted(chords, key=ChordArc.endpoints) != sorted(d.red, key=ChordArc.endpoints):
+    _check_vertex_order(chords, d.red)
+    return _gentle_quiver(d.disc.size, chords, tuple(chords))
+
+
+def _check_vertex_order(chords: list[ChordArc], arcs: tuple[ChordArc, ...]) -> None:
+    if sorted(chords, key=ChordArc.endpoints) != sorted(arcs, key=ChordArc.endpoints):
         raise QuiverError("vertex order must list exactly the dissection arcs")
-    size = d.disc.size
-    index = {c: i for i, c in enumerate(chords)}
+
+
+def _gentle_quiver(size: int, chords: list[ChordArc], labels: tuple) -> GentleQuiver:
+    """The quiver of ``gentle_from_dissection`` on an admissible dissection's
+    arcs, in vertex order, with the given vertex labels.
+
+    Arrows are read off a table of the arcs at each boundary point, sorted by
+    how far anticlockwise their other endpoint lies; relations off an index
+    of the arrows by (source, meet point), looked up at (target, far end of
+    the middle arc).
+    """
+    at_point: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for i, c in enumerate(chords):
+        at_point[c.p].append(((c.q - c.p) % size, i))
+        at_point[c.q].append(((c.p - c.q) % size, i))
     arrows: list[Arrow] = []
-    for point in range(size):
-        incident = [c for c in chords if point in c.endpoints()]
-        if len(incident) < 2:
-            continue
-
-        def far(c: ChordArc) -> int:
-            a, b = c.endpoints()
-            other = b if a == point else a
-            return (other - point) % size
-
-        incident.sort(key=far)
-        for c1, c2 in zip(incident, incident[1:]):
-            arrows.append(Arrow(index[c1], index[c2], point))
+    for point, incident in enumerate(at_point):
+        incident.sort()
+        for (_, i), (_, j) in zip(incident, incident[1:]):
+            arrows.append(Arrow(i, j, point))
+    leaving = {(e.src, e.meet): k for k, e in enumerate(arrows)}
     relations = set()
-    for i, e1 in enumerate(arrows):
-        middle = chords[e1.tgt]
-        other_end = middle.q if middle.p == e1.meet else middle.p
-        for j, e2 in enumerate(arrows):
-            if e2.src == e1.tgt and e2.meet == other_end:
-                relations.add((i, j))
-    return GentleQuiver(len(chords), tuple(chords), tuple(arrows), frozenset(relations))
+    for k, e in enumerate(arrows):
+        middle = chords[e.tgt]
+        j = leaving.get((e.tgt, middle.q if middle.p == e.meet else middle.p))
+        if j is not None:
+            relations.add((k, j))
+    return GentleQuiver(len(chords), labels, tuple(arrows), frozenset(relations))
 
 
 def is_locally_gentle(q: GentleQuiver) -> bool:
@@ -174,17 +183,17 @@ def keyboard_from_extended(
     """Keyboard quiver of an extended admissible dissection.
 
     Vertices follow ``vertex_order`` (default: red arcs then binding arcs);
-    binding-arc vertices are sharp.
+    binding-arc vertices are sharp.  ``induced_admissible`` validates the
+    input once; the induced dissection it returns is admissible, so the
+    quiver is built without checking that again.
     """
     chords = list(vertex_order) if vertex_order is not None else list(d.all_chords())
     _, induced = induced_admissible(d)
     doubled = [ChordArc(2 * c.p, 2 * c.q) for c in chords]
-    gentle = gentle_from_dissection(induced, vertex_order=doubled)
-    relabelled = GentleQuiver(
-        gentle.num_vertices, tuple(chords), gentle.arrows, gentle.relations
-    )
+    _check_vertex_order(doubled, induced.red)
+    gentle = _gentle_quiver(induced.disc.size, doubled, tuple(chords))
     sharp = frozenset(i for i, c in enumerate(chords) if c.is_binding)
-    return KeyboardQuiver(relabelled, sharp)
+    return KeyboardQuiver(gentle, sharp)
 
 
 # Word symbols of the graded path algebra: ("a", v) is the degree -1 loop at

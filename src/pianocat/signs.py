@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 from .dissections import DissectionError, chord_of_arc
 from .endo import EndoAlgebra, EndoError, RingKind, chi_multiply, piano_of_generator
 from .generators import fan_summands, is_limit_generator
-from .geometry import Arc, BoundaryPoint, arc_set
+from .geometry import Arc, ArcSet, BoundaryPoint, arc_set
 from .homs import (
     Direction,
     HomError,
@@ -50,6 +51,13 @@ class ConeData:
     m: int  # number of summands outside the reference suspension closure
 
 
+@lru_cache(maxsize=64)
+def _fan(n: int, apex: BoundaryPoint) -> tuple[ArcSet, frozenset[tuple]]:
+    """The fan at the apex and its ``shift_families``, built once per (n, apex)."""
+    fan = arc_set(n, fan_summands(n, apex))
+    return fan, shift_families(fan)
+
+
 def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
     """Cone presentations over the fan at the apex; summand order is preserved.
 
@@ -59,8 +67,7 @@ def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
     n = arcs[0].n
     if apex is None:
         apex = default_apex(n)
-    fan = arc_set(n, fan_summands(n, apex))
-    families = shift_families(fan)
+    fan, families = _fan(n, apex)
     entries: list[ConeSummand] = []
     for x in arcs:
         if x.contains(apex):

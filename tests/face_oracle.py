@@ -1,0 +1,53 @@
+"""Reference faces of a chord collection, by recursive splitting of the boundary cycle.
+
+The first chord splits the boundary cycle (0, ..., size - 1) into the part
+from its endpoint met first to the other endpoint and the rest; every other
+chord goes with the part holding both its endpoints, and each part is split
+on in the same way.  ``dissections.faces_with_sides`` must return exactly
+these faces, sides and order.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from pianocat.dissections import ChordArc, DissectionError, chords_cross
+
+
+def recursive_faces(
+    size: int, chords: list[ChordArc]
+) -> list[tuple[tuple[int, ...], frozenset[tuple[int, int]]]]:
+    for c1, c2 in itertools.combinations(chords, 2):
+        if chords_cross(c1, c2, size):
+            raise DissectionError(f"chords {c1} and {c2} cross")
+
+    def split(
+        boundary: tuple[int, ...],
+        sides: frozenset[tuple[int, int]],
+        inner: list[ChordArc],
+    ) -> list[tuple[tuple[int, ...], frozenset[tuple[int, int]]]]:
+        if not inner:
+            return [(boundary, sides)]
+        chord, rest = inner[0], inner[1:]
+        ia = boundary.index(chord.p)
+        ib = boundary.index(chord.q)
+        if ia > ib:
+            ia, ib = ib, ia
+        side1 = boundary[ia : ib + 1]
+        side2 = boundary[ib:] + boundary[: ia + 1]
+        walk1 = set(boundary[ia:ib])  # start points of unit arcs inside side1
+        sides1 = frozenset(s for s in sides if s[0] in walk1)
+        sides2 = sides - sides1
+        set1, set2 = set(side1), set(side2)
+        in1, in2 = [], []
+        for c in rest:
+            if set(c.endpoints()) <= set1:
+                in1.append(c)
+            elif set(c.endpoints()) <= set2:
+                in2.append(c)
+            else:
+                raise DissectionError("chord escapes both sides of a split")
+        return split(side1, sides1, in1) + split(side2, sides2, in2)
+
+    all_sides = frozenset((p, (p + 1) % size) for p in range(size))
+    return split(tuple(range(size)), all_sides, list(chords))

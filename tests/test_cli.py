@@ -360,6 +360,19 @@ def test_quiver_dot(capsys, fan3_files):
     assert out.count("fillcolor=black") == 3
 
 
+def test_quiver_of_a_large_fan(capsys, tmp_path):
+    # Faces are found without recursion, so the depth of the chord nesting
+    # does not limit the input.
+    n = 1024
+    source = tmp_path / "fan.json"
+    source.write_text(json.dumps(dissection_from_generator(fan_summands(n), n).to_json()))
+    code, out = run(capsys, "quiver", "--from", str(source))
+    assert code == 0
+    piano = json.loads(out)
+    assert piano["vertices"] == list(range(2 * n - 1))
+    assert len(piano["sharp"]) == n
+
+
 def test_quiver_bad_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,4 +1,5 @@
 import pytest
+from face_oracle import recursive_faces
 
 from pianocat.dissections import (
     ChordArc,
@@ -20,6 +21,7 @@ from pianocat.dissections import (
 )
 from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.geometry import Arc
+from pianocat.quivers import QuiverError, gentle_from_dissection, keyboard_from_extended
 
 
 def test_chords_cross():
@@ -43,6 +45,81 @@ def test_faces_split_counts():
     pairs = faces_with_sides(4, [ChordArc(0, 1)])
     bigon = [sides for face, sides in pairs if set(face) == {0, 1}]
     assert bigon == [frozenset({(0, 1)})]
+
+
+def small_dissections(max_n):
+    for n in range(1, max_n + 1):
+        yield from enumerate_admissible_dissections(n)
+        yield from enumerate_extended_dissections(n)
+
+
+def test_faces_match_the_recursive_oracle():
+    checked = 0
+    for d in small_dissections(4):
+        chords = list(d.all_chords())
+        for order in (chords, chords[::-1]):
+            assert faces_with_sides(2 * d.n, order) == recursive_faces(2 * d.n, order)
+            checked += 1
+    assert checked == 2 * (1 + 1 + 3 + 12 + 1 + 4 + 36 + 416)
+
+
+def test_crossing_chords_raise_the_oracle_error():
+    raised = 0
+    for d in small_dissections(3):
+        size = 2 * d.n
+        chords = list(d.all_chords())
+        candidates = [
+            ChordArc(p, q)
+            for p in range(size)
+            for q in range(p + 1, size)
+            if p % 2 == 0 or q % 2 == 0
+        ]
+        for c in candidates:
+            if not any(chords_cross(c, x, size) for x in chords):
+                continue
+            for order in ([c] + chords, chords + [c]):
+                with pytest.raises(DissectionError) as expected:
+                    recursive_faces(size, order)
+                with pytest.raises(DissectionError, match="cross") as found:
+                    faces_with_sides(size, order)
+                assert str(found.value) == str(expected.value)
+                raised += 1
+    assert raised == 180
+
+
+def test_faces_refuse_duplicate_and_outside_chords():
+    with pytest.raises(DissectionError, match="duplicate"):
+        faces_with_sides(6, [ChordArc(0, 2), ChordArc(2, 0)])
+    with pytest.raises(DissectionError, match="outside"):
+        faces_with_sides(6, [ChordArc(0, 6)])
+
+
+def test_induced_dissection_is_admissible():
+    # What lets keyboard_from_extended build on the induced dissection
+    # without checking its admissibility again.
+    count = 0
+    for n in range(1, 6):
+        for d in enumerate_extended_dissections(n):
+            assert is_admissible_dissection(induced_admissible(d)[1])
+            count += 1
+    assert count == 1 + 4 + 36 + 416 + 5440
+
+
+def test_builders_still_refuse_invalid_input():
+    fan3 = dissection_from_generator(fan_summands(3), 3)
+    fewer = DissectionSet(3, fan3.red, fan3.binding[:-1])
+    with pytest.raises(DissectionError, match="not an extended admissible dissection"):
+        keyboard_from_extended(fewer)
+    triangle = DissectionSet(3, (ChordArc(0, 2), ChordArc(0, 4), ChordArc(2, 4)), ())
+    with pytest.raises(QuiverError, match="dissection is not admissible"):
+        gentle_from_dissection(triangle)
+    with pytest.raises(QuiverError, match="red only"):
+        gentle_from_dissection(fan3)
+    _, induced = induced_admissible(fan3)
+    with pytest.raises(QuiverError, match="vertex order"):
+        gentle_from_dissection(induced, vertex_order=list(induced.red[1:]))
+    with pytest.raises(QuiverError, match="vertex order"):
+        keyboard_from_extended(fan3, vertex_order=list(fan3.all_chords())[1:])
 
 
 def test_admissible_examples():

@@ -46,6 +46,44 @@ def test_arc_kinds():
     assert Arc(n, acc(0, n), acc(2, n)).kind == ArcKind.DOUBLE_LIMIT
 
 
+def derived_kind(x):
+    """The kind read off the endpoints, independently of the stored one."""
+    accumulations = [p.is_accumulation for p in x.endpoints()].count(True)
+    if accumulations == 2:
+        return ArcKind.DOUBLE_LIMIT
+    if accumulations == 1:
+        return ArcKind.LIMIT
+    return ArcKind.SHORT if x.a.seg == x.b.seg else ArcKind.LONG
+
+
+def test_stored_kind_matches_the_endpoints():
+    from pianocat.generators import enumerate_limit_generators
+
+    checked = 0
+    for n in (1, 2, 3):
+        for g in enumerate_limit_generators(n):
+            for x in g:
+                for k in range(-6, 7):
+                    y = suspend(x, k)
+                    assert y.kind == derived_kind(y)
+                    checked += 1
+    assert checked == 13 * (1 * 1 + 4 * 3 + 36 * 5)
+    # Long and short arcs, which no generator holds.
+    for a, b in ((pt(0, 0, 3), pt(1, 3, 3)), (pt(2, 5, 3), pt(2, -1, 3))):
+        assert Arc(3, a, b).kind == derived_kind(Arc(3, a, b))
+
+
+def test_equal_endpoints_make_equal_arcs():
+    n = 3
+    for a, b in ((acc(0, n), pt(1, 0, n)), (pt(0, 0, n), pt(1, 3, n)), (acc(2, n), acc(0, n))):
+        x, y = Arc(n, a, b), Arc(n, b, a)
+        assert x == y and hash(x) == hash(y) and x.kind == y.kind
+        assert Arc(n, BoundaryPoint(a.seg, a.pos), BoundaryPoint(b.seg, b.pos)) == x
+        assert len({x, y}) == 1
+        assert "kind" not in repr(x)
+    assert Arc(n, acc(0, n), pt(1, 0, n)) != Arc(n, acc(0, n), pt(1, 2, n))
+
+
 def test_arc_neighbour_endpoints_rejected():
     n = 2
     with pytest.raises(GeometryError):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 from collections import Counter
 
 import pytest
@@ -100,6 +101,23 @@ def test_example_generator_and_dissection_give_the_same_keyboard():
     assert direct.gentle.relations == through_arcs.gentle.relations
     assert direct.sharp == through_arcs.sharp
     assert verify_path_algebra_iso(arcs, 5, window=3).passed
+
+
+# SHA-256 of every piano with n <= 4, concatenated in enumeration order,
+# as built by the recursive face split and the pairwise checks that
+# preceded the single validation pass.
+PIANO_DIGEST_N4 = "cee3d56afa70e811cbc54dcf98507d1e4d383dd64ba6315ba8fb3e6b471a71ed"
+
+
+def test_pianos_are_pinned_up_to_n4():
+    digest = hashlib.sha256()
+    count = 0
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            digest.update(piano_of_generator(list(g), n).dumps().encode())
+            count += 1
+    assert count == 1 + 4 + 36 + 416
+    assert digest.hexdigest() == PIANO_DIGEST_N4
 
 
 def test_single_chord_dissection_quiver():
