@@ -82,10 +82,10 @@ class ChordArc:
         return [self.p, self.q]
 
 
-def chords_cross(c1: ChordArc, c2: ChordArc, size: int) -> bool:
-    """Strict interleaving of endpoint pairs on the boundary cycle of ``size`` positions.
+def chords_cross(c1: ChordArc, c2: ChordArc) -> bool:
+    """Strict interleaving of endpoint pairs on the boundary cycle.
 
-    Both chords have their endpoints in 0..size-1, stored sorted (p < q), so
+    Both chords have their endpoints on the cycle, stored sorted (p < q), so
     they interleave when exactly one endpoint of c2 lies strictly between
     those of c1 and no endpoint is shared.
     """
@@ -188,7 +188,7 @@ def faces_with_sides(
     parent = _nesting(chords)
     if parent is None:
         c1, c2 = next(
-            pair for pair in itertools.combinations(chords, 2) if chords_cross(*pair, size)
+            pair for pair in itertools.combinations(chords, 2) if chords_cross(*pair)
         )
         raise DissectionError(f"chords {c1} and {c2} cross")
     faces = _faces(size, chords, parent)
@@ -491,7 +491,6 @@ def rotation_class_representatives(
 
 def enumerate_admissible_dissections(n: int) -> list[DissectionSet]:
     """All admissible red dissections: non-crossing spanning trees on the red points."""
-    size = 2 * n
     if n == 1:
         return [DissectionSet(1, (), ())]
     candidates = [
@@ -507,7 +506,7 @@ def enumerate_admissible_dissections(n: int) -> list[DissectionSet]:
             return
         for idx in range(start, len(candidates)):
             c = candidates[idx]
-            if all(not chords_cross(c, other, size) for other in chosen):
+            if all(not chords_cross(c, other) for other in chosen):
                 extend(idx + 1, chosen + [c])
 
     extend(0, [])

@@ -134,19 +134,21 @@ def in_closed_interval(p: BoundaryPoint, start: BoundaryPoint, end: BoundaryPoin
     return (ks < kp < ke) or (kp < ke < ks) or (ke < ks < kp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arc:
     """An unordered pair of non-neighbouring boundary points on the n-marked circle.
 
     Endpoints are stored canonically ordered by their key, so equal arcs
-    compare and hash equal.  The kind is derived from the endpoints alone,
-    once, at construction; the endpoint predicates compare stored point keys.
+    compare and hash equal.  The kind and the hash are derived from the
+    endpoints alone, once, at construction; equality and the endpoint
+    predicates compare stored point keys, so an arc is a cheap dictionary key.
     """
 
     n: int
     a: BoundaryPoint
     b: BoundaryPoint
-    kind: ArcKind = field(init=False, repr=False, compare=False)
+    kind: ArcKind = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, a, b = self.n, self.a, self.b
@@ -170,6 +172,17 @@ class Arc:
         else:
             kind = _SHORT if a.seg == b.seg else _LONG
         object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "_hash", hash((n, self.a._key, self.b._key)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Arc):
+            return NotImplemented
+        return (
+            self.a._key == other.a._key and self.b._key == other.b._key and self.n == other.n
+        )
 
     def endpoints(self) -> tuple[BoundaryPoint, BoundaryPoint]:
         return (self.a, self.b)
@@ -213,8 +226,24 @@ class Arc:
 
 
 def suspend(x: Arc, k: int) -> Arc:
-    """The k-fold suspension: marked endpoints move to p - k, accumulation points stay."""
-    return Arc(x.n, x.a.shifted(k), x.b.shifted(k))
+    """The k-fold suspension: marked endpoints move to p - k, accumulation points stay.
+
+    A suspension of a valid arc is valid and keeps the key order of its
+    endpoints, their segments and kinds, and the distance between two
+    marked endpoints of one segment; so the arc is assembled from the
+    shifted points and the stored kind, without ``Arc``'s validation.
+    """
+    if k == 0:
+        return x
+    n, a, b = x.n, x.a.shifted(k), x.b.shifted(k)
+    y = object.__new__(Arc)
+    setattr_ = object.__setattr__
+    setattr_(y, "n", n)
+    setattr_(y, "a", a)
+    setattr_(y, "b", b)
+    setattr_(y, "kind", x.kind)
+    setattr_(y, "_hash", hash((n, a._key, b._key)))
+    return y
 
 
 def cross(x: Arc, y: Arc) -> bool:

@@ -5,12 +5,20 @@ space from X to Y is nonzero exactly when the pair (X, Y[i-1]) satisfies one
 of: the arcs cross; they share a single accumulation point and the target is
 reached from the source by an anticlockwise rotation about it; they are one
 and the same double limit arc.
+
+``ext1_dim``, ``morphism_direction`` and ``cone_presentation`` depend on
+their arguments alone, and arcs, arc sets and boundary points are frozen,
+so each is memoised for the whole process in an LRU cache of ``MEMO_SIZE``
+entries: every generator of a sweep reuses the answers for the arc pairs it
+shares with the others.  A refusal raises and is not cached, so it raises
+again on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .geometry import (
     Arc,
@@ -23,6 +31,11 @@ from .geometry import (
     in_closed_interval,
     suspend,
 )
+
+
+# Entries of each pairwise memo.  A sweep at n <= 5 stays well inside it;
+# beyond it the least recently used answers are recomputed when asked again.
+MEMO_SIZE = 1 << 14
 
 
 class HomError(ValueError):
@@ -39,6 +52,7 @@ def default_apex(n: int) -> BoundaryPoint:
     return BoundaryPoint((n - 1) % n)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def ext1_dim(x: Arc, y: Arc) -> int:
     """Dimension of the space of degree-one extensions of y by x (0 or 1)."""
     if x.n != y.n:
@@ -114,6 +128,7 @@ def hom_alignment(
     return None
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def morphism_direction(
     x: Arc, y: Arc, degree: int = 0, apex: BoundaryPoint | None = None
 ) -> Direction:
@@ -254,6 +269,7 @@ def shift_families(gens: ArcSet) -> frozenset[tuple]:
     return frozenset(_shift_family(g) for g in gens)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def cone_presentation(
     x: Arc, gens: ArcSet, families: frozenset[tuple] | None = None
 ) -> tuple[Arc | None, Arc]:

@@ -18,7 +18,7 @@ def recursive_faces(
     size: int, chords: list[ChordArc]
 ) -> list[tuple[tuple[int, ...], frozenset[tuple[int, int]]]]:
     for c1, c2 in itertools.combinations(chords, 2):
-        if chords_cross(c1, c2, size):
+        if chords_cross(c1, c2):
             raise DissectionError(f"chords {c1} and {c2} cross")
 
     def split(

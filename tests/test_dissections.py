@@ -25,9 +25,9 @@ from pianocat.quivers import QuiverError, gentle_from_dissection, keyboard_from_
 
 
 def test_chords_cross():
-    assert chords_cross(ChordArc(0, 3), ChordArc(2, 5), 6)
-    assert not chords_cross(ChordArc(0, 2), ChordArc(2, 4), 6)  # shared endpoint
-    assert not chords_cross(ChordArc(0, 1), ChordArc(2, 4), 6)
+    assert chords_cross(ChordArc(0, 3), ChordArc(2, 5))
+    assert not chords_cross(ChordArc(0, 2), ChordArc(2, 4))  # shared endpoint
+    assert not chords_cross(ChordArc(0, 1), ChordArc(2, 4))
 
 
 def test_chord_validation():
@@ -75,7 +75,7 @@ def test_crossing_chords_raise_the_oracle_error():
             if p % 2 == 0 or q % 2 == 0
         ]
         for c in candidates:
-            if not any(chords_cross(c, x, size) for x in chords):
+            if not any(chords_cross(c, x) for x in chords):
                 continue
             for order in ([c] + chords, chords + [c]):
                 with pytest.raises(DissectionError) as expected:

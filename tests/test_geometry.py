@@ -185,6 +185,56 @@ def test_suspend_examples():
     assert suspend(suspend(x, 4), -4) == x
 
 
+def test_suspend_matches_the_validating_constructor():
+    from pianocat.generators import enumerate_limit_generators
+
+    # Every summand of every generator with n <= 4, once each (keyed without
+    # the arc hash under test), and the short and long arcs no generator holds.
+    summands = {
+        (x.n, x.sort_key()): x
+        for n in (1, 2, 3, 4)
+        for g in enumerate_limit_generators(n)
+        for x in g
+    }
+    n = 4
+    for a, b in ((pt(0, 0, n), pt(0, 2, n)), (pt(3, 5, n), pt(3, -1, n)), (pt(0, 0, n), pt(2, 3, n))):
+        summands[(n, Arc(n, a, b).sort_key())] = Arc(n, a, b)
+    kinds = set()
+    for x in summands.values():
+        assert suspend(x, 0) is x
+        for k in range(-12, 13):
+            y, z = suspend(x, k), Arc(x.n, x.a.shifted(k), x.b.shifted(k))
+            assert vars(y) == vars(z)  # n, a, b, kind and the stored hash
+            assert y.kind is z.kind and hash(y) == hash(z) and y == z
+            kinds.add(y.kind)
+    assert kinds == set(ArcKind)
+
+
+def test_arc_hash_and_equality_contract():
+    n = 3
+    pairs = [
+        (pt(0, 0, n), pt(0, 2, n)),
+        (pt(0, 0, n), pt(1, 3, n)),
+        (acc(0, n), pt(1, 0, n)),
+        (acc(2, n), acc(0, n)),
+    ]
+    for a, b in pairs:
+        x, y = Arc(n, a, b), Arc(n, b, a)
+        assert x == y and not x != y and hash(x) == hash(y)
+        # Arcs that differ only in n are unequal.
+        assert Arc(n + 1, a, b) != x and not Arc(n + 1, a, b) == x
+        # An arc is never equal to a point or to its endpoint pair.
+        assert (x == a) is False and (x != a) is True and x != (a, b)
+        # A set or dict finds an arc by its endpoints, in either order.
+        assert y in {x} and {x: 1}[y] == 1
+        # An arc set refuses the same arc given with its endpoints swapped.
+        with pytest.raises(GeometryError, match="duplicate"):
+            ArcSet(n, (x, y))
+    distinct = [Arc(n, a, b) for a, b in pairs]
+    assert len(set(distinct)) == len(distinct)
+    assert all((x == y) == (i == j) for i, x in enumerate(distinct) for j, y in enumerate(distinct))
+
+
 points = st.builds(
     lambda seg, pos: BoundaryPoint(seg, pos),
     st.integers(0, 3),

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pianocat.geometry import Arc, BoundaryPoint, acc, pt, suspend
+from pianocat.geometry import Arc, BoundaryPoint, acc, arc_set, pt, suspend
 from pianocat.homs import (
+    MEMO_SIZE,
     Direction,
     HomDegreeTable,
     HomError,
@@ -17,8 +18,9 @@ from pianocat.homs import (
     factors_through,
     hom_dim,
     morphism_direction,
+    shift_families,
 )
-from pianocat.generators import enumerate_limit_generators, fan_generator
+from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
 
 
 def test_ext1_double_limit_self():
@@ -281,3 +283,78 @@ def test_direction_backward_edge_and_apex_incident_arcs():
     a = Arc(n, acc(3, n), acc(1, n))
     b = Arc(n, acc(3, n), acc(2, n))
     assert morphism_direction(a, b, 0) == Direction.FORWARD
+
+
+def answer(fn, *args):
+    """What fn returns, or the type and message of the HomError it raises."""
+    try:
+        return fn(*args)
+    except HomError as exc:
+        return HomError, str(exc)
+
+
+def test_memos_match_their_bodies():
+    """Each memoised function against its uncached body, asked twice so that
+    the second answer comes from the cache."""
+    memos = (ext1_dim, morphism_direction, cone_presentation)
+    before = [f.cache_info().hits for f in memos]
+    refused = 0
+    for n in (1, 2, 3, 4):
+        # Every ordered pair of summands of a generator, once each; keyed
+        # without the arc hash that the memos rely on.
+        pairs = {
+            (x.sort_key(), y.sort_key()): (x, y)
+            for g in enumerate_limit_generators(n)
+            for x in g
+            for y in g
+        }
+        summands = {x.sort_key(): x for x, _ in pairs.values()}
+        fans = []
+        for c in range(n):
+            fan = arc_set(n, fan_summands(n, BoundaryPoint(c)))
+            fans.append((BoundaryPoint(c), fan, shift_families(fan)))
+        for k in range(-6, 7):
+            for x, y in pairs.values():
+                y_k = suspend(y, k)
+                want = ext1_dim.__wrapped__(x, y_k)
+                assert ext1_dim(x, y_k) == want == ext1_dim(x, suspend(y, k))
+                for apex, _, _ in fans:
+                    want = answer(morphism_direction.__wrapped__, x, y, k, apex)
+                    refused += isinstance(want, tuple)
+                    for _ in range(2):
+                        assert answer(morphism_direction, x, y, k, apex) == want
+            for x in summands.values():
+                x_k = suspend(x, k)
+                for _, fan, families in fans:
+                    want = answer(cone_presentation.__wrapped__, x_k, fan, families)
+                    assert answer(cone_presentation, x_k, fan) == want
+                    for _ in range(2):
+                        assert answer(cone_presentation, suspend(x, k), fan, families) == want
+    assert refused > 0
+    assert all(f.cache_info().hits > hits for f, hits in zip(memos, before))
+
+
+def test_memos_never_keep_a_refusal():
+    n = 3
+    x = Arc(n, acc(0, n), pt(0, 3, n))
+    misses = morphism_direction.cache_info().misses
+    for _ in range(2):  # a zero Hom: positive self-degree of a limit arc
+        with pytest.raises(HomError, match="no nonzero degree 1 morphism"):
+            morphism_direction(x, x, 1)
+    assert morphism_direction.cache_info().misses == misses + 2
+    y = Arc(n + 1, acc(0, n + 1), pt(0, 3, n + 1))
+    misses = ext1_dim.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(HomError, match="different n"):
+            ext1_dim(x, y)
+    assert ext1_dim.cache_info().misses == misses + 2
+    tree = arc_set(4, [Arc(4, acc(0, 4), acc(1, 4)), Arc(4, acc(1, 4), acc(2, 4))])
+    for _ in range(2):
+        with pytest.raises(HomError, match="not the cone"):
+            cone_presentation(Arc(4, acc(0, 4), acc(3, 4)), tree)
+
+
+def test_memos_are_bounded():
+    assert isinstance(MEMO_SIZE, int) and MEMO_SIZE > 0
+    for f in (ext1_dim, morphism_direction, cone_presentation):
+        assert f.cache_info().maxsize == MEMO_SIZE
