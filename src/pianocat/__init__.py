@@ -52,7 +52,6 @@ from .quivers import (
     GentleQuiver,
     KeyboardQuiver,
     PianoQuiver,
-    gentle_from_dissection,
     graded_dim,
     is_locally_gentle,
     keyboard_from_extended,

@@ -12,18 +12,19 @@ the endpoint alignment.  A product then only tests where its middle arc
 sits, and the point keys of ``geometry`` are computed once per point.
 
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
-algebra product by product.  It builds one record per nonzero class (its
-degree, the normal form of its canonical word, its middle arc and whether
-that arc is the source summand), decides each path product from two such
-forms with ``quivers.product_is_zero``, and applies the product rule
-(``_chi_product``) to the algebra's cached target record without the
-operand checks of ``chi_multiply``.
+algebra a row at a time: one class from a to b times every class from b to
+c.  Left classes in one junction group (zero or not, last arrow) share one
+row of ``quivers.product_is_zero`` answers; the matrix row applies the
+product rule (``_chi_product``) cell by cell.  A block (a, b, c) whose rows
+disagree, or put a nonzero path off the piano, is rerun by the per-cell loop,
+so the witnesses and their order are those of that loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 from typing import NamedTuple
 
 from .dissections import chord_of_arc, dissection_from_generator
@@ -324,7 +325,7 @@ def verify_path_algebra_iso(
     decided at the junction by ``quivers.product_is_zero`` on the two class
     forms, without building its normal form, and a matrix product by
     ``_chi_product`` on the algebra's target record, without the operand
-    checks of ``chi_multiply``.
+    checks of ``chi_multiply``, a row at a time (see the module docstring).
     """
     items = list(arcs)
     if n is None:
@@ -341,8 +342,11 @@ def verify_path_algebra_iso(
     size = len(items)
     mismatches: list[IsoMismatch] = []
 
+    # The degrees of the nonzero classes of each pair, on both sides.
+    degrees: dict[tuple[int, int], tuple[int, ...]] = {}
     for a in range(size):
         for b in range(size):
+            both = []
             for m in range(-window, window + 1):
                 lhs = algebra.dim(a, b, m)
                 rhs = graded_dim(p, a, b, m)
@@ -352,40 +356,69 @@ def verify_path_algebra_iso(
                     )
                     if len(mismatches) >= max_mismatches:
                         return IsoReport(tuple(mismatches))
+                elif lhs:
+                    both.append(m)
+            degrees[(a, b)] = tuple(both)
 
     classes = {
-        (a, b): [
-            _class_record(p, algebra, a, b, m)
-            for m in range(-window, window + 1)
-            if algebra.dim(a, b, m) == 1 and graded_dim(p, a, b, m) == 1
-        ]
-        for a in range(size)
-        for b in range(size)
+        (a, b): [_class_record(p, algebra, a, b, m) for m in ms]
+        for (a, b), ms in degrees.items()
     }
-    totals = range(-2 * window, 2 * window + 1)
+    # Few pairs have distinct degree tuples, so each set of totals is formed once.
+    sumset = cache(lambda ms, ms2: frozenset(m + m2 for m in ms for m2 in ms2))
     products = 0
     for a in range(size):
-        # For each c, the degrees of the nonzero path classes from a to c.
-        on_piano = [{t for t in totals if graded_dim(p, a, c, t)} for c in range(size)]
+        # For each c, the totals of the products from a to c, their target
+        # records, and those the piano has no nonzero class in.
+        reach: list[set[int]] = [set() for _ in range(size)]
+        for b in range(size):
+            for c in range(size):
+                reach[c] |= sumset(degrees[(a, b)], degrees[(b, c)])
+        targets = [{t: algebra.product_target(a, c, t) for t in ts} for c, ts in enumerate(reach)]
+        off_piano = [{t for t in ts if not graded_dim(p, a, c, t)} for c, ts in enumerate(reach)]
         for b in range(size):
             lefts = classes[(a, b)]
+            if not lefts:
+                continue
             for c in range(size):
-                rights = classes[(b, c)]
-                on_c, w_in_target_orbit = on_piano[c], b == c
+                rights, right_degrees = classes[(b, c)], degrees[(b, c)]
+                if not rights:
+                    continue
+                targets_c, off_c, w_in_target_orbit = targets[c], off_piano[c], b == c
+                # A row that disagrees, or has a nonzero path off the piano,
+                # sends the whole block to the per-cell loop below.
+                path_rows: dict[tuple[bool, int | None], list[bool]] = {}
+                for m, left, w, w_is_source in lefts:
+                    key = (left.is_zero, left.last_arrow)
+                    path_row = path_rows.get(key)
+                    if path_row is None:
+                        path_row = path_rows[key] = [
+                            not product_is_zero(p, left, right) for _, right, _, _ in rights
+                        ]
+                    chi_row = [
+                        _chi_product(targets_c[m + m2], w, w_is_source, w_in_target_orbit)
+                        for m2 in right_degrees
+                    ]
+                    if path_row != chi_row or (
+                        off_c
+                        and any(hit and m + m2 in off_c for hit, m2 in zip(path_row, right_degrees))
+                    ):
+                        break
+                else:
+                    products += len(lefts) * len(rights)
+                    continue
                 for m, left, w, w_is_source in lefts:
                     for m2, right, _, _ in rights:
                         products += 1
                         total = m + m2
                         path_nonzero = not product_is_zero(p, left, right)
-                        if path_nonzero and total not in on_c:
+                        if path_nonzero and total in off_c:
                             mismatches.append(
                                 IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1)
                             )
                             if len(mismatches) >= max_mismatches:
                                 return IsoReport(tuple(mismatches), products)
-                        chi = _chi_product(
-                            algebra.product_target(a, c, total), w, w_is_source, w_in_target_orbit
-                        )
+                        chi = _chi_product(targets_c[total], w, w_is_source, w_in_target_orbit)
                         if path_nonzero != chi:
                             mismatches.append(
                                 IsoMismatch(

@@ -6,12 +6,12 @@ of: the arcs cross; they share a single accumulation point and the target is
 reached from the source by an anticlockwise rotation about it; they are one
 and the same double limit arc.
 
-``ext1_dim``, ``morphism_direction`` and ``cone_presentation`` depend on
-their arguments alone, and arcs, arc sets and boundary points are frozen,
-so each is memoised for the whole process in an LRU cache of ``MEMO_SIZE``
-entries: every generator of a sweep reuses the answers for the arc pairs it
-shares with the others.  A refusal raises and is not cached, so it raises
-again on every call.
+``ext1_dim``, ``hom_alignment``, ``morphism_direction`` and
+``cone_presentation`` depend on their arguments alone, and arcs, arc sets
+and boundary points are frozen, so each is memoised for the whole process
+in an LRU cache of ``MEMO_SIZE`` entries: every generator of a sweep reuses
+the answers for the arc pairs it shares with the others.  A refusal raises
+and is not cached, so it raises again on every call.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ class HomDegreeTable:
         return [["degree", "dim"]] + [[i, self.dims[i]] for i in sorted(self.dims)]
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def hom_alignment(
     x: Arc, y: Arc
 ) -> tuple[tuple[BoundaryPoint, BoundaryPoint], tuple[BoundaryPoint, BoundaryPoint]] | None:

@@ -17,13 +17,14 @@ this rewrite order reaches the word every order reaches, which
 (symbol ends and degrees, commutation runs by start, radial chains and
 arrow paths) are built once and kept on the ``PianoQuiver``.
 
-``compose`` multiplies two normal forms without normalising their
-concatenation again.  A normal form keeps its reduced block stack and the
-first and last arrow of its skeleton; the product is zero when either form
+A normal form keeps its reduced block stack and the first and last arrow
+of its skeleton.  The product of two normal forms is zero when either form
 is or the two skeletons meet in a relation at the junction
-(``product_is_zero``, one lookup), and otherwise the second form's blocks
-are pushed onto a copy of the first form's stack, so only the redexes
-across the junction are rewritten.
+(``product_is_zero``, one lookup).  The full product, which pushes the
+second form's blocks onto a copy of the first form's stack so that only the
+redexes across the junction are rewritten, is the test oracle ``compose``
+of ``tests/quiver_oracle.py``, next to the direct builder of a gentle
+quiver from an admissible dissection.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .dissections import (
     ChordArc,
     DissectionSet,
     induced_admissible,
-    is_admissible_dissection,
 )
 from .geometry import is_connected
 
@@ -81,33 +81,14 @@ class GentleQuiver:
         }
 
 
-def gentle_from_dissection(
-    d: DissectionSet, vertex_order: list[ChordArc] | None = None
-) -> GentleQuiver:
-    """Quiver of an admissible dissection.
-
-    One vertex per red arc; an arrow i -> j for each red point where arc i
-    immediately precedes arc j anticlockwise; a relation for each pair of
-    consecutive arrows meeting at the two distinct endpoints of the middle
-    arc.
-    """
-    if d.binding:
-        raise QuiverError("dissection must be red only; extend via induced_admissible")
-    if not is_admissible_dissection(d):
-        raise QuiverError("dissection is not admissible")
-    chords = list(vertex_order) if vertex_order is not None else list(d.red)
-    _check_vertex_order(chords, d.red)
-    return _gentle_quiver(d.disc.size, chords, tuple(chords))
-
-
 def _check_vertex_order(chords: list[ChordArc], arcs: tuple[ChordArc, ...]) -> None:
     if sorted(chords, key=ChordArc.endpoints) != sorted(arcs, key=ChordArc.endpoints):
         raise QuiverError("vertex order must list exactly the dissection arcs")
 
 
 def _gentle_quiver(size: int, chords: list[ChordArc], labels: tuple) -> GentleQuiver:
-    """The quiver of ``gentle_from_dissection`` on an admissible dissection's
-    arcs, in vertex order, with the given vertex labels.
+    """The gentle quiver of an admissible dissection's arcs, in vertex
+    order, with the given vertex labels.
 
     Arrows are read off a table of the arcs at each boundary point, sorted by
     how far anticlockwise their other endpoint lies; relations off an index
@@ -220,8 +201,9 @@ class PathNormalForm:
     degree: int | None
     shape: Shape
     word: tuple[Symbol, ...] = ()
-    # What ``compose`` continues from: the irreducible word as blocks, and
-    # the first and last arrow of its skeleton (None without arrows).
+    # What a product continues from (``product_is_zero``, and the test
+    # oracle ``compose``): the irreducible word as blocks, and the first
+    # and last arrow of its skeleton (None without arrows).
     blocks: tuple[Block, ...] = field(default=(), compare=False, repr=False)
     first_arrow: int | None = field(default=None, compare=False, repr=False)
     last_arrow: int | None = field(default=None, compare=False, repr=False)
@@ -469,29 +451,10 @@ def product_is_zero(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> boo
     the product is zero exactly when one of the two is zero or the last
     arrow of ``u`` and the first arrow of ``v`` form a relation.  Both
     halves are needed: a zero form has no arrows, so the relation lookup
-    alone would read it as nonzero.
+    alone would read it as nonzero.  The full product is the test oracle
+    ``compose`` (``tests/quiver_oracle.py``).
     """
     return u.is_zero or v.is_zero or (u.last_arrow, v.first_arrow) in p.relations
-
-
-def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalForm:
-    """The normal form of the product ``u`` then ``v`` of two normal forms.
-
-    Both are irreducible, so every redex of the concatenation straddles the
-    junction.  ``product_is_zero`` decides at the junction whether the
-    product vanishes; otherwise pushing ``v``'s blocks onto a copy of
-    ``u``'s stack finishes the one stack pass of ``normal_form`` over the
-    concatenation.  The identity (the empty word at a vertex) is a unit.
-    A caller that reads only whether the product is zero, such as
-    ``endo.verify_path_algebra_iso``, calls ``product_is_zero`` alone;
-    ``compose`` is the product it is tested against.
-    """
-    if not (u.is_zero or v.is_zero) and u.target != v.source:
-        raise QuiverError(f"normal forms do not compose: {u.target} -> {v.source}")
-    if product_is_zero(p, u, v):
-        return ZERO_FORM
-    stack = _reduce_blocks(p, v.blocks, list(u.blocks))
-    return _form(u.source, v.target, u.degree + v.degree, stack)
 
 
 def _scan_blocks(p: PianoQuiver, word: tuple[Symbol, ...]) -> tuple[list[Block] | None, int]:
@@ -550,11 +513,12 @@ def _reduce_blocks(
     """The irreducible form of a composable block word without a dead skeleton.
 
     Blocks are pushed in order onto a stack that never holds a redex (by
-    default an empty one; ``compose`` starts from an irreducible word).  Every
-    pattern of the rules is contiguous, so a push can only create a redex
-    that ends at the top: a degree -1 block followed by the new arrow, a
-    degree +1 block followed by the arrows of a commutation run, an inverse
-    loop block, or a degree +1 block, one arrow and the new degree -1 block.
+    default an empty one; the test oracle ``compose`` starts from an
+    irreducible word).  Every pattern of the rules is contiguous, so a push
+    can only create a redex that ends at the top: a degree -1 block followed
+    by the new arrow, a degree +1 block followed by the arrows of a
+    commutation run, an inverse loop block, or a degree +1 block, one arrow
+    and the new degree -1 block.
     That redex is rewritten a whole block at a time, and the blocks it frees
     are pushed again.  Adjacent loop blocks always sit at one vertex, since
     every rule keeps the word composable.

@@ -1,0 +1,61 @@
+"""Quiver builders and products that only the tests use, kept as references.
+
+``gentle_from_dissection`` builds the gentle quiver of an admissible
+dissection with its own validation; ``quivers.keyboard_from_extended``
+builds the same quiver on the induced dissection of an extended one.
+``compose`` is the full product of two path normal forms;
+``quivers.product_is_zero`` decides only whether it vanishes, and
+``endo.verify_path_algebra_iso`` reads no more than that.
+"""
+
+from __future__ import annotations
+
+from pianocat.dissections import ChordArc, DissectionSet, is_admissible_dissection
+from pianocat.quivers import (
+    ZERO_FORM,
+    GentleQuiver,
+    PathNormalForm,
+    PianoQuiver,
+    QuiverError,
+    _check_vertex_order,
+    _form,
+    _gentle_quiver,
+    _reduce_blocks,
+    product_is_zero,
+)
+
+
+def gentle_from_dissection(
+    d: DissectionSet, vertex_order: list[ChordArc] | None = None
+) -> GentleQuiver:
+    """Quiver of an admissible dissection.
+
+    One vertex per red arc; an arrow i -> j for each red point where arc i
+    immediately precedes arc j anticlockwise; a relation for each pair of
+    consecutive arrows meeting at the two distinct endpoints of the middle
+    arc.
+    """
+    if d.binding:
+        raise QuiverError("dissection must be red only; extend via induced_admissible")
+    if not is_admissible_dissection(d):
+        raise QuiverError("dissection is not admissible")
+    chords = list(vertex_order) if vertex_order is not None else list(d.red)
+    _check_vertex_order(chords, d.red)
+    return _gentle_quiver(d.disc.size, chords, tuple(chords))
+
+
+def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalForm:
+    """The normal form of the product ``u`` then ``v`` of two normal forms.
+
+    Both are irreducible, so every redex of the concatenation straddles the
+    junction.  ``product_is_zero`` decides at the junction whether the
+    product vanishes; otherwise pushing ``v``'s blocks onto a copy of
+    ``u``'s stack finishes the one stack pass of ``normal_form`` over the
+    concatenation.  The identity (the empty word at a vertex) is a unit.
+    """
+    if not (u.is_zero or v.is_zero) and u.target != v.source:
+        raise QuiverError(f"normal forms do not compose: {u.target} -> {v.source}")
+    if product_is_zero(p, u, v):
+        return ZERO_FORM
+    stack = _reduce_blocks(p, v.blocks, list(u.blocks))
+    return _form(u.source, v.target, u.degree + v.degree, stack)

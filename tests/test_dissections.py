@@ -1,5 +1,6 @@
 import pytest
 from face_oracle import recursive_faces
+from quiver_oracle import gentle_from_dissection
 
 from pianocat.dissections import (
     ChordArc,
@@ -21,7 +22,7 @@ from pianocat.dissections import (
 )
 from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.geometry import Arc
-from pianocat.quivers import QuiverError, gentle_from_dissection, keyboard_from_extended
+from pianocat.quivers import QuiverError, keyboard_from_extended
 
 
 def test_chords_cross():

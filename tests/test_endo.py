@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from quiver_oracle import compose
 
 from pianocat import endo
 from pianocat.endo import (
@@ -23,7 +24,6 @@ from pianocat.quivers import (
     KeyboardQuiver,
     PianoQuiver,
     canonical_word,
-    compose,
     graded_dim,
     normal_form,
     piano_from_keyboard,
@@ -363,8 +363,9 @@ def _with_relations(p: PianoQuiver, relations) -> PianoQuiver:
 
 
 def _corrupted_pianos():
-    """An n = 3 generator, and its piano without its one relation and with
-    one spurious relation between two composable arrows."""
+    """An n = 3 generator, and its piano without its one relation, with one
+    spurious relation between two composable arrows, and without the arrow
+    path of one pair joined by two arrows."""
     arcs = list(enumerate_limit_generators(3)[0])
     honest = piano_of_generator(arcs, 3)
     (dropped,) = honest.relations
@@ -374,9 +375,15 @@ def _corrupted_pianos():
         for j, f in enumerate(honest.arrows)
         if e.tgt == f.src and (i, j) not in honest.relations
     )
+    pathless = PianoQuiver(honest.keyboard, honest.beta_runs)
+    missing = min(pair for pair, path in honest.arrow_paths.items() if len(path) == 2)
+    vars(pathless)["arrow_paths"] = {
+        pair: path for pair, path in honest.arrow_paths.items() if pair != missing
+    }
     return arcs, {
         "dropped": _with_relations(honest, honest.relations - {dropped}),
         "spurious": _with_relations(honest, honest.relations | {spurious}),
+        "pathless": pathless,
     }
 
 
@@ -405,6 +412,17 @@ def test_verify_detects_a_spurious_relation():
     assert {m.kind for m in report.mismatches} == {"multiplication"}
 
 
+def test_verify_detects_a_missing_arrow_path():
+    # Without the path the piano has no class from its source to its target,
+    # where the matrix algebra has one in every degree; products through the
+    # middle vertex are nonzero on both sides, so only the rewriting test
+    # finds them, on a row where the path and matrix sides agree.
+    arcs, pianos = _corrupted_pianos()
+    p = pianos["pathless"]
+    report = verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=10**6)
+    assert {m.kind for m in report.mismatches} == {"dimension", "rewriting"}
+
+
 @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 7)], ids=["n1", "n2", "n3", "n4"])
 def test_verify_path_algebra_iso_matches_the_reference_loop(n, stride):
     # The same mismatches in the same order and the same product count as
@@ -424,6 +442,68 @@ def test_verify_on_corrupted_pianos_matches_the_reference_loop():
                 assert len(expected.mismatches) == cap  # the cut happened
             else:
                 assert len(expected.mismatches) > 4
+
+
+def _interval_cells(arcs, n, window):
+    """The cells (a, b, c, m, m2) whose product reaches the closed-interval
+    test, in the verifier's order, each with its position in its row
+    (a, b, c, m), the row's length, and the (w, aligned) pair it tests."""
+    algebra = EndoAlgebra.from_arcs(arcs, n)
+    p = piano_of_generator(arcs, n)
+    size = len(arcs)
+    degrees = range(-window, window + 1)
+    classes = {
+        (a, b): [m for m in degrees if algebra.dim(a, b, m) and graded_dim(p, a, b, m)]
+        for a, b in itertools.product(range(size), repeat=2)
+    }
+    cells = []
+    for a, b, c in itertools.product(range(size), repeat=3):
+        rights = classes[(b, c)]
+        for m in classes[(a, b)]:
+            w, w_is_source = endo._middle(algebra, a, b, m)
+            for k, m2 in enumerate(rights):
+                target = algebra.product_target(a, c, m + m2)
+                if (
+                    target is None
+                    or target.z_is_source
+                    or w_is_source
+                    or (b == c and w == target.z)
+                    or target.aligned is None
+                ):
+                    continue
+                cells.append(((a, b, c, m, m2), k, len(rights), (w, target.aligned)))
+    return cells
+
+
+def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(monkeypatch):
+    # The closed-interval test flips for two chosen (w, aligned) pairs, so
+    # the matrix side is wrong in the middle of one row and in the last cell
+    # of a row of another (a, b, c).  The reference loop reaches the same
+    # name through chi_multiply, so only the path side disagrees with it.
+    arcs, n, window = list(enumerate_limit_generators(3)[0]), 3, 3
+    cells = _interval_cells(arcs, n, window)
+    middle = next(cell for cell in cells if 0 < cell[1] < cell[2] - 1)
+    last = next(
+        cell for cell in cells if cell[1] == cell[2] - 1 and cell[0][:3] != middle[0][:3]
+    )
+    flipped = {middle[3], last[3]}
+    real = endo.within_alignment
+
+    def flip(w, aligned):
+        return real(w, aligned) != ((w, aligned) in flipped)
+
+    monkeypatch.setattr(endo, "within_alignment", flip)
+    # A pair can recur in other cells (a double limit arc is its own
+    # suspension), so the witnesses include both chosen cells.
+    for cap in (1, 4, 10**6):
+        expected = _reference_iso(arcs, n, window, max_mismatches=cap)
+        assert verify_path_algebra_iso(arcs, n, window=window, max_mismatches=cap) == expected
+        assert {m.kind for m in expected.mismatches} == {"multiplication"}
+        if cap < 10**6:
+            assert len(expected.mismatches) == cap  # the cut happened
+        else:
+            assert len(expected.mismatches) > 4
+    assert {middle[0], last[0]} <= {m.location for m in expected.mismatches}
 
 
 def test_interval_test_never_rejects_on_generators(monkeypatch):

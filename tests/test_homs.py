@@ -16,6 +16,7 @@ from pianocat.homs import (
     ext1_dim,
     extension_triangles,
     factors_through,
+    hom_alignment,
     hom_dim,
     morphism_direction,
     shift_families,
@@ -334,6 +335,24 @@ def test_memos_match_their_bodies():
     assert all(f.cache_info().hits > hits for f, hits in zip(memos, before))
 
 
+def test_hom_alignment_memo_matches_its_body():
+    # Every ordered pair of summands of the n <= 3 generators of one n,
+    # each suspended by -4..4, asked twice so that the second answer comes
+    # from the cache.
+    hits = hom_alignment.cache_info().hits
+    aligned = 0
+    for n in (1, 2, 3):
+        summands = {x.sort_key(): x for g in enumerate_limit_generators(n) for x in g}
+        shifted = [suspend(x, k) for x in summands.values() for k in range(-4, 5)]
+        for x in shifted:
+            for y in shifted:
+                want = hom_alignment.__wrapped__(x, y)
+                assert hom_alignment(x, y) == want == hom_alignment(x, y)
+                aligned += want is not None
+    assert aligned > 0
+    assert hom_alignment.cache_info().hits > hits
+
+
 def test_memos_never_keep_a_refusal():
     n = 3
     x = Arc(n, acc(0, n), pt(0, 3, n))
@@ -356,5 +375,5 @@ def test_memos_never_keep_a_refusal():
 
 def test_memos_are_bounded():
     assert isinstance(MEMO_SIZE, int) and MEMO_SIZE > 0
-    for f in (ext1_dim, morphism_direction, cone_presentation):
+    for f in (ext1_dim, hom_alignment, morphism_direction, cone_presentation):
         assert f.cache_info().maxsize == MEMO_SIZE

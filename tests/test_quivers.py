@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exhaustive import confluence_report, enumerate_composable_words
+from quiver_oracle import compose, gentle_from_dissection
 from pianocat import confluence
 from pianocat.confluence import all_terminals, critical_pair_report, rule_instances
 from pianocat.dissections import ChordArc, DissectionSet, dissection_from_generator
@@ -21,9 +22,7 @@ from pianocat.quivers import (
     QuiverError,
     Shape,
     canonical_word,
-    compose,
     degree_component_structure,
-    gentle_from_dissection,
     graded_dim,
     is_locally_gentle,
     keyboard_from_extended,
