@@ -15,9 +15,9 @@ sits, and the point keys of ``geometry`` are computed once per point.
 algebra a row at a time: one class from a to b times every class from b to
 c.  Left classes in one junction group (zero or not, last arrow) share one
 row of ``quivers.product_is_zero`` answers; the matrix row applies the
-product rule (``_chi_product``) cell by cell.  A block (a, b, c) whose rows
-disagree, or put a nonzero path off the piano, is rerun by the per-cell loop,
-so the witnesses and their order are those of that loop.
+product rule (``_chi_product``) cell by cell.  Only a row whose two sides
+disagree, or that puts a nonzero path off the piano, is walked cell by cell
+for witnesses, so the witnesses and their order are those of a per-cell loop.
 """
 
 from __future__ import annotations
@@ -385,8 +385,6 @@ def verify_path_algebra_iso(
                 if not rights:
                     continue
                 targets_c, off_c, w_in_target_orbit = targets[c], off_piano[c], b == c
-                # A row that disagrees, or has a nonzero path off the piano,
-                # sends the whole block to the per-cell loop below.
                 path_rows: dict[tuple[bool, int | None], list[bool]] = {}
                 for m, left, w, w_is_source in lefts:
                     key = (left.is_zero, left.last_arrow)
@@ -399,26 +397,23 @@ def verify_path_algebra_iso(
                         _chi_product(targets_c[m + m2], w, w_is_source, w_in_target_orbit)
                         for m2 in right_degrees
                     ]
-                    if path_row != chi_row or (
+                    if path_row == chi_row and not (
                         off_c
                         and any(hit and m + m2 in off_c for hit, m2 in zip(path_row, right_degrees))
                     ):
-                        break
-                else:
-                    products += len(lefts) * len(rights)
-                    continue
-                for m, left, w, w_is_source in lefts:
-                    for m2, right, _, _ in rights:
+                        products += len(rights)
+                        continue
+                    # Walk a row that disagrees, or has a nonzero path off the
+                    # piano, cell by cell, so that the witnesses, their order
+                    # and the count at a cap are those of a per-cell loop.
+                    for m2, path_nonzero, chi in zip(right_degrees, path_row, chi_row):
                         products += 1
-                        total = m + m2
-                        path_nonzero = not product_is_zero(p, left, right)
-                        if path_nonzero and total in off_c:
+                        if path_nonzero and m + m2 in off_c:
                             mismatches.append(
                                 IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1)
                             )
                             if len(mismatches) >= max_mismatches:
                                 return IsoReport(tuple(mismatches), products)
-                        chi = _chi_product(targets_c[total], w, w_is_source, w_in_target_orbit)
                         if path_nonzero != chi:
                             mismatches.append(
                                 IsoMismatch(
