@@ -16,8 +16,11 @@ The checkout that runs first rotates from seed to seed, so two checkouts
 alternate.  The file holds, per checkout, its run length and the
 environment of its first run's detail line (its commit and the SHA-256 of
 its sources among them), and, per workload, every run's end-to-end metrics
-and the median and quartiles of each metric per checkout.  A run that
-could not be made stops the recording with exit 2.
+and the median and quartiles of each metric per checkout.  After the
+alternating runs of a workload, each checkout makes one traced run
+(``--trace 1``) at the first seed, and the file keeps its per-layer
+metrics under ``traced``.  A run that could not be made stops the
+recording with exit 2.
 """
 
 import argparse
@@ -45,11 +48,13 @@ def run_seconds(path: Path) -> int:
     return json.loads((path / "BENCHMARK.json").read_text())["run_seconds"]
 
 
-def run_once(path: Path, workload: str, seed: int, seconds: int) -> tuple[dict, dict]:
-    """The detail line and the result line of one untraced benchmark run."""
+def run_once(
+    path: Path, workload: str, seed: int, seconds: int, trace: int = 0
+) -> tuple[dict, dict]:
+    """The detail line and the result line of one benchmark run."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     result = subprocess.run(cmd, cwd=path, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = result.stdout.splitlines()
@@ -112,9 +117,20 @@ def main() -> int:
                         "metrics": {m: v["value"] for m, v in result["metrics"].items()},
                     })
                     print(json.dumps(runs[-1]), file=sys.stderr)
+            traced = {}
+            for name in names:
+                _, result = run_once(
+                    checkouts[name], workload, args.seeds[0], sides[name]["run_seconds"], trace=1
+                )
+                traced[name] = {
+                    "seed": args.seeds[0],
+                    "correct": result["correct"],
+                    "layers": {m: v["value"] for m, v in result["metrics"].items()},
+                }
             metrics = list(runs[0]["metrics"])
             workloads[workload] = {
                 "runs": runs,
+                "traced": traced,
                 "summary": {
                     name: {
                         m: summary([r["metrics"][m] for r in runs if r["checkout"] == name])
@@ -129,7 +145,7 @@ def main() -> int:
 
     record = {
         "label": args.label,
-        "command": "perfbench/run.py --seconds <run_seconds> --trace 0",
+        "command": "perfbench/run.py --seconds <run_seconds> --trace 0 (runs), --trace 1 (traced)",
         "checkouts": sides,
         "workloads": workloads,
     }

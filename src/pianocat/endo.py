@@ -5,34 +5,48 @@ Entries are one of four graded rings determined by arc geometry: polynomial
 everywhere), the long-arc ring (one dimension everywhere except degree one),
 or zero.  Products of distinguished basis elements have coefficients in
 {0, 1}, computed from the factorisation calculus on arcs.  An
-``EndoAlgebra`` caches its suspended summands and, for each (source,
-target, degree), one ``ProductTarget`` record: None when the Hom space is
-zero, otherwise the suspended target, whether it is the source summand and
-the endpoint alignment.  A product then only tests where its middle arc
-sits, and the point keys of ``geometry`` are computed once per point.
+``EndoAlgebra`` is a plain frozen value: its order, summands and entries.
+
+The matrix side of a product is a pure function of arcs, so it is memoised
+for the whole process and shared by every generator of a sweep, in LRU
+caches of ``MEMO_SIZE`` entries (the bound of the ``homs`` memos):
+
+- ``_landing(x, y, degree)``: where a nonzero Hom from x to y in that degree
+  lands (``ProductTarget``: the suspended target, whether it is x, and the
+  endpoint alignment).  ``product_record`` asks ``hom_dim`` first, outside
+  the memo, and gives None when the Hom space is zero.
+- ``_matrix_row(x, y, v, m, right_degrees)``: the products of the class of
+  degree m from x to y with every class from y to v of the given degrees.
+
+Arcs are frozen and compare by value, so equal keys give equal answers on
+any generator.  The flags the product rule needs are read off the arcs:
+``EndoAlgebra.from_arcs`` refuses overlapping suspension orbits and repeated
+summands, so a suspension of y is x only when y is x, and the middle and
+target summands are one exactly when y == v.
 
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
 algebra a row at a time: one class from a to b times every class from b to
 c.  Left classes in one junction group (zero or not, last arrow) share one
-row of ``quivers.product_is_zero`` answers; the matrix row applies the
-product rule (``_chi_product``) cell by cell.  Only a row whose two sides
-disagree, or that puts a nonzero path off the piano, is walked cell by cell
-for witnesses, so the witnesses and their order are those of a per-cell loop.
+row of ``quivers.product_is_zero`` answers; the matrix row is the memoised
+``_matrix_row``.  Only a row whose two sides disagree, or that puts a
+nonzero path off the piano, is walked cell by cell for witnesses, so the
+witnesses and their order are those of a per-cell loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .dissections import chord_of_arc, dissection_from_generator
-from .geometry import Arc, ArcKind, suspend
+from .geometry import MEMO_SIZE, Arc, ArcKind, suspend
 from .homs import ext1_dim, hom_alignment, hom_dim, within_alignment
 from .quivers import (
     PathNormalForm,
     PianoQuiver,
+    QuiverError,
     canonical_word,
     graded_dim,
     normal_form,
@@ -96,16 +110,34 @@ def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
 
 
 class ProductTarget(NamedTuple):
-    """Where a nonzero Hom from summand i to a suspended summand l lands.
+    """Where a nonzero Hom from a summand x to a suspended summand y lands.
 
-    ``z`` is summand l suspended by the degree.  ``aligned`` is the endpoint
-    alignment of summand i with ``z`` (``homs.hom_alignment``); it is None,
-    and never read, when ``z_is_source``.
+    ``z`` is y suspended by the degree.  ``aligned`` is the endpoint
+    alignment of x with ``z`` (``homs.hom_alignment``); it is None, and
+    never read, when ``z_is_source``.
     """
 
     z: Arc
     z_is_source: bool
     aligned: tuple | None
+
+
+def product_record(x: Arc, y: Arc, degree: int) -> ProductTarget | None:
+    """The record of products from summand x to summand y in the given degree.
+
+    None when ``hom_dim`` is zero there; otherwise the memoised ``_landing``.
+    """
+    if hom_dim(x, y, degree) == 0:
+        return None
+    return _landing(x, y, degree)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _landing(x: Arc, y: Arc, degree: int) -> ProductTarget:
+    z = suspend(y, degree)
+    if z == x:
+        return ProductTarget(z, True, None)
+    return ProductTarget(z, False, hom_alignment(x, z))
 
 
 def _marked_segments(x: Arc) -> set[int]:
@@ -120,15 +152,6 @@ class EndoAlgebra:
     n: int
     arcs: tuple[Arc, ...]
     entries: tuple[tuple[GradedEntry, ...], ...]
-    # Filled lazily by ``suspended`` and ``product_target``, so each
-    # suspended summand is built and validated once per algebra, and each
-    # target record found once.
-    _suspensions: dict[tuple[int, int], Arc] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _targets: dict[tuple[int, int, int], ProductTarget | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @staticmethod
     def from_arcs(arcs: list[Arc], n: int | None = None) -> "EndoAlgebra":
@@ -162,40 +185,9 @@ class EndoAlgebra:
     def dim(self, i: int, j: int, degree: int) -> int:
         return self.entries[i][j].dim(degree)
 
-    def suspended(self, k: int, shift: int) -> Arc:
-        """The ``shift``-fold suspension of summand k."""
-        key = (k, shift)
-        x = self._suspensions.get(key)
-        if x is None:
-            x = self._suspensions[key] = suspend(self.arcs[k], shift)
-        return x
-
     def product_target(self, i: int, l: int, degree: int) -> ProductTarget | None:
-        """The record of products from summand i to summand l in the given degree.
-
-        None when ``hom_dim`` is zero there.  Suspension orbits of distinct
-        summands are disjoint (``from_arcs``), so the suspended target can
-        be the source summand only when ``l == i``.
-        """
-        key = (i, l, degree)
-        try:
-            return self._targets[key]
-        except KeyError:
-            pass
-        x = self.arcs[i]
-        if hom_dim(x, self.arcs[l], degree) == 0:
-            target = None
-        else:
-            z = self.suspended(l, degree)
-            if l == i and z == x:
-                target = ProductTarget(z, True, None)
-            else:
-                target = ProductTarget(z, False, hom_alignment(x, z))
-        self._targets[key] = target
-        return target
-
-    def dims_matrix(self, degree: int) -> list[list[int]]:
-        return [[self.dim(i, j, degree) for j in range(self.size)] for i in range(self.size)]
+        """The record of products from summand i to summand l (``product_record``)."""
+        return product_record(self.arcs[i], self.arcs[l], degree)
 
 
 def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int]) -> int:
@@ -226,7 +218,7 @@ def _middle(a: EndoAlgebra, i: int, j: int, p: int) -> tuple[Arc, bool]:
     w is summand j suspended by p; the flag says whether w is summand i,
     which it can be only when ``j == i``, since orbits are disjoint.
     """
-    w = a.suspended(j, p)
+    w = suspend(a.arcs[j], p)
     return w, j == i and w == a.arcs[i]
 
 
@@ -237,7 +229,7 @@ def _chi_product(
 
     Decides the composite x -> w -> z, where x is summand i, w the middle
     summand shifted by the first factor's degree, and z summand l shifted
-    by the total degree; ``target`` is the algebra's record for
+    by the total degree; ``target`` is the record (``product_record``) for
     (i, l, degree).  ``w_is_source`` says whether w is x, and
     ``w_in_target_orbit`` whether the middle summand is summand l, the
     only case in which w can be z, so only then are w and z compared.
@@ -252,6 +244,16 @@ def _chi_product(
     if w_is_source or (w_in_target_orbit and w == z):
         return 1
     return 1 if aligned is not None and within_alignment(w, aligned) else 0
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _matrix_row(x: Arc, y: Arc, v: Arc, m: int, right_degrees: tuple[int, ...]) -> tuple[int, ...]:
+    """The products of the class of degree m from summand x to summand y with
+    the class from y to summand v in each degree of ``right_degrees``."""
+    w = suspend(y, m)
+    return tuple(
+        _chi_product(product_record(x, v, m + m2), w, w == x, y == v) for m2 in right_degrees
+    )
 
 
 @dataclass(frozen=True)
@@ -316,16 +318,17 @@ def verify_path_algebra_iso(
     """Compare the matrix algebra of a limit generator with its path algebra.
 
     Checks degreewise dimensions on [-window, window] for every vertex pair,
-    and that products of canonical path words are nonzero exactly when the
-    corresponding matrix products are, over all composable pairs.
-    ``piano`` and ``algebra``, when given, are those of ``arcs`` in this
-    order, so that other checks can share them.
+    that the canonical word of every class both sides have is a word of the
+    piano, and that products of canonical path words are nonzero exactly
+    when the corresponding matrix products are, over all composable pairs
+    of such classes.  ``piano`` and ``algebra``, when given, are those of
+    ``arcs`` in this order, so that other checks can share them.
 
     Both factors of every pair are nonzero classes, so a path product is
     decided at the junction by ``quivers.product_is_zero`` on the two class
-    forms, without building its normal form, and a matrix product by
-    ``_chi_product`` on the algebra's target record, without the operand
-    checks of ``chi_multiply``, a row at a time (see the module docstring).
+    forms, without building its normal form, and a matrix product by the
+    product rule without the operand checks of ``chi_multiply``, a row at a
+    time (see the module docstring).
     """
     items = list(arcs)
     if n is None:
@@ -334,19 +337,15 @@ def verify_path_algebra_iso(
         algebra = EndoAlgebra.from_arcs(items, n)
     elif algebra.arcs != tuple(items):
         raise EndoError("the algebra is not the one of these summands in this order")
-    else:
-        # The products below fill the caches for every degree of the window;
-        # a copy with fresh caches keeps them from outliving this check.
-        algebra = replace(algebra)
     p = piano if piano is not None else piano_of_generator(items, n)
     size = len(items)
     mismatches: list[IsoMismatch] = []
 
     # The degrees of the nonzero classes of each pair, on both sides.
-    degrees: dict[tuple[int, int], tuple[int, ...]] = {}
+    both_sides: dict[tuple[int, int], list[int]] = {}
     for a in range(size):
         for b in range(size):
-            both = []
+            both = both_sides[(a, b)] = []
             for m in range(-window, window + 1):
                 lhs = algebra.dim(a, b, m)
                 rhs = graded_dim(p, a, b, m)
@@ -358,45 +357,58 @@ def verify_path_algebra_iso(
                         return IsoReport(tuple(mismatches))
                 elif lhs:
                     both.append(m)
-            degrees[(a, b)] = tuple(both)
 
-    classes = {
-        (a, b): [_class_record(p, algebra, a, b, m) for m in ms]
-        for (a, b), ms in degrees.items()
-    }
+    # The normal forms of those classes.  A canonical word that is no word
+    # of the piano (a loop at a vertex the piano has no such loop at) is a
+    # witness, and its class takes part in no product.
+    classes: dict[tuple[int, int], list[PathNormalForm]] = {}
+    degrees: dict[tuple[int, int], tuple[int, ...]] = {}
+    for (a, b), ms in both_sides.items():
+        forms, kept = [], []
+        for m in ms:
+            try:
+                forms.append(_class_record(p, algebra, a, b, m)[1])
+            except QuiverError as err:
+                mismatches.append(
+                    IsoMismatch("word", (a, b, m), "a word of the piano", str(err))
+                )
+                if len(mismatches) >= max_mismatches:
+                    return IsoReport(tuple(mismatches))
+            else:
+                kept.append(m)
+        classes[(a, b)], degrees[(a, b)] = forms, tuple(kept)
+
     # Few pairs have distinct degree tuples, so each set of totals is formed once.
     sumset = cache(lambda ms, ms2: frozenset(m + m2 for m in ms for m2 in ms2))
     products = 0
     for a in range(size):
-        # For each c, the totals of the products from a to c, their target
-        # records, and those the piano has no nonzero class in.
+        # For each c, the totals of the products from a to c that the piano
+        # has no nonzero class in.
         reach: list[set[int]] = [set() for _ in range(size)]
         for b in range(size):
             for c in range(size):
                 reach[c] |= sumset(degrees[(a, b)], degrees[(b, c)])
-        targets = [{t: algebra.product_target(a, c, t) for t in ts} for c, ts in enumerate(reach)]
         off_piano = [{t for t in ts if not graded_dim(p, a, c, t)} for c, ts in enumerate(reach)]
+        x = items[a]
         for b in range(size):
             lefts = classes[(a, b)]
             if not lefts:
                 continue
+            y, left_degrees = items[b], degrees[(a, b)]
             for c in range(size):
                 rights, right_degrees = classes[(b, c)], degrees[(b, c)]
                 if not rights:
                     continue
-                targets_c, off_c, w_in_target_orbit = targets[c], off_piano[c], b == c
-                path_rows: dict[tuple[bool, int | None], list[bool]] = {}
-                for m, left, w, w_is_source in lefts:
+                v, off_c = items[c], off_piano[c]
+                path_rows: dict[tuple[bool, int | None], tuple[bool, ...]] = {}
+                for m, left in zip(left_degrees, lefts):
                     key = (left.is_zero, left.last_arrow)
                     path_row = path_rows.get(key)
                     if path_row is None:
-                        path_row = path_rows[key] = [
-                            not product_is_zero(p, left, right) for _, right, _, _ in rights
-                        ]
-                    chi_row = [
-                        _chi_product(targets_c[m + m2], w, w_is_source, w_in_target_orbit)
-                        for m2 in right_degrees
-                    ]
+                        path_row = path_rows[key] = tuple(
+                            not product_is_zero(p, left, right) for right in rights
+                        )
+                    chi_row = _matrix_row(x, y, v, m, right_degrees)
                     if path_row == chi_row and not (
                         off_c
                         and any(hit and m + m2 in off_c for hit, m2 in zip(path_row, right_degrees))

@@ -5,7 +5,9 @@ order; between Acc(i) and Acc(i+1) sits a copy of the integers, the marked
 points Pt(i, p).  All predicates are exact (no floating point): points are
 compared through a lexicographic key that linearises one full anticlockwise
 turn starting at Acc(0).  Each point computes its key once, at construction,
-and the order predicates compare the stored keys.
+and the order predicates compare the stored keys.  ``suspend`` is memoised
+for the whole process in an LRU cache of ``MEMO_SIZE`` entries, the bound
+that the pairwise memos of ``homs`` and ``endo`` share.
 """
 
 from __future__ import annotations
@@ -13,7 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator
+
+
+# Entries of each process-wide memo.  A sweep at n <= 5 stays well inside it;
+# beyond it the least recently used answers are recomputed when asked again.
+MEMO_SIZE = 1 << 14
 
 
 class GeometryError(ValueError):
@@ -228,13 +236,20 @@ class Arc:
 def suspend(x: Arc, k: int) -> Arc:
     """The k-fold suspension: marked endpoints move to p - k, accumulation points stay.
 
+    ``suspend(x, 0)`` is x itself; other shifts are memoised (``_suspended``).
+    """
+    return x if k == 0 else _suspended(x, k)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _suspended(x: Arc, k: int) -> Arc:
+    """The body of ``suspend`` for k != 0.
+
     A suspension of a valid arc is valid and keeps the key order of its
     endpoints, their segments and kinds, and the distance between two
     marked endpoints of one segment; so the arc is assembled from the
     shifted points and the stored kind, without ``Arc``'s validation.
     """
-    if k == 0:
-        return x
     n, a, b = x.n, x.a.shifted(k), x.b.shifted(k)
     y = object.__new__(Arc)
     setattr_ = object.__setattr__

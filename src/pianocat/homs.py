@@ -9,9 +9,10 @@ and the same double limit arc.
 ``ext1_dim``, ``hom_alignment``, ``morphism_direction`` and
 ``cone_presentation`` depend on their arguments alone, and arcs, arc sets
 and boundary points are frozen, so each is memoised for the whole process
-in an LRU cache of ``MEMO_SIZE`` entries: every generator of a sweep reuses
-the answers for the arc pairs it shares with the others.  A refusal raises
-and is not cached, so it raises again on every call.
+in an LRU cache of ``MEMO_SIZE`` entries (defined in ``geometry``): every
+generator of a sweep reuses the answers for the arc pairs it shares with
+the others.  A refusal raises and is not cached, so it raises again on
+every call.
 """
 
 from __future__ import annotations
@@ -26,16 +27,12 @@ from .geometry import (
     ArcSet,
     BoundaryPoint,
     GeometryError,
+    MEMO_SIZE,
     cross,
     cyclic_less,
     in_closed_interval,
     suspend,
 )
-
-
-# Entries of each pairwise memo.  A sweep at n <= 5 stays well inside it;
-# beyond it the least recently used answers are recomputed when asked again.
-MEMO_SIZE = 1 << 14
 
 
 class HomError(ValueError):

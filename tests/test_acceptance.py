@@ -116,7 +116,8 @@ def test_criterion_04_fan_endomorphism_ring():
                     ok &= kind == RingKind.LAURENT
     algebra = EndoAlgebra.from_arcs(fan_summands(3))
     for i in range(-6, 7):
-        ok &= sum(map(sum, algebra.dims_matrix(i))) == (15 if i <= 0 else 12)
+        total = sum(algebra.dim(a, b, i) for a in range(algebra.size) for b in range(algebra.size))
+        ok &= total == (15 if i <= 0 else 12)
     elapsed = time.time() - t0
     _report(4, "fan endomorphism ring", ok and elapsed < 1.0, t0)
 

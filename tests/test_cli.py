@@ -560,3 +560,28 @@ def test_bench_record_alternates_checkouts_and_summarises(tmp_path):
         argv + ["--seeds", "99"], capture_output=True, text=True, timeout=120, cwd=tmp_path
     )
     assert failed.returncode == 2 and not out.exists()
+
+
+def test_bench_record_keeps_one_traced_run_per_checkout(tmp_path):
+    # The fake reports a per-layer metric only when traced, and its value
+    # names the checkout, so the traced record shows who ran it and how.
+    fake = FAKE_RUN.replace(
+        '"metrics": {"wall_s": {"value": wall, "unit": "s"}}',
+        '"metrics": {"wall_s": {"value": wall, "unit": "s"}} if args["--trace"] == "0" '
+        'else {"x.calls": {"value": %d, "unit": "count"}}',
+    )
+    for name, scale in (("old", 10), ("new", 1)):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(fake % (name, scale, scale))
+        (tmp_path / name / "BENCHMARK.json").write_text('{"run_seconds": 7}')
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+    argv = [sys.executable, str(script), "--label", "t", "--workload", "w", "--seeds", "2-3",
+            "--checkout", f"old={tmp_path / 'old'}", "--checkout", f"new={tmp_path / 'new'}"]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["w"]
+    assert record["traced"] == {
+        "old": {"seed": 2, "correct": True, "layers": {"x.calls": 10}},
+        "new": {"seed": 2, "correct": True, "layers": {"x.calls": 1}},
+    }
+    assert all("x.calls" not in r["metrics"] for r in record["runs"])

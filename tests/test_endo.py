@@ -3,7 +3,7 @@ import itertools
 import pytest
 from quiver_oracle import compose
 
-from pianocat import endo
+from pianocat import endo, geometry, homs
 from pianocat.endo import (
     EndoAlgebra,
     EndoError,
@@ -17,12 +17,13 @@ from pianocat.endo import (
     verify_path_algebra_iso,
 )
 from pianocat.generators import enumerate_limit_generators, fan_summands
-from pianocat.geometry import Arc, acc, pt, suspend
+from pianocat.geometry import MEMO_SIZE, Arc, acc, pt, suspend
 from pianocat.homs import HomError, factors_through, hom_dim
 from pianocat.quivers import (
     GentleQuiver,
     KeyboardQuiver,
     PianoQuiver,
+    QuiverError,
     canonical_word,
     graded_dim,
     normal_form,
@@ -54,7 +55,7 @@ def test_fan_pattern():
 def test_fan3_dimension_counts():
     algebra = EndoAlgebra.from_arcs(fan_summands(3))
     for i in range(-6, 7):
-        total = sum(map(sum, algebra.dims_matrix(i)))
+        total = sum(algebra.dim(a, b, i) for a in range(algebra.size) for b in range(algebra.size))
         assert total == (15 if i <= 0 else 12)
 
 
@@ -166,8 +167,8 @@ def test_verify_path_algebra_iso_shares_a_given_algebra():
         report = verify_path_algebra_iso(arcs, 3, window=3)
         shared = EndoAlgebra.from_arcs(arcs, 3)
         assert verify_path_algebra_iso(arcs, 3, window=3, algebra=shared) == report
-        # The caches of the check's products do not outlive it.
-        assert not (shared._suspensions or shared._targets)
+        # The algebra is a plain value: it keeps no caches of the check's products.
+        assert set(vars(shared)) == {"n", "arcs", "entries"}
         with pytest.raises(EndoError, match="algebra"):
             verify_path_algebra_iso(arcs, 3, window=3, algebra=EndoAlgebra.from_arcs(arcs[::-1]))
 
@@ -200,7 +201,9 @@ def test_degree_zero_part_is_the_keyboard_algebra():
             p = piano_of_generator(list(g), n)
             assert is_locally_gentle(p.keyboard.gentle)
             keyboard_dim = p.num_vertices + len(zero_degree_pairs(p))
-            chi_zero_dim = sum(map(sum, algebra.dims_matrix(0)))
+            chi_zero_dim = sum(
+                algebra.dim(a, b, 0) for a in range(algebra.size) for b in range(algebra.size)
+            )
             assert keyboard_dim == chi_zero_dim
 
 
@@ -314,8 +317,8 @@ def test_iso_report_counts_every_composable_pair():
 
 def _reference_iso(arcs, n, window, piano=None, max_mismatches=20) -> IsoReport:
     """``verify_path_algebra_iso`` as a plain per-pair loop: every composable
-    pair of nonzero classes is composed in full (``compose(...).is_zero``)
-    and multiplied by the checked ``chi_multiply``."""
+    pair of nonzero classes with a word of the piano is composed in full
+    (``compose(...).is_zero``) and multiplied by the checked ``chi_multiply``."""
     algebra = EndoAlgebra.from_arcs(arcs, n)
     p = piano if piano is not None else piano_of_generator(arcs, n)
     size = len(arcs)
@@ -327,11 +330,15 @@ def _reference_iso(arcs, n, window, piano=None, max_mismatches=20) -> IsoReport:
             mismatches.append(IsoMismatch("dimension", (a, b, m), lhs, rhs))
             if len(mismatches) >= max_mismatches:
                 return IsoReport(tuple(mismatches))
-    forms = {
-        (a, b, m): normal_form(p, canonical_word(p, a, b, m), base=a)
-        for a, b, m in itertools.product(range(size), range(size), degrees)
-        if algebra.dim(a, b, m) and graded_dim(p, a, b, m)
-    }
+    forms = {}
+    for a, b, m in itertools.product(range(size), range(size), degrees):
+        if algebra.dim(a, b, m) and graded_dim(p, a, b, m):
+            try:
+                forms[(a, b, m)] = normal_form(p, canonical_word(p, a, b, m), base=a)
+            except QuiverError as err:
+                mismatches.append(IsoMismatch("word", (a, b, m), "a word of the piano", str(err)))
+                if len(mismatches) >= max_mismatches:
+                    return IsoReport(tuple(mismatches))
     classes = {
         (a, b): [m for m in degrees if (a, b, m) in forms]
         for a, b in itertools.product(range(size), repeat=2)
@@ -475,7 +482,17 @@ def _interval_cells(arcs, n, window):
     return cells
 
 
-def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(monkeypatch):
+@pytest.fixture
+def cold_matrix_rows():
+    """Clear the process-wide matrix-row memo before and after the test, so
+    that rows decided under a patched ``endo.within_alignment`` reach no
+    other test, and the patch sees every row of this one."""
+    endo._matrix_row.cache_clear()
+    yield
+    endo._matrix_row.cache_clear()
+
+
+def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(cold_matrix_rows, monkeypatch):
     # The closed-interval test flips for two chosen (w, aligned) pairs, so
     # the matrix side is wrong in the middle of one row and in the last cell
     # of a row of another (a, b, c).  The reference loop reaches the same
@@ -506,7 +523,7 @@ def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(monkeypatc
     assert {middle[0], last[0]} <= {m.location for m in expected.mismatches}
 
 
-def test_interval_test_never_rejects_on_generators(monkeypatch):
+def test_interval_test_never_rejects_on_generators(cold_matrix_rows, monkeypatch):
     # Every product of the verifier that reaches the closed-interval test
     # passes it on every generator with n <= 3 (window 6); the test stays as
     # a guard, and the non-generator control above shows it can reject.
@@ -545,3 +562,102 @@ def test_class_records_mark_the_source_summand_only_where_it_is_met():
                     assert w_is_source == (w == arcs[a]), (g, a, b, m)
                     shifted += b == a and w != arcs[a]
     assert shifted > 0
+
+
+_MEMOS = (
+    endo._matrix_row,
+    endo._landing,
+    geometry._suspended,
+    homs.ext1_dim,
+    homs.hom_alignment,
+)
+
+
+def _clear_memos() -> None:
+    for memo in _MEMOS:
+        memo.cache_clear()
+
+
+def test_matrix_rows_match_the_factorisation_oracle():
+    # From cold memos, every row of every generator with n <= 3 (window 6),
+    # whether decided for it or shared from an earlier generator, equals the
+    # factorisation oracle cell by cell.
+    _clear_memos()
+    degrees = range(-6, 7)
+    rows = 0
+    for n in (1, 2, 3):
+        for g in enumerate_limit_generators(n):
+            arcs = list(g)
+            algebra = EndoAlgebra.from_arcs(arcs, n)
+            size = algebra.size
+            nonzero = {
+                (a, b): tuple(m for m in degrees if algebra.dim(a, b, m))
+                for a, b in itertools.product(range(size), repeat=2)
+            }
+            for a, b, c in itertools.product(range(size), repeat=3):
+                rights = nonzero[(b, c)]
+                for m in nonzero[(a, b)]:
+                    row = endo._matrix_row(arcs[a], arcs[b], arcs[c], m, rights)
+                    expected = tuple(
+                        _product_oracle(algebra, (a, b, m), (b, c, m2)) for m2 in rights
+                    )
+                    assert row == expected, (g, a, b, c, m)
+                    rows += 1
+    assert rows > 0
+    assert endo._matrix_row.cache_info().hits > 0  # some rows were shared
+
+
+def test_verify_does_not_depend_on_what_the_memos_hold():
+    # Every 7th n = 4 generator verified from cold memos, then again after
+    # the memos were filled by all generators in reverse order.
+    gens = [list(g) for g in enumerate_limit_generators(4)]
+    cold = []
+    for arcs in gens[::7]:
+        _clear_memos()
+        cold.append(verify_path_algebra_iso(arcs, 4, window=6))
+    for arcs in reversed(gens):
+        verify_path_algebra_iso(arcs, 4, window=6)
+    assert [verify_path_algebra_iso(arcs, 4, window=6) for arcs in gens[::7]] == cold
+    assert all(report.passed and report.products > 0 for report in cold)
+
+
+def test_endo_memos_are_bounded():
+    for memo in (endo._matrix_row, endo._landing, geometry._suspended):
+        assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE
+
+
+def test_verify_reports_canonical_words_off_a_corrupted_sharp_set():
+    # With the complementary sharp set, a canonical word can park a degree +1
+    # loop at a vertex that is now sharp; each such class is a "word"
+    # witness after the dimension witnesses, and the check does not raise.
+    with_words = 0
+    for g in enumerate_limit_generators(3):
+        arcs = list(g)
+        algebra = EndoAlgebra.from_arcs(arcs, 3)
+        honest = piano_of_generator(arcs, 3)
+        p = piano_from_keyboard(
+            KeyboardQuiver(
+                honest.keyboard.gentle,
+                frozenset(range(honest.num_vertices)) - honest.keyboard.sharp,
+            )
+        )
+        dimension, words = [], []
+        for a, b, m in itertools.product(range(len(arcs)), range(len(arcs)), range(-3, 4)):
+            lhs, rhs = algebra.dim(a, b, m), graded_dim(p, a, b, m)
+            if lhs != rhs:
+                dimension.append((a, b, m))
+            elif lhs:
+                try:
+                    normal_form(p, canonical_word(p, a, b, m), base=a)
+                except QuiverError:
+                    words.append((a, b, m))
+        report = verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=10**6)
+        assert not report.passed
+        found = [m for m in report.mismatches if m.kind in ("dimension", "word")]
+        assert report.mismatches[: len(found)] == tuple(found)
+        assert [m.location for m in found] == dimension + words, g
+        assert all(m.kind == "word" for m in found[len(dimension) :])
+        # Classes without a word take part in no product.
+        assert report == _reference_iso(arcs, 3, 3, piano=p, max_mismatches=10**6)
+        with_words += bool(words)
+    assert with_words == 24
