@@ -661,3 +661,31 @@ def test_verify_reports_canonical_words_off_a_corrupted_sharp_set():
         assert report == _reference_iso(arcs, 3, 3, piano=p, max_mismatches=10**6)
         with_words += bool(words)
     assert with_words == 24
+
+
+def test_matrix_rows_match_the_oracle_off_generators():
+    # Two-summand algebras at n = 2 that are no generator have products of
+    # nonzero factors whose total Hom space is zero; there the row's zero
+    # test decides, and the rows must still equal the oracle.
+    n = 2
+    ends = [acc(i, n) for i in range(n)] + [pt(i, p, n) for i in range(n) for p in (0, 2)]
+    arcs = [Arc(n, a, b) for a, b in itertools.combinations(ends, 2)]
+    degrees = range(-4, 5)
+    zero_hom = 0
+    for pair in itertools.combinations(arcs, 2):
+        try:
+            algebra = EndoAlgebra.from_arcs(list(pair), n)
+        except EndoError:
+            continue
+        nonzero = {
+            (a, b): tuple(m for m in degrees if algebra.dim(a, b, m))
+            for a, b in itertools.product(range(2), repeat=2)
+        }
+        for a, b, c in itertools.product(range(2), repeat=3):
+            rights = nonzero[(b, c)]
+            for m in nonzero[(a, b)]:
+                row = endo._matrix_row(pair[a], pair[b], pair[c], m, rights)
+                expected = tuple(_product_oracle(algebra, (a, b, m), (b, c, m2)) for m2 in rights)
+                assert row == expected, (pair, a, b, c, m)
+                zero_hom += sum(hom_dim(pair[a], pair[c], m + m2) == 0 for m2 in rights)
+    assert zero_hom > 0
