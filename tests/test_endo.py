@@ -492,7 +492,9 @@ def cold_matrix_rows():
     endo._matrix_row.cache_clear()
 
 
-def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(cold_matrix_rows, monkeypatch):
+def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(
+    cold_matrix_rows, monkeypatch
+):
     # The closed-interval test flips for two chosen (w, aligned) pairs, so
     # the matrix side is wrong in the middle of one row and in the last cell
     # of a row of another (a, b, c).  The reference loop reaches the same
