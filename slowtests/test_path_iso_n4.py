@@ -10,16 +10,16 @@ import pytest
 from pianocat import cli, endo
 
 STDOUT_SHA256 = "c30c0cc522cba9e672bf496877d25a95fce1b4ec5e9b5285ff0c969b603e9ed7"
-# Closed-interval tests of the run (window 6), from a cold matrix-row memo:
-# each of the 4,582 distinct rows is decided once.  Every cell of the run is
-# an equal-argument product of one of them; 818,740 cells reach the test.
-INTERVAL_TESTS = 31_724
+# Products of the run that reach the closed-interval test (window 6).
+INTERVAL_TESTS = 818_740
 
 
 @pytest.fixture(scope="module")
 def run():
-    """One in-process run from a cold matrix-row memo, its closed-interval
-    tests recorded by a spy; the rows it decides are cleared afterwards."""
+    """One in-process run, its closed-interval tests recorded by a spy.
+
+    The matrix rows are decided by the body of ``endo._matrix_row``, without
+    its memo, so that every cell of the run reaches the spy."""
     seen = []
     real = endo.within_alignment
 
@@ -28,11 +28,10 @@ def run():
         return seen[-1]
 
     out = io.StringIO()
-    endo._matrix_row.cache_clear()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
         mp.setattr(endo, "within_alignment", spy)
+        mp.setattr(endo, "_matrix_row", endo._matrix_row.__wrapped__)
         rc = cli.main(["verify", "path-algebra-iso", "--n", "4"])
-    endo._matrix_row.cache_clear()
     return rc, out.getvalue(), seen
 
 

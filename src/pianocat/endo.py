@@ -17,6 +17,7 @@ caches of ``MEMO_SIZE`` entries (the bound of the ``homs`` memos):
   which ``chi_multiply`` reads, asks ``hom_dim`` outside the memo first.
 - ``_matrix_row(x, y, v, m, right_degrees)``: the products of the class of
   degree m from x to y with every class from y to v of the given degrees.
+  Equal rows are one object (``_shared_row``), since rows take few values.
 
 Arcs are frozen and compare by value, so equal keys give equal answers on
 any generator.  The flags the product rule needs are read off the arcs:
@@ -190,10 +191,6 @@ class EndoAlgebra:
     def dim(self, i: int, j: int, degree: int) -> int:
         return self.entries[i][j].dim(degree)
 
-    def product_target(self, i: int, l: int, degree: int) -> ProductTarget | None:
-        """The record of products from summand i to summand l (``product_record``)."""
-        return product_record(self.arcs[i], self.arcs[l], degree)
-
 
 def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int]) -> int:
     """Coefficient (0 or 1) of the product of two distinguished basis elements.
@@ -213,18 +210,9 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
         raise EndoError("entries do not compose")
     if a.dim(i, j1, p) == 0 or a.dim(j1, l, q) == 0:
         raise EndoError("zero operand")
-    w, w_is_source = _middle(a, i, j1, p)
-    return _chi_product(a.product_target(i, l, p + q), w, w_is_source, j1 == l)
-
-
-def _middle(a: EndoAlgebra, i: int, j: int, p: int) -> tuple[Arc, bool]:
-    """The middle object w of a product whose first factor is (i, j, p).
-
-    w is summand j suspended by p; the flag says whether w is summand i,
-    which it can be only when ``j == i``, since orbits are disjoint.
-    """
-    w = suspend(a.arcs[j], p)
-    return w, j == i and w == a.arcs[i]
+    x, y, v = a.arcs[i], a.arcs[j1], a.arcs[l]
+    w = suspend(y, p)
+    return _chi_product(product_record(x, v, p + q), w, w == x, y == v)
 
 
 def _chi_product(
@@ -251,13 +239,18 @@ def _chi_product(
     return 1 if aligned is not None and within_alignment(w, aligned) else 0
 
 
+# Rows take very few distinct values (three among the 2,855 rows of one
+# path-iso-n4 benchmark sample), so the row memo keeps one object per value.
+_shared_row = lru_cache(maxsize=MEMO_SIZE)(lambda row: row)
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _matrix_row(x: Arc, y: Arc, v: Arc, m: int, right_degrees: tuple[int, ...]) -> tuple[int, ...]:
     """The products of the class of degree m from summand x to summand y with
     the class from y to summand v in each degree of ``right_degrees``."""
     w = suspend(y, m)
-    return tuple(
-        _chi_product(_landing(x, v, m + m2), w, w == x, y == v) for m2 in right_degrees
+    return _shared_row(
+        tuple(_chi_product(_landing(x, v, m + m2), w, w == x, y == v) for m2 in right_degrees)
     )
 
 
@@ -298,18 +291,6 @@ def piano_of_generator(arcs: list[Arc], n: int | None = None) -> PianoQuiver:
     """Piano quiver of a limit generator, vertices in summand order."""
     d = dissection_from_generator(arcs, n)
     return piano_from_extended(d, vertex_order=[chord_of_arc(x) for x in arcs])
-
-
-def _class_record(
-    p: PianoQuiver, algebra: EndoAlgebra, a: int, b: int, m: int
-) -> tuple[int, PathNormalForm, Arc, bool]:
-    """What the products of a nonzero class from a to b in degree m read.
-
-    Its degree, the normal form of its canonical word, and the middle
-    object (``_middle``) of the products it is the first factor of.
-    """
-    form = normal_form(p, canonical_word(p, a, b, m), base=a)
-    return (m, form, *_middle(algebra, a, b, m))
 
 
 def verify_path_algebra_iso(
@@ -363,25 +344,23 @@ def verify_path_algebra_iso(
                 elif lhs:
                     both.append(m)
 
-    # The normal forms of those classes.  A canonical word that is no word
-    # of the piano (a loop at a vertex the piano has no such loop at) is a
-    # witness, and its class takes part in no product.
-    classes: dict[tuple[int, int], list[PathNormalForm]] = {}
-    degrees: dict[tuple[int, int], tuple[int, ...]] = {}
+    # Each of those classes with the normal form of its canonical word.  A
+    # canonical word that is no word of the piano (a loop at a vertex the
+    # piano has no such loop at) is a witness, and its class takes part in
+    # no product.
+    classes: dict[tuple[int, int], list[tuple[int, PathNormalForm]]] = {}
     for (a, b), ms in both_sides.items():
-        forms, kept = [], []
+        kept = classes[(a, b)] = []
         for m in ms:
             try:
-                forms.append(_class_record(p, algebra, a, b, m)[1])
+                kept.append((m, normal_form(p, canonical_word(p, a, b, m), base=a)))
             except QuiverError as err:
                 mismatches.append(
                     IsoMismatch("word", (a, b, m), "a word of the piano", str(err))
                 )
                 if len(mismatches) >= max_mismatches:
                     return IsoReport(tuple(mismatches))
-            else:
-                kept.append(m)
-        classes[(a, b)], degrees[(a, b)] = forms, tuple(kept)
+    degrees = {pair: tuple(m for m, _ in kept) for pair, kept in classes.items()}
 
     # Few pairs have distinct degree tuples, so each set of totals is formed once.
     sumset = cache(lambda ms, ms2: frozenset(m + m2 for m in ms for m2 in ms2))
@@ -399,19 +378,19 @@ def verify_path_algebra_iso(
             lefts = classes[(a, b)]
             if not lefts:
                 continue
-            y, left_degrees = items[b], degrees[(a, b)]
+            y = items[b]
             for c in range(size):
                 rights, right_degrees = classes[(b, c)], degrees[(b, c)]
                 if not rights:
                     continue
                 v, off_c = items[c], off_piano[c]
                 path_rows: dict[tuple[bool, int | None], tuple[bool, ...]] = {}
-                for m, left in zip(left_degrees, lefts):
+                for m, left in lefts:
                     key = (left.is_zero, left.last_arrow)
                     path_row = path_rows.get(key)
                     if path_row is None:
                         path_row = path_rows[key] = tuple(
-                            not product_is_zero(p, left, right) for right in rights
+                            not product_is_zero(p, left, right) for _, right in rights
                         )
                     chi_row = _matrix_row(x, y, v, m, right_degrees)
                     if path_row == chi_row and not (
@@ -423,7 +402,7 @@ def verify_path_algebra_iso(
                     # Walk a row that disagrees, or has a nonzero path off the
                     # piano, cell by cell, so that the witnesses, their order
                     # and the count at a cap are those of a per-cell loop.
-                    for m2, path_nonzero, chi in zip(right_degrees, path_row, chi_row):
+                    for (m2, _), path_nonzero, chi in zip(rights, path_row, chi_row):
                         products += 1
                         if path_nonzero and m + m2 in off_c:
                             mismatches.append(

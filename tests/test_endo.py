@@ -467,9 +467,10 @@ def _interval_cells(arcs, n, window):
     for a, b, c in itertools.product(range(size), repeat=3):
         rights = classes[(b, c)]
         for m in classes[(a, b)]:
-            w, w_is_source = endo._middle(algebra, a, b, m)
+            w = suspend(arcs[b], m)
+            w_is_source = w == arcs[a]
             for k, m2 in enumerate(rights):
-                target = algebra.product_target(a, c, m + m2)
+                target = endo.product_record(arcs[a], arcs[c], m + m2)
                 if (
                     target is None
                     or target.z_is_source
@@ -547,27 +548,30 @@ def test_interval_test_never_rejects_on_generators(cold_matrix_rows, monkeypatch
 def test_class_records_mark_the_source_summand_only_where_it_is_met():
     # A class from a to a ends at summand a suspended by its degree; its
     # products see the source summand only where that suspension is the
-    # summand itself, and the verifier must not read every loop class so.
+    # summand itself (``w == x`` in ``_matrix_row`` and ``chi_multiply``),
+    # and the verifier must not read every loop class so.
     shifted = 0
     for n in (1, 2, 3):
         for g in enumerate_limit_generators(n):
             arcs = list(g)
             algebra = EndoAlgebra.from_arcs(arcs, n)
-            p = piano_of_generator(arcs, n)
-            for a, b in itertools.product(range(len(arcs)), repeat=2):
+            for a, c in itertools.product(range(len(arcs)), repeat=2):
+                x, v = arcs[a], arcs[c]
+                rights = tuple(m2 for m2 in range(-6, 7) if algebra.dim(a, c, m2))
                 for m in range(-6, 7):
-                    if not (algebra.dim(a, b, m) and graded_dim(p, a, b, m)):
+                    if not algebra.dim(a, a, m):
                         continue
-                    degree, form, w, w_is_source = endo._class_record(p, algebra, a, b, m)
-                    assert (degree, form) == (m, normal_form(p, canonical_word(p, a, b, m), a))
-                    assert w == suspend(arcs[b], m)
-                    assert w_is_source == (w == arcs[a]), (g, a, b, m)
-                    shifted += b == a and w != arcs[a]
+                    row = endo._matrix_row(x, x, v, m, rights)
+                    assert row == tuple(
+                        chi_multiply(algebra, (a, a, m), (a, c, m2)) for m2 in rights
+                    ), (g, a, c, m)
+                    shifted += suspend(x, m) != x
     assert shifted > 0
 
 
 _MEMOS = (
     endo._matrix_row,
+    endo._shared_row,
     endo._landing,
     geometry._suspended,
     homs.ext1_dim,
@@ -624,7 +628,7 @@ def test_verify_does_not_depend_on_what_the_memos_hold():
 
 
 def test_endo_memos_are_bounded():
-    for memo in (endo._matrix_row, endo._landing, geometry._suspended):
+    for memo in (endo._matrix_row, endo._shared_row, endo._landing, geometry._suspended):
         assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE
 
 
