@@ -10,6 +10,8 @@ then walked once, iteratively: a chord's inner face steps along the unit
 sides between its endpoints and jumps over the chords it directly encloses
 (``_faces``).  ``faces_with_sides`` lists the faces in the order of cutting
 the disc by the chords one at a time, without making the cuts.
+``chord_of_arc``, the image of one summand arc, is memoised for the whole
+process in an LRU cache of ``MEMO_SIZE`` entries (defined in ``geometry``).
 """
 
 from __future__ import annotations
@@ -18,9 +20,19 @@ import itertools
 import json
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TypeVar
 
-from .geometry import Arc, ArcKind, ArcSet, BoundaryPoint, GeometryError, is_connected, json_int
+from .geometry import (
+    MEMO_SIZE,
+    Arc,
+    ArcKind,
+    ArcSet,
+    BoundaryPoint,
+    GeometryError,
+    is_connected,
+    json_int,
+)
 
 
 class DissectionError(ValueError):
@@ -353,6 +365,18 @@ def is_extended_admissible(d: DissectionSet) -> bool:
     return _extended_faces(d) is not None
 
 
+def check_induces_admissible(d: DissectionSet) -> None:
+    """Raise ``DissectionError`` unless ``d`` is extended admissible and each
+    face it cuts out has a single boundary side, the check of
+    ``induced_admissible``."""
+    faces = _extended_faces(d)
+    if faces is None:
+        raise DissectionError("input is not an extended admissible dissection")
+    for _, sides in faces:
+        if len(sides) != 1:
+            raise DissectionError("face without a unique boundary side")
+
+
 def induced_admissible(d: DissectionSet) -> tuple[MarkedDisc, DissectionSet]:
     """Recolour an extended dissection into an admissible one on a larger disc.
 
@@ -360,14 +384,11 @@ def induced_admissible(d: DissectionSet) -> tuple[MarkedDisc, DissectionSet]:
     single boundary side of each face cut out by the full dissection; old
     position p becomes 2p and the new green on side (p, p+1) becomes 2p + 1.
     The result is always admissible (tested on every extended dissection up
-    to n = 5), so ``quivers.keyboard_from_extended`` does not check it again.
+    to n = 5), so ``quivers.keyboard_from_extended``, which runs
+    ``check_induces_admissible`` and doubles the chords itself, does not
+    check it again.
     """
-    faces = _extended_faces(d)
-    if faces is None:
-        raise DissectionError("input is not an extended admissible dissection")
-    for _, sides in faces:
-        if len(sides) != 1:
-            raise DissectionError("face without a unique boundary side")
+    check_induces_admissible(d)
     new_red = tuple(ChordArc(2 * c.p, 2 * c.q) for c in d.all_chords())
     return MarkedDisc(2 * d.n), DissectionSet(2 * d.n, new_red, ())
 
@@ -409,6 +430,7 @@ def extendability_report(
     return True, None, rebuilt
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def chord_of_arc(x: Arc) -> ChordArc:
     """Image of one (double) limit arc on the marked disc.
 

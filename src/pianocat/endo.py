@@ -20,10 +20,12 @@ caches of ``MEMO_SIZE`` entries (the bound of the ``homs`` memos):
   Equal rows are one object (``_shared_row``), since rows take few values.
 
 Arcs are frozen and compare by value, so equal keys give equal answers on
-any generator.  The flags the product rule needs are read off the arcs:
-``EndoAlgebra.from_arcs`` refuses overlapping suspension orbits and repeated
-summands, so a suspension of y is x only when y is x, and the middle and
-target summands are one exactly when y == v.
+any generator; the generators of one enumeration hold the same summand
+objects, so their keys match by identity.  The flags the product rule
+needs are read off the arcs: ``EndoAlgebra.from_arcs`` refuses
+overlapping suspension orbits and repeated summands, so a suspension of y
+is x only when y is x, and the middle and target summands are one exactly
+when y == v.
 
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
 algebra a row at a time: one class from a to b times every class from b to

@@ -3,7 +3,10 @@
 A limit pre-generator is a non-crossing spanning tree of double limit arcs on
 the accumulation points; a limit generator adds one limit arc per open
 segment, everything pairwise non-crossing under all suspensions.  Limit arcs
-are always normalised so their marked endpoint sits at position 0.
+are always normalised so their marked endpoint sits at position 0.  One
+enumeration builds each (double) limit arc once and every generator it
+returns holds those same objects, so the process-wide memos keyed by arcs
+find a summand by identity before comparing arcs.
 """
 
 from __future__ import annotations
@@ -173,6 +176,12 @@ def enumerate_limit_generators(n: int, up_to_equivalence: bool = False) -> list[
     """
     if n > ENUMERATION_CAP:
         raise GeneratorError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    # One object per limit arc, as ``enumerate_pre_generators`` builds its
+    # double limit arcs once (see the module docstring).
+    candidates = [
+        [Arc(n, BoundaryPoint(i), BoundaryPoint(seg, 0)) for i in range(n)]
+        for seg in range(n)
+    ]
     out: list[ArcSet] = []
     for pre in enumerate_pre_generators(n):
         tree = list(pre)
@@ -181,8 +190,7 @@ def enumerate_limit_generators(n: int, up_to_equivalence: bool = False) -> list[
             if seg == n:
                 out.append(arc_set(n, tree + chosen))
                 return
-            for i in range(n):
-                cand = Arc(n, BoundaryPoint(i), BoundaryPoint(seg, 0))
+            for cand in candidates[seg]:
                 if all(
                     not crosses_under_some_shift(cand, other)
                     for other in tree + chosen

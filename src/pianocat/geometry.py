@@ -5,9 +5,10 @@ order; between Acc(i) and Acc(i+1) sits a copy of the integers, the marked
 points Pt(i, p).  All predicates are exact (no floating point): points are
 compared through a lexicographic key that linearises one full anticlockwise
 turn starting at Acc(0).  Each point computes its key once, at construction,
-and the order predicates compare the stored keys.  ``suspend`` is memoised
-for the whole process in an LRU cache of ``MEMO_SIZE`` entries, the bound
-that the pairwise memos of ``homs`` and ``endo`` share.
+and the order predicates compare the stored keys.  ``suspend`` and
+``crosses_under_some_shift`` are memoised for the whole process, each in an
+LRU cache of ``MEMO_SIZE`` entries, the bound that the pairwise memos of
+``homs``, ``dissections`` and ``endo`` share.
 """
 
 from __future__ import annotations
@@ -284,6 +285,7 @@ def coarse_position(p: BoundaryPoint) -> int:
     return 2 * p.seg + 1
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def crosses_under_some_shift(x: Arc, y: Arc) -> bool:
     """Whether suspend(x, s) and suspend(y, t) cross for some shifts s, t.
 

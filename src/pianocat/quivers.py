@@ -38,7 +38,7 @@ from typing import Iterable
 from .dissections import (
     ChordArc,
     DissectionSet,
-    induced_admissible,
+    check_induces_admissible,
 )
 from .geometry import is_connected
 
@@ -164,15 +164,17 @@ def keyboard_from_extended(
     """Keyboard quiver of an extended admissible dissection.
 
     Vertices follow ``vertex_order`` (default: red arcs then binding arcs);
-    binding-arc vertices are sharp.  ``induced_admissible`` validates the
-    input once; the induced dissection it returns is admissible, so the
-    quiver is built without checking that again.
+    binding-arc vertices are sharp.  The input is validated once, by the
+    check of ``induced_admissible``, and the vertex order against the
+    dissection's own chords.  The quiver is built on the doubled chords,
+    the induced dissection, which is then admissible, so it is not checked
+    again.
     """
     chords = list(vertex_order) if vertex_order is not None else list(d.all_chords())
-    _, induced = induced_admissible(d)
+    check_induces_admissible(d)
+    _check_vertex_order(chords, d.all_chords())
     doubled = [ChordArc(2 * c.p, 2 * c.q) for c in chords]
-    _check_vertex_order(doubled, induced.red)
-    gentle = _gentle_quiver(induced.disc.size, doubled, tuple(chords))
+    gentle = _gentle_quiver(4 * d.n, doubled, tuple(chords))
     sharp = frozenset(i for i, c in enumerate(chords) if c.is_binding)
     return KeyboardQuiver(gentle, sharp)
 

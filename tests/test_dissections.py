@@ -2,11 +2,13 @@ import pytest
 from face_oracle import recursive_faces
 from quiver_oracle import gentle_from_dissection
 
+from pianocat import dissections
 from pianocat.dissections import (
     ChordArc,
     DissectionError,
     DissectionSet,
     canonical_dissection_key,
+    chord_of_arc,
     chords_cross,
     dissection_from_generator,
     enumerate_admissible_dissections,
@@ -21,7 +23,7 @@ from pianocat.dissections import (
     rotate_dissection,
 )
 from pianocat.generators import enumerate_limit_generators, fan_summands
-from pianocat.geometry import Arc
+from pianocat.geometry import Arc, pt
 from pianocat.quivers import QuiverError, keyboard_from_extended
 
 
@@ -95,6 +97,29 @@ def test_faces_refuse_duplicate_and_outside_chords():
         faces_with_sides(6, [ChordArc(0, 6)])
 
 
+def test_chord_memo_matches_its_body():
+    # Every summand of the n <= 4 generators, as the shared object and as a
+    # fresh equal copy, asked twice so that the second answer comes from
+    # the cache.
+    hits = chord_of_arc.cache_info().hits
+    for n in (1, 2, 3, 4):
+        for x in {x for g in enumerate_limit_generators(n) for x in g}:
+            want = chord_of_arc.__wrapped__(x)
+            for _ in range(2):
+                assert chord_of_arc(x) == want == chord_of_arc(Arc(n, x.a, x.b))
+    assert chord_of_arc.cache_info().hits > hits
+
+
+def test_chord_memo_never_keeps_a_refusal():
+    n = 3
+    for x in (Arc(n, pt(0, 0, n), pt(0, 2, n)), Arc(n, pt(0, 0, n), pt(1, 0, n))):
+        misses = chord_of_arc.cache_info().misses
+        for _ in range(2):  # a short, then a long arc
+            with pytest.raises(DissectionError, match="not a \\(double\\) limit arc"):
+                chord_of_arc(x)
+        assert chord_of_arc.cache_info().misses == misses + 2
+
+
 def test_induced_dissection_is_admissible():
     # What lets keyboard_from_extended build on the induced dissection
     # without checking its admissibility again.
@@ -121,6 +146,51 @@ def test_builders_still_refuse_invalid_input():
         gentle_from_dissection(induced, vertex_order=list(induced.red[1:]))
     with pytest.raises(QuiverError, match="vertex order"):
         keyboard_from_extended(fan3, vertex_order=list(fan3.all_chords())[1:])
+
+
+def test_keyboard_vertex_order_lists_each_chord_once():
+    # The vertex order is checked against the dissection's own chords: a
+    # repeated, a missing or a foreign chord is refused, and the order is
+    # free otherwise.
+    fan3 = dissection_from_generator(fan_summands(3), 3)
+    chords = list(fan3.all_chords())
+    assert ChordArc(0, 2) not in chords
+    for order in (
+        chords[:-1] + chords[:1],  # repeated
+        chords[1:],  # missing
+        chords + [ChordArc(0, 2)],  # extra
+        [ChordArc(0, 2)] + chords[1:],  # foreign
+    ):
+        with pytest.raises(QuiverError, match="vertex order"):
+            keyboard_from_extended(fan3, vertex_order=order)
+    kb = keyboard_from_extended(fan3, vertex_order=chords[::-1])
+    assert kb.gentle.labels == tuple(chords[::-1])
+
+
+def test_keyboard_refuses_what_induced_admissible_refuses(monkeypatch):
+    crossing = DissectionSet(
+        3,
+        (ChordArc(0, 4), ChordArc(2, 4)),
+        (ChordArc(1, 0), ChordArc(3, 2), ChordArc(5, 2)),  # {5, 2} crosses {0, 4}
+    )
+    for build in (induced_admissible, keyboard_from_extended):
+        with pytest.raises(DissectionError, match="not an extended admissible dissection"):
+            build(crossing)
+    # No extended admissible dissection has a face with two boundary sides
+    # or none, so the faces are altered: the first face's side moves to the
+    # second.
+    extended_faces = dissections._extended_faces
+
+    def moved_side(d):
+        faces = extended_faces(d)
+        (p0, s0), (p1, s1) = faces[:2]
+        return [(p0, []), (p1, s1 + s0)] + faces[2:]
+
+    fan3 = dissection_from_generator(fan_summands(3), 3)
+    monkeypatch.setattr(dissections, "_extended_faces", moved_side)
+    for build in (induced_admissible, keyboard_from_extended):
+        with pytest.raises(DissectionError, match="face without a unique boundary side"):
+            build(fan3)
 
 
 def test_admissible_examples():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from quiver_oracle import compose
 
-from pianocat import endo, geometry, homs
+from pianocat import dissections, endo, geometry, homs
 from pianocat.endo import (
     EndoAlgebra,
     EndoError,
@@ -228,13 +228,20 @@ def test_scalar_degree_independence_matches_per_degree_products():
                             )
 
 
+def _fresh_suspension(x: Arc, k: int) -> Arc:
+    """The k-fold suspension built by the validating constructor, outside
+    the ``geometry._suspended`` memo that the code under test reads."""
+    return Arc(x.n, x.a.shifted(k), x.b.shifted(k))
+
+
 def _product_oracle(algebra: EndoAlgebra, f, g) -> int:
-    """``chi_multiply`` from scratch: fresh suspensions, the degree-zero
-    round-trip rule, and otherwise ``factors_through`` with a HomError as 0."""
+    """``chi_multiply`` from scratch: suspensions that share no memo with
+    the code under test, the degree-zero round-trip rule, and otherwise
+    ``factors_through`` with a HomError as 0."""
     (i, j, p), (_, l, q) = f, g
     x = algebra.arcs[i]
-    w = suspend(algebra.arcs[j], p)
-    z = suspend(algebra.arcs[l], p + q)
+    w = _fresh_suspension(algebra.arcs[j], p)
+    z = _fresh_suspension(algebra.arcs[l], p + q)
     if z == x:
         return int(w == x and hom_dim(x, z, 0) == 1)
     try:
@@ -628,7 +635,14 @@ def test_verify_does_not_depend_on_what_the_memos_hold():
 
 
 def test_endo_memos_are_bounded():
-    for memo in (endo._matrix_row, endo._shared_row, endo._landing, geometry._suspended):
+    for memo in (
+        endo._matrix_row,
+        endo._shared_row,
+        endo._landing,
+        geometry._suspended,
+        geometry.crosses_under_some_shift,
+        dissections.chord_of_arc,
+    ):
         assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -115,6 +116,22 @@ def test_enumeration_counts():
     assert len(enumerate_limit_generators(2)) == 4
     assert len(enumerate_limit_generators(2, up_to_equivalence=True)) == 3
     assert len(enumerate_pre_generators(3)) == 3
+
+
+# SHA-256 of the newline-joined ``dumps()`` of the n = 5 generators.
+N5_GENERATORS_SHA256 = "1049b5c0a5f68badc2025e65db572b802535bcec6b043b7be9694d62f2eb927b"
+
+
+def test_enumeration_shares_one_object_per_summand():
+    # n^2 limit arcs and n(n-1)/2 double limit arcs, each one object held by
+    # every generator that has it; the n = 5 list itself is pinned.
+    for n in range(1, 6):
+        gens = enumerate_limit_generators(n)
+        objects = {id(x): x for g in gens for x in g}.values()
+        assert len(objects) == len(set(objects)) == n * n + n * (n - 1) // 2
+    text = "\n".join(g.dumps() for g in gens)
+    assert len(gens) == 5440
+    assert hashlib.sha256(text.encode()).hexdigest() == N5_GENERATORS_SHA256
 
 
 def test_enumeration_cap():

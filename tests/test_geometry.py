@@ -21,6 +21,7 @@ from pianocat.geometry import (
     rotate_arc,
     suspend,
 )
+from pianocat.generators import enumerate_limit_generators
 
 
 def test_cyclic_less_segment_order():
@@ -313,6 +314,39 @@ def test_shift_crossing_interleaved_bindings():
     assert crosses_under_some_shift(x, y)
     w = Arc(n, acc(3, n), pt(3, 0, n))
     assert not crosses_under_some_shift(x, w)
+
+
+def test_shift_crossing_memo_matches_its_body():
+    # Every ordered pair of summands of the n <= 4 generators, as the shared
+    # objects and as fresh equal copies, asked twice so that the second
+    # answer comes from the cache.
+    hits = crosses_under_some_shift.cache_info().hits
+    crossing = 0
+    for n in (1, 2, 3, 4):
+        summands = {x for g in enumerate_limit_generators(n) for x in g}
+        for x in summands:
+            for y in summands:
+                want = crosses_under_some_shift.__wrapped__(x, y)
+                copy = Arc(n, y.a, y.b)
+                for _ in range(2):
+                    assert crosses_under_some_shift(x, y) == want
+                    assert crosses_under_some_shift(x, copy) == want
+                crossing += want
+    assert crossing > 0
+    assert crosses_under_some_shift.cache_info().hits > hits
+
+
+def test_shift_crossing_memo_never_keeps_a_refusal():
+    n = 3
+    limit = Arc(n, acc(0, n), pt(1, 0, n))
+    for other in (Arc(n, pt(0, 0, n), pt(0, 2, n)), Arc(n, pt(0, 0, n), pt(1, 0, n))):
+        misses = crosses_under_some_shift.cache_info().misses
+        for _ in range(2):  # a short, then a long arc, on either side
+            with pytest.raises(GeometryError, match="unsupported arc configuration"):
+                crosses_under_some_shift(limit, other)
+            with pytest.raises(GeometryError, match="unsupported arc configuration"):
+                crosses_under_some_shift(other, limit)
+        assert crosses_under_some_shift.cache_info().misses == misses + 4
 
 
 def test_arcset_rejects_duplicates_and_json_round_trip():
