@@ -112,9 +112,10 @@ def test_chord_memo_matches_its_body():
 
 def test_chord_memo_never_keeps_a_refusal():
     n = 3
+    # A short, then a long arc, asked twice.
     for x in (Arc(n, pt(0, 0, n), pt(0, 2, n)), Arc(n, pt(0, 0, n), pt(1, 0, n))):
         misses = chord_of_arc.cache_info().misses
-        for _ in range(2):  # a short, then a long arc
+        for _ in range(2):
             with pytest.raises(DissectionError, match="not a \\(double\\) limit arc"):
                 chord_of_arc(x)
         assert chord_of_arc.cache_info().misses == misses + 2
@@ -150,7 +151,7 @@ def test_builders_still_refuse_invalid_input():
 
 def test_keyboard_vertex_order_lists_each_chord_once():
     # The vertex order is checked against the dissection's own chords: a
-    # repeated, a missing or a foreign chord is refused, and the order is
+    # repeated, missing, extra or foreign chord is refused, and the order is
     # free otherwise.
     fan3 = dissection_from_generator(fan_summands(3), 3)
     chords = list(fan3.all_chords())

@@ -339,9 +339,10 @@ def test_shift_crossing_memo_matches_its_body():
 def test_shift_crossing_memo_never_keeps_a_refusal():
     n = 3
     limit = Arc(n, acc(0, n), pt(1, 0, n))
+    # A short, then a long arc, on either side, asked twice.
     for other in (Arc(n, pt(0, 0, n), pt(0, 2, n)), Arc(n, pt(0, 0, n), pt(1, 0, n))):
         misses = crosses_under_some_shift.cache_info().misses
-        for _ in range(2):  # a short, then a long arc, on either side
+        for _ in range(2):
             with pytest.raises(GeometryError, match="unsupported arc configuration"):
                 crosses_under_some_shift(limit, other)
             with pytest.raises(GeometryError, match="unsupported arc configuration"):
