@@ -61,14 +61,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         for item in items:
             sys.stdout.write(draw(item))
         return EXIT_OK
-    records = [item.to_json() for item in items]
+    # Each record is written as it is made, so no list of records is held.
     if args.format == "csv":
         sys.stdout.write("index,record\n")
-        for i, r in enumerate(records):
-            sys.stdout.write(f"{i},\"{json.dumps(r, sort_keys=True)}\"\n")
+        for i, item in enumerate(items):
+            sys.stdout.write(f"{i},\"{json.dumps(item.to_json(), sort_keys=True)}\"\n")
     else:
-        for r in records:
-            _emit(r)
+        for item in items:
+            _emit(item.to_json())
     return EXIT_OK
 
 

@@ -10,8 +10,9 @@ then walked once, iteratively: a chord's inner face steps along the unit
 sides between its endpoints and jumps over the chords it directly encloses
 (``_faces``).  ``faces_with_sides`` lists the faces in the order of cutting
 the disc by the chords one at a time, without making the cuts.
-``chord_of_arc``, the image of one summand arc, is memoised for the whole
-process in an LRU cache of ``MEMO_SIZE`` entries (defined in ``geometry``).
+``chord_of_arc``, the image of one summand arc, and its inverse
+``chord_to_arc`` are each memoised for the whole process in an LRU cache of
+``MEMO_SIZE`` entries (defined in ``geometry``).
 """
 
 from __future__ import annotations
@@ -464,6 +465,7 @@ def dissection_from_generator(arcs: list[Arc] | ArcSet, n: int | None = None) ->
     )
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def chord_to_arc(c: ChordArc, n: int) -> Arc:
     """Preimage of a chord, with marked endpoints normalised to position 0."""
     def point(position: int) -> BoundaryPoint:

@@ -7,10 +7,14 @@ or zero.  Products of distinguished basis elements have coefficients in
 {0, 1}, computed from the factorisation calculus on arcs.  An
 ``EndoAlgebra`` is a plain frozen value: its order, summands and entries.
 
-The matrix side of a product is a pure function of arcs, so it is memoised
-for the whole process and shared by every generator of a sweep, in LRU
-caches of ``MEMO_SIZE`` entries (the bound of the ``homs`` memos):
+The entries and the matrix side of a product are pure functions of arcs, so
+they are memoised for the whole process and shared by every generator of a
+sweep, in LRU caches of ``MEMO_SIZE`` entries (the bound of the ``homs``
+memos):
 
+- ``_entry(x, y)``: the entry from summand x to summand y, by
+  ``classify_entry``'s rule; ``_marked_segments(x)``: the segments the
+  suspension orbit of x sweeps.  ``EndoAlgebra.from_arcs`` reads both.
 - ``_landing(x, y, degree)``: None when the Hom space from x to y in that
   degree is zero, otherwise where it lands (``ProductTarget``: the suspended
   target, whether it is x, and the endpoint alignment).  ``product_record``,
@@ -148,9 +152,18 @@ def _landing(x: Arc, y: Arc, degree: int) -> ProductTarget | None:
     return ProductTarget(z, False, hom_alignment(x, z))
 
 
-def _marked_segments(x: Arc) -> set[int]:
+@lru_cache(maxsize=MEMO_SIZE)
+def _entry(x: Arc, y: Arc) -> GradedEntry:
+    """The entry from summand x to summand y, the diagonal one when they are
+    equal: ``classify_entry``'s rule, keyed by the arc pair.  Only for
+    summands without repeats, which ``EndoAlgebra.from_arcs`` checks."""
+    return classify_entry([x, y], 0, 0 if x == y else 1)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _marked_segments(x: Arc) -> frozenset[int]:
     """Segments swept by the suspension orbit of x: those of its marked endpoints."""
-    return {p.seg for p in x.endpoints() if p.is_marked}
+    return frozenset(p.seg for p in x.endpoints() if p.is_marked)
 
 
 @dataclass(frozen=True)
@@ -165,7 +178,8 @@ class EndoAlgebra:
     def from_arcs(arcs: list[Arc], n: int | None = None) -> "EndoAlgebra":
         """The algebra of the summands in this order; a sign graph is built over it.
 
-        Refuses (``EndoError``) a short summand and overlapping suspension orbits.
+        Refuses (``EndoError``) overlapping suspension orbits, then reads
+        each cell from the ``_entry`` memo, which refuses a short summand.
         """
         items = list(arcs)
         if n is None:
@@ -177,10 +191,7 @@ class EndoAlgebra:
         swept = [seg for x in items for seg in _marked_segments(x)]
         if len(set(swept)) != len(swept) or len(set(items)) != len(items):
             raise EndoError("orbits overlap")
-        size = len(items)
-        entries = tuple(
-            tuple(classify_entry(items, i, j) for j in range(size)) for i in range(size)
-        )
+        entries = tuple(tuple(_entry(x, y) for y in items) for x in items)
         return EndoAlgebra(n, tuple(items), entries)
 
     @property

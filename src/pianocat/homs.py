@@ -12,7 +12,8 @@ and boundary points are frozen, so each is memoised for the whole process
 in an LRU cache of ``MEMO_SIZE`` entries (defined in ``geometry``): every
 generator of a sweep reuses the answers for the arc pairs it shares with
 the others.  A refusal raises and is not cached, so it raises again on
-every call.
+every call.  ``default_apex`` is memoised too, so that the memo keys of
+every sign graph of one n hold the same apex object.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class Direction(Enum):
     BACKWARD = "backward"
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def default_apex(n: int) -> BoundaryPoint:
-    """Reference accumulation point, the apex of the standard fan."""
+    """Reference accumulation point, the apex of the standard fan; one object per n."""
     return BoundaryPoint((n - 1) % n)
 
 

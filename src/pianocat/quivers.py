@@ -15,7 +15,9 @@ rewriting system is confluent (``confluence.critical_pair_report``), so
 this rewrite order reaches the word every order reaches, which
 ``confluence.all_terminals`` finds independently.  Per-quiver lookup tables
 (symbol ends and degrees, commutation runs by start, radial chains and
-arrow paths) are built once and kept on the ``PianoQuiver``.
+arrow paths) are built once and kept on the ``PianoQuiver``.  The doubled
+chord that a keyboard is built on is memoised per chord (``_doubled``, an LRU
+cache of ``MEMO_SIZE`` entries, the bound defined in ``geometry``).
 
 A normal form keeps its reduced block stack and the first and last arrow
 of its skeleton.  The product of two normal forms is zero when either form
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .dissections import (
@@ -40,7 +42,7 @@ from .dissections import (
     DissectionSet,
     check_induces_admissible,
 )
-from .geometry import is_connected
+from .geometry import MEMO_SIZE, is_connected
 
 
 class QuiverError(ValueError):
@@ -158,6 +160,12 @@ class KeyboardQuiver:
         return obj
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _doubled(c: ChordArc) -> ChordArc:
+    """The chord of the induced dissection: old position p becomes 2p."""
+    return ChordArc(2 * c.p, 2 * c.q)
+
+
 def keyboard_from_extended(
     d: DissectionSet, vertex_order: list[ChordArc] | None = None
 ) -> KeyboardQuiver:
@@ -173,9 +181,9 @@ def keyboard_from_extended(
     chords = list(vertex_order) if vertex_order is not None else list(d.all_chords())
     check_induces_admissible(d)
     _check_vertex_order(chords, d.all_chords())
-    doubled = [ChordArc(2 * c.p, 2 * c.q) for c in chords]
-    gentle = _gentle_quiver(4 * d.n, doubled, tuple(chords))
-    sharp = frozenset(i for i, c in enumerate(chords) if c.is_binding)
+    gentle = _gentle_quiver(4 * d.n, [_doubled(c) for c in chords], tuple(chords))
+    # A binding arc, and no red arc, has one odd (green) endpoint.
+    sharp = frozenset(i for i, c in enumerate(chords) if (c.p + c.q) % 2)
     return KeyboardQuiver(gentle, sharp)
 
 

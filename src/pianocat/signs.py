@@ -156,11 +156,12 @@ def sign_graph(
         raise SignError("the piano's vertices are not these summands in this order")
     cones = cone_data(list(arcs), apex)
     size = algebra.size
+    entries, zero = algebra.entries, RingKind.ZERO
     table = {
-        (j, l): morphism_direction(arcs[j], arcs[l], 0, apex)
-        for j in range(size)
-        for l in range(size)
-        if j != l and algebra.entry(j, l).kind != RingKind.ZERO
+        (j, l): morphism_direction(x, y, 0, apex)
+        for j, x in enumerate(arcs)
+        for l, y in enumerate(arcs)
+        if j != l and entries[j][l].kind != zero
     }
     adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(size)}
     for e in piano.arrows:

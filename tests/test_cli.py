@@ -73,6 +73,34 @@ def test_enumerate_csv_and_svg(capsys):
     assert code == 0 and out.count("<svg") == 1
 
 
+@pytest.mark.parametrize("kind", ["generators", "dissections"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_enumerate_writes_each_record_as_it_is_made(monkeypatch, kind, fmt):
+    # Each record line is written before the next record is serialised, so
+    # the command never holds every record at once.
+    made, written = [0], []
+    for cls in (ArcSet, DissectionSet):
+        to_json = cls.to_json
+
+        def counted(self, to_json=to_json):
+            made[0] += 1
+            return to_json(self)
+
+        monkeypatch.setattr(cls, "to_json", counted)
+
+    class Out:
+        def write(self, text):
+            written.extend(made[0] for _ in range(text.count("\n")))
+
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert main(["enumerate", "--n", "3", "--kind", kind, "--format", fmt]) == 0
+    records = written[1:] if fmt == "csv" else written
+    # The enumeration may serialise items itself; the command serialises
+    # exactly one more record between two lines.
+    assert len(records) == 36
+    assert [b - a for a, b in zip(records, records[1:])] == [1] * 35
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     import pianocat.cli as cli
 

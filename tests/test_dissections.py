@@ -9,6 +9,7 @@ from pianocat.dissections import (
     DissectionSet,
     canonical_dissection_key,
     chord_of_arc,
+    chord_to_arc,
     chords_cross,
     dissection_from_generator,
     enumerate_admissible_dissections,
@@ -119,6 +120,28 @@ def test_chord_memo_never_keeps_a_refusal():
             with pytest.raises(DissectionError, match="not a \\(double\\) limit arc"):
                 chord_of_arc(x)
         assert chord_of_arc.cache_info().misses == misses + 2
+
+
+def test_chord_preimage_memo_matches_its_body():
+    # Every chord of the n <= 4 generators, as the shared object and as a
+    # fresh equal copy, asked twice so that the second answer comes from
+    # the cache.
+    hits = chord_to_arc.cache_info().hits
+    for n in (1, 2, 3, 4):
+        for c in {chord_of_arc(x) for g in enumerate_limit_generators(n) for x in g}:
+            want = chord_to_arc.__wrapped__(c, n)
+            for _ in range(2):
+                assert chord_to_arc(c, n) == want == chord_to_arc(ChordArc(c.p, c.q), n)
+    assert chord_to_arc.cache_info().hits > hits
+
+
+def test_chord_preimage_memo_never_keeps_a_refusal():
+    # A chord to a position outside the disc of n = 3, asked twice.
+    misses = chord_to_arc.cache_info().misses
+    for _ in range(2):
+        with pytest.raises(DissectionError, match="no arc preimage"):
+            chord_to_arc(ChordArc(0, 8), 3)
+    assert chord_to_arc.cache_info().misses == misses + 2
 
 
 def test_induced_dissection_is_admissible():

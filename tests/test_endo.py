@@ -3,7 +3,7 @@ import itertools
 import pytest
 from quiver_oracle import compose
 
-from pianocat import dissections, endo, geometry, homs
+from pianocat import dissections, endo, geometry, homs, quivers
 from pianocat.endo import (
     EndoAlgebra,
     EndoError,
@@ -19,6 +19,7 @@ from pianocat.endo import (
 from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.geometry import MEMO_SIZE, Arc, acc, pt, suspend
 from pianocat.homs import HomError, factors_through, hom_dim
+from pianocat.signs import order_for_cone_blocks
 from pianocat.quivers import (
     GentleQuiver,
     KeyboardQuiver,
@@ -639,11 +640,79 @@ def test_endo_memos_are_bounded():
         endo._matrix_row,
         endo._shared_row,
         endo._landing,
+        endo._entry,
+        endo._marked_segments,
         geometry._suspended,
         geometry.crosses_under_some_shift,
         dissections.chord_of_arc,
+        dissections.chord_to_arc,
+        quivers._doubled,
+        homs.default_apex,
     ):
         assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE
+
+
+def _summand_orders(ns):
+    """Every generator of each n, in generator order and in cone-block order."""
+    for n in ns:
+        for g in enumerate_limit_generators(n):
+            yield n, list(g)
+            yield n, order_for_cone_blocks(list(g))
+
+
+def test_algebra_entries_follow_classify_entry():
+    # Every n <= 4 generator in both summand orders: the entries of
+    # ``from_arcs`` equal ``classify_entry`` cell by cell, first with the
+    # entry memos cleared before each algebra, then with all of them warm.
+    algebras = 0
+    for warm in (False, True):
+        for n, arcs in _summand_orders((1, 2, 3, 4)):
+            if not warm:
+                for memo in (endo._entry, endo._marked_segments, homs.ext1_dim):
+                    memo.cache_clear()
+            entries = EndoAlgebra.from_arcs(arcs, n).entries
+            size = len(arcs)
+            expected = tuple(
+                tuple(classify_entry(arcs, i, j) for j in range(size)) for i in range(size)
+            )
+            assert entries == expected, (warm, arcs)
+            algebras += 1
+    assert algebras == 2 * 2 * (1 + 4 + 36 + 416)
+    assert endo._entry.cache_info().hits > 0
+
+
+def test_entry_memos_match_their_bodies():
+    # Every ordered pair of summands of the n <= 4 generators (the diagonal
+    # included), and every summand, as the shared objects and as fresh
+    # equal copies, asked twice so that the second answer comes from the
+    # cache.
+    hits = [memo.cache_info().hits for memo in (endo._entry, endo._marked_segments)]
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            for x in g:
+                fresh_x = Arc(n, x.a, x.b)
+                want = endo._marked_segments.__wrapped__(x)
+                for _ in range(2):
+                    assert endo._marked_segments(x) == want == endo._marked_segments(fresh_x)
+                for y in g:
+                    want = endo._entry.__wrapped__(x, y)
+                    for _ in range(2):
+                        assert endo._entry(x, y) == want == endo._entry(fresh_x, Arc(n, y.a, y.b))
+    assert endo._entry.cache_info().hits > hits[0]
+    assert endo._marked_segments.cache_info().hits > hits[1]
+
+
+def test_entry_memo_never_keeps_a_refusal():
+    n = 3
+    long_arc = Arc(n, pt(1, 0, n), pt(2, 0, n))
+    short = Arc(n, pt(0, 0, n), pt(0, 2, n))
+    for arcs in ([short], [long_arc, short]):
+        for _ in range(2):
+            misses = endo._entry.cache_info().misses
+            with pytest.raises(EndoError, match="short"):
+                EndoAlgebra.from_arcs(arcs)
+            # The refused diagonal cell is asked afresh each time.
+            assert endo._entry.cache_info().misses > misses
 
 
 def test_verify_reports_canonical_words_off_a_corrupted_sharp_set():

@@ -13,6 +13,7 @@ from pianocat.homs import (
     HomError,
     compose_directions,
     cone_presentation,
+    default_apex,
     ext1_dim,
     extension_triangles,
     factors_through,
@@ -375,5 +376,11 @@ def test_memos_never_keep_a_refusal():
 
 def test_memos_are_bounded():
     assert isinstance(MEMO_SIZE, int) and MEMO_SIZE > 0
-    for f in (ext1_dim, hom_alignment, morphism_direction, cone_presentation):
+    for f in (ext1_dim, hom_alignment, morphism_direction, cone_presentation, default_apex):
         assert f.cache_info().maxsize == MEMO_SIZE
+
+
+def test_default_apex_is_one_object_per_n():
+    for n in range(1, 7):
+        assert default_apex(n) is default_apex(n)
+        assert default_apex(n) == default_apex.__wrapped__(n) == BoundaryPoint(n - 1)

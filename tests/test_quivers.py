@@ -11,7 +11,12 @@ from exhaustive import confluence_report, enumerate_composable_words
 from quiver_oracle import compose, gentle_from_dissection
 from pianocat import confluence
 from pianocat.confluence import all_terminals, critical_pair_report, rule_instances
-from pianocat.dissections import ChordArc, DissectionSet, dissection_from_generator
+from pianocat.dissections import (
+    ChordArc,
+    DissectionSet,
+    dissection_from_generator,
+    enumerate_extended_dissections,
+)
 from pianocat.endo import piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.quivers import (
@@ -21,6 +26,7 @@ from pianocat.quivers import (
     PianoQuiver,
     QuiverError,
     Shape,
+    _doubled,
     canonical_word,
     degree_component_structure,
     graded_dim,
@@ -117,6 +123,24 @@ def test_pianos_are_pinned_up_to_n4():
             count += 1
     assert count == 1 + 4 + 36 + 416
     assert digest.hexdigest() == PIANO_DIGEST_N4
+
+
+def test_chord_doubling_memo_matches_its_body():
+    # Every chord of the n <= 4 extended dissections, as the shared object
+    # and as a fresh equal copy, asked twice so that the second answer
+    # comes from the cache; and the sharp vertices, read off endpoint
+    # parity, are exactly the binding arcs.
+    hits = _doubled.cache_info().hits
+    for n in (1, 2, 3, 4):
+        for d in enumerate_extended_dissections(n):
+            chords = d.all_chords()
+            for c in chords:
+                want = _doubled.__wrapped__(c)
+                for _ in range(2):
+                    assert _doubled(c) == want == _doubled(ChordArc(c.p, c.q))
+            sharp = frozenset(i for i, c in enumerate(chords) if c.is_binding)
+            assert keyboard_from_extended(d).sharp == sharp
+    assert _doubled.cache_info().hits > hits
 
 
 def test_single_chord_dissection_quiver():
