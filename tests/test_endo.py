@@ -19,7 +19,6 @@ from pianocat.endo import (
 from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.geometry import MEMO_SIZE, Arc, acc, pt, suspend
 from pianocat.homs import HomError, factors_through, hom_dim
-from pianocat.signs import order_for_cone_blocks
 from pianocat.quivers import (
     GentleQuiver,
     KeyboardQuiver,
@@ -30,6 +29,7 @@ from pianocat.quivers import (
     normal_form,
     piano_from_keyboard,
 )
+from pianocat.signs import order_for_cone_blocks
 
 
 def test_entry_dimension_profiles():
@@ -652,21 +652,19 @@ def test_endo_memos_are_bounded():
         assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE
 
 
-def _summand_orders(ns):
-    """Every generator of each n, in generator order and in cone-block order."""
-    for n in ns:
-        for g in enumerate_limit_generators(n):
-            yield n, list(g)
-            yield n, order_for_cone_blocks(list(g))
-
-
 def test_algebra_entries_follow_classify_entry():
     # Every n <= 4 generator in both summand orders: the entries of
     # ``from_arcs`` equal ``classify_entry`` cell by cell, first with the
     # entry memos cleared before each algebra, then with all of them warm.
+    orders = [
+        (n, arcs)
+        for n in (1, 2, 3, 4)
+        for g in enumerate_limit_generators(n)
+        for arcs in (list(g), order_for_cone_blocks(list(g)))
+    ]
     algebras = 0
     for warm in (False, True):
-        for n, arcs in _summand_orders((1, 2, 3, 4)):
+        for n, arcs in orders:
             if not warm:
                 for memo in (endo._entry, endo._marked_segments, homs.ext1_dim):
                     memo.cache_clear()
