@@ -18,8 +18,8 @@ INTERVAL_TESTS = 818_740
 def run():
     """One in-process run, its closed-interval tests recorded by a spy.
 
-    The matrix rows are decided by the body of ``endo._matrix_row``, without
-    its memo, so that every cell of the run reaches the spy."""
+    The matrix blocks are decided by the body of ``endo._matrix_block``,
+    without its memo, so that every cell of the run reaches the spy."""
     seen = []
     real = endo.within_alignment
 
@@ -30,7 +30,7 @@ def run():
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
         mp.setattr(endo, "within_alignment", spy)
-        mp.setattr(endo, "_matrix_row", endo._matrix_row.__wrapped__)
+        mp.setattr(endo, "_matrix_block", endo._matrix_block.__wrapped__)
         rc = cli.main(["verify", "path-algebra-iso", "--n", "4"])
     return rc, out.getvalue(), seen
 

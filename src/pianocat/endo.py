@@ -19,9 +19,11 @@ memos):
   degree is zero, otherwise where it lands (``ProductTarget``: the suspended
   target, whether it is x, and the endpoint alignment).  ``product_record``,
   which ``chi_multiply`` reads, asks ``hom_dim`` outside the memo first.
-- ``_matrix_row(x, y, v, m, right_degrees)``: the products of the class of
-  degree m from x to y with every class from y to v of the given degrees.
-  Equal rows are one object (``_shared_row``), since rows take few values.
+- ``_matrix_block(x, y, v, left_degrees, right_degrees)``: the products of
+  every class from x to y of the left degrees with every class from y to v
+  of the right degrees, one row per left class (``_matrix_row``, the row
+  body, unmemoised).  Equal rows, and equal blocks, are one object
+  (``_shared``), since they take few values.
 
 Arcs are frozen and compare by value, so equal keys give equal answers on
 any generator; the generators of one enumeration hold the same summand
@@ -32,12 +34,13 @@ is x only when y is x, and the middle and target summands are one exactly
 when y == v.
 
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
-algebra a row at a time: one class from a to b times every class from b to
-c.  Left classes in one junction group (zero or not, last arrow) share one
-row of ``quivers.product_is_zero`` answers; the matrix row is the memoised
-``_matrix_row``.  Only a row whose two sides disagree, or that puts a
-nonzero path off the piano, is walked cell by cell for witnesses, so the
-witnesses and their order are those of a per-cell loop.
+algebra a block at a time: every class from a to b times every class from
+b to c.  Left classes in one junction group (zero or not, last arrow)
+share one row of ``quivers.product_is_zero`` answers; the matrix block is
+the memoised ``_matrix_block``.  Only a block whose two sides disagree, or
+that puts a nonzero path off the piano, is walked row by row, and only
+such a row cell by cell for witnesses, so the witnesses and their order
+are those of a per-cell loop.
 """
 
 from __future__ import annotations
@@ -252,19 +255,31 @@ def _chi_product(
     return 1 if aligned is not None and within_alignment(w, aligned) else 0
 
 
-# Rows take very few distinct values (three among the 2,855 rows of one
-# path-iso-n4 benchmark sample), so the row memo keeps one object per value.
-_shared_row = lru_cache(maxsize=MEMO_SIZE)(lambda row: row)
+# Rows and blocks take very few distinct values (eight among the 2,855 rows
+# and 239 blocks of one path-iso-n4 benchmark sample), so each value is kept
+# as one object.
+_shared = lru_cache(maxsize=MEMO_SIZE)(lambda value: value)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _matrix_row(x: Arc, y: Arc, v: Arc, m: int, right_degrees: tuple[int, ...]) -> tuple[int, ...]:
     """The products of the class of degree m from summand x to summand y with
     the class from y to summand v in each degree of ``right_degrees``."""
     w = suspend(y, m)
-    return _shared_row(
-        tuple(_chi_product(_landing(x, v, m + m2), w, w == x, y == v) for m2 in right_degrees)
+    w_is_source, w_in_target_orbit = w == x, y == v
+    return tuple(
+        _chi_product(_landing(x, v, m + m2), w, w_is_source, w_in_target_orbit)
+        for m2 in right_degrees
     )
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _matrix_block(
+    x: Arc, y: Arc, v: Arc, left_degrees: tuple[int, ...], right_degrees: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The matrix rows (``_matrix_row``) of the classes from summand x to
+    summand y in the degrees of ``left_degrees``, against the classes from y
+    to summand v in the degrees of ``right_degrees``."""
+    return _shared(tuple(_shared(_matrix_row(x, y, v, m, right_degrees)) for m in left_degrees))
 
 
 @dataclass(frozen=True)
@@ -306,6 +321,20 @@ def piano_of_generator(arcs: list[Arc], n: int | None = None) -> PianoQuiver:
     return piano_from_extended(d, vertex_order=[chord_of_arc(x) for x in arcs])
 
 
+def _lands_in(
+    block: tuple[tuple[bool, ...], ...],
+    left_degrees: tuple[int, ...],
+    right_degrees: tuple[int, ...],
+    totals: set[int],
+) -> bool:
+    """Whether some nonzero cell of the block has its total degree in ``totals``."""
+    return any(
+        hit and m + m2 in totals
+        for m, row in zip(left_degrees, block)
+        for hit, m2 in zip(row, right_degrees)
+    )
+
+
 def verify_path_algebra_iso(
     arcs: list[Arc],
     n: int | None = None,
@@ -326,9 +355,14 @@ def verify_path_algebra_iso(
     Both factors of every pair are nonzero classes, so a path product is
     decided at the junction by ``quivers.product_is_zero`` on the two class
     forms, without building its normal form, and a matrix product by the
-    product rule without the operand checks of ``chi_multiply``, a row at a
-    time (see the module docstring).
+    product rule without the operand checks of ``chi_multiply``, a block at
+    a time (see the module docstring).  Refuses (``EndoError``) a negative
+    window and a cap below one: neither can check anything.
     """
+    if window < 0:
+        raise EndoError(f"window must be at least 0, got {window}")
+    if max_mismatches < 1:
+        raise EndoError(f"max_mismatches must be at least 1, got {max_mismatches}")
     items = list(arcs)
     if n is None:
         n = items[0].n
@@ -345,8 +379,9 @@ def verify_path_algebra_iso(
     for a in range(size):
         for b in range(size):
             both = both_sides[(a, b)] = []
+            entry = algebra.entries[a][b]
             for m in range(-window, window + 1):
-                lhs = algebra.dim(a, b, m)
+                lhs = entry.dim(m)
                 rhs = graded_dim(p, a, b, m)
                 if lhs != rhs:
                     mismatches.append(
@@ -374,6 +409,13 @@ def verify_path_algebra_iso(
                 if len(mismatches) >= max_mismatches:
                     return IsoReport(tuple(mismatches))
     degrees = {pair: tuple(m for m, _ in kept) for pair, kept in classes.items()}
+    # Left classes meet a right class at their junction (zero or not, last
+    # arrow): one left form per junction, and each class's junction in order.
+    junction_forms: dict[tuple[int, int], dict[tuple[bool, int | None], PathNormalForm]] = {}
+    junctions: dict[tuple[int, int], tuple[tuple[bool, int | None], ...]] = {}
+    for pair, kept in classes.items():
+        keys = junctions[pair] = tuple((form.is_zero, form.last_arrow) for _, form in kept)
+        junction_forms[pair] = {key: form for key, (_, form) in zip(keys, kept)}
 
     # Few pairs have distinct degree tuples, so each set of totals is formed once.
     sumset = cache(lambda ms, ms2: frozenset(m + m2 for m in ms for m2 in ms2))
@@ -383,39 +425,45 @@ def verify_path_algebra_iso(
         # has no nonzero class in.
         reach: list[set[int]] = [set() for _ in range(size)]
         for b in range(size):
-            for c in range(size):
-                reach[c] |= sumset(degrees[(a, b)], degrees[(b, c)])
+            if degrees[(a, b)]:
+                for c in range(size):
+                    reach[c] |= sumset(degrees[(a, b)], degrees[(b, c)])
         off_piano = [{t for t in ts if not graded_dim(p, a, c, t)} for c, ts in enumerate(reach)]
         x = items[a]
         for b in range(size):
-            lefts = classes[(a, b)]
-            if not lefts:
+            left_degrees = degrees[(a, b)]
+            if not left_degrees:
                 continue
             y = items[b]
             for c in range(size):
                 rights, right_degrees = classes[(b, c)], degrees[(b, c)]
                 if not rights:
                     continue
-                v, off_c = items[c], off_piano[c]
-                path_rows: dict[tuple[bool, int | None], tuple[bool, ...]] = {}
-                for m, left in lefts:
-                    key = (left.is_zero, left.last_arrow)
-                    path_row = path_rows.get(key)
-                    if path_row is None:
-                        path_row = path_rows[key] = tuple(
-                            not product_is_zero(p, left, right) for _, right in rights
-                        )
-                    chi_row = _matrix_row(x, y, v, m, right_degrees)
+                v = items[c]
+                # The totals of this block where the piano has no class.
+                off_c = off_piano[c].intersection(sumset(left_degrees, right_degrees))
+                path_rows = {
+                    key: tuple(not product_is_zero(p, left, right) for _, right in rights)
+                    for key, left in junction_forms[(a, b)].items()
+                }
+                path_block = tuple(path_rows[key] for key in junctions[(a, b)])
+                chi_block = _matrix_block(x, y, v, left_degrees, right_degrees)
+                if path_block == chi_block and not (
+                    off_c and _lands_in(path_block, left_degrees, right_degrees, off_c)
+                ):
+                    products += len(left_degrees) * len(rights)
+                    continue
+                # Walk a block that disagrees, or has a nonzero path off the
+                # piano, row by row and a row that does so cell by cell, so
+                # that the witnesses, their order and the count at a cap are
+                # those of a per-cell loop.
+                for m, path_row, chi_row in zip(left_degrees, path_block, chi_block):
                     if path_row == chi_row and not (
-                        off_c
-                        and any(hit and m + m2 in off_c for hit, m2 in zip(path_row, right_degrees))
+                        off_c and _lands_in((path_row,), (m,), right_degrees, off_c)
                     ):
                         products += len(rights)
                         continue
-                    # Walk a row that disagrees, or has a nonzero path off the
-                    # piano, cell by cell, so that the witnesses, their order
-                    # and the count at a cap are those of a per-cell loop.
-                    for (m2, _), path_nonzero, chi in zip(rights, path_row, chi_row):
+                    for m2, path_nonzero, chi in zip(right_degrees, path_row, chi_row):
                         products += 1
                         if path_nonzero and m + m2 in off_c:
                             mismatches.append(

@@ -217,13 +217,12 @@ class PathNormalForm:
     blocks: tuple[Block, ...] = field(default=(), compare=False, repr=False)
     first_arrow: int | None = field(default=None, compare=False, repr=False)
     last_arrow: int | None = field(default=None, compare=False, repr=False)
+    # Whether the shape is ZERO, set when the form is made: only ``ZERO_FORM``
+    # has that shape.  A plain field, since every product reads it.
+    is_zero: bool = field(default=False, compare=False, repr=False)
 
-    @cached_property
-    def is_zero(self) -> bool:
-        return self.shape == Shape.ZERO
 
-
-ZERO_FORM = PathNormalForm(None, None, None, Shape.ZERO)
+ZERO_FORM = PathNormalForm(None, None, None, Shape.ZERO, is_zero=True)
 
 
 @dataclass(frozen=True)
@@ -610,7 +609,7 @@ def graded_dim(p: PianoQuiver, a: int, b: int, m: int) -> int:
         if m <= 0 or p.has_beta(a):
             return 1
         return 0
-    return 1 if arrow_path(p, a, b) is not None else 0
+    return 1 if (a, b) in p.arrow_paths else 0
 
 
 def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...] | None:
@@ -619,19 +618,19 @@ def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...]
         return None
     if a == b:
         if m <= 0:
-            return tuple(("a", a) for _ in range(-m))
-        return tuple(("b", a) for _ in range(m))
+            return (("a", a),) * -m
+        return (("b", a),) * m
     path = arrow_path(p, a, b)
     assert path is not None
     deltas = tuple(("d", k) for k in path)
     if m == 0:
         return deltas
     if m < 0:
-        return deltas + tuple(("a", b) for _ in range(-m))
+        return deltas + (("a", b),) * -m
     if p.has_beta(b):
-        return deltas + tuple(("b", b) for _ in range(m))
+        return deltas + (("b", b),) * m
     park = p.arrows[path[-1]].src
-    return deltas[:-1] + tuple(("b", park) for _ in range(m)) + deltas[-1:]
+    return deltas[:-1] + (("b", park),) * m + deltas[-1:]
 
 
 def degree_component_structure(p: PianoQuiver, degree: int) -> list[list[int]]:

@@ -372,8 +372,13 @@ def verify_phi_homomorphism(
     built for ``arcs`` and ``apex`` (if given).  At most ``max_failures``
     witnesses are reported, in the order they are found; ``pairs`` counts
     the composable pairs of nonzero entries (j -> j2, j2 -> l) that part (b)
-    examined.
+    examined.  Refuses (``SignError``) a negative window and a cap below
+    one: neither can check anything.
     """
+    if window < 0:
+        raise SignError(f"window must be at least 0, got {window}")
+    if max_failures < 1:
+        raise SignError(f"max_failures must be at least 1, got {max_failures}")
     graph = _own_graph(m, arcs, apex)
     examined = [0]  # incremented by part (b), which may be cut short
     failures = tuple(islice(_phi_failures(m, window, graph, examined), max_failures))

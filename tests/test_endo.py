@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -438,6 +439,24 @@ def test_verify_detects_a_missing_arrow_path():
     assert {m.kind for m in report.mismatches} == {"dimension", "rewriting"}
 
 
+def test_verify_refuses_a_cap_below_one_and_a_negative_window():
+    # A cap of 0 or less would report a failing check with fewer witnesses
+    # than it found, and a negative window checks nothing, so both are
+    # refused; at cap 1 the dropped relation still fails, and window 0
+    # still checks products.
+    arcs, pianos = _corrupted_pianos()
+    p = pianos["dropped"]
+    report = verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=1)
+    assert not report.passed and len(report.mismatches) == 1
+    for cap in (0, -5):
+        with pytest.raises(EndoError, match="max_mismatches"):
+            verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=cap)
+    with pytest.raises(EndoError, match="window"):
+        verify_path_algebra_iso(arcs, 3, window=-1)
+    report = verify_path_algebra_iso(arcs, 3, window=0)
+    assert report.passed and report.products > 0
+
+
 @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 7)], ids=["n1", "n2", "n3", "n4"])
 def test_verify_path_algebra_iso_matches_the_reference_loop(n, stride):
     # The same mismatches in the same order and the same product count as
@@ -493,12 +512,12 @@ def _interval_cells(arcs, n, window):
 
 @pytest.fixture
 def cold_matrix_rows():
-    """Clear the process-wide matrix-row memo before and after the test, so
+    """Clear the process-wide matrix-block memo before and after the test, so
     that rows decided under a patched ``endo.within_alignment`` reach no
     other test, and the patch sees every row of this one."""
-    endo._matrix_row.cache_clear()
+    endo._matrix_block.cache_clear()
     yield
-    endo._matrix_row.cache_clear()
+    endo._matrix_block.cache_clear()
 
 
 def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(
@@ -532,6 +551,47 @@ def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(
         else:
             assert len(expected.mismatches) > 4
     assert {middle[0], last[0]} <= {m.location for m in expected.mismatches}
+
+
+def test_verify_walks_the_one_disagreeing_row_of_a_block(cold_matrix_rows, monkeypatch):
+    # The closed-interval test flips for one (w, aligned) pair that a middle
+    # row of its block (a, b, c) meets in several cells and no other row of
+    # that block meets, so the block disagrees in that row alone: the
+    # verifier walks it cell by cell and counts the agreeing rows around it
+    # whole.  The reference loop reaches the same name through chi_multiply.
+    arcs, n, window = list(enumerate_limit_generators(3)[0]), 3, 3
+    cells = _interval_cells(arcs, n, window)
+    rows, uses = collections.defaultdict(set), collections.Counter()
+    for (a, b, c, m, _), _, _, pair in cells:
+        rows[(a, b, c, pair)].add(m)
+        uses[pair] += 1
+    algebra, p = EndoAlgebra.from_arcs(arcs, n), piano_of_generator(arcs, n)
+
+    def left_degrees(a, b):
+        return [m for m in range(-window, window + 1) if algebra.dim(a, b, m) and graded_dim(p, a, b, m)]
+
+    location, pair = next(
+        (location, pair)
+        for location, _, _, pair in cells
+        if rows[(*location[:3], pair)] == {location[3]}
+        and left_degrees(*location[:2])[0] < location[3] < left_degrees(*location[:2])[-1]
+        and uses[pair] > 2
+    )
+    real = endo.within_alignment
+
+    def flip(w, aligned):
+        return real(w, aligned) != ((w, aligned) == pair)
+
+    monkeypatch.setattr(endo, "within_alignment", flip)
+    for cap in (1, 2, 10**6):
+        expected = _reference_iso(arcs, n, window, max_mismatches=cap)
+        assert verify_path_algebra_iso(arcs, n, window=window, max_mismatches=cap) == expected
+        assert {m.kind for m in expected.mismatches} == {"multiplication"}
+        assert len(expected.mismatches) == min(cap, len(expected.mismatches))
+    assert location in {m.location for m in expected.mismatches}
+    in_block = {m.location[3] for m in expected.mismatches if m.location[:3] == location[:3]}
+    assert in_block == {location[3]}
+    assert len(expected.mismatches) > 2  # caps 1 and 2 cut the list
 
 
 def test_interval_test_never_rejects_on_generators(cold_matrix_rows, monkeypatch):
@@ -578,8 +638,8 @@ def test_class_records_mark_the_source_summand_only_where_it_is_met():
 
 
 _MEMOS = (
-    endo._matrix_row,
-    endo._shared_row,
+    endo._matrix_block,
+    endo._shared,
     endo._landing,
     geometry._suspended,
     homs.ext1_dim,
@@ -593,32 +653,43 @@ def _clear_memos() -> None:
 
 
 def test_matrix_rows_match_the_factorisation_oracle():
-    # From cold memos, every row of every generator with n <= 3 (window 6),
-    # whether decided for it or shared from an earlier generator, equals the
-    # factorisation oracle cell by cell.
-    _clear_memos()
+    # From cold memos, and again with them warm, every block of every
+    # generator with n <= 3 (window 6), whether decided for it or shared from
+    # an earlier generator, equals the factorisation oracle cell by cell, and
+    # so does each of its rows decided alone by the row body.
     degrees = range(-6, 7)
-    rows = 0
-    for n in (1, 2, 3):
-        for g in enumerate_limit_generators(n):
-            arcs = list(g)
-            algebra = EndoAlgebra.from_arcs(arcs, n)
-            size = algebra.size
-            nonzero = {
-                (a, b): tuple(m for m in degrees if algebra.dim(a, b, m))
-                for a, b in itertools.product(range(size), repeat=2)
-            }
-            for a, b, c in itertools.product(range(size), repeat=3):
-                rights = nonzero[(b, c)]
-                for m in nonzero[(a, b)]:
-                    row = endo._matrix_row(arcs[a], arcs[b], arcs[c], m, rights)
+    for warm in (False, True):
+        if not warm:
+            _clear_memos()
+        shared = {}
+        hits = endo._matrix_block.cache_info().hits
+        rows = 0
+        for n in (1, 2, 3):
+            for g in enumerate_limit_generators(n):
+                arcs = list(g)
+                algebra = EndoAlgebra.from_arcs(arcs, n)
+                size = algebra.size
+                nonzero = {
+                    (a, b): tuple(m for m in degrees if algebra.dim(a, b, m))
+                    for a, b in itertools.product(range(size), repeat=2)
+                }
+                for a, b, c in itertools.product(range(size), repeat=3):
+                    lefts, rights = nonzero[(a, b)], nonzero[(b, c)]
+                    block = endo._matrix_block(arcs[a], arcs[b], arcs[c], lefts, rights)
                     expected = tuple(
-                        _product_oracle(algebra, (a, b, m), (b, c, m2)) for m2 in rights
+                        tuple(_product_oracle(algebra, (a, b, m), (b, c, m2)) for m2 in rights)
+                        for m in lefts
                     )
-                    assert row == expected, (g, a, b, c, m)
-                    rows += 1
-    assert rows > 0
-    assert endo._matrix_row.cache_info().hits > 0  # some rows were shared
+                    assert block == expected, (warm, g, a, b, c)
+                    # Equal blocks, and equal rows, are one object.
+                    assert shared.setdefault(block, block) is block
+                    assert all(shared.setdefault(row, row) is row for row in block)
+                    for m, row in zip(lefts, expected):
+                        assert endo._matrix_row(arcs[a], arcs[b], arcs[c], m, rights) == row
+                    rows += len(lefts)
+        assert rows > 0
+        # Some blocks were shared: across generators when cold, all when warm.
+        assert endo._matrix_block.cache_info().hits > hits
 
 
 def test_verify_does_not_depend_on_what_the_memos_hold():
@@ -637,8 +708,8 @@ def test_verify_does_not_depend_on_what_the_memos_hold():
 
 def test_endo_memos_are_bounded():
     for memo in (
-        endo._matrix_row,
-        endo._shared_row,
+        endo._matrix_block,
+        endo._shared,
         endo._landing,
         endo._entry,
         endo._marked_segments,

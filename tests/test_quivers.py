@@ -426,7 +426,7 @@ def test_normal_form_matches_exhaustive_rewriting(case):
     p, word = case
     nf = normal_form(p, word)
     terminals = all_terminals(p, word)
-    assert nf.is_zero == (terminals == {None})
+    assert nf.is_zero == (terminals == {None}) == (nf.shape == Shape.ZERO)
     if not nf.is_zero:
         assert terminals == {nf.word}
 
@@ -450,7 +450,7 @@ def test_compose_matches_exhaustive_rewriting(case):
     source, target = p.symbol_table[whole[0]][0], p.symbol_table[whole[-1]][1]
     product = compose(p, normal_form(p, u, base=source), normal_form(p, v, base=target))
     terminals = all_terminals(p, whole)
-    assert product.is_zero == (terminals == {None})
+    assert product.is_zero == (terminals == {None}) == (product.shape == Shape.ZERO)
     if not product.is_zero:
         assert terminals == {product.word}
         assert (product.source, product.target) == (source, target)

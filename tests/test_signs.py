@@ -633,6 +633,24 @@ def test_phi_check_matches_the_per_cell_loop_on_corrupted_matrices():
                 assert report.failures == full.failures[:cap]
 
 
+def test_phi_refuses_a_cap_below_one_and_a_negative_window():
+    # A cap of 0 turned a failing check into a pass with no witness, and a
+    # negative window checks no pair, so both are refused; at cap 1 the
+    # negated delta still fails, and window 0 still examines pairs.
+    arcs = order_for_cone_blocks(list(enumerate_limit_generators(3)[0]))
+    m = both_signed_matrices(arcs)[0]
+    bad = dataclasses.replace(m, delta=(-m.delta[0],) + m.delta[1:])
+    report = verify_phi_homomorphism(arcs, bad, window=4, max_failures=1)
+    assert not report.passed and len(report.failures) == 1
+    for cap in (0, -1):
+        with pytest.raises(SignError, match="max_failures"):
+            verify_phi_homomorphism(arcs, bad, window=4, max_failures=cap)
+    with pytest.raises(SignError, match="window"):
+        verify_phi_homomorphism(arcs, m, window=-1)
+    report = verify_phi_homomorphism(arcs, m, window=0)
+    assert report.passed and report.pairs > 0
+
+
 def test_phi_check_compares_every_cell(monkeypatch):
     # Every block given a nonzero lower-left corner, which no product of two
     # blocks has: each cell the check compares fails, so the witnesses count
