@@ -38,9 +38,8 @@ algebra a block at a time: every class from a to b times every class from
 b to c.  Left classes in one junction group (zero or not, last arrow)
 share one row of ``quivers.product_is_zero`` answers; the matrix block is
 the memoised ``_matrix_block``.  Only a block whose two sides disagree, or
-that puts a nonzero path off the piano, is walked row by row, and only
-such a row cell by cell for witnesses, so the witnesses and their order
-are those of a per-cell loop.
+that puts a nonzero path off the piano, is walked cell by cell for
+witnesses, so the witnesses and their order are those of a per-cell loop.
 """
 
 from __future__ import annotations
@@ -454,15 +453,9 @@ def verify_path_algebra_iso(
                     products += len(left_degrees) * len(rights)
                     continue
                 # Walk a block that disagrees, or has a nonzero path off the
-                # piano, row by row and a row that does so cell by cell, so
-                # that the witnesses, their order and the count at a cap are
-                # those of a per-cell loop.
+                # piano, cell by cell, so that the witnesses, their order and
+                # the count at a cap are those of a per-cell loop.
                 for m, path_row, chi_row in zip(left_degrees, path_block, chi_block):
-                    if path_row == chi_row and not (
-                        off_c and _lands_in((path_row,), (m,), right_degrees, off_c)
-                    ):
-                        products += len(rights)
-                        continue
                     for m2, path_nonzero, chi in zip(right_degrees, path_row, chi_row):
                         products += 1
                         if path_nonzero and m + m2 in off_c:

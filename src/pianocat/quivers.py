@@ -217,12 +217,15 @@ class PathNormalForm:
     blocks: tuple[Block, ...] = field(default=(), compare=False, repr=False)
     first_arrow: int | None = field(default=None, compare=False, repr=False)
     last_arrow: int | None = field(default=None, compare=False, repr=False)
-    # Whether the shape is ZERO, set when the form is made: only ``ZERO_FORM``
-    # has that shape.  A plain field, since every product reads it.
-    is_zero: bool = field(default=False, compare=False, repr=False)
+    # Whether the shape is ZERO, set from it when the form is made.  A plain
+    # field, not a property, since every product reads it.
+    is_zero: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_zero", self.shape is Shape.ZERO)
 
 
-ZERO_FORM = PathNormalForm(None, None, None, Shape.ZERO, is_zero=True)
+ZERO_FORM = PathNormalForm(None, None, None, Shape.ZERO)
 
 
 @dataclass(frozen=True)

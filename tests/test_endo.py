@@ -557,8 +557,9 @@ def test_verify_walks_the_one_disagreeing_row_of_a_block(cold_matrix_rows, monke
     # The closed-interval test flips for one (w, aligned) pair that a middle
     # row of its block (a, b, c) meets in several cells and no other row of
     # that block meets, so the block disagrees in that row alone: the
-    # verifier walks it cell by cell and counts the agreeing rows around it
-    # whole.  The reference loop reaches the same name through chi_multiply.
+    # verifier walks the block cell by cell, and the agreeing rows around
+    # that row add to the count and no witness.  The reference loop reaches
+    # the same name through chi_multiply.
     arcs, n, window = list(enumerate_limit_generators(3)[0]), 3, 3
     cells = _interval_cells(arcs, n, window)
     rows, uses = collections.defaultdict(set), collections.Counter()

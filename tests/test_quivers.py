@@ -23,6 +23,7 @@ from pianocat.quivers import (
     GentleQuiver,
     Arrow,
     KeyboardQuiver,
+    PathNormalForm,
     PianoQuiver,
     QuiverError,
     Shape,
@@ -36,6 +37,7 @@ from pianocat.quivers import (
     one_step_rewrites,
     piano_from_extended,
     piano_from_keyboard,
+    product_is_zero,
     quiver_to_dot,
     skeleton_dead,
     validate_word,
@@ -417,6 +419,22 @@ def piano_words(draw):
         word += [s] * min(power, length - len(word))
         at = p.symbol_table[s][1]
     return p, tuple(word)
+
+
+def test_is_zero_follows_the_shape_however_the_form_is_made():
+    # is_zero is no constructor argument: a ZERO-shaped form built directly
+    # or by dataclasses.replace reads as zero, and a product with it too.
+    p = piano_of_generator(fan_summands(2))
+    nf = normal_form(p, (("a", 1),))
+    assert not nf.is_zero and not product_is_zero(p, nf, nf)
+    for zero in (
+        PathNormalForm(None, None, None, Shape.ZERO),
+        dataclasses.replace(nf, shape=Shape.ZERO),
+    ):
+        assert zero.is_zero and product_is_zero(p, nf, zero) and product_is_zero(p, zero, nf)
+    assert not dataclasses.replace(nf, degree=-2).is_zero
+    with pytest.raises(TypeError):
+        PathNormalForm(None, None, None, Shape.DELTA_ALPHA, is_zero=True)
 
 
 @settings(deadline=None, max_examples=500)
