@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run every structural verification over a range of sizes and print a table.
 
-Each row runs the checks of ``piano-cat verify`` at one size through the
-same driver and reports whether every record of each check passed.
+Each row runs the checks of ``piano-cat verify all`` (``cli.VERIFIERS``) at
+one size through the same driver and reports whether every record of each
+check passed.  Exits 1 when some record failed, and 2, with one stderr line,
+when ``--max-n`` is below 1 or the window is refused.
 
 Example:
 
@@ -10,37 +12,42 @@ Example:
 """
 
 import argparse
+import sys
 import time
 
-from pianocat.cli import Config, run_verifiers
-
-COLUMNS = {
-    "bijection": "bijection",
-    "path-iso": "path-algebra-iso",
-    "beta-delta": "beta-delta",
-    "phi": "derived-equiv",
-    "confluence": "confluence",
-}
-WIDTHS = {column: max(len(column), len("False")) for column in COLUMNS}
+from pianocat import cli
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-n", type=int, default=3)
     parser.add_argument("--window", type=int, default=4)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    try:
+        if args.max_n < 1:
+            raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+        cli.Config(n=1, window=args.window)
+    except ValueError as exc:
+        sys.stderr.write(f"{exc}\n")
+        return cli.EXIT_USAGE
 
-    headers = " ".join(f"{column:>{width}}" for column, width in WIDTHS.items())
+    checks = list(cli.VERIFIERS)
+    widths = [max(len(check), len("False")) for check in checks]
+    headers = " ".join(f"{check:>{width}}" for check, width in zip(checks, widths))
     print(f"{'n':>2} {'generators':>10} {headers} {'seconds':>8}")
+    all_passed = True
     for n in range(1, args.max_n + 1):
         t0 = time.time()
-        records = list(run_verifiers(list(COLUMNS.values()), Config(n=n, window=args.window)))
+        records = list(cli.run_verifiers(checks, cli.Config(n=n, window=args.window)))
+        all_passed = all_passed and all(r["passed"] for r in records)
         cells = " ".join(
-            f"{str(all(r['passed'] for r in records if r['check'] == check)):>{WIDTHS[column]}}"
-            for column, check in COLUMNS.items()
+            f"{str(all(r['passed'] for r in records if r['check'] == check)):>{width}}"
+            for check, width in zip(checks, widths)
         )
-        print(f"{n:>2} {records[0]['generators']:>10} {cells} {time.time() - t0:>8.1f}")
+        count = next(r["generators"] for r in records if r["check"] == "bijection")
+        print(f"{n:>2} {count:>10} {cells} {time.time() - t0:>8.1f}")
+    return cli.EXIT_OK if all_passed else cli.EXIT_FAILED
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,16 +1,17 @@
 """Confluence of the piano rewriting system on words of every length, by critical pairs.
 
-``rule_instances`` lists the instances of the four local rules of
-``quivers.one_step_rewrites``, of at most three symbols each.  Each keeps
-the arrow skeleton and lowers (length, loops left of arrows), so rewriting
-terminates, and by Newman's lemma (1942) local confluence suffices.  The
-fifth rule sends a dead word (skeleton meets a relation) to zero, its only
-terminal, since no rule revives it; a factor of a live word is live.  So by
-the critical-pair lemma (Knuth-Bendix 1970; Book-Otto 1993) it is enough
-that ``critical_pair_report`` joins the two reducts of every live overlap
-of two instances, a word of at most five symbols.  ``all_terminals`` follows
-every rule from a word to its irreducible results (None is zero); it
-decides joinability and is the oracle ``quivers.normal_form`` is tested on.
+The four local rules are the instances of ``PianoQuiver.rules``, of two or
+three symbols each, which ``quivers.one_step_rewrites`` also applies.  Each
+keeps the arrow skeleton and lowers (length, loops left of arrows), so
+rewriting terminates, and by Newman's lemma (1942) local confluence
+suffices.  The fifth rule sends a dead word (skeleton meets a relation) to
+zero, its only terminal, since no rule revives it; a factor of a live word
+is live.  So by the critical-pair lemma (Knuth-Bendix 1970; Book-Otto 1993)
+it is enough that ``critical_pair_report`` joins the two reducts of every
+live overlap of two instances, a word of at most five symbols.
+``all_terminals`` follows every rule from a word to its irreducible results
+(None is zero); it decides joinability and is the oracle
+``quivers.normal_form`` is tested on.
 """
 
 from __future__ import annotations
@@ -37,25 +38,6 @@ def all_terminals(
     return cache[word]
 
 
-def rule_instances(p: PianoQuiver) -> dict[Word, Word]:
-    """Left-hand side to right-hand side of every local rule instance on ``p``:
-    inverse loops cancel, a degree -1 loop crosses an arrow, a loop pair
-    cancels across one arrow, a degree +1 loop moves along a commutation run."""
-    rules: dict[Word, Word] = {}
-    for v in range(p.num_vertices):
-        if p.has_beta(v):
-            rules[(("a", v), ("b", v))] = rules[(("b", v), ("a", v))] = ()
-    for k, e in enumerate(p.arrows):
-        d = ("d", k)
-        rules[(("a", e.src), d)] = (d, ("a", e.tgt))
-        if p.has_beta(e.src):
-            rules[(("b", e.src), d, ("a", e.tgt))] = (d,)
-    for (start, _), run in p.run_by_start.items():
-        path = tuple(("d", a) for a in run)
-        rules[(("b", start),) + path] = path + (("b", p.arrows[run[-1]].tgt),)
-    return rules
-
-
 def _skeleton_and_measure(word: Word) -> tuple[Word, tuple[int, int]]:
     """The arrow skeleton and (length, loops left of arrows)."""
     loops_left = sum(s[0] != "d" and t[0] == "d" for s, t in combinations(word, 2))
@@ -67,7 +49,7 @@ def critical_pair_report(p: PianoQuiver) -> tuple[bool, tuple[Word, Word] | None
     a witness if not: an instance (left, right) that changes the skeleton or
     does not lower the measure (with the skeleton kept, lower stays lower in
     any context), or the reducts of a live overlap with no common terminal."""
-    rules = rule_instances(p)
+    rules = p.rules
     for lhs, rhs in rules.items():
         (skeleton, before), (kept, after) = map(_skeleton_and_measure, (lhs, rhs))
         if kept != skeleton or after >= before:

@@ -8,9 +8,7 @@ so one sweep in order of their first endpoint both checks that no two cross
 and finds the chord directly enclosing each (``_nesting``).  Each face is
 then walked once, iteratively: a chord's inner face steps along the unit
 sides between its endpoints and jumps over the chords it directly encloses
-(``_faces``).  ``faces_with_sides`` lists the faces in the order of cutting
-the disc by the chords one at a time, without making the cuts.
-``chord_of_arc``, the image of one summand arc, and its inverse
+(``_faces``).  ``chord_of_arc``, the image of one summand arc, and its inverse
 ``chord_to_arc`` are each memoised for the whole process in an LRU cache of
 ``MEMO_SIZE`` entries (defined in ``geometry``).
 """
@@ -170,81 +168,6 @@ def _faces(size: int, chords: Sequence[ChordArc], parent: list[int]) -> list[Fac
             sides.append((size - 1, 0))
         faces.append((points, sides))
     return faces
-
-
-def faces_with_sides(
-    size: int, chords: list[ChordArc]
-) -> list[tuple[tuple[int, ...], frozenset[tuple[int, int]]]]:
-    """Faces of the disc cut by pairwise non-crossing chords.
-
-    Each face comes as its cyclically ordered boundary positions together
-    with the unit boundary arcs (p, p+1 mod size) it owns; ownership matters
-    because a chord between circle-adjacent positions cuts off a bigon whose
-    two edges join the same position pair.
-
-    The order is that of cutting the disc by the chords in list order: the
-    first chord cuts the boundary cycle (0, ..., size - 1) in two, the
-    part running from the endpoint met first to the other endpoint before
-    the rest; each part is cut on by the first of the remaining chords
-    inside it, and starts at the endpoint of the chord that cut it off.
-    The faces come out as the parts of a depth-first walk over those cuts.
-    The cuts are not made one by one: chord i separates the faces on its
-    two sides, so joining them over the chords in reverse list order
-    builds the tree of cuts, and each face is found once (``_faces``).
-    """
-    chords = list(chords)
-    for c in chords:
-        if not 0 <= c.p < c.q < size:
-            raise DissectionError(f"{c} outside the disc with {size} positions")
-    if len(set(chords)) != len(chords):
-        raise DissectionError("duplicate chords")
-    parent = _nesting(chords)
-    if parent is None:
-        c1, c2 = next(
-            pair for pair in itertools.combinations(chords, 2) if chords_cross(*pair)
-        )
-        raise DissectionError(f"chords {c1} and {c2} cross")
-    faces = _faces(size, chords, parent)
-    m = len(chords)
-    # Tree of cuts: nodes 0..m are the faces, m + 1 + i the cut by chord i,
-    # whose two parts are (the part inside [p, q], the part outside).
-    union = list(range(m + 1))
-    node = list(range(m + 1))  # tree node of each part, at its union root
-
-    def root(f: int) -> int:
-        while union[f] != f:
-            union[f] = f = union[union[f]]  # path halving
-        return f
-
-    parts: list[tuple[int, int]] = [(0, 0)] * m
-    for i in reversed(range(m)):
-        inner, outer = root(i), root(parent[i] if parent[i] >= 0 else m)
-        parts[i] = (node[inner], node[outer])
-        union[inner] = outer
-        node[outer] = m + 1 + i
-    out = []
-    stack = [(node[root(m)], 0)]
-    while stack:
-        t, start = stack.pop()
-        if t <= m:
-            points, sides = faces[t]
-            at = points.index(start)
-            out.append((tuple(points[at:] + points[:at]), frozenset(sides)))
-            continue
-        c = chords[t - m - 1]
-        inner, outer = parts[t - m - 1]
-        # The inner part starts at p, the outer at q; the one that begins at
-        # the endpoint met first from ``start`` comes first.
-        if (c.p - start) % size < (c.q - start) % size:
-            stack += [(outer, c.q), (inner, c.p)]
-        else:
-            stack += [(inner, c.p), (outer, c.q)]
-    return out
-
-
-def faces_of_chords(size: int, chords: list[ChordArc]) -> list[tuple[int, ...]]:
-    """Boundary positions of each face; see ``faces_with_sides``."""
-    return [face for face, _ in faces_with_sides(size, chords)]
 
 
 @dataclass(frozen=True)
@@ -544,18 +467,15 @@ def enumerate_extended_dissections(n: int) -> list[DissectionSet]:
     and a binding arc drawn inside that face can reach any red point on the
     face boundary without crossing anything, so the choices multiply freely.
     """
-    size = 2 * n
     out: list[DissectionSet] = []
     for base in enumerate_admissible_dissections(n):
-        faces = faces_of_chords(size, list(base.red))
         face_options: list[list[ChordArc]] = []
-        for face in faces:
+        for face, _ in _faces(2 * n, base.red, _nesting(base.red)):
             greens = [p for p in face if p % 2 == 1]
             if len(greens) != 1:
                 raise DissectionError("admissible dissection with a bad face")
             g = greens[0]
-            reds = sorted({p for p in face if p % 2 == 0})
-            face_options.append([ChordArc(g, r) for r in reds])
+            face_options.append([ChordArc(g, r) for r in face if r % 2 == 0])
         for combo in itertools.product(*face_options):
             out.append(DissectionSet(n, base.red, tuple(combo)))
     return out

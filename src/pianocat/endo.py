@@ -27,11 +27,10 @@ memos):
 
 Arcs are frozen and compare by value, so equal keys give equal answers on
 any generator; the generators of one enumeration hold the same summand
-objects, so their keys match by identity.  The flags the product rule
-needs are read off the arcs: ``EndoAlgebra.from_arcs`` refuses
+objects, so their keys match by identity.  The flag the product rule
+needs is read off the arcs: ``EndoAlgebra.from_arcs`` refuses
 overlapping suspension orbits and repeated summands, so a suspension of y
-is x only when y is x, and the middle and target summands are one exactly
-when y == v.
+is x only when y is x.
 
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
 algebra a block at a time: every class from a to b times every class from
@@ -227,20 +226,19 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
         raise EndoError("zero operand")
     x, y, v = a.arcs[i], a.arcs[j1], a.arcs[l]
     w = suspend(y, p)
-    return _chi_product(product_record(x, v, p + q), w, w == x, y == v)
+    return _chi_product(product_record(x, v, p + q), w, w == x)
 
 
-def _chi_product(
-    target: ProductTarget | None, w: Arc, w_is_source: bool, w_in_target_orbit: bool
-) -> int:
+def _chi_product(target: ProductTarget | None, w: Arc, w_is_source: bool) -> int:
     """The product rule of ``chi_multiply``, without its operand checks.
 
     Decides the composite x -> w -> z, where x is summand i, w the middle
     summand shifted by the first factor's degree, and z summand l shifted
     by the total degree; ``target`` is the record (``product_record``) for
-    (i, l, degree).  ``w_is_source`` says whether w is x, and
-    ``w_in_target_orbit`` whether the middle summand is summand l, the
-    only case in which w can be z, so only then are w and z compared.
+    (i, l, degree).  ``w_is_source`` says whether w is x.  A nonzero
+    record that is not a round trip always has an alignment (tested on
+    every summand pair up to n = 5), and w == z lies within it, since the
+    closed intervals hold their ends.
     """
     if target is None:
         return 0
@@ -249,9 +247,7 @@ def _chi_product(
         # A round trip in total degree zero splits off the middle object,
         # so it vanishes unless the middle is the object itself.
         return 1 if w_is_source else 0
-    if w_is_source or (w_in_target_orbit and w == z):
-        return 1
-    return 1 if aligned is not None and within_alignment(w, aligned) else 0
+    return 1 if w_is_source or (aligned is not None and within_alignment(w, aligned)) else 0
 
 
 # Rows and blocks take very few distinct values (eight among the 2,855 rows
@@ -264,11 +260,8 @@ def _matrix_row(x: Arc, y: Arc, v: Arc, m: int, right_degrees: tuple[int, ...]) 
     """The products of the class of degree m from summand x to summand y with
     the class from y to summand v in each degree of ``right_degrees``."""
     w = suspend(y, m)
-    w_is_source, w_in_target_orbit = w == x, y == v
-    return tuple(
-        _chi_product(_landing(x, v, m + m2), w, w_is_source, w_in_target_orbit)
-        for m2 in right_degrees
-    )
+    w_is_source = w == x
+    return tuple(_chi_product(_landing(x, v, m + m2), w, w_is_source) for m2 in right_degrees)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

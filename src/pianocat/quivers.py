@@ -4,8 +4,10 @@ A keyboard quiver is the gentle quiver of the induced admissible dissection
 of an extended one, remembering which vertices came from binding arcs (the
 sharp vertices).  The piano quiver adds a degree -1 loop at every vertex and
 a degree +1 loop at every non-sharp vertex; words in the resulting graded
-path algebra are normalised by a small rewriting system (the five rules of
-``one_step_rewrites``).
+path algebra are normalised by a small rewriting system: a skeleton rule
+and the four local rules, whose instances are the one table
+``PianoQuiver.rules`` that ``one_step_rewrites`` and the critical pairs of
+``confluence`` both read.
 
 ``normal_form`` applies those rules in one left-to-right stack pass: loops
 travel as ``(tag, vertex, power)`` blocks, so a block crosses an arrow,
@@ -14,10 +16,11 @@ step, and the arrow skeleton, which no rule changes, is checked once.  The
 rewriting system is confluent (``confluence.critical_pair_report``), so
 this rewrite order reaches the word every order reaches, which
 ``confluence.all_terminals`` finds independently.  Per-quiver lookup tables
-(symbol ends and degrees, commutation runs by start, radial chains and
-arrow paths) are built once and kept on the ``PianoQuiver``.  The doubled
-chord that a keyboard is built on is memoised per chord (``_doubled``, an LRU
-cache of ``MEMO_SIZE`` entries, the bound defined in ``geometry``).
+(symbol ends and degrees, commutation runs by start, rule instances,
+radial chains and arrow paths) are built once and kept on the
+``PianoQuiver``.  The doubled chord that a keyboard is built on is memoised
+per chord (``_doubled``, an LRU cache of ``MEMO_SIZE`` entries, the bound
+defined in ``geometry``).
 
 A normal form keeps its reduced block stack and the first and last arrow
 of its skeleton.  The product of two normal forms is zero when either form
@@ -280,6 +283,27 @@ class PianoQuiver:
         return out
 
     @cached_property
+    def rules(self) -> dict[tuple[Symbol, ...], tuple[Symbol, ...]]:
+        """Left-hand side to right-hand side of every instance of the four
+        local rules: inverse loops cancel, a degree -1 loop crosses an arrow,
+        a loop pair cancels across one arrow, a degree +1 loop moves along a
+        commutation run.  Every left-hand side has two or three symbols and
+        starts with a loop."""
+        rules: dict[tuple[Symbol, ...], tuple[Symbol, ...]] = {}
+        for v in range(self.num_vertices):
+            if self.has_beta(v):
+                rules[(("a", v), ("b", v))] = rules[(("b", v), ("a", v))] = ()
+        for k, e in enumerate(self.arrows):
+            d = ("d", k)
+            rules[(("a", e.src), d)] = (d, ("a", e.tgt))
+            if self.has_beta(e.src):
+                rules[(("b", e.src), d, ("a", e.tgt))] = (d,)
+        for (start, _), run in self.run_by_start.items():
+            path = tuple(("d", a) for a in run)
+            rules[(("b", start),) + path] = path + (("b", self.arrows[run[-1]].tgt),)
+        return rules
+
+    @cached_property
     def point_chains(self) -> dict[int, list[int]]:
         """Vertices in radial order at each meet point, following the arrows."""
         chains: dict[int, list[int]] = {}
@@ -389,40 +413,20 @@ def one_step_rewrites(
 ) -> list[tuple[Symbol, ...] | None]:
     """All single applications of a rewrite rule; None stands for zero.
 
-    Rules: cancel adjacent inverse loop pairs at a vertex, move a degree -1
-    loop right across an arrow, cancel a loop pair across one arrow into a
-    sharp vertex, move a degree +1 loop right along a commutation run, and
-    collapse any word whose arrow skeleton meets a length-two relation
-    (``confluence.rule_instances`` lists the first four as instances).
+    The skeleton rule collapses any word whose arrow skeleton meets a
+    length-two relation; the four local rules are the instances of
+    ``PianoQuiver.rules``, matched at every position that holds a loop.  A
+    match never runs past the end of the word.
     """
-    out: list[tuple[Symbol, ...] | None] = []
-    if skeleton_dead(p, word):
-        out.append(None)
-    run_by_start = p.run_by_start
-    for i, s in enumerate(word):
-        tag, k = s
-        nxt = word[i + 1] if i + 1 < len(word) else None
-        if nxt is not None and tag in ("a", "b") and nxt[0] in ("a", "b"):
-            if nxt[1] == k and nxt[0] != tag:
-                out.append(word[:i] + word[i + 2 :])
-        if nxt is not None and tag == "a" and nxt[0] == "d":
-            e = p.arrows[nxt[1]]
-            out.append(word[:i] + (nxt, ("a", e.tgt)) + word[i + 2 :])
-        if tag == "b" and nxt is not None and nxt[0] == "d":
-            run = run_by_start.get((k, nxt[1]))
-            if run is not None and i + 1 + len(run) <= len(word):
-                piece = word[i + 1 : i + 1 + len(run)]
-                if piece == tuple(("d", a) for a in run):
-                    end = p.arrows[run[-1]].tgt
-                    out.append(
-                        word[:i] + piece + (("b", end),) + word[i + 1 + len(run) :]
-                    )
-            # One arrow into a sharp vertex followed by the inverse loop.
-            if i + 2 < len(word):
-                third = word[i + 2]
-                e = p.arrows[nxt[1]]
-                if e.src == k and third == ("a", e.tgt):
-                    out.append(word[:i] + (nxt,) + word[i + 3 :])
+    out: list[tuple[Symbol, ...] | None] = [None] if skeleton_dead(p, word) else []
+    rules = p.rules
+    for i in range(len(word) - 1):
+        if word[i][0] == "d":
+            continue  # every left-hand side starts with a loop
+        for end in range(i + 2, min(i + 3, len(word)) + 1):
+            rhs = rules.get(word[i:end])
+            if rhs is not None:
+                out.append(word[:i] + rhs + word[end:])
     return out
 
 
@@ -438,8 +442,8 @@ def normal_form(
 
     ``_scan_blocks`` validates the word, sums its degree, checks the arrow
     skeleton (no rule changes it, so once is enough) and groups equal
-    adjacent loops into blocks; ``_reduce_blocks`` then applies the other
-    four rules of ``one_step_rewrites`` in a single left-to-right stack
+    adjacent loops into blocks; ``_reduce_blocks`` then applies the four
+    local rules (``PianoQuiver.rules``) in a single left-to-right stack
     pass.  That is one particular rewrite order; ``verify confluence``
     proves the system confluent by critical pairs, so it reaches the word
     every order reaches, and ``confluence.all_terminals``, which follows

@@ -3,8 +3,8 @@
 The first chord splits the boundary cycle (0, ..., size - 1) into the part
 from its endpoint met first to the other endpoint and the rest; every other
 chord goes with the part holding both its endpoints, and each part is split
-on in the same way.  ``dissections.faces_with_sides`` must return exactly
-these faces, sides and order.
+on in the same way.  ``dissections._faces`` must return exactly these faces
+and sides, in any order.
 """
 
 from __future__ import annotations

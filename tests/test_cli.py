@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pianocat import render
+from pianocat import cli, render
 from pianocat.cli import main
 from pianocat.dissections import DissectionSet, dissection_from_generator
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
@@ -372,12 +373,36 @@ def test_run_verification_script():
     )
     assert result.returncode == 0, result.stderr
     header, *rows = result.stdout.splitlines()
-    assert header.split() == [
-        "n", "generators", "bijection", "path-iso", "beta-delta", "phi", "confluence", "seconds"
-    ]
+    assert header.split() == ["n", "generators", *cli.VERIFIERS, "seconds"]
     cells = [row.split() for row in rows]
     assert [(c[0], c[1]) for c in cells] == [("1", "1"), ("2", "4")]
-    assert all(c[2:7] == ["True"] * 5 for c in cells)
+    assert all(c[2:-1] == ["True"] * len(cli.VERIFIERS) for c in cells)
+
+
+def _verification_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_verification.py"
+    spec = importlib.util.spec_from_file_location("run_verification", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_verification_script_exits_1_on_a_failing_record(monkeypatch, capsys):
+    def failing(contexts, cfg):
+        return [{"check": "confluence", "n": cfg.n, "passed": False}]
+
+    monkeypatch.setitem(cli.VERIFIERS, "confluence", failing)
+    assert _verification_script().main(["--max-n", "1"]) == 1
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(), row.split()))["confluence"] == "False"
+
+
+@pytest.mark.parametrize("argv", [["--max-n", "0"], ["--window", "1"]])
+def test_run_verification_script_refuses_bad_sizes(capsys, argv):
+    assert _verification_script().main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "at least" in captured.err
 
 
 def test_quiver_dot(capsys, fan3_files):

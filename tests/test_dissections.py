@@ -1,4 +1,5 @@
 import pytest
+from count_oracle import extended_dissection_count
 from face_oracle import recursive_faces
 from quiver_oracle import gentle_from_dissection
 
@@ -15,8 +16,6 @@ from pianocat.dissections import (
     enumerate_admissible_dissections,
     enumerate_extended_dissections,
     extendability_report,
-    faces_of_chords,
-    faces_with_sides,
     generator_from_dissection,
     induced_admissible,
     is_admissible_dissection,
@@ -42,13 +41,20 @@ def test_chord_validation():
     assert ChordArc(4, 0).endpoints() == (0, 4)
 
 
+def _sorted_faces(faces):
+    """Faces as a sorted list of (points, sides), each sorted too."""
+    return sorted((tuple(sorted(points)), tuple(sorted(sides))) for points, sides in faces)
+
+
+def _faces_of(size, chords):
+    return _sorted_faces(dissections._faces(size, chords, dissections._nesting(chords)))
+
+
 def test_faces_split_counts():
-    faces = faces_of_chords(6, [ChordArc(0, 2), ChordArc(2, 4)])
-    assert len(faces) == 3
+    assert len(_faces_of(6, [ChordArc(0, 2), ChordArc(2, 4)])) == 3
     # A bigon cut off by a chord between adjacent positions owns one side.
-    pairs = faces_with_sides(4, [ChordArc(0, 1)])
-    bigon = [sides for face, sides in pairs if set(face) == {0, 1}]
-    assert bigon == [frozenset({(0, 1)})]
+    bigon = [sides for face, sides in _faces_of(4, [ChordArc(0, 1)]) if set(face) == {0, 1}]
+    assert bigon == [((0, 1),)]
 
 
 def small_dissections(max_n):
@@ -62,7 +68,8 @@ def test_faces_match_the_recursive_oracle():
     for d in small_dissections(4):
         chords = list(d.all_chords())
         for order in (chords, chords[::-1]):
-            assert faces_with_sides(2 * d.n, order) == recursive_faces(2 * d.n, order)
+            expected = _sorted_faces(recursive_faces(2 * d.n, order))
+            assert _faces_of(2 * d.n, order) == expected
             checked += 1
     assert checked == 2 * (1 + 1 + 3 + 12 + 1 + 4 + 36 + 416)
 
@@ -79,23 +86,26 @@ def test_crossing_chords_raise_the_oracle_error():
             if p % 2 == 0 or q % 2 == 0
         ]
         for c in candidates:
-            if not any(chords_cross(c, x) for x in chords):
+            if c in chords:
                 continue
             for order in ([c] + chords, chords + [c]):
-                with pytest.raises(DissectionError) as expected:
+                try:
                     recursive_faces(size, order)
-                with pytest.raises(DissectionError, match="cross") as found:
-                    faces_with_sides(size, order)
-                assert str(found.value) == str(expected.value)
-                raised += 1
+                except DissectionError:
+                    assert dissections._nesting(order) is None
+                    raised += 1
+                else:
+                    assert dissections._nesting(order) is not None
     assert raised == 180
 
 
-def test_faces_refuse_duplicate_and_outside_chords():
+def test_dissections_refuse_duplicate_and_outside_chords():
     with pytest.raises(DissectionError, match="duplicate"):
-        faces_with_sides(6, [ChordArc(0, 2), ChordArc(2, 0)])
+        DissectionSet(3, (ChordArc(0, 2), ChordArc(2, 0)), ())
     with pytest.raises(DissectionError, match="outside"):
-        faces_with_sides(6, [ChordArc(0, 6)])
+        DissectionSet(3, (ChordArc(0, 6),), ())
+    with pytest.raises(DissectionError, match="outside"):
+        DissectionSet(3, (), (ChordArc(1, 6),))
 
 
 def test_chord_memo_matches_its_body():
@@ -310,6 +320,20 @@ def test_admissible_enumeration_counts():
     expected = {1: 1, 2: 1, 3: 3, 4: 12, 5: 55, 6: 273}
     for n, count in expected.items():
         assert len(enumerate_admissible_dissections(n)) == count
+
+
+def test_enumerations_match_the_independent_count():
+    # The interval recursion of ``count_oracle`` counts without enumerating.
+    # Unweighted it counts the red trees alone, which the binding choices
+    # multiply: the negative control.
+    for n in range(1, 6):
+        count = extended_dissection_count(n)
+        assert count == len(enumerate_extended_dissections(n))
+        assert count == len(enumerate_limit_generators(n))
+        trees = extended_dissection_count(n, weighted=False)
+        assert trees == len(enumerate_admissible_dissections(n))
+        assert (trees == count) == (n == 1)
+    assert [extended_dissection_count(n) for n in (6, 7)] == [76608, 1133440]
 
 
 def test_arc_count_formulas():

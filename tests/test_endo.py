@@ -616,6 +616,24 @@ def test_interval_test_never_rejects_on_generators(cold_matrix_rows, monkeypatch
     assert all(seen)
 
 
+def test_every_landing_off_the_source_has_an_alignment():
+    # ``_chi_product`` needs no flag for w == z: a nonzero landing that is
+    # not a round trip has an alignment, and z lies within it.  Checked on
+    # every pair of summands of the n <= 5 generators, |degree| <= 14.
+    landed = 0
+    for n in (1, 2, 3, 4, 5):
+        summands = {x for g in enumerate_limit_generators(n) for x in g}
+        for x, y in itertools.product(summands, repeat=2):
+            for degree in range(-14, 15):
+                target = endo._landing.__wrapped__(x, y, degree)
+                if target is None or target.z_is_source:
+                    continue
+                assert target.aligned is not None, (x, y, degree)
+                assert homs.within_alignment(target.z, target.aligned)
+                landed += 1
+    assert landed > 0
+
+
 def test_class_records_mark_the_source_summand_only_where_it_is_met():
     # A class from a to a ends at summand a suspended by its degree; its
     # products see the source summand only where that suspension is the

@@ -3,14 +3,14 @@ import functools
 import hashlib
 from collections import Counter
 
+import networkx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exhaustive import confluence_report, enumerate_composable_words
 from quiver_oracle import compose, gentle_from_dissection
-from pianocat import confluence
-from pianocat.confluence import all_terminals, critical_pair_report, rule_instances
+from pianocat.confluence import all_terminals, critical_pair_report
 from pianocat.dissections import (
     ChordArc,
     DissectionSet,
@@ -19,6 +19,7 @@ from pianocat.dissections import (
 )
 from pianocat.endo import piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_summands
+from pianocat.geometry import is_connected
 from pianocat.quivers import (
     GentleQuiver,
     Arrow,
@@ -166,6 +167,27 @@ def test_standard_subquiver_is_tree():
                 assert not (e.src in kb.sharp and e.tgt in kb.sharp)
 
 
+def test_keyboards_are_gentle_trees():
+    # Every keyboard up to n = 4 is a gentle tree on 2n - 1 vertices;
+    # networkx is a second opinion on ``geometry.is_connected``, also on the
+    # forests left by dropping one arrow.
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            q = piano_of_generator(list(g), n).keyboard.gentle
+            assert (q.num_vertices, len(q.arrows)) == (2 * n - 1, 2 * n - 2)
+            assert is_locally_gentle(q)
+            edges = [(e.src, e.tgt) for e in q.arrows]
+            graph = networkx.MultiGraph()
+            graph.add_nodes_from(range(q.num_vertices))
+            graph.add_edges_from(edges)
+            assert networkx.is_tree(graph) and is_connected(q.num_vertices, edges)
+            for k, edge in enumerate(edges):
+                graph.remove_edge(*edge)
+                assert not networkx.is_connected(graph)
+                assert not is_connected(q.num_vertices, edges[:k] + edges[k + 1 :])
+                graph.add_edge(*edge)
+
+
 def test_is_locally_gentle_negatives():
     # Three arrows out of one vertex.
     q = GentleQuiver(
@@ -311,14 +333,14 @@ def _instance_rewrites(word, rules):
     ]
 
 
-def test_rule_instances_state_the_local_rules_of_one_step_rewrites():
-    # The critical pairs are built from ``rule_instances`` and joined with
-    # ``one_step_rewrites``: a rule edited in one and not the other fails here.
+def test_one_step_rewrites_apply_each_rule_instance_once_at_each_match():
+    # The matcher looks up ``PianoQuiver.rules`` at each position; a slice
+    # run past the end of the word would match a two-symbol rule twice.
     for p in _differential_pianos():
-        rules = rule_instances(p)
         for word in enumerate_composable_words(p, 4):
-            expected = Counter(w for w in one_step_rewrites(p, word) if w is not None)
-            assert Counter(_instance_rewrites(word, rules)) == expected, word
+            expected = Counter(_instance_rewrites(word, p.rules))
+            expected[None] = int(skeleton_dead(p, word))
+            assert Counter(one_step_rewrites(p, word)) == expected, word
 
 
 def _assert_unjoined(p, report):
@@ -342,17 +364,14 @@ def test_critical_pairs_flag_a_piano_without_commutation_runs():
         assert not confluence_report(bare, max_length=5)[0]
 
 
+_RULES = PianoQuiver.rules.func
+
+
 def _drop_rules(monkeypatch, keep):
-    """Make the confluence check see only the rule instances ``keep`` accepts."""
-
-    def instances(p):
-        return {lhs: rhs for lhs, rhs in rule_instances(p).items() if keep(lhs)}
-
-    def rewrites(p, word):
-        return ([None] if skeleton_dead(p, word) else []) + _instance_rewrites(word, instances(p))
-
-    monkeypatch.setattr(confluence, "rule_instances", instances)
-    monkeypatch.setattr(confluence, "one_step_rewrites", rewrites)
+    """Give every piano only the rule instances ``keep`` accepts: the critical
+    pairs and every rewrite read the one table."""
+    table = property(lambda p: {lhs: rhs for lhs, rhs in _RULES(p).items() if keep(lhs)})
+    monkeypatch.setattr(PianoQuiver, "rules", table)
 
 
 def test_critical_pairs_flag_rules_without_inverse_loop_cancellation(monkeypatch):
@@ -382,9 +401,7 @@ def test_critical_pairs_refuse_a_rule_that_does_not_terminate(monkeypatch):
     p = piano_of_generator(fan_summands(2), 2)
     e = p.arrows[0]
     backwards = ((("d", 0), ("a", e.tgt)), (("a", e.src), ("d", 0)))
-    monkeypatch.setattr(
-        confluence, "rule_instances", lambda q: {**rule_instances(q), backwards[0]: backwards[1]}
-    )
+    monkeypatch.setattr(PianoQuiver, "rules", property(lambda q: {**_RULES(q), backwards[0]: backwards[1]}))
     assert critical_pair_report(p) == (False, backwards)
 
 
