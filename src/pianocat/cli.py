@@ -15,7 +15,7 @@ import sys
 import traceback
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 from . import confluence, dissections, endo, generators, geometry, quivers, render, signs
 
@@ -55,6 +55,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         items = dissections.enumerate_extended_dissections(cfg.n)
         if args.equiv:
+            # Each class's least dumps(), in that order, whatever the enumeration order.
+            items = sorted(items, key=dissections.DissectionSet.dumps)
             items = dissections.rotation_class_representatives(items, items)
         draw = render.dissection_svg
     if args.render == "svg":
@@ -153,9 +155,6 @@ class GeneratorContext:
         return [signs.propagate_choice(graph, choice) for choice in choices]
 
 
-Contexts = Callable[[int], list[GeneratorContext]]
-
-
 def _check_record(check: str, n: int, report, failures: str) -> dict:
     """The JSON line of one check, with up to three witnesses when it failed."""
     record = {"check": check, "n": n, "passed": report.passed}
@@ -164,40 +163,25 @@ def _check_record(check: str, n: int, report, failures: str) -> dict:
     return record
 
 
-def _verify_bijection(contexts: Contexts, cfg: Config) -> list[dict]:
-    n = cfg.n
-    gens = [ctx.generator for ctx in contexts(n)]
-    images = [dissections.dissection_from_generator(g) for g in gens]
-    round_trips = all(
-        sorted(dissections.generator_from_dissection(d), key=geometry.Arc.sort_key)
-        == list(g.arcs)
-        for g, d in zip(gens, images)
+def _verify_bijection(gens: list[geometry.ArcSet], cfg: Config) -> list[dict]:
+    """The one check over the whole sweep: generators and dissections correspond."""
+    round_trips, images = True, set()
+    for g in gens:
+        d = dissections.dissection_from_generator(g)
+        back = sorted(dissections.generator_from_dissection(d), key=geometry.Arc.sort_key)
+        round_trips = round_trips and back == list(g.arcs)
+        images.add(d.dumps())
+    dissns = [d.dumps() for d in dissections.enumerate_extended_dissections(cfg.n)]
+    counts = {"generators": len(gens), "dissections": len(dissns)}
+    passed = round_trips and images == set(dissns)
+    return [{"check": "bijection", "n": cfg.n, **counts, "passed": passed}]
+
+
+def _verify_path_algebra(ctx: GeneratorContext, cfg: Config) -> list[dict]:
+    report = endo.verify_path_algebra_iso(
+        ctx.arcs, ctx.n, window=cfg.window, piano=ctx.piano, algebra=ctx.algebra
     )
-    dissns = dissections.enumerate_extended_dissections(n)
-    passed = round_trips and {d.dumps() for d in images} == {d.dumps() for d in dissns}
-    return [
-        {
-            "check": "bijection",
-            "n": n,
-            "generators": len(gens),
-            "dissections": len(dissns),
-            "passed": passed,
-        }
-    ]
-
-
-def _verify_path_algebra(contexts: Contexts, cfg: Config) -> list[dict]:
-    return [
-        _check_record(
-            "path-algebra-iso",
-            ctx.n,
-            endo.verify_path_algebra_iso(
-                ctx.arcs, ctx.n, window=cfg.window, piano=ctx.piano, algebra=ctx.algebra
-            ),
-            "mismatches",
-        )
-        for ctx in contexts(cfg.n)
-    ]
+    return [_check_record("path-algebra-iso", ctx.n, report, "mismatches")]
 
 
 def _piano_as_paths(p: quivers.PianoQuiver, window: int) -> bool:
@@ -212,22 +196,19 @@ def _piano_as_paths(p: quivers.PianoQuiver, window: int) -> bool:
     return True
 
 
-def _verify_piano_as_paths(contexts: Contexts, cfg: Config) -> list[dict]:
-    return [
-        {"check": "piano-as-paths", "n": ctx.n, "passed": _piano_as_paths(ctx.piano, cfg.window)}
-        for ctx in contexts(cfg.n)
-    ]
+def _verify_piano_as_paths(ctx: GeneratorContext, cfg: Config) -> list[dict]:
+    passed = _piano_as_paths(ctx.piano, cfg.window)
+    return [{"check": "piano-as-paths", "n": ctx.n, "passed": passed}]
 
 
-def _verify_beta_delta(contexts: Contexts, cfg: Config) -> list[dict]:
+def _verify_beta_delta(ctx: GeneratorContext, cfg: Config) -> list[dict]:
     return [
         _check_record("beta-delta", ctx.n, signs.check_beta_delta(m, ctx.arcs), "failures")
-        for ctx in contexts(cfg.n)
         for m in ctx.matrices
     ]
 
 
-def _verify_derived_equiv(contexts: Contexts, cfg: Config) -> list[dict]:
+def _verify_derived_equiv(ctx: GeneratorContext, cfg: Config) -> list[dict]:
     return [
         _check_record(
             "derived-equiv",
@@ -235,22 +216,21 @@ def _verify_derived_equiv(contexts: Contexts, cfg: Config) -> list[dict]:
             signs.verify_phi_homomorphism(ctx.arcs, m, window=cfg.window),
             "failures",
         )
-        for ctx in contexts(cfg.n)
         for m in ctx.matrices
     ]
 
 
-def _verify_confluence(contexts: Contexts, cfg: Config) -> list[dict]:
-    out = []
-    for ctx in contexts(cfg.n):
-        ok, witness = confluence.critical_pair_report(ctx.piano)
-        out.append({"check": "confluence", "n": ctx.n, "passed": ok})
-        if witness is not None:
-            out[-1]["witness"] = repr(witness)  # an unjoined pair, or a rule instance
-    return out
+def _verify_confluence(ctx: GeneratorContext, cfg: Config) -> list[dict]:
+    ok, witness = confluence.critical_pair_report(ctx.piano)
+    record = {"check": "confluence", "n": ctx.n, "passed": ok}
+    if witness is not None:
+        record["witness"] = repr(witness)  # an unjoined pair, or a rule instance
+    return [record]
 
 
-VERIFIERS: dict[str, Callable[[Contexts, Config], list[dict]]] = {
+# ``bijection`` reads the enumerated generators; every other check reads one
+# generator's context.
+VERIFIERS: dict[str, Callable[..., list[dict]]] = {
     "bijection": _verify_bijection,
     "path-algebra-iso": _verify_path_algebra,
     "piano-as-paths": _verify_piano_as_paths,
@@ -263,18 +243,30 @@ VERIFIERS: dict[str, Callable[[Contexts, Config], list[dict]]] = {
 def run_verifiers(
     names: list[str], cfg: Config, choice: tuple[str, int] | None = None
 ) -> Iterator[dict]:
-    """The records of the named checks, in order.
+    """The records of the named checks, in check order.
 
-    The generators of each size are enumerated once per call and shared by
-    every check, so each per-generator object is built at most once.
+    The generators are enumerated once and walked once: each generator's
+    context is built, read by every requested check, and dropped, so at most
+    one context is alive.  ``bijection`` runs on the enumeration before the
+    walk.  The first check's records are yielded as they are made; the
+    others' are held until the walk ends.
     """
-
-    @cache
-    def contexts(n: int) -> list[GeneratorContext]:
-        return [GeneratorContext(g, choice) for g in generators.enumerate_limit_generators(n)]
-
-    for name in names:
-        yield from VERIFIERS[name](contexts, cfg)
+    gens = generators.enumerate_limit_generators(cfg.n)
+    held: dict[str, list[dict]] = {name: [] for name in names}
+    if "bijection" in held:
+        held["bijection"] = VERIFIERS["bijection"](gens, cfg)
+    yield from held[names[0]]
+    walked = [name for name in names if name != "bijection"]
+    for g in gens:
+        ctx = GeneratorContext(g, choice)
+        for name in walked:
+            records = VERIFIERS[name](ctx, cfg)
+            if name == names[0]:
+                yield from records
+            else:
+                held[name].extend(records)
+    for name in names[1:]:
+        yield from held[name]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

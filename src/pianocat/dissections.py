@@ -471,10 +471,7 @@ def enumerate_extended_dissections(n: int) -> list[DissectionSet]:
     for base in enumerate_admissible_dissections(n):
         face_options: list[list[ChordArc]] = []
         for face, _ in _faces(2 * n, base.red, _nesting(base.red)):
-            greens = [p for p in face if p % 2 == 1]
-            if len(greens) != 1:
-                raise DissectionError("admissible dissection with a bad face")
-            g = greens[0]
+            g = next(p for p in face if p % 2 == 1)  # the face's one green point
             face_options.append([ChordArc(g, r) for r in face if r % 2 == 0])
         for combo in itertools.product(*face_options):
             out.append(DissectionSet(n, base.red, tuple(combo)))

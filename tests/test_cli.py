@@ -2,16 +2,22 @@ import dataclasses
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from pianocat import cli, render
+from pianocat import cli, dissections, render
 from pianocat.cli import main
-from pianocat.dissections import DissectionSet, dissection_from_generator
+from pianocat.dissections import (
+    DissectionSet,
+    canonical_dissection_key,
+    dissection_from_generator,
+)
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
 from pianocat.geometry import ArcSet
 from pianocat.render import arc_diagram_svg, dissection_svg, dissection_tikz
@@ -65,6 +71,26 @@ def test_enumerate_dissections_matches_generators(capsys):
     assert len(records) == 4
 
 
+def test_dissection_classes_print_their_least_member(capsys, monkeypatch):
+    code, out = run(capsys, "enumerate", "--n", "4", "--kind", "dissections", "--equiv")
+    assert code == 0
+    reps = [DissectionSet.from_json(json.loads(line)) for line in out.splitlines()]
+    assert len(reps) == 110
+    keys = [d.dumps() for d in reps]
+    assert keys == sorted(keys) == [canonical_dissection_key(d) for d in reps]
+    # The output depends on the classes alone, not on the enumeration order.
+    enumerate_all = dissections.enumerate_extended_dissections
+    for seed in range(3):
+
+        def shuffled(n, seed=seed):
+            items = enumerate_all(n)
+            random.Random(seed).shuffle(items)
+            return items
+
+        monkeypatch.setattr(dissections, "enumerate_extended_dissections", shuffled)
+        assert run(capsys, "enumerate", "--n", "4", "--kind", "dissections", "--equiv") == (0, out)
+
+
 def test_enumerate_csv_and_svg(capsys):
     code, out = run(capsys, "enumerate", "--n", "2", "--format", "csv")
     assert code == 0
@@ -108,11 +134,56 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     monkeypatch.setitem(
         cli.VERIFIERS,
         "bijection",
-        lambda contexts, cfg: [{"check": "bijection", "passed": False}],
+        lambda gens, cfg: [{"check": "bijection", "passed": False}],
     )
     code, out = run(capsys, "verify", "bijection", "--n", "2")
     assert code == 1
     assert json.loads(out.splitlines()[0])["passed"] is False
+
+
+def test_verify_keeps_at_most_one_context_alive(monkeypatch):
+    # The generators are walked once; each context is dropped before the
+    # next is built, so no check ever sees two alive.
+    refs = []
+
+    class Tracked(cli.GeneratorContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refs.append(weakref.ref(self))
+
+    alive = []
+
+    def watched(check):
+        def run_check(arg, cfg):
+            alive.append(sum(ref() is not None for ref in refs))
+            return check(arg, cfg)
+
+        return run_check
+
+    monkeypatch.setattr(cli, "GeneratorContext", Tracked)
+    for name, check in list(cli.VERIFIERS.items()):
+        monkeypatch.setitem(cli.VERIFIERS, name, watched(check))
+    records = list(cli.run_verifiers(list(cli.VERIFIERS), cli.Config(n=3)))
+    assert len(refs) == 36 and len(records) == 1 + 36 * 7
+    # One call of bijection before the walk, then five checks per generator.
+    assert len(alive) == 1 + 5 * 36
+    assert alive[0] == 0 and max(alive) == 1
+
+
+def test_a_single_check_streams_its_records(monkeypatch):
+    built = []
+
+    class Counted(cli.GeneratorContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.generator)
+
+    monkeypatch.setattr(cli, "GeneratorContext", Counted)
+    records = cli.run_verifiers(["path-algebra-iso"], cli.Config(n=2, window=4))
+    first = next(records)
+    assert first["check"] == "path-algebra-iso" and first["passed"]
+    assert len(built) == 1
+    assert len(list(records)) == 3 and len(built) == 4
 
 
 def test_verify_all_small(capsys):
@@ -219,7 +290,7 @@ def test_check_that_raises_exits_3_with_traceback(capsys, monkeypatch):
     import pianocat.cli as cli
     from pianocat.endo import EndoError
 
-    def broken(contexts, cfg):
+    def broken(gens, cfg):
         raise EndoError("internal defect")
 
     monkeypatch.setitem(cli.VERIFIERS, "bijection", broken)
@@ -388,8 +459,8 @@ def _verification_script():
 
 
 def test_run_verification_script_exits_1_on_a_failing_record(monkeypatch, capsys):
-    def failing(contexts, cfg):
-        return [{"check": "confluence", "n": cfg.n, "passed": False}]
+    def failing(ctx, cfg):
+        return [{"check": "confluence", "n": ctx.n, "passed": False}]
 
     monkeypatch.setitem(cli.VERIFIERS, "confluence", failing)
     assert _verification_script().main(["--max-n", "1"]) == 1

@@ -367,6 +367,42 @@ def test_phi_counts_examined_pairs():
             assert "pairs" not in report.to_json()
 
 
+def _survival_off_degree_zero(arcs, window):
+    """The cells (j, j2, l, i, i2) where a composite of basis elements survives
+    differently from the one at degrees (0, 0), and the number of cells."""
+    algebra = EndoAlgebra.from_arcs(arcs)
+    degrees = range(-window, window + 1)
+    pairs = itertools.product(range(algebra.size), repeat=2)
+    live = {(j, l): [i for i in degrees if algebra.dim(j, l, i)] for j, l in pairs}
+    cells, off = 0, []
+    for j, j2, l in itertools.product(range(algebra.size), repeat=3):
+        live1, live2 = live[j, j2], live[j2, l]
+        if not (live1 and live2):
+            continue
+        at_zero = chi_multiply(algebra, (j, j2, 0), (j2, l, 0))
+        for i, i2 in itertools.product(live1, live2):
+            cells += 1
+            if chi_multiply(algebra, (j, j2, i), (j2, l, i2)) != at_zero:
+                off.append((j, j2, l, i, i2))
+    return off, cells
+
+
+def test_phi_survival_does_not_depend_on_the_degrees():
+    # The premise of the phi check, which decides at degrees (0, 0) whether
+    # a composite survives: on a limit generator the answer is the same at
+    # every live (i, i2) of the window.
+    cells = 0
+    for arcs in ordered_generators((1, 2, 3)):
+        off, checked = _survival_off_degree_zero(arcs, window=6)
+        assert off == []
+        cells += checked
+    assert cells == 404_789
+    # Negative control: a lone long arc is no generator, and there the basis
+    # endomorphisms of some degree pairs compose to zero, the identities not.
+    off, checked = _survival_off_degree_zero([Arc(2, BP(0, 0), BP(1, 0))], window=6)
+    assert 0 < len(off) < checked
+
+
 def test_cone_data_shares_the_fan_families():
     # cone_data computes the fan's shift families once for all summands;
     # presenting each summand on its own gives the same cones.
