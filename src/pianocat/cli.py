@@ -248,24 +248,28 @@ def run_verifiers(
     The generators are enumerated once and walked once: each generator's
     context is built, read by every requested check, and dropped, so at most
     one context is alive.  ``bijection`` runs on the enumeration before the
-    walk.  The first check's records are yielded as they are made; the
-    others' are held until the walk ends.
+    walk, and its records are yielded then if it comes first.  The first
+    walked check's records are yielded as they are made; the others' are
+    held until the walk ends.
     """
     gens = generators.enumerate_limit_generators(cfg.n)
     held: dict[str, list[dict]] = {name: [] for name in names}
     if "bijection" in held:
         held["bijection"] = VERIFIERS["bijection"](gens, cfg)
-    yield from held[names[0]]
     walked = [name for name in names if name != "bijection"]
+    # Only bijection, whose records are ready, can come before the first walked check.
+    first = names.index(walked[0]) if walked else len(names)
+    for name in names[:first]:
+        yield from held[name]
     for g in gens:
         ctx = GeneratorContext(g, choice)
         for name in walked:
             records = VERIFIERS[name](ctx, cfg)
-            if name == names[0]:
+            if name == walked[0]:
                 yield from records
             else:
                 held[name].extend(records)
-    for name in names[1:]:
+    for name in names[first + 1 :]:
         yield from held[name]
 
 

@@ -23,7 +23,10 @@ memos):
   every class from x to y of the left degrees with every class from y to v
   of the right degrees, one row per left class (``_matrix_row``, the row
   body, unmemoised).  Equal rows, and equal blocks, are one object
-  (``_shared``), since they take few values.
+  (``_shared``), since they take few values.  It has two readers: the
+  path-algebra check below, and ``signs.verify_phi_homomorphism``, which
+  reads ``_matrix_block(x, y, v, (0,), (0,))[0][0]`` for whether a
+  composable triple of summands survives.
 
 Arcs are frozen and compare by value, so equal keys give equal answers on
 any generator; the generators of one enumeration hold the same summand

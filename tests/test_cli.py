@@ -186,6 +186,24 @@ def test_a_single_check_streams_its_records(monkeypatch):
     assert len(list(records)) == 3 and len(built) == 4
 
 
+def test_verify_all_streams_the_first_walked_check(monkeypatch):
+    # bijection is written before the walk, so under ``all`` the first
+    # walked check streams: its first record comes before a second context.
+    built = []
+
+    class Counted(cli.GeneratorContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.generator)
+
+    monkeypatch.setattr(cli, "GeneratorContext", Counted)
+    records = cli.run_verifiers(list(cli.VERIFIERS), cli.Config(n=3))
+    assert next(records)["check"] == "bijection" and built == []
+    first = next(records)
+    assert first["check"] == "path-algebra-iso" and first["passed"]
+    assert len(built) == 1
+
+
 def test_verify_all_small(capsys):
     code, out = run(capsys, "verify", "all", "--n", "2", "--window", "4")
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pianocat import signs
+from pianocat import endo, signs
 from pianocat.endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
 from pianocat.geometry import Arc, BoundaryPoint as BP
@@ -403,6 +403,34 @@ def test_phi_survival_does_not_depend_on_the_degrees():
     assert 0 < len(off) < checked
 
 
+def test_phi_reads_its_shared_answers_right():
+    # Survival: the block memo at degrees (0, 0), over the summand arcs,
+    # against chi_multiply, asked with the shared summand objects and with
+    # fresh equal copies.
+    triples = 0
+    for arcs in ordered_generators((1, 2, 3)):
+        algebra = EndoAlgebra.from_arcs(arcs)
+        fresh = [Arc.from_json(x.to_json(), x.n) for x in arcs]
+        size = algebra.size
+        live = [[algebra.entry(j, l).kind != RingKind.ZERO for l in range(size)] for j in range(size)]
+        for j, j2, l in itertools.product(range(size), repeat=3):
+            if not (live[j][j2] and live[j2][l]):
+                continue
+            triples += 1
+            want = chi_multiply(algebra, (j, j2, 0), (j2, l, 0))
+            for xs in (arcs, fresh):
+                assert endo._matrix_block(xs[j], xs[j2], xs[l], (0,), (0,))[0][0] == want
+    assert triples == 3_011
+    # Live degrees: one tuple per entry and window, and the parities they meet.
+    for kind in RingKind:
+        entry = endo.GradedEntry(kind)
+        for w in range(7):
+            degrees, parities = signs._live(entry, w)
+            assert list(degrees) == [i for i in range(-w, w + 1) if entry.dim(i)]
+            assert parities == tuple(sorted({i % 2 for i in degrees}))
+            assert (degrees == ()) == (kind == RingKind.ZERO)
+
+
 def test_cone_data_shares_the_fan_families():
     # cone_data computes the fan's shift families once for all summands;
     # presenting each summand on its own gives the same cones.
@@ -707,3 +735,43 @@ def test_phi_check_compares_every_cell(monkeypatch):
             assert {f.identity for f in report.failures} <= {"multiplicativity"}
             cells += len(report.failures)
     assert cells == 90_990
+
+
+def test_phi_check_walks_a_triple_whose_parities_split(monkeypatch):
+    # Only the odd-degree blocks of one forward entry are negated, so in a
+    # triple through it some parity pairs pass and others fail: the check
+    # must walk that triple's cells and keep the per-cell witnesses, their
+    # order and the cut at every cap.
+    arcs = worked_example_arcs()
+    m = signed_matrix(arcs, ("beta", 4))
+    target = next(jl for jl, d in m.graph.table.items() if d == Direction.FORWARD)
+    real = signs.phi_block
+
+    def odd_negated(m, cones, j, l, degree, direction):
+        b = real(m, cones, j, l, degree, direction)
+        if (j, l) != target or degree % 2 == 0:
+            return b
+        return dataclasses.replace(b, block=tuple(tuple(-c for c in row) for row in b.block))
+
+    monkeypatch.setattr(signs, "phi_block", odd_negated)
+    algebra = m.graph.algebra
+    uncapped = 10**6
+    for window in (2, 4):
+        full = verify_phi_homomorphism(arcs, m, window=window, max_failures=uncapped)
+        assert full == reference_phi(arcs, m, window, uncapped)
+        assert {f.identity for f in full.failures} == {"multiplicativity"}
+        assert all(f.witness[3] % 2 or f.witness[4] % 2 for f in full.failures)
+        # Every failing triple also has cells that pass: its even ones.
+        failing = defaultdict(int)
+        for f in full.failures:
+            failing[f.witness[:3]] += 1
+        assert failing
+        for j, j2, l in failing:
+            cells = sum(algebra.dim(j, j2, i) for i in range(-window, window + 1)) * sum(
+                algebra.dim(j2, l, i) for i in range(-window, window + 1)
+            )
+            assert 0 < failing[(j, j2, l)] < cells
+        for cap in (1, 4):
+            report = verify_phi_homomorphism(arcs, m, window=window, max_failures=cap)
+            assert report == reference_phi(arcs, m, window, cap)
+            assert report.failures == full.failures[:cap]
