@@ -4,7 +4,8 @@
 Each row runs the checks of ``piano-cat verify all`` (``cli.VERIFIERS``) at
 one size through the same driver and reports whether every record of each
 check passed.  Exits 1 when some record failed, and 2, with one stderr line,
-when ``--max-n`` is below 1 or the window is refused.
+when ``--max-n`` is below 1 or above the enumeration cap
+(``generators.ENUMERATION_CAP``), or the window is refused.
 
 Example:
 
@@ -15,7 +16,7 @@ import argparse
 import sys
 import time
 
-from pianocat import cli
+from pianocat import cli, generators
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -26,6 +27,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.max_n < 1:
             raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
+        if args.max_n > generators.ENUMERATION_CAP:
+            raise ValueError(
+                f"--max-n {args.max_n} exceeds the enumeration cap {generators.ENUMERATION_CAP}"
+            )
         cli.Config(n=1, window=args.window)
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")

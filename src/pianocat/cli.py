@@ -197,8 +197,13 @@ def _piano_as_paths(p: quivers.PianoQuiver, window: int) -> bool:
 
 
 def _verify_piano_as_paths(ctx: GeneratorContext, cfg: Config) -> list[dict]:
-    passed = _piano_as_paths(ctx.piano, cfg.window)
-    return [{"check": "piano-as-paths", "n": ctx.n, "passed": passed}]
+    record = {"check": "piano-as-paths", "n": ctx.n, "passed": True}
+    try:
+        record["passed"] = _piano_as_paths(ctx.piano, cfg.window)
+    except quivers.QuiverError as exc:
+        # A piano whose degree components have no predicted structure fails.
+        record.update(passed=False, witness=str(exc))
+    return [record]
 
 
 def _verify_beta_delta(ctx: GeneratorContext, cfg: Config) -> list[dict]:

@@ -28,12 +28,10 @@ memos):
   reads ``_matrix_block(x, y, v, (0,), (0,))[0][0]`` for whether a
   composable triple of summands survives.
 
-Arcs are frozen and compare by value, so equal keys give equal answers on
-any generator; the generators of one enumeration hold the same summand
-objects, so their keys match by identity.  The flag the product rule
-needs is read off the arcs: ``EndoAlgebra.from_arcs`` refuses
-overlapping suspension orbits and repeated summands, so a suspension of y
-is x only when y is x.
+Arcs are interned (``geometry.Arc``), so equal keys are one object on
+every generator.  The flag the product rule needs is read off the arcs:
+``EndoAlgebra.from_arcs`` refuses overlapping suspension orbits and
+repeated summands, so a suspension of y is x only when y is x.
 
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
 algebra a block at a time: every class from a to b times every class from

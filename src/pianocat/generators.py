@@ -3,10 +3,7 @@
 A limit pre-generator is a non-crossing spanning tree of double limit arcs on
 the accumulation points; a limit generator adds one limit arc per open
 segment, everything pairwise non-crossing under all suspensions.  Limit arcs
-are always normalised so their marked endpoint sits at position 0.  One
-enumeration builds each (double) limit arc once and every generator it
-returns holds those same objects, so the process-wide memos keyed by arcs
-find a summand by identity before comparing arcs.
+are always normalised so their marked endpoint sits at position 0.
 """
 
 from __future__ import annotations
@@ -176,8 +173,6 @@ def enumerate_limit_generators(n: int, up_to_equivalence: bool = False) -> list[
     """
     if n > ENUMERATION_CAP:
         raise GeneratorError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    # One object per limit arc, as ``enumerate_pre_generators`` builds its
-    # double limit arcs once (see the module docstring).
     candidates = [
         [Arc(n, BoundaryPoint(i), BoundaryPoint(seg, 0)) for i in range(n)]
         for seg in range(n)

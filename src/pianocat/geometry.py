@@ -5,7 +5,8 @@ order; between Acc(i) and Acc(i+1) sits a copy of the integers, the marked
 points Pt(i, p).  All predicates are exact (no floating point): points are
 compared through a lexicographic key that linearises one full anticlockwise
 turn starting at Acc(0).  Each point computes its key once, at construction,
-and the order predicates compare the stored keys.  ``suspend`` and
+and the order predicates compare the stored keys.  Arcs are interned, so
+equal arcs are one object.  ``suspend`` and
 ``crosses_under_some_shift`` are memoised for the whole process, each in an
 LRU cache of ``MEMO_SIZE`` entries, the bound that the pairwise memos of
 ``homs``, ``dissections`` and ``endo`` share.
@@ -143,55 +144,59 @@ def in_closed_interval(p: BoundaryPoint, start: BoundaryPoint, end: BoundaryPoin
     return (ks < kp < ke) or (kp < ke < ks) or (ke < ks < kp)
 
 
-@dataclass(frozen=True, eq=False)
+# Every arc made so far, by n and its endpoint keys in key order.
+_ARCS: dict[tuple, "Arc"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Arc:
     """An unordered pair of non-neighbouring boundary points on the n-marked circle.
 
-    Endpoints are stored canonically ordered by their key, so equal arcs
-    compare and hash equal.  The kind and the hash are derived from the
-    endpoints alone, once, at construction; equality and the endpoint
-    predicates compare stored point keys, so an arc is a cheap dictionary key.
+    Arcs are interned: the first ``Arc(n, a, b)`` of a value validates it,
+    and every later call, with the endpoints in either order, returns that
+    same object; a refused value is never stored, so it raises on every
+    call.  So identity is equality, and an arc hashes and compares by
+    identity.  The endpoints are stored in key order, and the kind is
+    derived from them once.
     """
 
     n: int
     a: BoundaryPoint
     b: BoundaryPoint
     kind: ArcKind = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        n, a, b = self.n, self.a, self.b
+    def __new__(cls, n: int, a: BoundaryPoint, b: BoundaryPoint) -> "Arc":
+        ka, kb = a._key, b._key
+        key = (n, ka, kb) if ka < kb else (n, kb, ka)
+        x = _ARCS.get(key)
+        if x is not None:
+            return x
         if n < 1:
             raise GeometryError("need n >= 1")
         for e in (a, b):
             if e.seg >= n:
                 raise GeometryError(f"endpoint {e} outside 0..{n - 1}")
-        if a._key == b._key:
+        if ka == kb:
             raise GeometryError("arc endpoints must be distinct")
         # Only marked points at adjacent positions of one segment are neighbours.
         if a.seg == b.seg and a.pos is not None and b.pos is not None and abs(a.pos - b.pos) == 1:
             raise GeometryError(f"arc endpoints {a},{b} are neighbours")
-        if a._key > b._key:
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+        if ka > kb:
+            a, b = b, a
         if a.pos is None:
             kind = _DOUBLE_LIMIT if b.pos is None else _LIMIT
         elif b.pos is None:
             kind = _LIMIT
         else:
             kind = _SHORT if a.seg == b.seg else _LONG
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "_hash", hash((n, self.a._key, self.b._key)))
+        x = _ARCS[key] = object.__new__(cls)
+        for name, value in (("n", n), ("a", a), ("b", b), ("kind", kind)):
+            object.__setattr__(x, name, value)
+        return x
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Arc):
-            return NotImplemented
-        return (
-            self.a._key == other.a._key and self.b._key == other.b._key and self.n == other.n
-        )
+    def __reduce__(self) -> tuple:
+        # A copy or an unpickled arc is the interned one.
+        return (Arc, (self.n, self.a, self.b))
 
     def endpoints(self) -> tuple[BoundaryPoint, BoundaryPoint]:
         return (self.a, self.b)
@@ -244,22 +249,8 @@ def suspend(x: Arc, k: int) -> Arc:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _suspended(x: Arc, k: int) -> Arc:
-    """The body of ``suspend`` for k != 0.
-
-    A suspension of a valid arc is valid and keeps the key order of its
-    endpoints, their segments and kinds, and the distance between two
-    marked endpoints of one segment; so the arc is assembled from the
-    shifted points and the stored kind, without ``Arc``'s validation.
-    """
-    n, a, b = x.n, x.a.shifted(k), x.b.shifted(k)
-    y = object.__new__(Arc)
-    setattr_ = object.__setattr__
-    setattr_(y, "n", n)
-    setattr_(y, "a", a)
-    setattr_(y, "b", b)
-    setattr_(y, "kind", x.kind)
-    setattr_(y, "_hash", hash((n, a._key, b._key)))
-    return y
+    """The body of ``suspend`` for k != 0."""
+    return Arc(x.n, x.a.shifted(k), x.b.shifted(k))
 
 
 def cross(x: Arc, y: Arc) -> bool:

@@ -56,7 +56,7 @@ def ext1_dim(x: Arc, y: Arc) -> int:
     """Dimension of the space of degree-one extensions of y by x (0 or 1)."""
     if x.n != y.n:
         raise HomError("arcs live on circles with different n")
-    if x.a._key == y.a._key and x.b._key == y.b._key:  # x == y
+    if x is y:
         return 1 if x.kind == ArcKind.DOUBLE_LIMIT else 0
     if cross(x, y):
         return 1

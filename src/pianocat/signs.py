@@ -390,13 +390,11 @@ def verify_phi_homomorphism(
     return CheckReport(failures, examined[0])
 
 
-@lru_cache(maxsize=64)
-def _live(entry: GradedEntry, window: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The degrees of the window where the entry has a basis element, and
-    the parities (0 even, 1 odd) that those degrees meet; one pair per
-    ring kind and window."""
-    live = tuple(i for i in range(-window, window + 1) if entry.dim(i))
-    return live, tuple(sorted({i & 1 for i in live}))
+def _cells(e1: GradedEntry, e2: GradedEntry, degrees: range) -> Iterator[tuple[int, int]]:
+    """The degree pairs (i, i2) where e1 has a basis element in degree i and
+    e2 one in degree i2, i first."""
+    live2 = [i2 for i2 in degrees if e2.dim(i2)]
+    return ((i, i2) for i in degrees if e1.dim(i) for i2 in live2)
 
 
 def _phi_failures(
@@ -404,10 +402,11 @@ def _phi_failures(
 ) -> Iterator[CheckFailure]:
     """The failures of ``verify_phi_homomorphism``, lazily and in order.
 
-    Each composable triple (j, j2, l) reads answers shared across the
-    process: whether it survives from the block memo ``endo._matrix_block``
-    at degrees (0, 0), and its factors' live degrees and the parities they
-    meet from ``_live``.
+    Each composable triple (j, j2, l) reads whether it survives from the
+    process-wide block memo ``endo._matrix_block`` at degrees (0, 0).  Every
+    nonzero entry has basis elements in degrees 0 and -1, so the degrees of
+    a window meet parity 0 alone at window 0 and both parities beyond it;
+    the degrees themselves are read only when a triple's cells are walked.
     """
     degrees = range(-window, window + 1)
     for j in range(m.m):
@@ -415,10 +414,10 @@ def _phi_failures(
             if _sign_power(m.beta[j], i) != (-1) ** i * _sign_power(m.delta[j], i):
                 yield CheckFailure("differential", (j, i))
 
-    # The nonzero entries, grouped by source, each with its direction, the
-    # degrees of the window where it has a basis element and the parities
-    # they meet, and its signed blocks at even and odd degrees: a block
-    # depends on its degree only through the parity.
+    # The nonzero entries, grouped by source, each with its direction and
+    # its signed blocks at even and odd degrees: a block depends on its
+    # degree only through the parity.
+    parities = (0,) if window == 0 else (0, 1)
     algebra = graph.algebra
     arcs, size = algebra.arcs, algebra.size
     entries: dict[tuple[int, int], tuple[Direction, tuple]] = {}
@@ -432,15 +431,13 @@ def _phi_failures(
             direction = Direction.FORWARD if j == l else graph.table[(j, l)]
             blocks = tuple(phi_block(m, graph.cones, j, l, p, direction).block for p in (0, 1))
             entries[(j, l)] = direction, blocks
-            by_source[j].append((l, direction, *_live(graded, window), blocks))
+            by_source[j].append((l, direction, graded, blocks))
 
     for j in range(size):
         x = arcs[j]
-        for j2, dir1, live1, parities1, lhs1 in by_source[j]:
+        for j2, dir1, graded1, lhs1 in by_source[j]:
             y = arcs[j2]
-            for l, dir2, live2, parities2, lhs2 in by_source[j2]:
-                if not (live1 and live2):
-                    continue
+            for l, dir2, graded2, lhs2 in by_source[j2]:
                 examined[0] += 1
                 # In a limit generator the marked endpoints of distinct
                 # summands sit in distinct segments, so whether a composite
@@ -460,9 +457,8 @@ def _phi_failures(
                 else:
                     identity = None
                 if identity is not None:
-                    for i in live1:
-                        for i2 in live2:
-                            yield CheckFailure(identity, (j, j2, l, i, i2))
+                    for i, i2 in _cells(graded1, graded2, degrees):
+                        yield CheckFailure(identity, (j, j2, l, i, i2))
                     continue
                 # The four products of the parity blocks of the two factors;
                 # each cell compares the product of its two parities with
@@ -475,11 +471,9 @@ def _phi_failures(
                     ]
                     for (a00, a01), (_, a11) in lhs1
                 ]
-                if all(prods[p][p2] == rhs[p ^ p2] for p in parities1 for p2 in parities2):
+                if all(prods[p][p2] == rhs[p ^ p2] for p in parities for p2 in parities):
                     continue
-                for i in live1:
-                    row = prods[i & 1]
-                    for i2 in live2:
-                        prod, want = row[i2 & 1], rhs[(i + i2) & 1]
-                        if prod != want:
-                            yield CheckFailure("multiplicativity", (j, j2, l, i, i2, prod, want))
+                for i, i2 in _cells(graded1, graded2, degrees):
+                    prod, want = prods[i & 1][i2 & 1], rhs[(i + i2) & 1]
+                    if prod != want:
+                        yield CheckFailure("multiplicativity", (j, j2, l, i, i2, prod, want))

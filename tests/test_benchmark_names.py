@@ -1,13 +1,15 @@
-"""Every package name the benchmark reaches by name must resolve.
+"""Every package name the benchmark reaches by name must resolve, and every
+call the workloads make must bind to the function's signature.
 
 ``perfbench/`` lies outside ``testpaths``, so without these tests a deleted
-or renamed function would break the benchmark's tracer or workloads with no
-tier-1 failure.  They only read ``perfbench/``.
+or renamed function, or a changed signature, would break the benchmark's
+tracer or workloads with no tier-1 failure.  They only read ``perfbench/``.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,10 +51,32 @@ def test_workload_calls_resolve():
         for alias in node.names
     }
     used = set()
+    calls = []
     for node in ast.walk(tree):
         chain = _dotted(node) if isinstance(node, ast.Attribute) else None
         if chain and chain[0] in modules:
             used.add((modules[chain[0]], ".".join(chain[1:])))
+        chain = _dotted(node.func) if isinstance(node, ast.Call) else None
+        if chain and chain[0] in modules:
+            calls.append((modules[chain[0]], ".".join(chain[1:]), node))
     assert {("geometry", "rotate_arc"), ("signs", "both_signed_matrices"), ("cli", "main")} <= used
     for module, attr in sorted(used):
         _resolve(module, attr)
+    # Each call's positional count and keyword names bind to the signature.
+    bound = set()
+    for module, attr, node in calls:
+        assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+        assert all(k.arg is not None for k in node.keywords), ast.unparse(node)
+        signature = inspect.signature(_resolve(module, attr))
+        try:
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{ast.unparse(node)} does not bind to {attr}{signature}: {exc}")
+        bound.add(f"{module}.{attr}")
+    assert {
+        "signs.check_beta_delta",
+        "endo.verify_path_algebra_iso",
+        "endo.piano_of_generator",
+        "endo.EndoAlgebra.from_arcs",
+        "cli.main",
+    } <= bound

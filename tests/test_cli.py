@@ -283,6 +283,34 @@ def test_confluence_runs_at_the_requested_n(capsys, monkeypatch):
     assert all(not r["passed"] and r["witness"].startswith("((") for r in records)
 
 
+def test_piano_as_paths_reports_a_piano_it_cannot_read(capsys, monkeypatch):
+    # With the complementary sharp set, as the path-iso negative control
+    # has it, the degree components of some pianos have no predicted
+    # structure: each such piano is a failing record with the reason, and
+    # the run exits 1, not 3.
+    from pianocat import endo, quivers
+
+    real = endo.piano_of_generator
+
+    def complemented(*args):
+        honest = real(*args)
+        sharp = frozenset(range(honest.num_vertices)) - honest.sharp
+        return quivers.piano_from_keyboard(quivers.KeyboardQuiver(honest.keyboard.gentle, sharp))
+
+    monkeypatch.setattr(endo, "piano_of_generator", complemented)
+    failed = 0
+    for n, count in ((2, 4), (3, 36)):
+        code, out = run(capsys, "verify", "piano-as-paths", "--n", str(n))
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 1 and len(records) == count
+        for r in records:
+            assert r["check"] == "piano-as-paths" and r["n"] == n
+            if not r["passed"]:
+                assert r["witness"] == "sharp vertex with unexpected incoming arrows"
+                failed += 1
+    assert failed == 31
+
+
 def test_derived_equiv_runs_at_the_requested_window(capsys, monkeypatch):
     import pianocat.cli as cli
 
@@ -492,6 +520,17 @@ def test_run_verification_script_refuses_bad_sizes(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "at least" in captured.err
+
+
+def test_run_verification_script_refuses_sizes_above_the_enumeration_cap(capsys, monkeypatch):
+    # The cap is lowered so that a run that is not refused fails fast.
+    from pianocat import generators
+
+    monkeypatch.setattr(generators, "ENUMERATION_CAP", 2)
+    assert _verification_script().main(["--max-n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--max-n 3 exceeds the enumeration cap 2\n"
 
 
 def test_quiver_dot(capsys, fan3_files):

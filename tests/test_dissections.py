@@ -110,14 +110,16 @@ def test_dissections_refuse_duplicate_and_outside_chords():
 
 def test_chord_memo_matches_its_body():
     # Every summand of the n <= 4 generators, as the shared object and as a
-    # fresh equal copy, asked twice so that the second answer comes from
-    # the cache.
+    # fresh equal copy, which is the shared object, asked twice so that the
+    # second answer comes from the cache.
     hits = chord_of_arc.cache_info().hits
     for n in (1, 2, 3, 4):
         for x in {x for g in enumerate_limit_generators(n) for x in g}:
             want = chord_of_arc.__wrapped__(x)
+            fresh = Arc(n, x.a, x.b)
+            assert fresh is x
             for _ in range(2):
-                assert chord_of_arc(x) == want == chord_of_arc(Arc(n, x.a, x.b))
+                assert chord_of_arc(x) == want == chord_of_arc(fresh)
     assert chord_of_arc.cache_info().hits > hits
 
 
@@ -135,13 +137,13 @@ def test_chord_memo_never_keeps_a_refusal():
 def test_chord_preimage_memo_matches_its_body():
     # Every chord of the n <= 4 generators, as the shared object and as a
     # fresh equal copy, asked twice so that the second answer comes from
-    # the cache.
+    # the cache; every answer is the one interned arc.
     hits = chord_to_arc.cache_info().hits
     for n in (1, 2, 3, 4):
         for c in {chord_of_arc(x) for g in enumerate_limit_generators(n) for x in g}:
             want = chord_to_arc.__wrapped__(c, n)
             for _ in range(2):
-                assert chord_to_arc(c, n) == want == chord_to_arc(ChordArc(c.p, c.q), n)
+                assert chord_to_arc(c, n) is want is chord_to_arc(ChordArc(c.p, c.q), n)
     assert chord_to_arc.cache_info().hits > hits
 
 

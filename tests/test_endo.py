@@ -774,13 +774,14 @@ def test_algebra_entries_follow_classify_entry():
 def test_entry_memos_match_their_bodies():
     # Every ordered pair of summands of the n <= 4 generators (the diagonal
     # included), and every summand, as the shared objects and as fresh
-    # equal copies, asked twice so that the second answer comes from the
-    # cache.
+    # equal copies, which are the shared objects, asked twice so that the
+    # second answer comes from the cache.
     hits = [memo.cache_info().hits for memo in (endo._entry, endo._marked_segments)]
     for n in (1, 2, 3, 4):
         for g in enumerate_limit_generators(n):
             for x in g:
                 fresh_x = Arc(n, x.a, x.b)
+                assert fresh_x is x
                 want = endo._marked_segments.__wrapped__(x)
                 for _ in range(2):
                     assert endo._marked_segments(x) == want == endo._marked_segments(fresh_x)

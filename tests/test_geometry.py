@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from pianocat.geometry import (
     rotate_arc,
     suspend,
 )
+from pianocat.dissections import chord_of_arc, chord_to_arc
 from pianocat.generators import enumerate_limit_generators
 
 
@@ -83,6 +86,36 @@ def test_equal_endpoints_make_equal_arcs():
         assert len({x, y}) == 1
         assert "kind" not in repr(x)
     assert Arc(n, acc(0, n), pt(1, 0, n)) != Arc(n, acc(0, n), pt(1, 2, n))
+
+
+def test_arcs_are_interned():
+    n = 3
+    for a, b in (
+        (acc(0, n), pt(1, 0, n)),
+        (pt(0, 0, n), pt(1, 3, n)),
+        (pt(2, 5, n), pt(2, -1, n)),
+        (acc(2, n), acc(0, n)),
+    ):
+        x = Arc(n, a, b)
+        # The endpoints in either order, and fresh equal endpoints.
+        assert Arc(n, b, a) is x
+        assert Arc(n, BoundaryPoint(b.seg, b.pos), BoundaryPoint(a.seg, a.pos)) is x
+        assert Arc.from_json(x.to_json(), n) is x
+        assert copy.copy(x) is x and copy.deepcopy(x) is x
+        assert pickle.loads(pickle.dumps(x)) is x
+        assert rotate_arc(rotate_arc(x, 1), n - 1) is x
+    # Every summand of the n <= 4 generators, through its chord and back,
+    # with and without the memos.
+    for n in (1, 2, 3, 4):
+        for x in {x for g in enumerate_limit_generators(n) for x in g}:
+            assert chord_to_arc(chord_of_arc(x), n) is x
+            assert chord_to_arc.__wrapped__(chord_of_arc.__wrapped__(x), n) is x
+    # A refused value is never stored, so it raises on every call.
+    for _ in range(2):
+        with pytest.raises(GeometryError, match="neighbours"):
+            Arc(3, pt(0, 0, 3), pt(0, 1, 3))
+        with pytest.raises(GeometryError, match="outside"):
+            Arc(3, acc(0, 3), BoundaryPoint(3, 0))
 
 
 def test_arc_neighbour_endpoints_rejected():
@@ -189,8 +222,8 @@ def test_suspend_examples():
 def test_suspend_matches_the_validating_constructor():
     from pianocat.generators import enumerate_limit_generators
 
-    # Every summand of every generator with n <= 4, once each (keyed without
-    # the arc hash under test), and the short and long arcs no generator holds.
+    # Every summand of every generator with n <= 4, once each, and the short
+    # and long arcs no generator holds.
     summands = {
         (x.n, x.sort_key()): x
         for n in (1, 2, 3, 4)
@@ -204,9 +237,8 @@ def test_suspend_matches_the_validating_constructor():
     for x in summands.values():
         assert suspend(x, 0) is x
         for k in range(-12, 13):
-            y, z = suspend(x, k), Arc(x.n, x.a.shifted(k), x.b.shifted(k))
-            assert vars(y) == vars(z)  # n, a, b, kind and the stored hash
-            assert y.kind is z.kind and hash(y) == hash(z) and y == z
+            y = suspend(x, k)
+            assert y is Arc(x.n, x.a.shifted(k), x.b.shifted(k))
             kinds.add(y.kind)
     assert kinds == set(ArcKind)
 
@@ -318,8 +350,8 @@ def test_shift_crossing_interleaved_bindings():
 
 def test_shift_crossing_memo_matches_its_body():
     # Every ordered pair of summands of the n <= 4 generators, as the shared
-    # objects and as fresh equal copies, asked twice so that the second
-    # answer comes from the cache.
+    # objects and as fresh equal copies, which are the shared objects, asked
+    # twice so that the second answer comes from the cache.
     hits = crosses_under_some_shift.cache_info().hits
     crossing = 0
     for n in (1, 2, 3, 4):
@@ -327,10 +359,11 @@ def test_shift_crossing_memo_matches_its_body():
         for x in summands:
             for y in summands:
                 want = crosses_under_some_shift.__wrapped__(x, y)
-                copy = Arc(n, y.a, y.b)
+                fresh = Arc(n, y.a, y.b)
+                assert fresh is y
                 for _ in range(2):
                     assert crosses_under_some_shift(x, y) == want
-                    assert crosses_under_some_shift(x, copy) == want
+                    assert crosses_under_some_shift(x, fresh) == want
                 crossing += want
     assert crossing > 0
     assert crosses_under_some_shift.cache_info().hits > hits

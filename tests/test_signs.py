@@ -406,11 +406,12 @@ def test_phi_survival_does_not_depend_on_the_degrees():
 def test_phi_reads_its_shared_answers_right():
     # Survival: the block memo at degrees (0, 0), over the summand arcs,
     # against chi_multiply, asked with the shared summand objects and with
-    # fresh equal copies.
+    # fresh equal copies, which are the shared objects.
     triples = 0
     for arcs in ordered_generators((1, 2, 3)):
         algebra = EndoAlgebra.from_arcs(arcs)
         fresh = [Arc.from_json(x.to_json(), x.n) for x in arcs]
+        assert all(f is x for f, x in zip(fresh, arcs))
         size = algebra.size
         live = [[algebra.entry(j, l).kind != RingKind.ZERO for l in range(size)] for j in range(size)]
         for j, j2, l in itertools.product(range(size), repeat=3):
@@ -421,14 +422,17 @@ def test_phi_reads_its_shared_answers_right():
             for xs in (arcs, fresh):
                 assert endo._matrix_block(xs[j], xs[j2], xs[l], (0,), (0,))[0][0] == want
     assert triples == 3_011
-    # Live degrees: one tuple per entry and window, and the parities they meet.
+    # Parities: the degrees of every nonzero ring kind meet parity 0 alone
+    # at window 0 and both parities at every wider window, so the phi check
+    # sets them from the window.
     for kind in RingKind:
         entry = endo.GradedEntry(kind)
         for w in range(7):
-            degrees, parities = signs._live(entry, w)
-            assert list(degrees) == [i for i in range(-w, w + 1) if entry.dim(i)]
-            assert parities == tuple(sorted({i % 2 for i in degrees}))
-            assert (degrees == ()) == (kind == RingKind.ZERO)
+            met = {i & 1 for i in range(-w, w + 1) if entry.dim(i)}
+            if kind == RingKind.ZERO:
+                assert met == set()
+            else:
+                assert met == ({0} if w == 0 else {0, 1})
 
 
 def test_cone_data_shares_the_fan_families():
