@@ -24,7 +24,7 @@ def run():
     The matrix blocks are decided by the body of ``endo._matrix_block``,
     without its memo, so that every cell of the run reaches the spy."""
     seen = []
-    real = endo.within_alignment
+    real = endo.within_keys
 
     def spy(w, aligned):
         seen.append(real(w, aligned))
@@ -32,7 +32,7 @@ def run():
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(endo, "within_alignment", spy)
+        mp.setattr(endo, "within_keys", spy)
         mp.setattr(endo, "_matrix_block", endo._matrix_block.__wrapped__)
         rc = cli.main(["verify", "path-algebra-iso", "--n", "4"])
     return rc, out.getvalue(), seen

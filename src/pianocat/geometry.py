@@ -134,14 +134,20 @@ def cyclic_less(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> bool:
     return (kx < ky < kz) or (ky < kz < kx) or (kz < kx < ky)
 
 
-def in_closed_interval(p: BoundaryPoint, start: BoundaryPoint, end: BoundaryPoint) -> bool:
-    """Membership in the closed anticlockwise interval [start, end]."""
-    kp, ks, ke = p._key, start._key, end._key
-    if kp == ks or kp == ke:
-        return True
-    if ks == ke:
-        return False
-    return (ks < kp < ke) or (kp < ke < ks) or (ke < ks < kp)
+def within_keys(w: tuple, aligned: tuple) -> bool:
+    """The closed-interval rule on point keys (``BoundaryPoint.key``): with
+    ``aligned = ((y1, y2), (z1, z2))``, whether the keys of ``w``, in one of
+    their two orders, lie in the closed anticlockwise intervals [y1, z1] and
+    [y2, z2] (one that ends before it starts in key order wraps past Acc(0)).
+    A point p is in [s, e] when ``within_keys((p, p), ((s, s), (e, e)))``."""
+    (y1, y2), (z1, z2) = aligned
+    wa, wb = w
+    for w1, w2 in ((wa, wb), (wb, wa)):
+        if (y1 <= w1 <= z1 if y1 <= z1 else w1 >= y1 or w1 <= z1) and (
+            y2 <= w2 <= z2 if y2 <= z2 else w2 >= y2 or w2 <= z2
+        ):
+            return True
+    return False
 
 
 # Every arc made so far, by n and its endpoint keys in key order.

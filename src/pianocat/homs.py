@@ -31,8 +31,8 @@ from .geometry import (
     MEMO_SIZE,
     cross,
     cyclic_less,
-    in_closed_interval,
     suspend,
+    within_keys,
 )
 
 
@@ -162,32 +162,22 @@ def factors_through(y: Arc, w: Arc, z: Arc) -> bool:
     """Whether the nonzero degree-zero morphism y -> z factors through w.
 
     Both endpoints of w must sit inside the closed anticlockwise advance
-    intervals of the aligned endpoints of y and z.
+    intervals of the aligned endpoints of y and z (``geometry.within_keys``).
     """
     if y == z or hom_dim(y, z, 0) != 1:
         raise HomError("no morphism to factor")
     aligned = hom_alignment(y, z)
     if aligned is None:
         raise HomError("no morphism to factor")
-    return within_alignment(w, aligned)
+    return within_keys(w.sort_key(), alignment_keys(aligned))
 
 
-def within_alignment(
-    w: Arc,
-    aligned: tuple[tuple[BoundaryPoint, BoundaryPoint], tuple[BoundaryPoint, BoundaryPoint]],
-) -> bool:
-    """Whether w sits between the two arcs of an alignment (see ``hom_alignment``).
-
-    With ``aligned = ((y1, y2), (z1, z2))`` the endpoints of w must lie in
-    the closed anticlockwise intervals [y1, z1] and [y2, z2], in one of the
-    two labellings of w.
-    """
-    (y1, y2), (z1, z2) = aligned
-    wa, wb = w.endpoints()
-    for w1, w2 in ((wa, wb), (wb, wa)):
-        if in_closed_interval(w1, y1, z1) and in_closed_interval(w2, y2, z2):
-            return True
-    return False
+def alignment_keys(aligned: tuple | None) -> tuple | None:
+    """An alignment (``hom_alignment``) as point keys, for ``geometry.within_keys``."""
+    if aligned is None:
+        return None
+    (x1, x2), (y1, y2) = aligned
+    return ((x1.key(), x2.key()), (y1.key(), y2.key()))
 
 
 def compose_directions(first: Direction, second: Direction) -> Direction | None:

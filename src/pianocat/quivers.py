@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .dissections import (
     ChordArc,
@@ -638,6 +638,39 @@ def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...]
         return deltas + (("b", b),) * m
     park = p.arrows[path[-1]].src
     return deltas[:-1] + (("b", park),) * m + deltas[-1:]
+
+
+def canonical_forms(p: PianoQuiver, a: int, b: int) -> Callable[[int], PathNormalForm]:
+    """``m -> normal_form(p, canonical_word(p, a, b, m), base=a)`` for the
+    nonzero classes from a to b, with their arrow-path prefix reduced once.
+
+    A canonical word is an arrow prefix (the whole path, or all but its last
+    arrow where a degree +1 loop is parked), one loop block and the parked
+    arrow.  No loop block merges into an arrow block, so pushing the rest
+    onto a copy of the prefix form's ``blocks`` is the stack pass of the
+    full word; its skeleton dies at the junction when the prefix's last
+    arrow and the parked arrow form a relation.  A loop the piano lacks (a
+    degree +1 loop at a sharp vertex) takes the full pass, which raises.
+    """
+    heads: dict[int, PathNormalForm] = {}
+
+    def form(m: int) -> PathNormalForm:
+        word = canonical_word(p, a, b, m)
+        parked = m > 0 and word[-1][0] == "d"
+        cut = len(word) - abs(m) - parked
+        head = heads.get(cut)
+        if head is None:
+            head = heads[cut] = normal_form(p, word[:cut], base=a)
+        if not m:
+            return head
+        if word[cut] not in p.symbol_table:
+            return normal_form(p, word, base=a)  # raises, naming the loop
+        if head.is_zero or (parked and (head.last_arrow, word[-1][1]) in p.relations):
+            return ZERO_FORM
+        blocks = [(*word[cut], abs(m))] + [("d", word[-1][1], 1)] * parked
+        return _form(a, b, m, _reduce_blocks(p, blocks, list(head.blocks)))
+
+    return form
 
 
 def degree_component_structure(p: PianoQuiver, degree: int) -> list[list[int]]:

@@ -80,3 +80,30 @@ def test_workload_calls_resolve():
         "endo.EndoAlgebra.from_arcs",
         "cli.main",
     } <= bound
+
+
+def test_perfbench_test_names_resolve():
+    # The benchmark's own tests read names through the package's modules
+    # (the tracer test reads ``endo.normal_form``, ``signs.chi_multiply``,
+    # ``homs.suspend`` and ``pianocat.suspend``), so a module that drops an
+    # import behind one of them breaks them: every such chain must resolve.
+    tree = ast.parse((PERFBENCH / "test_perfbench.py").read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "pianocat":
+            modules.update({a.asname or a.name: f"pianocat.{a.name}" for a in node.names})
+        elif isinstance(node, ast.Import):
+            names = [a for a in node.names if a.name == "pianocat"]
+            modules.update({a.asname or a.name: a.name for a in names})
+    chains = {
+        tuple(chain)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and (chain := _dotted(node)) and chain[0] in modules
+    }
+    expected = {("endo", "normal_form"), ("signs", "chi_multiply"), ("homs", "suspend")}
+    assert expected | {("pianocat", "suspend")} <= chains
+    for root, *attrs in sorted(chains):
+        owner = importlib.import_module(modules[root])
+        for attr in attrs:
+            assert hasattr(owner, attr), ".".join((root, *attrs))
+            owner = getattr(owner, attr)

@@ -175,6 +175,22 @@ def test_verify_path_algebra_iso_shares_a_given_algebra():
             verify_path_algebra_iso(arcs, 3, window=3, algebra=EndoAlgebra.from_arcs(arcs[::-1]))
 
 
+def test_verify_path_algebra_iso_refuses_the_piano_of_other_summands():
+    # A piano of the same summands in another order, or of a smaller
+    # generator, is a caller error, not evidence: it is refused before any
+    # check, as a foreign algebra is.  The piano of these summands in this
+    # order is taken.
+    gens = enumerate_limit_generators(3)
+    smaller = list(enumerate_limit_generators(2)[0])
+    for g in gens[::9]:
+        arcs = list(g)
+        own = piano_of_generator(arcs, 3)
+        assert verify_path_algebra_iso(arcs, 3, window=3, piano=own).passed
+        for foreign in (piano_of_generator(arcs[::-1], 3), piano_of_generator(smaller, 2)):
+            with pytest.raises(EndoError, match="piano's vertices"):
+                verify_path_algebra_iso(arcs, 3, window=3, piano=foreign)
+
+
 def test_verify_detects_corrupted_sharp_set():
     n = 2
     arcs = fan_summands(n)
@@ -478,10 +494,79 @@ def test_verify_on_corrupted_pianos_matches_the_reference_loop():
                 assert len(expected.mismatches) > 4
 
 
+def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
+    """``canonical_forms`` against ``normal_form`` on the full canonical word,
+    for every class of the piano with |degree| <= window: the same form in
+    every field the products read, or a ``QuiverError`` with the same text.
+    Counts the classes by outcome."""
+    seen = collections.Counter()
+    for a, b in itertools.product(range(p.num_vertices), repeat=2):
+        form_of = quivers.canonical_forms(p, a, b)
+        for m in range(-window, window + 1):
+            if not graded_dim(p, a, b, m):
+                continue
+            word = canonical_word(p, a, b, m)
+            try:
+                want = normal_form(p, word, base=a)
+            except QuiverError as err:
+                with pytest.raises(QuiverError) as raised:
+                    form_of(m)
+                assert str(raised.value) == str(err), (a, b, m)
+                seen["raised"] += 1
+                continue
+            got = form_of(m)
+            for field in ("word", "shape", "degree", "blocks", "first_arrow", "last_arrow"):
+                assert getattr(got, field) == getattr(want, field), (a, b, m, field)
+            # A parked loop whose prefix is alive, with the prefix's last
+            # arrow and the parked arrow in a relation: the form is zero.
+            if m > 0 and word[-1][0] == "d" and len(word) > m + 1:
+                prefix = normal_form(p, word[: -m - 1], base=a)
+                if not prefix.is_zero and (prefix.last_arrow, word[-1][1]) in p.relations:
+                    assert got.is_zero
+                    seen["dead junction"] += 1
+            seen["zero" if want.is_zero else "nonzero"] += 1
+    return seen
+
+
+def test_shared_prefix_forms_match_the_full_pass_on_generators():
+    seen = collections.Counter()
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            seen += _shared_prefix_matches_the_full_pass(piano_of_generator(list(g), n))
+    assert seen == {"nonzero": 88_946}
+
+
+def test_shared_prefix_forms_match_the_full_pass_off_generators():
+    # The corrupted pianos, one with a relation between the last two arrows
+    # of an arrow path into a sharp vertex (its parked words have an alive
+    # prefix and a dead junction), and every n = 3 piano with the
+    # complemented sharp set, where some words raise.
+    arcs, pianos = _corrupted_pianos()
+    honest = piano_of_generator(arcs, 3)
+    last_two = min(
+        path[-2:]
+        for (_, b), path in honest.arrow_paths.items()
+        if len(path) > 1 and not honest.has_beta(b)
+    )
+    pianos["dead junction"] = _with_relations(honest, honest.relations | {last_two})
+    seen = collections.Counter()
+    for p in pianos.values():
+        seen += _shared_prefix_matches_the_full_pass(p)
+    for g in enumerate_limit_generators(3):
+        honest = piano_of_generator(list(g), 3)
+        sharp = frozenset(range(honest.num_vertices)) - honest.keyboard.sharp
+        seen += _shared_prefix_matches_the_full_pass(
+            piano_from_keyboard(KeyboardQuiver(honest.keyboard.gentle, sharp))
+        )
+    assert seen["dead junction"] > 0 and seen["raised"] > 0
+    assert seen["zero"] > seen["dead junction"]
+
+
 def _interval_cells(arcs, n, window):
     """The cells (a, b, c, m, m2) whose product reaches the closed-interval
     test, in the verifier's order, each with its position in its row
-    (a, b, c, m), the row's length, and the (w, aligned) pair it tests."""
+    (a, b, c, m), the row's length, and the (w, aligned) pair of point keys
+    it tests."""
     algebra = EndoAlgebra.from_arcs(arcs, n)
     p = piano_of_generator(arcs, n)
     size = len(arcs)
@@ -506,14 +591,15 @@ def _interval_cells(arcs, n, window):
                     or target.aligned is None
                 ):
                     continue
-                cells.append(((a, b, c, m, m2), k, len(rights), (w, target.aligned)))
+                keys = homs.alignment_keys(target.aligned)
+                cells.append(((a, b, c, m, m2), k, len(rights), (w.sort_key(), keys)))
     return cells
 
 
 @pytest.fixture
 def cold_matrix_rows():
     """Clear the process-wide matrix-block memo before and after the test, so
-    that rows decided under a patched ``endo.within_alignment`` reach no
+    that rows decided under a patched ``endo.within_keys`` reach no
     other test, and the patch sees every row of this one."""
     endo._matrix_block.cache_clear()
     yield
@@ -534,12 +620,12 @@ def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(
         cell for cell in cells if cell[1] == cell[2] - 1 and cell[0][:3] != middle[0][:3]
     )
     flipped = {middle[3], last[3]}
-    real = endo.within_alignment
+    real = endo.within_keys
 
     def flip(w, aligned):
         return real(w, aligned) != ((w, aligned) in flipped)
 
-    monkeypatch.setattr(endo, "within_alignment", flip)
+    monkeypatch.setattr(endo, "within_keys", flip)
     # A pair can recur in other cells (a double limit arc is its own
     # suspension), so the witnesses include both chosen cells.
     for cap in (1, 4, 10**6):
@@ -579,12 +665,12 @@ def test_verify_walks_the_one_disagreeing_row_of_a_block(cold_matrix_rows, monke
         and left_degrees(*location[:2])[0] < location[3] < left_degrees(*location[:2])[-1]
         and uses[pair] > 2
     )
-    real = endo.within_alignment
+    real = endo.within_keys
 
     def flip(w, aligned):
         return real(w, aligned) != ((w, aligned) == pair)
 
-    monkeypatch.setattr(endo, "within_alignment", flip)
+    monkeypatch.setattr(endo, "within_keys", flip)
     full = _reference_iso(arcs, n, window, max_mismatches=10**6)
     assert {m.kind for m in full.mismatches} == {"multiplication"}
     assert len(full.mismatches) > 2  # caps 1 and 2 cut the list
@@ -602,13 +688,13 @@ def test_interval_test_never_rejects_on_generators(cold_matrix_rows, monkeypatch
     # passes it on every generator with n <= 3 (window 6); the test stays as
     # a guard, and the non-generator control above shows it can reject.
     seen = []
-    real = endo.within_alignment
+    real = endo.within_keys
 
     def spy(w, aligned):
         seen.append(real(w, aligned))
         return seen[-1]
 
-    monkeypatch.setattr(endo, "within_alignment", spy)
+    monkeypatch.setattr(endo, "within_keys", spy)
     for n in (1, 2, 3):
         for g in enumerate_limit_generators(n):
             assert verify_path_algebra_iso(list(g), n, window=6).passed
@@ -617,7 +703,7 @@ def test_interval_test_never_rejects_on_generators(cold_matrix_rows, monkeypatch
 
 
 def test_every_landing_off_the_source_has_an_alignment():
-    # ``_chi_product`` needs no flag for w == z: a nonzero landing that is
+    # The product rule needs no flag for w == z: a nonzero landing that is
     # not a round trip has an alignment, and z lies within it.  Checked on
     # every pair of summands of the n <= 5 generators, |degree| <= 14.
     landed = 0
@@ -629,7 +715,8 @@ def test_every_landing_off_the_source_has_an_alignment():
                 if target is None or target.z_is_source:
                     continue
                 assert target.aligned is not None, (x, y, degree)
-                assert homs.within_alignment(target.z, target.aligned)
+                aligned = homs.alignment_keys(target.aligned)
+                assert geometry.within_keys(target.z.sort_key(), aligned)
                 landed += 1
     assert landed > 0
 
@@ -637,8 +724,9 @@ def test_every_landing_off_the_source_has_an_alignment():
 def test_class_records_mark_the_source_summand_only_where_it_is_met():
     # A class from a to a ends at summand a suspended by its degree; its
     # products see the source summand only where that suspension is the
-    # summand itself (``w == x`` in ``_matrix_row`` and ``chi_multiply``),
-    # and the verifier must not read every loop class so.
+    # summand itself (``w is x`` in ``_matrix_block`` and ``chi_multiply``),
+    # and the verifier must not read every loop class so.  Each row is
+    # decided alone, by the block body on its one left degree.
     shifted = 0
     for n in (1, 2, 3):
         for g in enumerate_limit_generators(n):
@@ -650,7 +738,7 @@ def test_class_records_mark_the_source_summand_only_where_it_is_met():
                 for m in range(-6, 7):
                     if not algebra.dim(a, a, m):
                         continue
-                    row = endo._matrix_row(x, x, v, m, rights)
+                    (row,) = endo._matrix_block.__wrapped__(x, x, v, (m,), rights)
                     assert row == tuple(
                         chi_multiply(algebra, (a, a, m), (a, c, m2)) for m2 in rights
                     ), (g, a, c, m)
@@ -677,7 +765,8 @@ def test_matrix_rows_match_the_factorisation_oracle():
     # From cold memos, and again with them warm, every block of every
     # generator with n <= 3 (window 6), whether decided for it or shared from
     # an earlier generator, equals the factorisation oracle cell by cell, and
-    # so does each of its rows decided alone by the row body.
+    # so does each of its rows decided alone, by the block body on its one
+    # left degree.
     degrees = range(-6, 7)
     for warm in (False, True):
         if not warm:
@@ -706,7 +795,8 @@ def test_matrix_rows_match_the_factorisation_oracle():
                     assert shared.setdefault(block, block) is block
                     assert all(shared.setdefault(row, row) is row for row in block)
                     for m, row in zip(lefts, expected):
-                        assert endo._matrix_row(arcs[a], arcs[b], arcs[c], m, rights) == row
+                        body = endo._matrix_block.__wrapped__
+                        assert body(arcs[a], arcs[b], arcs[c], (m,), rights) == (row,)
                     rows += len(lefts)
         assert rows > 0
         # Some blocks were shared: across generators when cold, all when warm.
@@ -864,7 +954,7 @@ def test_matrix_rows_match_the_oracle_off_generators():
         for a, b, c in itertools.product(range(2), repeat=3):
             rights = nonzero[(b, c)]
             for m in nonzero[(a, b)]:
-                row = endo._matrix_row(pair[a], pair[b], pair[c], m, rights)
+                (row,) = endo._matrix_block.__wrapped__(pair[a], pair[b], pair[c], (m,), rights)
                 expected = tuple(_product_oracle(algebra, (a, b, m), (b, c, m2)) for m2 in rights)
                 assert row == expected, (pair, a, b, c, m)
                 zero_hom += sum(hom_dim(pair[a], pair[c], m + m2) == 0 for m2 in rights)

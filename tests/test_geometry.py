@@ -18,10 +18,10 @@ from pianocat.geometry import (
     cross,
     crosses_under_some_shift,
     cyclic_less,
-    in_closed_interval,
     pt,
     rotate_arc,
     suspend,
+    within_keys,
 )
 from pianocat.dissections import chord_of_arc, chord_to_arc
 from pianocat.generators import enumerate_limit_generators
@@ -187,7 +187,10 @@ def test_key_predicates_match_point_equality_reference(n):
     points = [acc(i, n) for i in range(n)] + [pt(i, p, n) for i in range(n) for p in range(-3, 4)]
     for x, y, z in itertools.product(points, repeat=3):
         assert _outcome(cyclic_less, x, y, z) == _outcome(_ref_cyclic_less, x, y, z), (x, y, z)
-        assert in_closed_interval(x, y, z) == _ref_in_closed_interval(x, y, z), (x, y, z)
+        # The closed-interval rule in its one-point case.
+        kx, ky, kz = x.key(), y.key(), z.key()
+        closed = within_keys((kx, kx), ((ky, ky), (kz, kz)))
+        assert closed == _ref_in_closed_interval(x, y, z), (x, y, z)
     arcs = []
     for a, b in itertools.product(points, repeat=2):
         built = _outcome(Arc, n, a, b)
@@ -198,6 +201,20 @@ def test_key_predicates_match_point_equality_reference(n):
                 arcs.append(built)
     for x, y in itertools.product(arcs, repeat=2):
         assert cross(x, y) == _ref_cross(x, y), (x, y)
+
+
+def test_within_keys_matches_the_point_reference():
+    # Two points against two closed intervals, in either labelling of the
+    # points: every choice of six points at n = 2 (repeats included).
+    n = 2
+    points = [acc(i, n) for i in range(n)] + [pt(i, p, n) for i in range(n) for p in (-1, 1)]
+    for wa, wb, y1, y2, z1, z2 in itertools.product(points, repeat=6):
+        want = any(
+            _ref_in_closed_interval(w1, y1, z1) and _ref_in_closed_interval(w2, y2, z2)
+            for w1, w2 in ((wa, wb), (wb, wa))
+        )
+        aligned = ((y1.key(), y2.key()), (z1.key(), z2.key()))
+        assert within_keys((wa.key(), wb.key()), aligned) == want, (wa, wb, y1, y2, z1, z2)
 
 
 def test_cross_examples():
