@@ -24,15 +24,16 @@ def run():
     The matrix blocks are decided by the body of ``endo._matrix_block``,
     without its memo, so that every cell of the run reaches the spy."""
     seen = []
-    real = endo.within_keys
+    real = endo.within_row
 
-    def spy(w, aligned):
-        seen.append(real(w, aligned))
-        return seen[-1]
+    def spy(w, row):
+        hits = real(w, row)
+        seen.extend(hit for hit, aligned in zip(hits, row) if aligned is not None)
+        return hits
 
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
-        mp.setattr(endo, "within_keys", spy)
+        mp.setattr(endo, "within_row", spy)
         mp.setattr(endo, "_matrix_block", endo._matrix_block.__wrapped__)
         rc = cli.main(["verify", "path-algebra-iso", "--n", "4"])
     return rc, out.getvalue(), seen

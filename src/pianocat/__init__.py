@@ -53,7 +53,6 @@ from .quivers import (
     KeyboardQuiver,
     PianoQuiver,
     graded_dim,
-    is_locally_gentle,
     keyboard_from_extended,
     normal_form,
     piano_from_extended,

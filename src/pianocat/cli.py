@@ -185,15 +185,14 @@ def _verify_path_algebra(ctx: GeneratorContext, cfg: Config) -> list[dict]:
 
 
 def _piano_as_paths(p: quivers.PianoQuiver, window: int) -> bool:
-    """Whether the degree components of the piano algebra have the predicted dimensions."""
-    for i in range(-window, window + 1):
-        actual = [
-            [quivers.graded_dim(p, a, b, i) for b in range(p.num_vertices)]
-            for a in range(p.num_vertices)
-        ]
-        if quivers.degree_component_structure(p, i) != actual:
-            return False
-    return True
+    """Whether the degree components of the piano algebra have the predicted
+    dimensions, read off one dimension row per vertex pair."""
+    vertices, degrees = range(p.num_vertices), range(-window, window + 1)
+    rows = [[quivers.graded_row(p, a, b, degrees) for b in vertices] for a in vertices]
+    return all(
+        quivers.degree_component_structure(p, i) == [[row[k] for row in by_b] for by_b in rows]
+        for k, i in enumerate(degrees)
+    )
 
 
 def _verify_piano_as_paths(ctx: GeneratorContext, cfg: Config) -> list[dict]:

@@ -10,41 +10,11 @@ or zero.  Products of distinguished basis elements have coefficients in
 The entries and the matrix side of a product are pure functions of arcs, so
 they are memoised for the whole process and shared by every generator of a
 sweep, in LRU caches of ``MEMO_SIZE`` entries (the bound of the ``homs``
-memos):
-
-- ``_entry(x, y)``: the entry from summand x to summand y, by
-  ``classify_entry``'s rule; ``_marked_segments(x)``: the segments the
-  suspension orbit of x sweeps.  ``EndoAlgebra.from_arcs`` reads both.
-- ``_landing(x, y, degree)``: None when the Hom space from x to y in that
-  degree is zero, otherwise where it lands (``ProductTarget``: the suspended
-  target, whether it is x, and the endpoint alignment).  ``product_record``,
-  which ``chi_multiply`` reads, asks ``hom_dim`` outside the memo first.
-- ``_matrix_block(x, y, v, left_degrees, right_degrees)``: the products of
-  every class from x to y of the left degrees with every class from y to v
-  of the right degrees, one row per left class, from one ``_landing`` per
-  total degree; a cell that reaches the interval test is one call to
-  ``geometry.within_keys``, the rule ``chi_multiply`` calls too.  Equal
-  rows, and equal blocks, are one object (``_shared``).  It has two
-  readers: the path-algebra check below, and
-  ``signs.verify_phi_homomorphism``, which reads
-  ``_matrix_block(x, y, v, (0,), (0,))[0][0]`` for whether a composable
-  triple of summands survives.
-
-Arcs are interned (``geometry.Arc``), so equal keys are one object on
-every generator.  The flag the product rule needs is read off the arcs:
-``EndoAlgebra.from_arcs`` refuses overlapping suspension orbits and
-repeated summands, so a suspension of y is x only when y is x.
-
-``verify_path_algebra_iso`` compares this algebra with the piano's path
-algebra a block at a time: every class from a to b times every class from
-b to c.  The class forms of a pair come from ``quivers.canonical_forms``,
-which reduces the pair's arrow-path prefix once and pushes each degree's
-loop block onto it.  Left classes in one junction group (zero or not, last
-arrow) share one row of ``quivers.product_is_zero`` answers; the matrix
-block is the memoised ``_matrix_block``.  Only a block whose two sides
-disagree, or that puts a nonzero path off the piano, is walked cell by
-cell for witnesses, so the witnesses and their order are those of a
-per-cell loop.
+memos): ``_entry``, ``_marked_segments``, ``_landing`` and
+``_matrix_block``.  Arcs are interned (``geometry.Arc``), so equal keys are
+one object on every generator.  How ``verify_path_algebra_iso`` compares
+this algebra with the piano's path algebra a row at a time, and what each
+memo holds, is set out once, in README.
 """
 
 from __future__ import annotations
@@ -52,17 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
+from itertools import compress
+from operator import and_, not_
 from typing import NamedTuple
 
 from .dissections import chord_of_arc, dissection_from_generator
-from .geometry import MEMO_SIZE, Arc, ArcKind, suspend, within_keys
+from .geometry import MEMO_SIZE, Arc, ArcKind, suspend, within_row
 from .homs import alignment_keys, ext1_dim, hom_alignment, hom_dim
 from .quivers import (
     PathNormalForm,
     PianoQuiver,
     QuiverError,
     canonical_forms,
-    graded_dim,
+    graded_row,
     normal_form,  # not called here: the benchmark's tracer test reads endo.normal_form
     piano_from_extended,
     product_is_zero,
@@ -124,15 +96,10 @@ def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
 
 
 class ProductTarget(NamedTuple):
-    """Where a nonzero Hom from a summand x to a suspended summand y lands.
+    """Where a nonzero Hom from a summand x to a suspended summand y lands:
+    the endpoint alignment of x with y suspended by the degree
+    (``homs.hom_alignment``), None when that suspension is x itself."""
 
-    ``z`` is y suspended by the degree.  ``aligned`` is the endpoint
-    alignment of x with ``z`` (``homs.hom_alignment``); it is None, and
-    never read, when ``z_is_source``.
-    """
-
-    z: Arc
-    z_is_source: bool
     aligned: tuple | None
 
 
@@ -154,9 +121,7 @@ def _landing(x: Arc, y: Arc, degree: int) -> ProductTarget | None:
     if hom_dim(x, y, degree) == 0:
         return None
     z = suspend(y, degree)
-    if z is x:
-        return ProductTarget(z, True, None)
-    return ProductTarget(z, False, hom_alignment(x, z))
+    return ProductTarget(None if z is x else hom_alignment(x, z))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -227,9 +192,9 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
     The rule: zero when the record (``product_record``) is; else nonzero
     when the middle arc w (summand j shifted by p) is x, the only survivor
     of a round trip, which splits off the middle object; else when w lies
-    within the record's alignment (``geometry.within_keys``), which every
-    record that is no round trip has (tested on every summand pair up to
-    n = 5) and which holds w == z at its ends.
+    within the record's alignment (``geometry.within_row`` on a one-cell
+    row), which every record that is no round trip has (tested on every
+    summand pair up to n = 5) and which holds w == z at its ends.
     """
     i, j1, p = f
     j2, l, q = g
@@ -242,8 +207,7 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
     target = product_record(x, v, p + q)
     if target is None:
         return 0
-    aligned = alignment_keys(target.aligned)
-    return 1 if w is x or (aligned and within_keys(w.sort_key(), aligned)) else 0
+    return 1 if w is x else within_row(w.sort_key(), (alignment_keys(target.aligned),))[0]
 
 
 # Rows and blocks take very few distinct values (eight among the 2,855 rows
@@ -259,21 +223,21 @@ def _matrix_block(
     """The products (``chi_multiply``'s rule) of the classes from summand x
     to summand y in the degrees of ``left_degrees`` with the classes from y
     to summand v in the degrees of ``right_degrees``, one row per left class:
-    one ``_landing`` per total, the keys of each row's middle arc w once."""
-    totals = {m + m2 for m in left_degrees for m2 in right_degrees}
-    landings = {t: _landing(x, v, t) for t in totals}
-    aligned = {t: target and alignment_keys(target.aligned) for t, target in landings.items()}
+    one ``_landing`` per total, in a list indexed by total, and one
+    ``within_row`` call per row."""
+    if not (left_degrees and right_degrees):
+        return _shared(((),) * len(left_degrees))
+    low = min(left_degrees) + min(right_degrees)
+    landings = [_landing(x, v, t) for t in range(low, max(left_degrees) + max(right_degrees) + 1)]
+    aligned = [target and alignment_keys(target.aligned) for target in landings]
+    offsets = [m2 - low for m2 in right_degrees]
     rows = []
     for m in left_degrees:
         w = suspend(y, m)
         if w is x:
-            row = tuple(0 if landings[m + m2] is None else 1 for m2 in right_degrees)
+            row = tuple(0 if landings[m + k] is None else 1 for k in offsets)
         else:
-            keys = w.sort_key()
-            row = tuple(
-                1 if (al := aligned[m + m2]) and within_keys(keys, al) else 0
-                for m2 in right_degrees
-            )
+            row = within_row(w.sort_key(), [aligned[m + k] for k in offsets])
         rows.append(_shared(row))
     return _shared(tuple(rows))
 
@@ -345,18 +309,11 @@ def verify_path_algebra_iso(
     that the canonical word of every class both sides have is a word of the
     piano, and that products of canonical path words are nonzero exactly
     when the corresponding matrix products are, over all composable pairs
-    of such classes.  ``piano`` and ``algebra``, when given, are those of
-    ``arcs`` in this order, so that other checks can share them; either of
-    another generator or order is refused (``EndoError``).
-
-    Every class goes through the rewriting system, its pair's arrow path
-    reduced once (``quivers.canonical_forms``).  Both factors of every pair
-    are nonzero classes, so a path product is decided at the junction by
-    ``quivers.product_is_zero`` on the two class forms, without building
-    its normal form, and a matrix product by the product rule without the
-    operand checks of ``chi_multiply``, a block at a time from one landing
-    per total degree (see the module docstring).  Refuses (``EndoError``) a
-    negative window and a cap below one: neither can check anything.
+    of such classes, a row at a time (README).  ``piano`` and ``algebra``,
+    when given, are those of ``arcs`` in this order, so that other checks
+    can share them; either of another generator or order is refused
+    (``EndoError``).  Refuses (``EndoError``) a negative window and a cap
+    below one: neither can check anything.
     """
     if window < 0:
         raise EndoError(f"window must be at least 0, got {window}")
@@ -376,23 +333,26 @@ def verify_path_algebra_iso(
     p, size = piano, len(items)
     mismatches: list[IsoMismatch] = []
 
-    # The degrees of the nonzero classes of each pair, on both sides.
-    both_sides: dict[tuple[int, int], list[int]] = {}
+    # The degrees of the nonzero classes of each pair, on both sides, read
+    # off one dimension row per side (one per ring kind on the algebra's);
+    # only a pair whose rows differ is walked.
+    window_degrees = range(-window, window + 1)
+    kind_rows: dict[GradedEntry, tuple[int, ...]] = {}
+    both_sides: dict[tuple[int, int], tuple[int, ...]] = {}
     for a in range(size):
         for b in range(size):
-            both = both_sides[(a, b)] = []
             entry = algebra.entries[a][b]
-            for m in range(-window, window + 1):
-                lhs = entry.dim(m)
-                rhs = graded_dim(p, a, b, m)
-                if lhs != rhs:
-                    mismatches.append(
-                        IsoMismatch("dimension", (a, b, m), lhs, rhs)
-                    )
-                    if len(mismatches) >= max_mismatches:
-                        return IsoReport(tuple(mismatches))
-                elif lhs:
-                    both.append(m)
+            lhs = kind_rows.get(entry)
+            if lhs is None:
+                lhs = kind_rows[entry] = tuple(entry.dim(m) for m in window_degrees)
+            rhs = graded_row(p, a, b, window_degrees)
+            if lhs != rhs:
+                for m, left, right in zip(window_degrees, lhs, rhs):
+                    if left != right:
+                        mismatches.append(IsoMismatch("dimension", (a, b, m), left, right))
+                        if len(mismatches) >= max_mismatches:
+                            return IsoReport(tuple(mismatches))
+            both_sides[(a, b)] = tuple(compress(window_degrees, map(and_, lhs, rhs)))
 
     # Each of those classes with the normal form of its canonical word.  A
     # canonical word that is no word of the piano (a loop at a vertex the
@@ -401,6 +361,8 @@ def verify_path_algebra_iso(
     classes: dict[tuple[int, int], list[tuple[int, PathNormalForm]]] = {}
     for (a, b), ms in both_sides.items():
         kept = classes[(a, b)] = []
+        if not ms:
+            continue
         form_of = canonical_forms(p, a, b)
         for m in ms:
             try:
@@ -422,16 +384,13 @@ def verify_path_algebra_iso(
 
     # Few pairs have distinct degree tuples, so each set of totals is formed once.
     sumset = cache(lambda ms, ms2: frozenset(m + m2 for m in ms for m2 in ms2))
+    totals = range(-2 * window, 2 * window + 1)
     products = 0
     for a in range(size):
-        # For each c, the totals of the products from a to c that the piano
-        # has no nonzero class in.
-        reach: list[set[int]] = [set() for _ in range(size)]
-        for b in range(size):
-            if degrees[(a, b)]:
-                for c in range(size):
-                    reach[c] |= sumset(degrees[(a, b)], degrees[(b, c)])
-        off_piano = [{t for t in ts if not graded_dim(p, a, c, t)} for c, ts in enumerate(reach)]
+        # For each c, the totals where the piano has no class from a to c.
+        off_piano = [
+            set(compress(totals, map(not_, graded_row(p, a, c, totals)))) for c in range(size)
+        ]
         x = items[a]
         for b in range(size):
             left_degrees = degrees[(a, b)]
@@ -444,7 +403,7 @@ def verify_path_algebra_iso(
                     continue
                 v = items[c]
                 # The totals of this block where the piano has no class.
-                off_c = off_piano[c].intersection(sumset(left_degrees, right_degrees))
+                off_c = off_piano[c] and off_piano[c] & sumset(left_degrees, right_degrees)
                 path_rows = {
                     key: tuple(not product_is_zero(p, left, right) for _, right in rights)
                     for key, left in junction_forms[(a, b)].items()

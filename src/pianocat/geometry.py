@@ -134,20 +134,33 @@ def cyclic_less(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> bool:
     return (kx < ky < kz) or (ky < kz < kx) or (kz < kx < ky)
 
 
-def within_keys(w: tuple, aligned: tuple) -> bool:
-    """The closed-interval rule on point keys (``BoundaryPoint.key``): with
-    ``aligned = ((y1, y2), (z1, z2))``, whether the keys of ``w``, in one of
-    their two orders, lie in the closed anticlockwise intervals [y1, z1] and
-    [y2, z2] (one that ends before it starts in key order wraps past Acc(0)).
-    A point p is in [s, e] when ``within_keys((p, p), ((s, s), (e, e)))``."""
-    (y1, y2), (z1, z2) = aligned
+def within_row(w: tuple, row: Iterable[tuple | None]) -> tuple[int, ...]:
+    """The closed-interval rule on point keys (``BoundaryPoint.key``) across a
+    row of alignments: for each ``aligned = ((y1, y2), (z1, z2))``, 1 when
+    the keys of ``w``, in one of their two orders, lie in the closed
+    anticlockwise intervals [y1, z1] and [y2, z2] (one that ends before it
+    starts in key order wraps past Acc(0)), else 0; 0 for a None alignment."""
     wa, wb = w
-    for w1, w2 in ((wa, wb), (wb, wa)):
-        if (y1 <= w1 <= z1 if y1 <= z1 else w1 >= y1 or w1 <= z1) and (
-            y2 <= w2 <= z2 if y2 <= z2 else w2 >= y2 or w2 <= z2
-        ):
-            return True
-    return False
+    orders = ((wa, wb), (wb, wa))
+    out = []
+    for aligned in row:
+        hit = 0
+        if aligned is not None:
+            (y1, y2), (z1, z2) = aligned
+            for w1, w2 in orders:
+                if (y1 <= w1 <= z1 if y1 <= z1 else w1 >= y1 or w1 <= z1) and (
+                    y2 <= w2 <= z2 if y2 <= z2 else w2 >= y2 or w2 <= z2
+                ):
+                    hit = 1
+                    break
+        out.append(hit)
+    return tuple(out)
+
+
+def within_keys(w: tuple, aligned: tuple) -> bool:
+    """The one-cell case of ``within_row``.  A point p is in [s, e] when
+    ``within_keys((p, p), ((s, s), (e, e)))``."""
+    return within_row(w, (aligned,)) == (1,)
 
 
 # Every arc made so far, by n and its endpoint keys in key order.

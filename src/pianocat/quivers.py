@@ -45,7 +45,7 @@ from .dissections import (
     DissectionSet,
     check_induces_admissible,
 )
-from .geometry import MEMO_SIZE, is_connected
+from .geometry import MEMO_SIZE
 
 
 class QuiverError(ValueError):
@@ -117,33 +117,6 @@ def _gentle_quiver(size: int, chords: list[ChordArc], labels: tuple) -> GentleQu
         if j is not None:
             relations.add((k, j))
     return GentleQuiver(len(chords), labels, tuple(arrows), frozenset(relations))
-
-
-def is_locally_gentle(q: GentleQuiver) -> bool:
-    """At most two arrows in and out per vertex, length-two relations, and
-    unique continuations both inside and outside the relation ideal."""
-    if q.num_vertices < 1:
-        return False
-    if not is_connected(q.num_vertices, ((e.src, e.tgt) for e in q.arrows)):
-        return False
-    for v in range(q.num_vertices):
-        if len(q.arrows_out(v)) > 2 or len(q.arrows_in(v)) > 2:
-            return False
-    for a, b in q.relations:
-        if q.arrows[a].tgt != q.arrows[b].src:
-            return False
-    for i, e in enumerate(q.arrows):
-        before = [j for j in q.arrows_in(e.src)]
-        after = [j for j in q.arrows_out(e.tgt)]
-        if sum(1 for j in before if (j, i) in q.relations) > 1:
-            return False
-        if sum(1 for j in after if (i, j) in q.relations) > 1:
-            return False
-        if sum(1 for j in before if (j, i) not in q.relations) > 1:
-            return False
-        if sum(1 for j in after if (i, j) not in q.relations) > 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -610,13 +583,19 @@ def arrow_path(p: PianoQuiver, a: int, b: int) -> tuple[int, ...] | None:
     return p.arrow_paths.get((a, b))
 
 
+def graded_row(p: PianoQuiver, a: int, b: int, degrees: range) -> tuple[int, ...]:
+    """Dimensions (0 or 1) of the pieces of paths from a to b in the degrees
+    of a step-one range: ones, zeros, or at a sharp vertex to itself ones
+    up to degree 0 only."""
+    if a == b and not p.has_beta(a):
+        low = len(range(degrees.start, min(degrees.stop, 1)))
+        return (1,) * low + (0,) * (len(degrees) - low)
+    return (1 if a == b or (a, b) in p.arrow_paths else 0,) * len(degrees)
+
+
 def graded_dim(p: PianoQuiver, a: int, b: int, m: int) -> int:
     """Dimension (0 or 1) of the degree-m piece of paths from a to b."""
-    if a == b:
-        if m <= 0 or p.has_beta(a):
-            return 1
-        return 0
-    return 1 if (a, b) in p.arrow_paths else 0
+    return graded_row(p, a, b, range(m, m + 1))[0]
 
 
 def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...] | None:
@@ -642,32 +621,35 @@ def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...]
 
 def canonical_forms(p: PianoQuiver, a: int, b: int) -> Callable[[int], PathNormalForm]:
     """``m -> normal_form(p, canonical_word(p, a, b, m), base=a)`` for the
-    nonzero classes from a to b, with their arrow-path prefix reduced once.
+    nonzero classes from a to b (a pair that has some), with their
+    arrow-path prefix reduced once.
 
     A canonical word is an arrow prefix (the whole path, or all but its last
     arrow where a degree +1 loop is parked), one loop block and the parked
-    arrow.  No loop block merges into an arrow block, so pushing the rest
-    onto a copy of the prefix form's ``blocks`` is the stack pass of the
-    full word; its skeleton dies at the junction when the prefix's last
-    arrow and the parked arrow form a relation.  A loop the piano lacks (a
-    degree +1 loop at a sharp vertex) takes the full pass, which raises.
+    arrow; only those three are built.  No loop block merges into an arrow
+    block, so pushing the rest onto a copy of the prefix form's ``blocks``
+    is the stack pass of the full word; its skeleton dies at the junction
+    when the prefix's last arrow and the parked arrow form a relation.  A
+    loop the piano lacks (a degree +1 loop at a sharp vertex) takes the full
+    pass of ``canonical_word``, which raises.
     """
+    path = arrow_path(p, a, b)
     heads: dict[int, PathNormalForm] = {}
 
     def form(m: int) -> PathNormalForm:
-        word = canonical_word(p, a, b, m)
-        parked = m > 0 and word[-1][0] == "d"
-        cut = len(word) - abs(m) - parked
+        parked = a != b and m > 0 and not p.has_beta(b)
+        cut = len(path) - parked
         head = heads.get(cut)
         if head is None:
-            head = heads[cut] = normal_form(p, word[:cut], base=a)
+            head = heads[cut] = normal_form(p, tuple(("d", k) for k in path[:cut]), base=a)
         if not m:
             return head
-        if word[cut] not in p.symbol_table:
-            return normal_form(p, word, base=a)  # raises, naming the loop
-        if head.is_zero or (parked and (head.last_arrow, word[-1][1]) in p.relations):
+        loop = ("b", p.arrows[path[-1]].src if parked else b) if m > 0 else ("a", b)
+        if loop not in p.symbol_table:
+            return normal_form(p, canonical_word(p, a, b, m), base=a)  # raises, naming the loop
+        if head.is_zero or (parked and (head.last_arrow, path[-1]) in p.relations):
             return ZERO_FORM
-        blocks = [(*word[cut], abs(m))] + [("d", word[-1][1], 1)] * parked
+        blocks = [(*loop, abs(m))] + [("d", k, 1) for k in path[cut:]]
         return _form(a, b, m, _reduce_blocks(p, blocks, list(head.blocks)))
 
     return form

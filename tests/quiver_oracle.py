@@ -3,6 +3,7 @@
 ``gentle_from_dissection`` builds the gentle quiver of an admissible
 dissection with its own validation; ``quivers.keyboard_from_extended``
 builds the same quiver on the induced dissection of an extended one.
+``is_locally_gentle`` checks the axioms of a gentle quiver on either.
 ``compose`` is the full product of two path normal forms;
 ``quivers.product_is_zero`` decides only whether it vanishes, and
 ``endo.verify_path_algebra_iso`` reads no more than that.
@@ -11,6 +12,7 @@ builds the same quiver on the induced dissection of an extended one.
 from __future__ import annotations
 
 from pianocat.dissections import ChordArc, DissectionSet, is_admissible_dissection
+from pianocat.geometry import is_connected
 from pianocat.quivers import (
     ZERO_FORM,
     GentleQuiver,
@@ -59,3 +61,30 @@ def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalF
         return ZERO_FORM
     stack = _reduce_blocks(p, v.blocks, list(u.blocks))
     return _form(u.source, v.target, u.degree + v.degree, stack)
+
+
+def is_locally_gentle(q: GentleQuiver) -> bool:
+    """At most two arrows in and out per vertex, length-two relations, and
+    unique continuations both inside and outside the relation ideal."""
+    if q.num_vertices < 1:
+        return False
+    if not is_connected(q.num_vertices, ((e.src, e.tgt) for e in q.arrows)):
+        return False
+    for v in range(q.num_vertices):
+        if len(q.arrows_out(v)) > 2 or len(q.arrows_in(v)) > 2:
+            return False
+    for a, b in q.relations:
+        if q.arrows[a].tgt != q.arrows[b].src:
+            return False
+    for i, e in enumerate(q.arrows):
+        before = [j for j in q.arrows_in(e.src)]
+        after = [j for j in q.arrows_out(e.tgt)]
+        if sum(1 for j in before if (j, i) in q.relations) > 1:
+            return False
+        if sum(1 for j in after if (i, j) in q.relations) > 1:
+            return False
+        if sum(1 for j in before if (j, i) not in q.relations) > 1:
+            return False
+        if sum(1 for j in after if (i, j) not in q.relations) > 1:
+            return False
+    return True

@@ -2,7 +2,7 @@ import collections
 import itertools
 
 import pytest
-from quiver_oracle import compose
+from quiver_oracle import compose, is_locally_gentle
 
 from pianocat import dissections, endo, geometry, homs, quivers
 from pianocat.endo import (
@@ -211,7 +211,7 @@ def test_verify_detects_corrupted_sharp_set():
 
 
 def test_degree_zero_part_is_the_keyboard_algebra():
-    from pianocat.quivers import is_locally_gentle, zero_degree_pairs
+    from pianocat.quivers import zero_degree_pairs
 
     for n in (1, 2, 3):
         for g in enumerate_limit_generators(n)[:12]:
@@ -340,11 +340,12 @@ def test_iso_report_counts_every_composable_pair():
             assert "products" not in report.to_json()
 
 
-def _reference_iso(arcs, n, window, piano=None, max_mismatches=20) -> IsoReport:
-    """``verify_path_algebra_iso`` as a plain per-pair loop: every composable
-    pair of nonzero classes with a word of the piano is composed in full
+def _reference_iso(arcs, n, window, piano=None, max_mismatches=20, algebra=None) -> IsoReport:
+    """``verify_path_algebra_iso`` as a plain per-cell loop: every degree of
+    every pair has its dimensions compared, and every composable pair of
+    nonzero classes with a word of the piano is composed in full
     (``compose(...).is_zero``) and multiplied by the checked ``chi_multiply``."""
-    algebra = EndoAlgebra.from_arcs(arcs, n)
+    algebra = algebra if algebra is not None else EndoAlgebra.from_arcs(arcs, n)
     p = piano if piano is not None else piano_of_generator(arcs, n)
     size = len(arcs)
     degrees = range(-window, window + 1)
@@ -583,11 +584,12 @@ def _interval_cells(arcs, n, window):
             w_is_source = w == arcs[a]
             for k, m2 in enumerate(rights):
                 target = endo.product_record(arcs[a], arcs[c], m + m2)
+                z = suspend(arcs[c], m + m2)
                 if (
                     target is None
-                    or target.z_is_source
+                    or z is arcs[a]
                     or w_is_source
-                    or (b == c and w == target.z)
+                    or (b == c and w == z)
                     or target.aligned is None
                 ):
                     continue
@@ -599,7 +601,7 @@ def _interval_cells(arcs, n, window):
 @pytest.fixture
 def cold_matrix_rows():
     """Clear the process-wide matrix-block memo before and after the test, so
-    that rows decided under a patched ``endo.within_keys`` reach no
+    that rows decided under a patched ``endo.within_row`` reach no
     other test, and the patch sees every row of this one."""
     endo._matrix_block.cache_clear()
     yield
@@ -620,12 +622,12 @@ def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(
         cell for cell in cells if cell[1] == cell[2] - 1 and cell[0][:3] != middle[0][:3]
     )
     flipped = {middle[3], last[3]}
-    real = endo.within_keys
+    real = endo.within_row
 
-    def flip(w, aligned):
-        return real(w, aligned) != ((w, aligned) in flipped)
+    def flip(w, row):
+        return tuple(hit ^ ((w, aligned) in flipped) for hit, aligned in zip(real(w, row), row))
 
-    monkeypatch.setattr(endo, "within_keys", flip)
+    monkeypatch.setattr(endo, "within_row", flip)
     # A pair can recur in other cells (a double limit arc is its own
     # suspension), so the witnesses include both chosen cells.
     for cap in (1, 4, 10**6):
@@ -665,12 +667,12 @@ def test_verify_walks_the_one_disagreeing_row_of_a_block(cold_matrix_rows, monke
         and left_degrees(*location[:2])[0] < location[3] < left_degrees(*location[:2])[-1]
         and uses[pair] > 2
     )
-    real = endo.within_keys
+    real = endo.within_row
 
-    def flip(w, aligned):
-        return real(w, aligned) != ((w, aligned) == pair)
+    def flip(w, row):
+        return tuple(hit ^ ((w, aligned) == pair) for hit, aligned in zip(real(w, row), row))
 
-    monkeypatch.setattr(endo, "within_keys", flip)
+    monkeypatch.setattr(endo, "within_row", flip)
     full = _reference_iso(arcs, n, window, max_mismatches=10**6)
     assert {m.kind for m in full.mismatches} == {"multiplication"}
     assert len(full.mismatches) > 2  # caps 1 and 2 cut the list
@@ -688,18 +690,46 @@ def test_interval_test_never_rejects_on_generators(cold_matrix_rows, monkeypatch
     # passes it on every generator with n <= 3 (window 6); the test stays as
     # a guard, and the non-generator control above shows it can reject.
     seen = []
-    real = endo.within_keys
+    real = endo.within_row
 
-    def spy(w, aligned):
-        seen.append(real(w, aligned))
-        return seen[-1]
+    def spy(w, row):
+        hits = real(w, row)
+        seen.extend(hit for hit, aligned in zip(hits, row) if aligned is not None)
+        return hits
 
-    monkeypatch.setattr(endo, "within_keys", spy)
+    monkeypatch.setattr(endo, "within_row", spy)
     for n in (1, 2, 3):
         for g in enumerate_limit_generators(n):
             assert verify_path_algebra_iso(list(g), n, window=6).passed
     assert len(seen) > 0
     assert all(seen)
+
+
+def test_block_rows_equal_the_one_cell_rule(cold_matrix_rows, monkeypatch):
+    # Every row that the blocks of the n <= 4 generators (window 6) decide
+    # with ``within_row`` (2,630 rows of 14,342 distinct cells), from a cold
+    # block memo, equals the one-cell rule ``geometry.within_keys`` at each
+    # of its cells, None cells included; 364 of the 1,356 alignments those
+    # cells reach wrap past Acc(0).
+    rows = set()
+    real = endo.within_row
+
+    def spy(w, row):
+        rows.add((w, tuple(row)))
+        return real(w, row)
+
+    monkeypatch.setattr(endo, "within_row", spy)
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            assert verify_path_algebra_iso(list(g), n, window=6).passed
+    cells = {(w, aligned) for w, row in rows for aligned in row}
+    for w, row in rows:
+        want = tuple(int(al is not None and geometry.within_keys(w, al)) for al in row)
+        assert real(w, row) == want, (w, row)
+    reached = {aligned for _, aligned in cells if aligned is not None}
+    assert None in {aligned for _, aligned in cells}
+    assert any(y1 > z1 or y2 > z2 for (y1, y2), (z1, z2) in reached)
+    assert len(rows) > 100 and len(cells) > len(rows)
 
 
 def test_every_landing_off_the_source_has_an_alignment():
@@ -712,11 +742,12 @@ def test_every_landing_off_the_source_has_an_alignment():
         for x, y in itertools.product(summands, repeat=2):
             for degree in range(-14, 15):
                 target = endo._landing.__wrapped__(x, y, degree)
-                if target is None or target.z_is_source:
+                z = suspend(y, degree)
+                if target is None or z is x:
                     continue
                 assert target.aligned is not None, (x, y, degree)
                 aligned = homs.alignment_keys(target.aligned)
-                assert geometry.within_keys(target.z.sort_key(), aligned)
+                assert geometry.within_keys(z.sort_key(), aligned)
                 landed += 1
     assert landed > 0
 
@@ -931,6 +962,64 @@ def test_verify_reports_canonical_words_off_a_corrupted_sharp_set():
         assert report == _reference_iso(arcs, 3, 3, piano=p, max_mismatches=10**6)
         with_words += bool(words)
     assert with_words == 24
+
+
+def _replaced_entry(algebra: EndoAlgebra, a: int, b: int, kind: RingKind) -> EndoAlgebra:
+    """The algebra with entry (a, b) of another ring kind and nothing else changed."""
+    entries = [list(row) for row in algebra.entries]
+    entries[a][b] = GradedEntry(kind)
+    return EndoAlgebra(algebra.n, algebra.arcs, tuple(map(tuple, entries)))
+
+
+def test_dimension_rows_off_a_flipped_sharp_vertex_or_entry_match_the_reference_loop():
+    # The dimension pass compares one row per pair and walks only a pair
+    # whose rows differ.  A piano rebuilt with one sharp vertex flipped, an
+    # algebra with one entry's ring kind replaced, and both at once (two
+    # pairs differ) must each give the witnesses, their order and the cut
+    # at every cap of the per-cell reference loop.
+    n, window = 3, 3
+    kinds = list(RingKind)
+    variants = 0
+    for g in enumerate_limit_generators(n)[::9]:
+        arcs = list(g)
+        algebra, honest = EndoAlgebra.from_arcs(arcs, n), piano_of_generator(arcs, n)
+        size = len(arcs)
+        for v in range(size):
+            sharp = honest.sharp ^ {v}
+            flipped = piano_from_keyboard(KeyboardQuiver(honest.keyboard.gentle, sharp))
+            # An entry next to v, on the diagonal for even v and off it for
+            # odd v, turned into one of the three other ring kinds.
+            a, b = (v + 1) % size, (v + 1 + v % 2) % size
+            shift = 1 + v % 3
+            kind = kinds[(kinds.index(algebra.entry(a, b).kind) + shift) % len(kinds)]
+            replaced = _replaced_entry(algebra, a, b, kind)
+            for p, alg, pairs in (
+                (flipped, algebra, {(v, v)}),
+                (honest, replaced, {(a, b)}),
+                (flipped, replaced, {(v, v), (a, b)}),
+            ):
+                full = _reference_iso(arcs, n, window, p, 10**6, alg)
+                dims = [m for m in full.mismatches if m.kind == "dimension"]
+                assert {m.location[:2] for m in dims} == pairs
+                for cap in sorted({1, 2, max(len(dims) - 1, 1), len(dims), len(dims) + 1, 10**6}):
+                    expected = _reference_iso(arcs, n, window, p, cap, alg)
+                    assert expected.mismatches == full.mismatches[:cap]
+                    found = verify_path_algebra_iso(
+                        arcs, n, window=window, piano=p, algebra=alg, max_mismatches=cap
+                    )
+                    assert found == expected, (g, v, cap)
+                variants += 1
+    assert variants == 3 * 5 * 4
+    # At window 0 a row has one cell: each entry turned zero, or a zero one
+    # turned Laurent, is one witness.
+    arcs = list(enumerate_limit_generators(n)[0])
+    algebra = EndoAlgebra.from_arcs(arcs, n)
+    for a, b in itertools.product(range(len(arcs)), repeat=2):
+        kind = RingKind.LAURENT if algebra.entry(a, b).kind == RingKind.ZERO else RingKind.ZERO
+        replaced = _replaced_entry(algebra, a, b, kind)
+        expected = _reference_iso(arcs, n, 0, None, 20, replaced)
+        assert [m.location for m in expected.mismatches if m.kind == "dimension"] == [(a, b, 0)]
+        assert verify_path_algebra_iso(arcs, n, window=0, algebra=replaced) == expected
 
 
 def test_matrix_rows_match_the_oracle_off_generators():

@@ -22,6 +22,7 @@ from pianocat.geometry import (
     rotate_arc,
     suspend,
     within_keys,
+    within_row,
 )
 from pianocat.dissections import chord_of_arc, chord_to_arc
 from pianocat.generators import enumerate_limit_generators
@@ -215,6 +216,28 @@ def test_within_keys_matches_the_point_reference():
         )
         aligned = ((y1.key(), y2.key()), (z1.key(), z2.key()))
         assert within_keys((wa.key(), wb.key()), aligned) == want, (wa, wb, y1, y2, z1, z2)
+
+
+def test_within_row_is_within_keys_cell_by_cell():
+    # One row of every alignment of four points at n = 2, every seventh
+    # replaced by None, in both orders, against every pair of points: the
+    # row form is the one-cell rule at each cell, also where an interval
+    # wraps past Acc(0), that is, ends before it starts in key order.
+    n = 2
+    points = [acc(i, n) for i in range(n)] + [pt(i, p, n) for i in range(n) for p in (-1, 1)]
+    keys = [q.key() for q in points]
+    row = [((y1, y2), (z1, z2)) for y1, y2, z1, z2 in itertools.product(keys, repeat=4)]
+    row[::7] = [None] * len(row[::7])
+    wraps = {al for al in row if al is not None and (al[0][0] > al[1][0] or al[0][1] > al[1][1])}
+    wrapped_cells = set()
+    for w in itertools.product(keys, repeat=2):
+        for r in (row, row[::-1]):
+            cells = tuple(int(al is not None and within_keys(w, al)) for al in r)
+            assert within_row(w, r) == cells, w
+            wrapped_cells |= {hit for al, hit in zip(r, cells) if al in wraps}
+    # Wrapping intervals both hold and miss a pair of points.
+    assert wrapped_cells == {0, 1}
+    assert within_row(keys[:2], ()) == () and within_row(keys[:2], [None]) == (0,)
 
 
 def test_cross_examples():

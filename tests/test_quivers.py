@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exhaustive import confluence_report, enumerate_composable_words
-from quiver_oracle import compose, gentle_from_dissection
+from quiver_oracle import compose, gentle_from_dissection, is_locally_gentle
 from pianocat.confluence import all_terminals, critical_pair_report
 from pianocat.dissections import (
     ChordArc,
@@ -32,7 +32,6 @@ from pianocat.quivers import (
     canonical_word,
     degree_component_structure,
     graded_dim,
-    is_locally_gentle,
     keyboard_from_extended,
     normal_form,
     one_step_rewrites,
