@@ -255,50 +255,44 @@ def extended_arc_count(
     return marked_points + punctures + green_punctures + boundary_components + 2 * genus - 2
 
 
-def _red_admissible(n: int, red: Sequence[ChordArc]) -> bool:
-    """Whether distinct red chords are non-crossing with one green point per face."""
-    parent = _nesting(red)
-    return parent is not None and all(
-        sum(p & 1 for p in points) == 1 for points, _ in _faces(2 * n, red, parent)
-    )
-
-
 def is_admissible_dissection(d: DissectionSet) -> bool:
     """Red arcs only, pairwise non-crossing, n-1 of them, one green per face."""
     if d.binding:
         raise DissectionError("admissibility applies to the red part alone")
-    return len(d.red) == d.n - 1 and _red_admissible(d.n, d.red)
-
-
-def _extended_faces(d: DissectionSet) -> list[Face] | None:
-    """The faces of all chords of an extended admissible dissection; None for
-    any other dissection.  One crossing sweep covers all chords, red ones too."""
-    if len(d.red) != d.n - 1 or len(d.binding) != d.n:
-        return None
-    if len({c.green_endpoint() for c in d.binding}) != d.n:
-        return None
-    chords = d.all_chords()
-    parent = _nesting(chords)
-    if parent is None or not _red_admissible(d.n, d.red):
-        return None
-    return _faces(d.disc.size, chords, parent)
+    if len(d.red) != d.n - 1:
+        return False
+    parent = _nesting(d.red)
+    return parent is not None and all(
+        sum(p & 1 for p in points) == 1 for points, _ in _faces(2 * d.n, d.red, parent)
+    )
 
 
 def is_extended_admissible(d: DissectionSet) -> bool:
-    """Admissible red part plus one binding arc per green point, all non-crossing."""
-    return _extended_faces(d) is not None
+    """n - 1 red arcs and one binding arc per green point, all pairwise
+    non-crossing, with exactly one boundary side on each face they cut out.
+
+    This is an admissible red part plus its binding arcs.  A face of the red
+    arcs alone holding g green points also holds their g binding arcs, which
+    cut it into g + 1 faces; each unit side has one green endpoint, so the
+    red face owns 2g sides.  One side per face thus means g + 1 = 2g, that
+    is g = 1 in every red face: red admissibility.
+    """
+    if len(d.red) != d.n - 1 or len(d.binding) != d.n:
+        return False
+    if len({c.green_endpoint() for c in d.binding}) != d.n:
+        return False
+    chords = d.all_chords()
+    parent = _nesting(chords)
+    return parent is not None and all(
+        len(sides) == 1 for _, sides in _faces(2 * d.n, chords, parent)
+    )
 
 
 def check_induces_admissible(d: DissectionSet) -> None:
-    """Raise ``DissectionError`` unless ``d`` is extended admissible and each
-    face it cuts out has a single boundary side, the check of
-    ``induced_admissible``."""
-    faces = _extended_faces(d)
-    if faces is None:
+    """Raise ``DissectionError`` unless ``d`` is extended admissible, the
+    check of ``induced_admissible`` and ``quivers.keyboard_from_extended``."""
+    if not is_extended_admissible(d):
         raise DissectionError("input is not an extended admissible dissection")
-    for _, sides in faces:
-        if len(sides) != 1:
-            raise DissectionError("face without a unique boundary side")
 
 
 def induced_admissible(d: DissectionSet) -> tuple[MarkedDisc, DissectionSet]:
@@ -308,9 +302,9 @@ def induced_admissible(d: DissectionSet) -> tuple[MarkedDisc, DissectionSet]:
     single boundary side of each face cut out by the full dissection; old
     position p becomes 2p and the new green on side (p, p+1) becomes 2p + 1.
     The result is always admissible (tested on every extended dissection up
-    to n = 5), so ``quivers.keyboard_from_extended``, which runs
-    ``check_induces_admissible`` and doubles the chords itself, does not
-    check it again.
+    to n = 5).  The map p -> 2p keeps the cyclic order of the positions, so
+    ``quivers.keyboard_from_extended`` reads the same quiver off the
+    extended dissection's own chords and builds no induced one.
     """
     check_induces_admissible(d)
     new_red = tuple(ChordArc(2 * c.p, 2 * c.q) for c in d.all_chords())

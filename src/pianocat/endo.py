@@ -24,7 +24,7 @@ from enum import Enum
 from functools import cache, lru_cache
 from itertools import compress
 from operator import and_, not_
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .dissections import chord_of_arc, dissection_from_generator
 from .geometry import MEMO_SIZE, Arc, ArcKind, suspend, within_row
@@ -281,6 +281,11 @@ def piano_of_generator(arcs: list[Arc], n: int | None = None) -> PianoQuiver:
     return piano_from_extended(d, vertex_order=[chord_of_arc(x) for x in arcs])
 
 
+def is_piano_of(piano: PianoQuiver, arcs: Iterable[Arc]) -> bool:
+    """Whether the piano's vertices are the chords of these summands in this order."""
+    return piano.keyboard.gentle.labels == tuple(chord_of_arc(x) for x in arcs)
+
+
 def _lands_in(
     block: tuple[tuple[bool, ...], ...],
     left_degrees: tuple[int, ...],
@@ -328,7 +333,7 @@ def verify_path_algebra_iso(
         raise EndoError("the algebra is not the one of these summands in this order")
     if piano is None:
         piano = piano_of_generator(items, n)
-    elif piano.keyboard.gentle.labels != tuple(chord_of_arc(x) for x in items):
+    elif not is_piano_of(piano, items):
         raise EndoError("the piano's vertices are not these summands in this order")
     p, size = piano, len(items)
     mismatches: list[IsoMismatch] = []

@@ -288,13 +288,6 @@ def cross(x: Arc, y: Arc) -> bool:
     )
 
 
-def coarse_position(p: BoundaryPoint) -> int:
-    """Collapse a point to the 2n-cycle: Acc(i) -> 2i, Pt(i, *) -> 2i + 1."""
-    if p.is_accumulation:
-        return 2 * p.seg
-    return 2 * p.seg + 1
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def crosses_under_some_shift(x: Arc, y: Arc) -> bool:
     """Whether suspend(x, s) and suspend(y, t) cross for some shifts s, t.
@@ -315,7 +308,7 @@ def crosses_under_some_shift(x: Arc, y: Arc) -> bool:
         y_acc, y_free = (y.a, y.b) if y.b.pos is not None else (y.b, y.a)
         if x_free.seg == y_free.seg and x_acc.seg != y_acc.seg:
             return True
-    # The endpoints' ``coarse_position``s.
+    # The endpoints collapsed to the 2n-cycle: Acc(i) -> 2i, Pt(i, *) -> 2i + 1.
     xa, xb = 2 * x.a.seg + (x.a.pos is not None), 2 * x.b.seg + (x.b.pos is not None)
     ya, yb = 2 * y.a.seg + (y.a.pos is not None), 2 * y.b.seg + (y.b.pos is not None)
     if xa == ya or xa == yb or xb == ya or xb == yb:

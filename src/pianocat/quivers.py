@@ -18,9 +18,7 @@ this rewrite order reaches the word every order reaches, which
 ``confluence.all_terminals`` finds independently.  Per-quiver lookup tables
 (symbol ends and degrees, commutation runs by start, rule instances,
 radial chains and arrow paths) are built once and kept on the
-``PianoQuiver``.  The doubled chord that a keyboard is built on is memoised
-per chord (``_doubled``, an LRU cache of ``MEMO_SIZE`` entries, the bound
-defined in ``geometry``).
+``PianoQuiver``.
 
 A normal form keeps its reduced block stack and the first and last arrow
 of its skeleton.  The product of two normal forms is zero when either form
@@ -37,15 +35,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable
 
-from .dissections import (
-    ChordArc,
-    DissectionSet,
-    check_induces_admissible,
-)
-from .geometry import MEMO_SIZE
+from .dissections import ChordArc, DissectionSet, check_induces_admissible
 
 
 class QuiverError(ValueError):
@@ -136,12 +129,6 @@ class KeyboardQuiver:
         return obj
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _doubled(c: ChordArc) -> ChordArc:
-    """The chord of the induced dissection: old position p becomes 2p."""
-    return ChordArc(2 * c.p, 2 * c.q)
-
-
 def keyboard_from_extended(
     d: DissectionSet, vertex_order: list[ChordArc] | None = None
 ) -> KeyboardQuiver:
@@ -150,14 +137,16 @@ def keyboard_from_extended(
     Vertices follow ``vertex_order`` (default: red arcs then binding arcs);
     binding-arc vertices are sharp.  The input is validated once, by the
     check of ``induced_admissible``, and the vertex order against the
-    dissection's own chords.  The quiver is built on the doubled chords,
-    the induced dissection, which is then admissible, so it is not checked
-    again.
+    dissection's own chords.  The quiver is that of the induced dissection,
+    read off the extended dissection's own chords on its 2n-point disc:
+    the induced one sends position p to 2p, which keeps the cyclic order of
+    the positions, so the arrows, their order and the relations are the
+    same, and only ``Arrow.meet`` is a position of the smaller disc.
     """
     chords = list(vertex_order) if vertex_order is not None else list(d.all_chords())
     check_induces_admissible(d)
     _check_vertex_order(chords, d.all_chords())
-    gentle = _gentle_quiver(4 * d.n, [_doubled(c) for c in chords], tuple(chords))
+    gentle = _gentle_quiver(2 * d.n, chords, tuple(chords))
     # A binding arc, and no red arc, has one odd (green) endpoint.
     sharp = frozenset(i for i, c in enumerate(chords) if (c.p + c.q) % 2)
     return KeyboardQuiver(gentle, sharp)

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 
-from .dissections import DissectionError, chord_of_arc
-from .endo import EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block, piano_of_generator
+from .dissections import DissectionError
+from .endo import EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block
+from .endo import is_piano_of, piano_of_generator
 from .endo import chi_multiply  # noqa: F401  unused here; perfbench's tracer asserts this binding
 from .generators import fan_summands, is_limit_generator
 from .geometry import Arc, ArcSet, BoundaryPoint, arc_set
@@ -153,7 +154,7 @@ def sign_graph(
         apex = default_apex(n)
     if not is_limit_generator(arc_set(n, arcs)):
         raise SignError("not a limit generator")
-    if piano.keyboard.gentle.labels != tuple(chord_of_arc(x) for x in arcs):
+    if not is_piano_of(piano, arcs):
         raise SignError("the piano's vertices are not these summands in this order")
     cones = cone_data(list(arcs), apex)
     size = algebra.size

@@ -4,14 +4,17 @@ The first chord splits the boundary cycle (0, ..., size - 1) into the part
 from its endpoint met first to the other endpoint and the rest; every other
 chord goes with the part holding both its endpoints, and each part is split
 on in the same way.  ``dissections._faces`` must return exactly these faces
-and sides, in any order.
+and sides, in any order.  ``extended_admissible`` is a reference for
+``dissections.is_extended_admissible`` built on these faces and on
+``chords_cross`` alone, and ``one_binding_per_green`` lists the candidates
+it is compared on.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from pianocat.dissections import ChordArc, DissectionError, chords_cross
+from pianocat.dissections import ChordArc, DissectionError, DissectionSet, chords_cross
 
 
 def recursive_faces(
@@ -51,3 +54,26 @@ def recursive_faces(
 
     all_sides = frozenset((p, (p + 1) % size) for p in range(size))
     return split(tuple(range(size)), all_sides, list(chords))
+
+
+def extended_admissible(d: DissectionSet) -> bool:
+    """n - 1 red chords, one binding chord per green point, no two chords
+    crossing, and one green point in each face of the red chords alone."""
+    if len(d.red) != d.n - 1:
+        return False
+    if sorted(c.green_endpoint() for c in d.binding) != list(range(1, 2 * d.n, 2)):
+        return False
+    if any(chords_cross(c1, c2) for c1, c2 in itertools.combinations(d.all_chords(), 2)):
+        return False
+    faces = recursive_faces(2 * d.n, list(d.red))
+    return all(sum(p % 2 for p in boundary) == 1 for boundary, _ in faces)
+
+
+def one_binding_per_green(n: int):
+    """Every choice of n - 1 distinct red chords and, for each green point,
+    one binding chord to any red point: (n(n - 1)/2 choose n - 1) * n**n."""
+    red = [ChordArc(2 * i, 2 * j) for i in range(n) for j in range(i + 1, n)]
+    per_green = [[ChordArc(2 * g + 1, 2 * r) for r in range(n)] for g in range(n)]
+    for reds in itertools.combinations(red, n - 1):
+        for binding in itertools.product(*per_green):
+            yield DissectionSet(n, reds, binding)

@@ -1,6 +1,6 @@
 import pytest
 from count_oracle import extended_dissection_count
-from face_oracle import recursive_faces
+from face_oracle import extended_admissible, one_binding_per_green, recursive_faces
 from quiver_oracle import gentle_from_dissection
 
 from pianocat import dissections
@@ -212,21 +212,36 @@ def test_keyboard_refuses_what_induced_admissible_refuses(monkeypatch):
     for build in (induced_admissible, keyboard_from_extended):
         with pytest.raises(DissectionError, match="not an extended admissible dissection"):
             build(crossing)
-    # No extended admissible dissection has a face with two boundary sides
-    # or none, so the faces are altered: the first face's side moves to the
-    # second.
-    extended_faces = dissections._extended_faces
-
-    def moved_side(d):
-        faces = extended_faces(d)
-        (p0, s0), (p1, s1) = faces[:2]
-        return [(p0, []), (p1, s1 + s0)] + faces[2:]
-
+    # Every other refusal is the rule's last clause, one boundary side per
+    # face, so the faces of an accepted dissection are altered: the first
+    # face's side moves to the second.
     fan3 = dissection_from_generator(fan_summands(3), 3)
-    monkeypatch.setattr(dissections, "_extended_faces", moved_side)
+    assert is_extended_admissible(fan3)
+    faces = dissections._faces
+
+    def moved_side(size, chords, parent):
+        (p0, s0), (p1, s1), *rest = faces(size, chords, parent)
+        return [(p0, []), (p1, s1 + s0)] + rest
+
+    monkeypatch.setattr(dissections, "_faces", moved_side)
     for build in (induced_admissible, keyboard_from_extended):
-        with pytest.raises(DissectionError, match="face without a unique boundary side"):
+        with pytest.raises(DissectionError, match="not an extended admissible dissection"):
             build(fan3)
+
+
+def test_extended_admissible_matches_the_reference_rule():
+    # Every candidate with n <= 4 and one binding chord per green point,
+    # against a reference built on ``chords_cross`` and ``recursive_faces``
+    # (one green point per face of the red chords alone), which shares
+    # neither ``_nesting`` nor ``_faces`` with the library.
+    candidates = admissible = 0
+    for n in (1, 2, 3, 4):
+        for d in one_binding_per_green(n):
+            want = extended_admissible(d)
+            assert is_extended_admissible(d) == want, d
+            candidates += 1
+            admissible += want
+    assert (candidates, admissible) == (1 + 4 + 81 + 5120, 1 + 4 + 36 + 416)
 
 
 def test_admissible_examples():

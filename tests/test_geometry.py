@@ -14,7 +14,6 @@ from pianocat.geometry import (
     GeometryError,
     acc,
     arc_set,
-    coarse_position,
     cross,
     crosses_under_some_shift,
     cyclic_less,
@@ -436,5 +435,3 @@ def test_rotate_arc():
     n = 3
     a = Arc(n, acc(0, n), pt(1, 2, n))
     assert rotate_arc(a, 2) == Arc(n, acc(2, n), pt(0, 2, n))
-    assert coarse_position(acc(2, n)) == 4
-    assert coarse_position(pt(1, 99, n)) == 3

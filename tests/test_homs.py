@@ -1,10 +1,14 @@
+import importlib
 import itertools
+import pkgutil
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pianocat
+from pianocat import geometry
 from pianocat.geometry import Arc, BoundaryPoint, acc, arc_set, pt, suspend
 from pianocat.homs import (
     MEMO_SIZE,
@@ -375,9 +379,34 @@ def test_memos_never_keep_a_refusal():
 
 
 def test_memos_are_bounded():
-    assert isinstance(MEMO_SIZE, int) and MEMO_SIZE > 0
-    for f in (ext1_dim, hom_alignment, morphism_direction, cone_presentation, default_apex):
-        assert f.cache_info().maxsize == MEMO_SIZE
+    # Every module-level LRU cache of the package, found by introspection,
+    # keeps MEMO_SIZE entries; the one exception is the fan of ``signs``,
+    # one per (n, apex), which keeps 64.
+    assert isinstance(MEMO_SIZE, int) and MEMO_SIZE > 0 and MEMO_SIZE == geometry.MEMO_SIZE
+    sizes = {}
+    for info in pkgutil.iter_modules(pianocat.__path__):
+        module = importlib.import_module(f"pianocat.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
+    assert sizes.pop("signs._fan") == 64
+    assert set(sizes.values()) == {MEMO_SIZE}
+    assert {
+        "dissections.chord_of_arc",
+        "dissections.chord_to_arc",
+        "endo._entry",
+        "endo._landing",
+        "endo._marked_segments",
+        "endo._matrix_block",
+        "endo._shared",
+        "geometry._suspended",
+        "geometry.crosses_under_some_shift",
+        "homs.cone_presentation",
+        "homs.default_apex",
+        "homs.ext1_dim",
+        "homs.hom_alignment",
+        "homs.morphism_direction",
+    } <= set(sizes)
 
 
 def test_default_apex_is_one_object_per_n():

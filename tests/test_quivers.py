@@ -16,6 +16,7 @@ from pianocat.dissections import (
     DissectionSet,
     dissection_from_generator,
     enumerate_extended_dissections,
+    induced_admissible,
 )
 from pianocat.endo import piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_summands
@@ -28,7 +29,6 @@ from pianocat.quivers import (
     PianoQuiver,
     QuiverError,
     Shape,
-    _doubled,
     canonical_word,
     degree_component_structure,
     graded_dim,
@@ -127,22 +127,31 @@ def test_pianos_are_pinned_up_to_n4():
     assert digest.hexdigest() == PIANO_DIGEST_N4
 
 
-def test_chord_doubling_memo_matches_its_body():
-    # Every chord of the n <= 4 extended dissections, as the shared object
-    # and as a fresh equal copy, asked twice so that the second answer
-    # comes from the cache; and the sharp vertices, read off endpoint
-    # parity, are exactly the binding arcs.
-    hits = _doubled.cache_info().hits
+def test_keyboard_is_the_gentle_quiver_of_the_induced_dissection():
+    # Every n <= 4 extended dissection: the keyboard, read off the chords on
+    # the 2n-point disc, has the arrows (in order) and relations of the
+    # reference quiver of the induced dissection on the 4n-point disc, with
+    # the vertices in the same order, and meets at half the induced
+    # positions; and the sharp vertices, read off
+    # endpoint parity, are exactly the binding arcs.
+    count = 0
     for n in (1, 2, 3, 4):
         for d in enumerate_extended_dissections(n):
             chords = d.all_chords()
-            for c in chords:
-                want = _doubled.__wrapped__(c)
-                for _ in range(2):
-                    assert _doubled(c) == want == _doubled(ChordArc(c.p, c.q))
+            kb = keyboard_from_extended(d)
+            induced = induced_admissible(d)[1]
+            ref = gentle_from_dissection(
+                induced, vertex_order=[ChordArc(2 * c.p, 2 * c.q) for c in chords]
+            )
+            assert [(e.src, e.tgt) for e in kb.gentle.arrows] == [
+                (e.src, e.tgt) for e in ref.arrows
+            ]
+            assert kb.gentle.relations == ref.relations
+            assert [2 * e.meet for e in kb.gentle.arrows] == [e.meet for e in ref.arrows]
             sharp = frozenset(i for i, c in enumerate(chords) if c.is_binding)
-            assert keyboard_from_extended(d).sharp == sharp
-    assert _doubled.cache_info().hits > hits
+            assert kb.sharp == sharp
+            count += 1
+    assert count == 1 + 4 + 36 + 416
 
 
 def test_single_chord_dissection_quiver():
