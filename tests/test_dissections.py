@@ -263,7 +263,11 @@ def test_extended_admissible_examples():
     # Dropping a binding arc breaks the count.
     fewer = DissectionSet(3, fan3.red, fan3.binding[:-1])
     assert not is_extended_admissible(fewer)
-    # Two binding arcs on one green point are rejected.
+    # Two binding arcs on one green point, and none on the other, are
+    # rejected.
+    assert not is_extended_admissible(
+        DissectionSet(2, (ChordArc(0, 2),), (ChordArc(1, 0), ChordArc(1, 2)))
+    )
     n1 = DissectionSet(1, (), (ChordArc(0, 1),))
     assert is_extended_admissible(n1)
 
