@@ -848,6 +848,22 @@ def test_verify_does_not_depend_on_what_the_memos_hold():
     assert all(report.passed and report.products > 0 for report in cold)
 
 
+def test_endo_memos_are_bounded():
+    for memo in (
+        endo._matrix_block,
+        endo._shared,
+        endo._landing,
+        endo._entry,
+        endo._marked_segments,
+        geometry._suspended,
+        geometry.crosses_under_some_shift,
+        dissections.chord_of_arc,
+        dissections.chord_to_arc,
+        homs.default_apex,
+    ):
+        assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE
+
+
 def test_algebra_entries_follow_classify_entry():
     # Every n <= 4 generator in both summand orders: the entries of
     # ``from_arcs`` equal ``classify_entry`` cell by cell, first with the
