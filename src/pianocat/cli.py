@@ -9,6 +9,7 @@ runs can be diffed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -65,12 +66,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return EXIT_OK
     # Each record is written as it is made, so no list of records is held.
     if args.format == "csv":
-        sys.stdout.write("index,record\n")
-        for i, item in enumerate(items):
-            sys.stdout.write(f"{i},\"{json.dumps(item.to_json(), sort_keys=True)}\"\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("index", "record"))
+        writer.writerows((i, item.dumps()) for i, item in enumerate(items))
     else:
         for item in items:
-            _emit(item.to_json())
+            sys.stdout.write(item.dumps() + "\n")
     return EXIT_OK
 
 

@@ -16,10 +16,10 @@ sides between its endpoints and jumps over the chords it directly encloses
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import TypeVar
 
 from .geometry import (
@@ -30,6 +30,7 @@ from .geometry import (
     BoundaryPoint,
     GeometryError,
     is_connected,
+    json_fragment,
     json_int,
 )
 
@@ -56,26 +57,39 @@ class MarkedDisc:
         return 2 * self.n
 
 
-@dataclass(frozen=True)
+# Every chord made so far, by its endpoints in increasing order; and those
+# endpoints read in C, the sort key of a dissection's chords.
+_CHORDS: dict[tuple[int, int], "ChordArc"] = {}
+_ENDPOINTS = attrgetter("p", "q")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class ChordArc:
-    """A chord between two boundary positions; red-red or red-green."""
+    """A chord between two boundary positions; red-red or red-green.
+
+    Interned as ``geometry.Arc`` is, so it hashes and compares by identity.
+    The endpoints are stored with p < q, and the colour once."""
 
     p: int
     q: int
+    is_red_arc: bool = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.p == self.q:
+    def __new__(cls, p: int, q: int) -> "ChordArc":
+        key = (p, q) if p < q else (q, p)
+        c = _CHORDS.get(key)
+        if c is not None:
+            return c
+        if p == q:
             raise DissectionError("chord endpoints must be distinct")
-        if self.p % 2 == 1 and self.q % 2 == 1:
+        if p % 2 == 1 and q % 2 == 1:
             raise DissectionError("green-green chords are not part of any dissection here")
-        if self.p > self.q:
-            p, q = self.p, self.q
-            object.__setattr__(self, "p", q)
-            object.__setattr__(self, "q", p)
+        c = _CHORDS[key] = object.__new__(cls)
+        vars(c).update(p=key[0], q=key[1], is_red_arc=p % 2 == 0 and q % 2 == 0)
+        return c
 
-    @property
-    def is_red_arc(self) -> bool:
-        return self.p % 2 == 0 and self.q % 2 == 0
+    def __reduce__(self) -> tuple:
+        # A copy or an unpickled chord is the interned one.
+        return (ChordArc, (self.p, self.q))
 
     @property
     def is_binding(self) -> bool:
@@ -179,15 +193,15 @@ class DissectionSet:
     binding: tuple[ChordArc, ...]
 
     def __post_init__(self) -> None:
-        red = tuple(sorted(set(self.red), key=ChordArc.endpoints))
-        binding = tuple(sorted(set(self.binding), key=ChordArc.endpoints))
+        red = tuple(sorted(set(self.red), key=_ENDPOINTS))
+        binding = tuple(sorted(set(self.binding), key=_ENDPOINTS))
         if len(red) != len(self.red) or len(binding) != len(self.binding):
             raise DissectionError("duplicate chords")
         for c in red:
             if not c.is_red_arc:
                 raise DissectionError(f"{c} is not a red arc")
         for c in binding:
-            if not c.is_binding:
+            if c.is_red_arc:
                 raise DissectionError(f"{c} is not a binding arc")
         size = 2 * self.n
         for c in red + binding:
@@ -224,7 +238,9 @@ class DissectionSet:
             raise DissectionError(f"malformed dissection: {exc}") from exc
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        """``json.dumps(self.to_json(), sort_keys=True)``, joined from ``json_fragment``s."""
+        binding, red = (", ".join(map(json_fragment, cs)) for cs in (self.binding, self.red))
+        return f'{{"binding": [{binding}], "n": {self.n}, "red": [{red}]}}'
 
 
 def _chord_from_json(obj: object) -> ChordArc:

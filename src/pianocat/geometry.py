@@ -6,10 +6,10 @@ points Pt(i, p).  All predicates are exact (no floating point): points are
 compared through a lexicographic key that linearises one full anticlockwise
 turn starting at Acc(0).  Each point computes its key once, at construction,
 and the order predicates compare the stored keys.  Arcs are interned, so
-equal arcs are one object.  ``suspend`` and
-``crosses_under_some_shift`` are memoised for the whole process, each in an
-LRU cache of ``MEMO_SIZE`` entries, the bound that the pairwise memos of
-``homs``, ``dissections`` and ``endo`` share.
+equal arcs are one object.  ``suspend``, ``crosses_under_some_shift`` and
+``json_fragment`` are memoised for the whole process, each in an LRU cache
+of ``MEMO_SIZE`` entries, the bound that the pairwise memos of ``homs``,
+``dissections`` and ``endo`` share.
 """
 
 from __future__ import annotations
@@ -359,7 +359,14 @@ class ArcSet:
             raise GeometryError(f"malformed arc set: {exc}") from exc
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        """``json.dumps(self.to_json(), sort_keys=True)``, joined from ``json_fragment``s."""
+        return f'{{"arcs": [{", ".join(map(json_fragment, self.arcs))}], "n": {self.n}}}'
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def json_fragment(atom: object) -> str:
+    """``json.dumps(atom.to_json(), sort_keys=True)`` of an interned arc or chord."""
+    return json.dumps(atom.to_json(), sort_keys=True)
 
 
 def arc_set(n: int, arcs: Iterable[Arc]) -> ArcSet:

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import random
@@ -96,6 +98,18 @@ def test_enumerate_csv_and_svg(capsys):
     assert code == 0
     assert out.splitlines()[0] == "index,record"
     assert len(out.splitlines()) == 5
+    # Each row reads back as its index and the item's JSON.
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows)
+    items = enumerate_limit_generators(2)
+    assert [int(i) for i, _ in rows[1:]] == list(range(len(items)))
+    assert [json.loads(record) for _, record in rows[1:]] == [g.to_json() for g in items]
+    code, out = run(capsys, "enumerate", "--n", "2", "--kind", "dissections", "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows)
+    assert [json.loads(record) for _, record in rows[1:]] == [
+        d.to_json() for d in dissections.enumerate_extended_dissections(2)
+    ]
     code, out = run(capsys, "enumerate", "--n", "1", "--render", "svg")
     assert code == 0 and out.count("<svg") == 1
 
@@ -103,17 +117,18 @@ def test_enumerate_csv_and_svg(capsys):
 @pytest.mark.parametrize("kind", ["generators", "dissections"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_enumerate_writes_each_record_as_it_is_made(monkeypatch, kind, fmt):
-    # Each record line is written before the next record is serialised, so
-    # the command never holds every record at once.
+    # Each record line is written before the next record is serialised
+    # (by ``dumps``, in both formats), so the command never holds every
+    # record at once.
     made, written = [0], []
     for cls in (ArcSet, DissectionSet):
-        to_json = cls.to_json
+        dumps = cls.dumps
 
-        def counted(self, to_json=to_json):
+        def counted(self, dumps=dumps):
             made[0] += 1
-            return to_json(self)
+            return dumps(self)
 
-        monkeypatch.setattr(cls, "to_json", counted)
+        monkeypatch.setattr(cls, "dumps", counted)
 
     class Out:
         def write(self, text):

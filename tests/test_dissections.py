@@ -1,3 +1,9 @@
+import copy
+import json
+import operator
+import pickle
+import re
+
 import pytest
 from count_oracle import extended_dissection_count
 from face_oracle import extended_admissible, one_binding_per_green, recursive_faces
@@ -23,7 +29,7 @@ from pianocat.dissections import (
     rotate_dissection,
 )
 from pianocat.generators import enumerate_limit_generators, fan_summands
-from pianocat.geometry import Arc, pt
+from pianocat.geometry import Arc, acc, arc_set, pt, rotate_arc
 from pianocat.quivers import QuiverError, keyboard_from_extended
 
 
@@ -106,6 +112,79 @@ def test_dissections_refuse_duplicate_and_outside_chords():
         DissectionSet(3, (ChordArc(0, 6),), ())
     with pytest.raises(DissectionError, match="outside"):
         DissectionSet(3, (), (ChordArc(1, 6),))
+
+
+def test_dissections_refuse_interned_chords_with_the_same_messages():
+    # One interned chord twice, chords of the wrong colour, and chords off
+    # the disc at either end; the first offender in sorted red-then-binding
+    # order is named.
+    c = ChordArc(0, 2)
+    for red, binding in (((c, c), ()), ((), (ChordArc(1, 2), ChordArc(2, 1)))):
+        with pytest.raises(DissectionError, match="^duplicate chords$"):
+            DissectionSet(3, red, binding)
+    refusals = [
+        ((ChordArc(2, 4), ChordArc(3, 0)), (), "ChordArc(p=0, q=3) is not a red arc"),
+        ((), (ChordArc(1, 4), c), "ChordArc(p=0, q=2) is not a binding arc"),
+        ((ChordArc(2, 6), ChordArc(8, 0)), (), "ChordArc(p=0, q=8) outside the disc with 6 positions"),
+        ((c,), (ChordArc(-2, 1),), "ChordArc(p=-2, q=1) outside the disc with 6 positions"),
+        ((ChordArc(-4, 0),), (ChordArc(1, 6),), "ChordArc(p=-4, q=0) outside the disc with 6 positions"),
+    ]
+    for red, binding, message in refusals:
+        with pytest.raises(DissectionError, match=f"^{re.escape(message)}$"):
+            DissectionSet(3, red, binding)
+
+
+def test_chords_are_interned():
+    for p, q in ((0, 2), (1, 4), (6, 3), (0, 11), (-2, 7)):
+        c = ChordArc(p, q)
+        # The endpoints in either order, by position or by keyword.
+        assert ChordArc(q, p) is c and ChordArc(q=q, p=p) is c and ChordArc(p=q, q=p) is c
+        assert c.endpoints() == (min(p, q), max(p, q))
+        assert c.is_red_arc == (p % 2 == 0 and q % 2 == 0)
+        assert copy.copy(c) is c and copy.deepcopy(c) is c
+        assert pickle.loads(pickle.dumps(c)) is c
+    # So a chord hashes and compares by identity, in C.
+    assert ChordArc.__hash__ is object.__hash__ and ChordArc.__eq__ is object.__eq__
+    # Every chord of the n <= 4 dissections, read back from JSON and
+    # rotated once round the disc.
+    for n in (1, 2, 3, 4):
+        for d in enumerate_extended_dissections(n):
+            chords = d.all_chords()
+            assert all(map(operator.is_, DissectionSet.from_json(d.to_json()).all_chords(), chords))
+            back = rotate_dissection(rotate_dissection(d, 1), n - 1)
+            assert all(map(operator.is_, back.all_chords(), chords))
+    # A refused value is never stored, so it raises on every call.
+    for _ in range(2):
+        with pytest.raises(DissectionError, match="distinct"):
+            ChordArc(2, 2)
+        with pytest.raises(DissectionError, match="green-green"):
+            ChordArc(3, 1)
+    assert (2, 2) not in dissections._CHORDS and (1, 3) not in dissections._CHORDS
+
+
+def test_dumps_joins_the_bytes_of_json_dumps():
+    # Every generator and every extended dissection with n <= 5, in each of
+    # its rotations, and sets whose positions are negative or have two
+    # digits, with n >= 10.
+    def same(item):
+        return item.dumps() == json.dumps(item.to_json(), sort_keys=True)
+
+    for n in range(1, 6):
+        gens, diss = enumerate_limit_generators(n), enumerate_extended_dissections(n)
+        for r in range(n):
+            assert all(same(arc_set(n, [rotate_arc(x, r) for x in g])) for g in gens)
+            assert all(same(rotate_dissection(d, r)) for d in diss)
+    n = 12
+    arcs = [
+        Arc(n, pt(0, -3, n), pt(0, 10, n)),
+        Arc(n, acc(11, n), pt(10, -12, n)),
+        Arc(n, acc(0, n), acc(10, n)),
+        Arc(n, pt(11, 99, n), acc(3, n)),
+    ]
+    assert same(arc_set(n, arcs)) and same(arc_set(1, []))
+    red = (ChordArc(0, 18), ChordArc(2, 16), ChordArc(4, 10))
+    assert same(DissectionSet(10, red, (ChordArc(19, 0), ChordArc(5, 12))))
+    assert same(DissectionSet(1, (), ()))
 
 
 def test_chord_memo_matches_its_body():

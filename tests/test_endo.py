@@ -857,6 +857,7 @@ def test_endo_memos_are_bounded():
         endo._marked_segments,
         geometry._suspended,
         geometry.crosses_under_some_shift,
+        geometry.json_fragment,
         dissections.chord_of_arc,
         dissections.chord_to_arc,
         homs.default_apex,

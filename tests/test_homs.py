@@ -401,6 +401,7 @@ def test_memos_are_bounded():
         "endo._shared",
         "geometry._suspended",
         "geometry.crosses_under_some_shift",
+        "geometry.json_fragment",
         "homs.cone_presentation",
         "homs.default_apex",
         "homs.ext1_dim",
