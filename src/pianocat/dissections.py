@@ -394,7 +394,7 @@ def dissection_from_generator(arcs: list[Arc] | ArcSet, n: int | None = None) ->
     return DissectionSet(
         n,
         tuple(c for c in chords if c.is_red_arc),
-        tuple(c for c in chords if c.is_binding),
+        tuple(c for c in chords if not c.is_red_arc),
     )
 
 

@@ -112,9 +112,6 @@ def test_dissections_refuse_duplicate_and_outside_chords():
         DissectionSet(3, (ChordArc(0, 6),), ())
     with pytest.raises(DissectionError, match="outside"):
         DissectionSet(3, (), (ChordArc(1, 6),))
-
-
-def test_dissections_refuse_interned_chords_with_the_same_messages():
     # One interned chord twice, chords of the wrong colour, and chords off
     # the disc at either end; the first offender in sorted red-then-binding
     # order is named.
@@ -122,12 +119,13 @@ def test_dissections_refuse_interned_chords_with_the_same_messages():
     for red, binding in (((c, c), ()), ((), (ChordArc(1, 2), ChordArc(2, 1)))):
         with pytest.raises(DissectionError, match="^duplicate chords$"):
             DissectionSet(3, red, binding)
+    off = "outside the disc with 6 positions"
     refusals = [
         ((ChordArc(2, 4), ChordArc(3, 0)), (), "ChordArc(p=0, q=3) is not a red arc"),
         ((), (ChordArc(1, 4), c), "ChordArc(p=0, q=2) is not a binding arc"),
-        ((ChordArc(2, 6), ChordArc(8, 0)), (), "ChordArc(p=0, q=8) outside the disc with 6 positions"),
-        ((c,), (ChordArc(-2, 1),), "ChordArc(p=-2, q=1) outside the disc with 6 positions"),
-        ((ChordArc(-4, 0),), (ChordArc(1, 6),), "ChordArc(p=-4, q=0) outside the disc with 6 positions"),
+        ((ChordArc(2, 6), ChordArc(8, 0)), (), f"ChordArc(p=0, q=8) {off}"),
+        ((c,), (ChordArc(-2, 1),), f"ChordArc(p=-2, q=1) {off}"),
+        ((ChordArc(-4, 0),), (ChordArc(1, 6),), f"ChordArc(p=-4, q=0) {off}"),
     ]
     for red, binding, message in refusals:
         with pytest.raises(DissectionError, match=f"^{re.escape(message)}$"):
