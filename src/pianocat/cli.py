@@ -169,7 +169,7 @@ def _verify_bijection(gens: list[geometry.ArcSet], cfg: Config) -> list[dict]:
     round_trips, images = True, set()
     for g in gens:
         d = dissections.dissection_from_generator(g)
-        back = sorted(dissections.generator_from_dissection(d), key=geometry.Arc.sort_key)
+        back = sorted(dissections.generator_from_dissection(d), key=geometry.ARC_KEY)
         round_trips = round_trips and back == list(g.arcs)
         images.add(d.dumps())
     dissns = [d.dumps() for d in dissections.enumerate_extended_dissections(cfg.n)]

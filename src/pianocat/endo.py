@@ -7,14 +7,10 @@ or zero.  Products of distinguished basis elements have coefficients in
 {0, 1}, computed from the factorisation calculus on arcs.  An
 ``EndoAlgebra`` is a plain frozen value: its order, summands and entries.
 
-The entries and the matrix side of a product are pure functions of arcs, so
-they are memoised for the whole process and shared by every generator of a
-sweep, in LRU caches of ``MEMO_SIZE`` entries (the bound of the ``homs``
-memos): ``_entry``, ``_marked_segments``, ``_landing`` and
-``_matrix_block``.  Arcs are interned (``geometry.Arc``), so equal keys are
-one object on every generator.  How ``verify_path_algebra_iso`` compares
-this algebra with the piano's path algebra a row at a time, and what each
-memo holds, is set out once, in README.
+The entries and the matrix side of a product are memoised for the whole
+process (``MEMO_SIZE``) and shared by every generator of a sweep.  What
+each memo holds, and how ``verify_path_algebra_iso`` compares this algebra
+with the piano's path algebra a row at a time, is set out once, in README.
 """
 
 from __future__ import annotations
@@ -30,14 +26,13 @@ from .dissections import chord_of_arc, dissection_from_generator
 from .geometry import MEMO_SIZE, Arc, ArcKind, suspend, within_row
 from .homs import alignment_keys, ext1_dim, hom_alignment, hom_dim
 from .quivers import (
-    PathNormalForm,
     PianoQuiver,
     QuiverError,
-    canonical_forms,
+    class_ends,
     graded_row,
     normal_form,  # not called here: the benchmark's tracer test reads endo.normal_form
     piano_from_extended,
-    product_is_zero,
+    product_row,
 )
 
 
@@ -359,33 +354,33 @@ def verify_path_algebra_iso(
                             return IsoReport(tuple(mismatches))
             both_sides[(a, b)] = tuple(compress(window_degrees, map(and_, lhs, rhs)))
 
-    # Each of those classes with the normal form of its canonical word.  A
-    # canonical word that is no word of the piano (a loop at a vertex the
-    # piano has no such loop at) is a witness, and its class takes part in
-    # no product.
-    classes: dict[tuple[int, int], list[tuple[int, PathNormalForm]]] = {}
+    # Each pair's class degrees, and the ends of their normal forms on the
+    # left (zero or not, last arrow: the junction) and on the right (zero or
+    # not, first arrow).  A canonical word that is no word of the piano (a
+    # loop at a vertex the piano has no such loop at) is a witness, and its
+    # class takes part in no product.
+    degrees, junctions, starts = {}, {}, {}
     for (a, b), ms in both_sides.items():
-        kept = classes[(a, b)] = []
-        if not ms:
-            continue
-        form_of = canonical_forms(p, a, b)
-        for m in ms:
-            try:
-                kept.append((m, form_of(m)))
-            except QuiverError as err:
-                mismatches.append(
-                    IsoMismatch("word", (a, b, m), "a word of the piano", str(err))
-                )
-                if len(mismatches) >= max_mismatches:
-                    return IsoReport(tuple(mismatches))
-    degrees = {pair: tuple(m for m, _ in kept) for pair, kept in classes.items()}
-    # Left classes meet a right class at their junction (zero or not, last
-    # arrow): one left form per junction, and each class's junction in order.
-    junction_forms: dict[tuple[int, int], dict[tuple[bool, int | None], PathNormalForm]] = {}
-    junctions: dict[tuple[int, int], tuple[tuple[bool, int | None], ...]] = {}
-    for pair, kept in classes.items():
-        keys = junctions[pair] = tuple((form.is_zero, form.last_arrow) for _, form in kept)
-        junction_forms[pair] = {key: form for key, (_, form) in zip(keys, kept)}
+        kept = []
+        for m, ends in zip(ms, class_ends(p, a, b, ms) if ms else ()):
+            if not isinstance(ends, QuiverError):
+                kept.append((m, ends))
+                continue
+            mismatches.append(IsoMismatch("word", (a, b, m), "a word of the piano", str(ends)))
+            if len(mismatches) >= max_mismatches:
+                return IsoReport(tuple(mismatches))
+        degrees[(a, b)] = tuple(m for m, _ in kept)
+        junctions[(a, b)] = tuple((zero, last) for _, (zero, _, last, _) in kept)
+        starts[(a, b)] = tuple((zero, first) for _, (zero, first, _, _) in kept)
+    # A path row depends on the left class only through its junction, so
+    # each row is built once per (junction, b, c) and read for every source.
+    into = [set() for _ in range(size)]
+    for (_, b), keys in junctions.items():
+        into[b].update(keys)
+    path_rows = {
+        pair: {key: product_row(p, key, rights) for key in into[pair[0]]}
+        for pair, rights in starts.items()
+    }
 
     # Few pairs have distinct degree tuples, so each set of totals is formed once.
     sumset = cache(lambda ms, ms2: frozenset(m + m2 for m in ms for m2 in ms2))
@@ -403,22 +398,19 @@ def verify_path_algebra_iso(
                 continue
             y = items[b]
             for c in range(size):
-                rights, right_degrees = classes[(b, c)], degrees[(b, c)]
-                if not rights:
+                right_degrees = degrees[(b, c)]
+                if not right_degrees:
                     continue
                 v = items[c]
                 # The totals of this block where the piano has no class.
                 off_c = off_piano[c] and off_piano[c] & sumset(left_degrees, right_degrees)
-                path_rows = {
-                    key: tuple(not product_is_zero(p, left, right) for _, right in rights)
-                    for key, left in junction_forms[(a, b)].items()
-                }
-                path_block = tuple(path_rows[key] for key in junctions[(a, b)])
+                rows = path_rows[(b, c)]
+                path_block = tuple([rows[key] for key in junctions[(a, b)]])
                 chi_block = _matrix_block(x, y, v, left_degrees, right_degrees)
                 if path_block == chi_block and not (
                     off_c and _lands_in(path_block, left_degrees, right_degrees, off_c)
                 ):
-                    products += len(left_degrees) * len(rights)
+                    products += len(left_degrees) * len(right_degrees)
                     continue
                 # Walk a block that disagrees, or has a nonzero path off the
                 # piano, cell by cell, so that the witnesses, their order and

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import (
+    ARC_KEY,
     Arc,
     ArcKind,
     ArcSet,
@@ -230,7 +231,7 @@ def check_linear_generator(e: ArcSet, window: int = 6) -> LinearGeneratorReport:
     """
     objects = sorted(
         {suspend(x, k) for x in e for k in range(-window, window + 1)},
-        key=Arc.sort_key,
+        key=ARC_KEY,
     )
     leq: dict[tuple[int, int], bool] = {}
     for i, p in enumerate(objects):

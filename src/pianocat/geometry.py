@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -165,6 +166,7 @@ def within_keys(w: tuple, aligned: tuple) -> bool:
 
 # Every arc made so far, by n and its endpoint keys in key order.
 _ARCS: dict[tuple, "Arc"] = {}
+ARC_KEY = attrgetter("key")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -175,14 +177,15 @@ class Arc:
     and every later call, with the endpoints in either order, returns that
     same object; a refused value is never stored, so it raises on every
     call.  So identity is equality, and an arc hashes and compares by
-    identity.  The endpoints are stored in key order, and the kind is
-    derived from them once.
+    identity.  The endpoints are stored in key order, and the kind and the
+    sort key (the two endpoint keys, ``ARC_KEY``) are derived from them once.
     """
 
     n: int
     a: BoundaryPoint
     b: BoundaryPoint
     kind: ArcKind = field(init=False, repr=False)
+    key: tuple = field(init=False, repr=False)
 
     def __new__(cls, n: int, a: BoundaryPoint, b: BoundaryPoint) -> "Arc":
         ka, kb = a._key, b._key
@@ -209,7 +212,7 @@ class Arc:
         else:
             kind = _SHORT if a.seg == b.seg else _LONG
         x = _ARCS[key] = object.__new__(cls)
-        for name, value in (("n", n), ("a", a), ("b", b), ("kind", kind)):
+        for name, value in (("n", n), ("a", a), ("b", b), ("kind", kind), ("key", key[1:])):
             object.__setattr__(x, name, value)
         return x
 
@@ -243,7 +246,7 @@ class Arc:
         return a if in_a else b
 
     def sort_key(self) -> tuple:
-        return (self.a._key, self.b._key)
+        return self.key
 
     def to_json(self) -> list:
         return [self.a.to_json(), self.b.to_json()]
@@ -331,7 +334,7 @@ class ArcSet:
         for x in self.arcs:
             if x.n != self.n:
                 raise GeometryError("arc and arc set disagree on n")
-        ordered = tuple(sorted(set(self.arcs), key=Arc.sort_key))
+        ordered = tuple(sorted(set(self.arcs), key=ARC_KEY))
         if len(ordered) != len(self.arcs):
             raise GeometryError("duplicate arcs in arc set")
         object.__setattr__(self, "arcs", ordered)

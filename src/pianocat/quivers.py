@@ -7,27 +7,10 @@ a degree +1 loop at every non-sharp vertex; words in the resulting graded
 path algebra are normalised by a small rewriting system: a skeleton rule
 and the four local rules, whose instances are the one table
 ``PianoQuiver.rules`` that ``one_step_rewrites`` and the critical pairs of
-``confluence`` both read.
-
-``normal_form`` applies those rules in one left-to-right stack pass: loops
-travel as ``(tag, vertex, power)`` blocks, so a block crosses an arrow,
-moves along a commutation run or cancels against an inverse block in one
-step, and the arrow skeleton, which no rule changes, is checked once.  The
-rewriting system is confluent (``confluence.critical_pair_report``), so
-this rewrite order reaches the word every order reaches, which
-``confluence.all_terminals`` finds independently.  Per-quiver lookup tables
-(symbol ends and degrees, commutation runs by start, rule instances,
-radial chains and arrow paths) are built once and kept on the
-``PianoQuiver``.
-
-A normal form keeps its reduced block stack and the first and last arrow
-of its skeleton.  The product of two normal forms is zero when either form
-is or the two skeletons meet in a relation at the junction
-(``product_is_zero``, one lookup).  The full product, which pushes the
-second form's blocks onto a copy of the first form's stack so that only the
-redexes across the junction are rewritten, is the test oracle ``compose``
-of ``tests/quiver_oracle.py``, next to the direct builder of a gentle
-quiver from an admissible dissection.
+``confluence`` both read.  How ``normal_form`` applies them in one stack
+pass, what a product reads of two normal forms (``product_row``), and how
+``class_ends`` reads the classes of a vertex pair, is set out once, in
+README.
 """
 
 from __future__ import annotations
@@ -36,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .dissections import ChordArc, DissectionSet, check_induces_admissible
 
@@ -60,12 +43,6 @@ class GentleQuiver:
     labels: tuple
     arrows: tuple[Arrow, ...]
     relations: frozenset[tuple[int, int]]
-
-    def arrows_out(self, v: int) -> list[int]:
-        return [i for i, e in enumerate(self.arrows) if e.src == v]
-
-    def arrows_in(self, v: int) -> list[int]:
-        return [i for i, e in enumerate(self.arrows) if e.tgt == v]
 
     def to_json(self) -> dict:
         return {
@@ -422,17 +399,29 @@ def normal_form(
     return _form(table[word[0]][0], table[word[-1]][1], degree, _reduce_blocks(p, blocks))
 
 
-def product_is_zero(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> bool:
-    """Whether the product ``u`` then ``v`` of two composable normal forms is zero.
-
-    Both are irreducible and no rule but the skeleton rule yields zero, so
-    the product is zero exactly when one of the two is zero or the last
-    arrow of ``u`` and the first arrow of ``v`` form a relation.  Both
-    halves are needed: a zero form has no arrows, so the relation lookup
-    alone would read it as nonzero.  The full product is the test oracle
-    ``compose`` (``tests/quiver_oracle.py``).
+def product_row(
+    p: PianoQuiver, junction: tuple[bool, int | None], rights: Iterable[tuple[bool, int | None]]
+) -> tuple[bool, ...]:
+    """Whether the product of a left normal form, given by its junction
+    (is_zero, last_arrow), with each right one, given by (is_zero,
+    first_arrow), is nonzero.  Both are irreducible and no rule but the
+    skeleton rule yields zero, so a product is zero exactly when one of the
+    two is zero or the last arrow of the left and the first arrow of the
+    right form a relation.  Both halves are needed: a zero form has no
+    arrows, so the relation lookup alone would read it as nonzero.
     """
-    return u.is_zero or v.is_zero or (u.last_arrow, v.first_arrow) in p.relations
+    left_zero, last = junction
+    relations = p.relations
+    return tuple(
+        not (left_zero or right_zero or (last, first) in relations) for right_zero, first in rights
+    )
+
+
+def product_is_zero(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> bool:
+    """Whether the product ``u`` then ``v`` of two composable normal forms is
+    zero: the one-cell case of ``product_row``.  The full product is the
+    test oracle ``compose`` (``tests/quiver_oracle.py``)."""
+    return not product_row(p, (u.is_zero, u.last_arrow), ((v.is_zero, v.first_arrow),))[0]
 
 
 def _scan_blocks(p: PianoQuiver, word: tuple[Symbol, ...]) -> tuple[list[Block] | None, int]:
@@ -608,40 +597,54 @@ def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...]
     return deltas[:-1] + (("b", park),) * m + deltas[-1:]
 
 
-def canonical_forms(p: PianoQuiver, a: int, b: int) -> Callable[[int], PathNormalForm]:
-    """``m -> normal_form(p, canonical_word(p, a, b, m), base=a)`` for the
-    nonzero classes from a to b (a pair that has some), with their
-    arrow-path prefix reduced once.
+# What a product reads of a class's normal form: zero or not, the first and
+# last arrow of its skeleton (None without arrows), and its reduced blocks.
+ClassEnds = tuple[bool, "int | None", "int | None", tuple[Block, ...]]
 
-    A canonical word is an arrow prefix (the whole path, or all but its last
-    arrow where a degree +1 loop is parked), one loop block and the parked
-    arrow; only those three are built.  No loop block merges into an arrow
-    block, so pushing the rest onto a copy of the prefix form's ``blocks``
-    is the stack pass of the full word; its skeleton dies at the junction
+
+def class_ends(
+    p: PianoQuiver, a: int, b: int, degrees: Iterable[int]
+) -> list[ClassEnds | QuiverError]:
+    """``ClassEnds`` of ``normal_form(p, canonical_word(p, a, b, m), base=a)``
+    for each degree m of a nonzero class from a to b (a pair that has some).
+
+    The arrow path, the parked loop and each arrow prefix (README) are
+    worked out once; each class pushes its loop block, and the parked
+    arrow, onto a copy of its prefix's reduced stack (``_reduce_blocks``)
+    and reads its ends off the result.  The skeleton dies at the junction
     when the prefix's last arrow and the parked arrow form a relation.  A
-    loop the piano lacks (a degree +1 loop at a sharp vertex) takes the full
-    pass of ``canonical_word``, which raises.
+    class whose word uses a loop the piano lacks (a degree +1 loop at a
+    sharp vertex) gets the ``QuiverError`` its full word raises.
     """
     path = arrow_path(p, a, b)
-    heads: dict[int, PathNormalForm] = {}
-
-    def form(m: int) -> PathNormalForm:
-        parked = a != b and m > 0 and not p.has_beta(b)
-        cut = len(path) - parked
-        head = heads.get(cut)
-        if head is None:
-            head = heads[cut] = normal_form(p, tuple(("d", k) for k in path[:cut]), base=a)
+    # Positive degrees into a sharp vertex park their loop before the last arrow.
+    parked = a != b and not p.has_beta(b)
+    rise = ("b", p.arrows[path[-1]].src if parked else b)
+    # Per prefix length: its normal form, a dead junction, the blocks after the loop.
+    heads: dict[int, tuple[PathNormalForm, bool, list[Block]]] = {}
+    out: list[ClassEnds | QuiverError] = []
+    for m in degrees:
+        cut = len(path) - (parked and m > 0)
+        if cut not in heads:
+            head = normal_form(p, tuple(("d", k) for k in path[:cut]), base=a)
+            dead = head.is_zero or (cut < len(path) and (head.last_arrow, path[-1]) in p.relations)
+            heads[cut] = (head, dead, [("d", k, 1) for k in path[cut:]])
+        head, dead, parked_arrow = heads[cut]
         if not m:
-            return head
-        loop = ("b", p.arrows[path[-1]].src if parked else b) if m > 0 else ("a", b)
-        if loop not in p.symbol_table:
-            return normal_form(p, canonical_word(p, a, b, m), base=a)  # raises, naming the loop
-        if head.is_zero or (parked and (head.last_arrow, path[-1]) in p.relations):
-            return ZERO_FORM
-        blocks = [(*loop, abs(m))] + [("d", k, 1) for k in path[cut:]]
-        return _form(a, b, m, _reduce_blocks(p, blocks, list(head.blocks)))
-
-    return form
+            out.append((head.is_zero, head.first_arrow, head.last_arrow, head.blocks))
+        elif m > 0 and rise not in p.symbol_table:
+            try:
+                normal_form(p, canonical_word(p, a, b, m), base=a)  # raises, naming the loop
+            except QuiverError as err:
+                out.append(err)
+        elif dead:
+            out.append((True, None, None, ()))
+        else:
+            loop = (*rise, m) if m > 0 else ("a", b, -m)
+            stack = _reduce_blocks(p, [loop, *parked_arrow], list(head.blocks))
+            skeleton = [k for tag, k, _ in stack if tag == "d"] or [None]
+            out.append((False, skeleton[0], skeleton[-1], tuple(stack)))
+    return out
 
 
 def degree_component_structure(p: PianoQuiver, degree: int) -> list[list[int]]:

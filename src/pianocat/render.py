@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .dissections import DissectionSet
-from .geometry import Arc, ArcSet, BoundaryPoint
+from .geometry import ARC_KEY, Arc, ArcSet, BoundaryPoint
 
 # The largest n the render command draws.  Figures grow linearly in n and
 # keyboard quivers quadratically: the fan's quiver takes about 0.08 s at
@@ -66,7 +66,7 @@ def arc_diagram_svg(arcs: ArcSet | list[Arc], n: int | None = None) -> str:
     if n is None:
         n = arcs.n if isinstance(arcs, ArcSet) else items[0].n
     lines = _svg_header()
-    for x in sorted(items, key=Arc.sort_key):
+    for x in sorted(items, key=ARC_KEY):
         (x1, y1) = _circle_xy(_marked_angle(x.a, n))
         (x2, y2) = _circle_xy(_marked_angle(x.b, n))
         lines.append(

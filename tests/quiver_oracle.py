@@ -63,6 +63,14 @@ def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalF
     return _form(u.source, v.target, u.degree + v.degree, stack)
 
 
+def _arrows_out(q: GentleQuiver, v: int) -> list[int]:
+    return [i for i, e in enumerate(q.arrows) if e.src == v]
+
+
+def _arrows_in(q: GentleQuiver, v: int) -> list[int]:
+    return [i for i, e in enumerate(q.arrows) if e.tgt == v]
+
+
 def is_locally_gentle(q: GentleQuiver) -> bool:
     """At most two arrows in and out per vertex, length-two relations, and
     unique continuations both inside and outside the relation ideal."""
@@ -71,14 +79,14 @@ def is_locally_gentle(q: GentleQuiver) -> bool:
     if not is_connected(q.num_vertices, ((e.src, e.tgt) for e in q.arrows)):
         return False
     for v in range(q.num_vertices):
-        if len(q.arrows_out(v)) > 2 or len(q.arrows_in(v)) > 2:
+        if len(_arrows_out(q, v)) > 2 or len(_arrows_in(q, v)) > 2:
             return False
     for a, b in q.relations:
         if q.arrows[a].tgt != q.arrows[b].src:
             return False
     for i, e in enumerate(q.arrows):
-        before = [j for j in q.arrows_in(e.src)]
-        after = [j for j in q.arrows_out(e.tgt)]
+        before = _arrows_in(q, e.src)
+        after = _arrows_out(q, e.tgt)
         if sum(1 for j in before if (j, i) in q.relations) > 1:
             return False
         if sum(1 for j in after if (i, j) in q.relations) > 1:
