@@ -599,7 +599,7 @@ def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...]
 
 # What a product reads of a class's normal form: zero or not, the first and
 # last arrow of its skeleton (None without arrows), and its reduced blocks.
-ClassEnds = tuple[bool, "int | None", "int | None", tuple[Block, ...]]
+ClassEnds = tuple[bool, int | None, int | None, tuple[Block, ...]]
 
 
 def class_ends(
