@@ -166,7 +166,7 @@ def within_keys(w: tuple, aligned: tuple) -> bool:
 
 # Every arc made so far, by n and its endpoint keys in key order.
 _ARCS: dict[tuple, "Arc"] = {}
-ARC_KEY = attrgetter("key")
+ARC_KEY = attrgetter("key")  # ``Arc.sort_key``, read in C
 
 
 @dataclass(frozen=True, eq=False, init=False)
