@@ -4,7 +4,7 @@ The run is a child process that writes its own peak RSS (``VmHWM`` of
 ``/proc/self/status``) to stderr when it exits.  That figure starts at the
 child's ``exec``, so it holds the verifier alone; ``os.wait4``'s
 ``ru_maxrss`` would also keep the RSS the pytest process had when it forked
-the child.  The driver walks the generators once and keeps one generator's
+the child.  ``verify`` walks the generators once and keeps one generator's
 context alive at a time.
 """
 
