@@ -9,18 +9,7 @@ Example, ten alternating pairs of a parent and a change on one workload:
     python3 scripts/bench_record.py --label mine --workload path-iso-n4 \\
         --seeds 1-10 --checkout parent=../parent --checkout change=.
 
-For every workload and seed, ``perfbench/run.py --trace 0`` runs once in
-each checkout, from that checkout's root, so each measures its own
-``src/``, for the ``run_seconds`` of that checkout's ``BENCHMARK.json``.
-The checkout that runs first rotates from seed to seed, so two checkouts
-alternate.  The file holds, per checkout, its run length and the
-environment of its first run's detail line (its commit and the SHA-256 of
-its sources among them), and, per workload, every run's end-to-end metrics
-and the median and quartiles of each metric per checkout.  After the
-alternating runs of a workload, each checkout makes one traced run
-(``--trace 1``) at the first seed, and the file keeps its per-layer
-metrics under ``traced``.  A run that could not be made stops the
-recording with exit 2.
+What the runs are and what the file holds is set out in README.
 """
 
 import argparse

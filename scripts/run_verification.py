@@ -1,11 +1,8 @@
 #!/usr/bin/env python3
 """Run every structural verification over a range of sizes and print a table.
 
-Each row runs the checks of ``piano-cat verify all`` (``cli.VERIFIERS``) at
-one size through the same driver and reports whether every record of each
-check passed.  Exits 1 when some record failed, and 2, with one stderr line,
-when ``--max-n`` is below 1 or above the enumeration cap
-(``generators.ENUMERATION_CAP``), or the window is refused.
+Each row runs the checks of ``piano-cat verify all`` at one size through the
+same driver.  Exits 1 when some record failed, and 2 on a refused argument.
 
 Example:
 

@@ -21,8 +21,9 @@ INTERVAL_TESTS = 1_255_592
 def run():
     """One in-process run, its closed-interval tests recorded by a spy.
 
-    The matrix blocks are decided by the body of ``endo._matrix_block``,
-    without its memo, so that every cell of the run reaches the spy."""
+    The matrix blocks are decided by the body of ``endo._typed_block`` on
+    the arcs themselves, without either level of the block memo, so that
+    every cell of the run reaches the spy."""
     seen = []
     real = endo.within_row
 
@@ -34,7 +35,7 @@ def run():
     out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
         mp.setattr(endo, "within_row", spy)
-        mp.setattr(endo, "_matrix_block", endo._matrix_block.__wrapped__)
+        mp.setattr(endo, "_matrix_block", endo._typed_block.__wrapped__)
         rc = cli.main(["verify", "path-algebra-iso", "--n", "4"])
     return rc, out.getvalue(), seen
 

@@ -41,15 +41,19 @@ class Config:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _enumerable(cfg: Config) -> Config:
+    """The config of a command that enumerates, refused above the enumeration cap."""
+    if cfg.n > generators.ENUMERATION_CAP:
+        raise ValueError(f"n={cfg.n} exceeds the enumeration cap {generators.ENUMERATION_CAP}")
+    return cfg
+
+
 def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cfg = Config(n=args.n)
-    if cfg.n > generators.ENUMERATION_CAP:
-        sys.stderr.write(f"n={cfg.n} exceeds the enumeration cap {generators.ENUMERATION_CAP}\n")
-        return EXIT_USAGE
+    cfg = _enumerable(Config(n=args.n))
     if args.kind == "generators":
         items = generators.enumerate_limit_generators(cfg.n, up_to_equivalence=args.equiv)
         draw = render.arc_diagram_svg
@@ -279,7 +283,7 @@ def run_verifiers(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = Config(n=args.n, window=args.window, word_cap=args.word_cap)
+    cfg = _enumerable(Config(n=args.n, window=args.window, word_cap=args.word_cap))
     choice = None if args.choice is None else _parse_choice(args.choice, 2 * cfg.n - 1)
     names = list(VERIFIERS) if args.which == "all" else [args.which]
     if cfg.word_cap is not None:

@@ -8,9 +8,7 @@ so one sweep in order of their first endpoint both checks that no two cross
 and finds the chord directly enclosing each (``_nesting``).  Each face is
 then walked once, iteratively: a chord's inner face steps along the unit
 sides between its endpoints and jumps over the chords it directly encloses
-(``_faces``).  ``chord_of_arc``, the image of one summand arc, and its inverse
-``chord_to_arc`` are each memoised for the whole process in an LRU cache of
-``MEMO_SIZE`` entries (defined in ``geometry``).
+(``_faces``).
 """
 
 from __future__ import annotations

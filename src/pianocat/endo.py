@@ -8,9 +8,9 @@ or zero.  Products of distinguished basis elements have coefficients in
 ``EndoAlgebra`` is a plain frozen value: its order, summands and entries.
 
 The entries and the matrix side of a product are memoised for the whole
-process (``MEMO_SIZE``) and shared by every generator of a sweep.  What
-each memo holds, and how ``verify_path_algebra_iso`` compares this algebra
-with the piano's path algebra a row at a time, is set out once, in README.
+process (``MEMO_SIZE``), the blocks in two levels: by arcs, then by order
+type.  What each memo holds, and how ``verify_path_algebra_iso`` compares
+this algebra with the piano's path algebra a row at a time, is in README.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from operator import and_, not_
 from typing import Iterable, NamedTuple
 
 from .dissections import chord_of_arc, dissection_from_generator
-from .geometry import MEMO_SIZE, Arc, ArcKind, suspend, within_row
+from .geometry import MEMO_SIZE, Arc, ArcKind, order_type, suspend, within_row
 from .homs import alignment_keys, ext1_dim, hom_alignment, hom_dim
 from .quivers import (
     PianoQuiver,
@@ -99,13 +99,9 @@ class ProductTarget(NamedTuple):
 
 
 def product_record(x: Arc, y: Arc, degree: int) -> ProductTarget | None:
-    """The record of products from summand x to summand y in the given degree.
-
-    None when ``hom_dim`` is zero there; otherwise the memoised ``_landing``.
-    ``hom_dim`` is asked here, outside the memo, so that every
-    ``chi_multiply`` asks it, as ``perfbench``'s span test expects; the
-    matrix blocks read ``_landing`` alone.
-    """
+    """The record of products from summand x to summand y in the given degree:
+    None when ``hom_dim`` is zero there, else the memoised ``_landing``.
+    ``hom_dim`` is asked outside the memo, for the tracer (README)."""
     if hom_dim(x, y, degree) == 0:
         return None
     return _landing(x, y, degree)
@@ -217,9 +213,17 @@ def _matrix_block(
 ) -> tuple[tuple[int, ...], ...]:
     """The products (``chi_multiply``'s rule) of the classes from summand x
     to summand y in the degrees of ``left_degrees`` with the classes from y
-    to summand v in the degrees of ``right_degrees``, one row per left class:
-    one ``_landing`` per total, in a list indexed by total, and one
-    ``within_row`` call per row."""
+    to summand v in the degrees of ``right_degrees``, one row per left class.
+    On a miss, ``_typed_block`` decides it on the triple's order type, which
+    keeps every value (``geometry.order_type``)."""
+    return _typed_block(*order_type((x, y, v)), left_degrees, right_degrees)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _typed_block(
+    x: Arc, y: Arc, v: Arc, left_degrees: tuple[int, ...], right_degrees: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """``_matrix_block``'s body: one ``_landing`` per total and one ``within_row`` per row."""
     if not (left_degrees and right_degrees):
         return _shared(((),) * len(left_degrees))
     low = min(left_degrees) + min(right_degrees)

@@ -5,11 +5,7 @@ order; between Acc(i) and Acc(i+1) sits a copy of the integers, the marked
 points Pt(i, p).  All predicates are exact (no floating point): points are
 compared through a lexicographic key that linearises one full anticlockwise
 turn starting at Acc(0).  Each point computes its key once, at construction,
-and the order predicates compare the stored keys.  Arcs are interned, so
-equal arcs are one object.  ``suspend``, ``crosses_under_some_shift`` and
-``json_fragment`` are memoised for the whole process, each in an LRU cache
-of ``MEMO_SIZE`` entries, the bound that the pairwise memos of ``homs``,
-``dissections`` and ``endo`` share.
+and the order predicates compare the stored keys.  README lists the memos.
 """
 
 from __future__ import annotations
@@ -380,6 +376,29 @@ def rotate_arc(x: Arc, r: int) -> Arc:
     """Rotate all segment indices by r, the disc's orientation-preserving symmetry."""
     a, b = (BoundaryPoint((p.seg + r) % x.n, p.pos) for p in x.endpoints())
     return Arc(x.n, a, b)
+
+
+def order_type(arcs: tuple[Arc, ...]) -> tuple[Arc, ...]:
+    """The arcs rebuilt on the m-circle of the m segments their endpoints
+    touch, relabelled 0..m-1 in order; the arcs themselves when m == n.
+
+    This keeps every value read of a triple of summands.  ``suspend`` moves a
+    marked point inside its own segment, so it commutes with the relabelling.
+    ``ext1_dim``, ``hom_alignment``, ``alignment_keys`` and ``within_row``
+    read the endpoints of the arcs and of their suspensions only through the
+    order of their keys (so do ``cross`` and ``cyclic_less``), which are
+    accumulation points, which coincide (shared accumulation points, ``w is
+    x``) and which share a segment (arc kinds, neighbours), and read n only
+    to compare it.  An increasing relabelling of segments keeps all of these
+    at every position; a rotation would not keep the key order.
+    """
+    segs = sorted({p.seg for x in arcs for p in (x.a, x.b)})
+    if len(segs) == arcs[0].n:
+        return arcs
+    rank = {seg: i for i, seg in enumerate(segs)}
+    return tuple(
+        Arc(len(segs), *(BoundaryPoint(rank[p.seg], p.pos) for p in (x.a, x.b))) for x in arcs
+    )
 
 
 def is_connected(num_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:

@@ -5,15 +5,6 @@ space from X to Y is nonzero exactly when the pair (X, Y[i-1]) satisfies one
 of: the arcs cross; they share a single accumulation point and the target is
 reached from the source by an anticlockwise rotation about it; they are one
 and the same double limit arc.
-
-``ext1_dim``, ``hom_alignment``, ``morphism_direction`` and
-``cone_presentation`` depend on their arguments alone, and arcs, arc sets
-and boundary points are frozen, so each is memoised for the whole process
-in an LRU cache of ``MEMO_SIZE`` entries (defined in ``geometry``): every
-generator of a sweep reuses the answers for the arc pairs it shares with
-the others.  A refusal raises and is not cached, so it raises again on
-every call.  ``default_apex`` is memoised too, so that the memo keys of
-every sign graph of one n hold the same apex object.
 """
 
 from __future__ import annotations

@@ -5,9 +5,7 @@ suspended fan arcs (trivially, when it already is one).  A sign choice is
 propagated over the keyboard tree, flipping across backward arrows; the
 resulting diagonal of signs makes the block assignment of homogeneous
 morphisms into a degree-zero algebra map, which is verified here degree by
-degree on a finite window.  The sign graph is built over the generator's
-endomorphism algebra and carries it: the directions of its degree-0 table
-are those of the algebra's nonzero off-diagonal entries.
+degree on a finite window.
 """
 
 from __future__ import annotations

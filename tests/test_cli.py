@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pianocat import cli, dissections, render
+from pianocat import cli, dissections, generators, render
 from pianocat.cli import main
 from pianocat.dissections import (
     DissectionSet,
@@ -648,6 +648,20 @@ def test_config_errors_name_the_field(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["enumerate"]] + [["verify", which] for which in [*sorted(cli.VERIFIERS), "all"]]
+)
+def test_commands_that_enumerate_refuse_n_above_the_cap(capsys, command):
+    # enumerate and every verify target share one check: an n above the
+    # enumeration cap exits 2 with one stderr line and no traceback.
+    cap = generators.ENUMERATION_CAP
+    for n in (cap + 1, 9):
+        code = main([*command, "--n", str(n)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"n={n} exceeds the enumeration cap {cap}\n"
 
 
 def test_render_unknown_kind(capsys, fan3_files):

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 from quiver_oracle import compose, is_locally_gentle
+from summand_triples import own_segments, summand_triples
 
 from pianocat import dissections, endo, geometry, homs, quivers
 from pianocat.endo import (
@@ -600,12 +601,14 @@ def _interval_cells(arcs, n, window):
 
 @pytest.fixture
 def cold_matrix_rows():
-    """Clear the process-wide matrix-block memo before and after the test, so
-    that rows decided under a patched ``endo.within_row`` reach no
-    other test, and the patch sees every row of this one."""
+    """Clear both levels of the process-wide matrix-block memo before and
+    after the test, so that rows decided under a patched ``endo.within_row``
+    reach no other test, and the patch sees every row of this one."""
     endo._matrix_block.cache_clear()
+    endo._typed_block.cache_clear()
     yield
     endo._matrix_block.cache_clear()
+    endo._typed_block.cache_clear()
 
 
 def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(
@@ -769,7 +772,7 @@ def test_class_records_mark_the_source_summand_only_where_it_is_met():
                 for m in range(-6, 7):
                     if not algebra.dim(a, a, m):
                         continue
-                    (row,) = endo._matrix_block.__wrapped__(x, x, v, (m,), rights)
+                    (row,) = endo._typed_block.__wrapped__(x, x, v, (m,), rights)
                     assert row == tuple(
                         chi_multiply(algebra, (a, a, m), (a, c, m2)) for m2 in rights
                     ), (g, a, c, m)
@@ -779,6 +782,7 @@ def test_class_records_mark_the_source_summand_only_where_it_is_met():
 
 _MEMOS = (
     endo._matrix_block,
+    endo._typed_block,
     endo._shared,
     endo._landing,
     geometry._suspended,
@@ -804,6 +808,7 @@ def test_matrix_rows_match_the_factorisation_oracle():
             _clear_memos()
         shared = {}
         hits = endo._matrix_block.cache_info().hits
+        typed_hits = endo._typed_block.cache_info().hits
         rows = 0
         for n in (1, 2, 3):
             for g in enumerate_limit_generators(n):
@@ -826,12 +831,45 @@ def test_matrix_rows_match_the_factorisation_oracle():
                     assert shared.setdefault(block, block) is block
                     assert all(shared.setdefault(row, row) is row for row in block)
                     for m, row in zip(lefts, expected):
-                        body = endo._matrix_block.__wrapped__
+                        body = endo._typed_block.__wrapped__
                         assert body(arcs[a], arcs[b], arcs[c], (m,), rights) == (row,)
                     rows += len(lefts)
         assert rows > 0
-        # Some blocks were shared: across generators when cold, all when warm.
+        # Some blocks were shared: across generators when cold, all when warm;
+        # and, cold, between distinct triples of arcs of one order type.
         assert endo._matrix_block.cache_info().hits > hits
+        assert warm or endo._typed_block.cache_info().hits > typed_hits
+
+
+def test_blocks_keep_their_values_on_the_order_type():
+    # Every ordered triple of summands with n <= 4 (12,502 of them, so every
+    # summand triple of every generator among them), at window 6: the block
+    # body on the triple's order type equals the body on the arcs
+    # themselves, and so do the triple's two entries; the order type is the
+    # triple itself exactly when its endpoints touch every segment.  The
+    # negative control puts each endpoint on a segment of its own, so that
+    # arcs sharing a point no longer do, and differs on 2, 21 and 100
+    # triples at n = 2, 3 and 4.
+    body = endo._typed_block.__wrapped__
+    forgetful, compressed = collections.Counter(), collections.Counter()
+    for n in (1, 2, 3, 4):
+        for arcs, lefts, rights in summand_triples(n):
+            typed = geometry.order_type(arcs)
+            segs = {p.seg for x in arcs for p in x.endpoints()}
+            assert (typed is arcs) == (len(segs) == n)
+            compressed[n] += typed is not arcs
+            direct = body(*arcs, lefts, rights)
+            assert body(*typed, lefts, rights) == direct, arcs
+            entries = [endo._entry(*pair) for pair in (arcs[:2], arcs[1:])]
+            assert [endo._entry(*pair) for pair in (typed[:2], typed[1:])] == entries, arcs
+            forgetful[n] += body(*own_segments(arcs), lefts, rights) != direct
+    assert compressed == {1: 0, 2: 2, 3: 372, 4: 6_166}
+    assert forgetful == {1: 0, 2: 2, 3: 21, 4: 100}
+    # One witness: x and v share Pt(0, 0), which the control tells apart.
+    ends = ((acc(0, 2), pt(0, 0, 2)), (acc(0, 2), acc(1, 2)), (pt(0, 0, 2), acc(1, 2)))
+    x, y, v = (Arc(2, *pair) for pair in ends)
+    window = tuple(range(-6, 7))
+    assert body(x, y, v, window, window) != body(*own_segments((x, y, v)), window, window)
 
 
 def test_verify_does_not_depend_on_what_the_memos_hold():
@@ -851,6 +889,7 @@ def test_verify_does_not_depend_on_what_the_memos_hold():
 def test_endo_memos_are_bounded():
     for memo in (
         endo._matrix_block,
+        endo._typed_block,
         endo._shared,
         endo._landing,
         endo._entry,
@@ -1043,7 +1082,7 @@ def test_matrix_rows_match_the_oracle_off_generators():
         for a, b, c in itertools.product(range(2), repeat=3):
             rights = nonzero[(b, c)]
             for m in nonzero[(a, b)]:
-                (row,) = endo._matrix_block.__wrapped__(pair[a], pair[b], pair[c], (m,), rights)
+                (row,) = endo._typed_block.__wrapped__(pair[a], pair[b], pair[c], (m,), rights)
                 expected = tuple(_product_oracle(algebra, (a, b, m), (b, c, m2)) for m2 in rights)
                 assert row == expected, (pair, a, b, c, m)
                 zero_hom += sum(hom_dim(pair[a], pair[c], m + m2) == 0 for m2 in rights)

@@ -399,6 +399,7 @@ def test_memos_are_bounded():
         "endo._marked_segments",
         "endo._matrix_block",
         "endo._shared",
+        "endo._typed_block",
         "geometry._suspended",
         "geometry.crosses_under_some_shift",
         "geometry.json_fragment",
