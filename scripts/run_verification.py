@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from pianocat import cli, generators
+from pianocat import cli
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -22,13 +22,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--window", type=int, default=4)
     args = parser.parse_args(argv)
     try:
-        if args.max_n < 1:
-            raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
-        if args.max_n > generators.ENUMERATION_CAP:
-            raise ValueError(
-                f"--max-n {args.max_n} exceeds the enumeration cap {generators.ENUMERATION_CAP}"
-            )
-        cli.Config(n=1, window=args.window)
+        # The largest size run, refused as ``verify`` refuses it.
+        cli._enumerable(cli.Config(n=args.max_n, window=args.window))
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return cli.EXIT_USAGE

@@ -1,10 +1,4 @@
-"""Command line entry points.
-
-Exit codes: 0 on success, 1 when a verification finds a counterexample,
-2 on usage or parse errors, 3 when a check raises instead of reporting (an
-internal error; its traceback goes to stderr).  Reports are JSON lines so
-runs can be diffed.
-"""
+"""Command line entry points; the commands and their exit codes are set out in README."""
 
 from __future__ import annotations
 

@@ -1,14 +1,7 @@
 """The marked disc with 2n alternating boundary points and its chord dissections.
 
-Positions 0..2n-1 run anticlockwise; even positions are the hollow (red)
-points, odd positions the filled (green) points.  Chords are straight
-position pairs; crossing means strict interleaving, so chords sharing an
-endpoint never cross.  Read as position intervals, non-crossing chords nest,
-so one sweep in order of their first endpoint both checks that no two cross
-and finds the chord directly enclosing each (``_nesting``).  Each face is
-then walked once, iteratively: a chord's inner face steps along the unit
-sides between its endpoints and jumps over the chords it directly encloses
-(``_faces``).
+Positions, colours and crossing are as README's data formats set out; how
+admissibility reads the chords (``_nesting``, ``_side_counts``) is in README.
 """
 
 from __future__ import annotations
@@ -281,6 +274,16 @@ def is_admissible_dissection(d: DissectionSet) -> bool:
     )
 
 
+def _side_counts(size: int, chords: Sequence[ChordArc], parent: list[int]) -> list[int]:
+    """How many unit sides each face of ``_faces`` owns: a chord's span q - p
+    less the spans of the chords it directly encloses, which the walk jumps;
+    for the outer face, last, the whole cycle less the top-level spans."""
+    counts = [c.q - c.p for c in chords] + [size]
+    for c, f in zip(chords, parent):  # parent -1 is the outer face
+        counts[f] -= c.q - c.p
+    return counts
+
+
 def is_extended_admissible(d: DissectionSet) -> bool:
     """n - 1 red arcs and one binding arc per green point, all pairwise
     non-crossing, with exactly one boundary side on each face they cut out.
@@ -289,7 +292,8 @@ def is_extended_admissible(d: DissectionSet) -> bool:
     arcs alone holding g green points also holds their g binding arcs, which
     cut it into g + 1 faces; each unit side has one green endpoint, so the
     red face owns 2g sides.  One side per face thus means g + 1 = 2g, that
-    is g = 1 in every red face: red admissibility.
+    is g = 1 in every red face: red admissibility.  The sides are counted
+    from the chord spans (``_side_counts``), not walked.
     """
     if len(d.red) != d.n - 1 or len(d.binding) != d.n:
         return False
@@ -297,9 +301,7 @@ def is_extended_admissible(d: DissectionSet) -> bool:
         return False
     chords = d.all_chords()
     parent = _nesting(chords)
-    return parent is not None and all(
-        len(sides) == 1 for _, sides in _faces(2 * d.n, chords, parent)
-    )
+    return parent is not None and all(s == 1 for s in _side_counts(2 * d.n, chords, parent))
 
 
 def check_induces_admissible(d: DissectionSet) -> None:

@@ -1,14 +1,12 @@
 """Limit pre-generators, limit generators, fan generators, and linear-order checks.
 
-A limit pre-generator is a non-crossing spanning tree of double limit arcs on
-the accumulation points; a limit generator adds one limit arc per open
-segment, everything pairwise non-crossing under all suspensions.  Limit arcs
-are always normalised so their marked endpoint sits at position 0.
+Limit arcs are always normalised so their marked endpoint sits at position 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, starmap
 
 from .geometry import (
     ARC_KEY,
@@ -44,11 +42,7 @@ def _limit_regime(a: ArcSet) -> bool:
 
 
 def _pairwise_shift_noncrossing(arcs: list[Arc]) -> bool:
-    for i, x in enumerate(arcs):
-        for y in arcs[i + 1 :]:
-            if crosses_under_some_shift(x, y):
-                return False
-    return True
+    return not any(starmap(crosses_under_some_shift, combinations(arcs, 2)))
 
 
 def is_homologically_connected(a: ArcSet) -> bool:

@@ -3,9 +3,8 @@
 The boundary carries n accumulation points Acc(0..n-1) in anticlockwise
 order; between Acc(i) and Acc(i+1) sits a copy of the integers, the marked
 points Pt(i, p).  All predicates are exact (no floating point): points are
-compared through a lexicographic key that linearises one full anticlockwise
-turn starting at Acc(0).  Each point computes its key once, at construction,
-and the order predicates compare the stored keys.  README lists the memos.
+compared through a stored key that linearises one full anticlockwise turn
+starting at Acc(0) (README, which also lists the memos).
 """
 
 from __future__ import annotations
@@ -392,13 +391,21 @@ def order_type(arcs: tuple[Arc, ...]) -> tuple[Arc, ...]:
     to compare it.  An increasing relabelling of segments keeps all of these
     at every position; a rotation would not keep the key order.
     """
-    segs = sorted({p.seg for x in arcs for p in (x.a, x.b)})
-    if len(segs) == arcs[0].n:
+    segs = sorted({k[0] for x in arcs for k in x.key})
+    m = len(segs)
+    if m == arcs[0].n:
         return arcs
     rank = {seg: i for i, seg in enumerate(segs)}
-    return tuple(
-        Arc(len(segs), *(BoundaryPoint(rank[p.seg], p.pos) for p in (x.a, x.b))) for x in arcs
-    )
+    typed = []
+    for x in arcs:
+        # The relabelled endpoint keys, still in key order, find an arc made
+        # before; only a new arc builds its points.
+        (sa, ta, pa), (sb, tb, pb) = x.key
+        y = _ARCS.get((m, (rank[sa], ta, pa), (rank[sb], tb, pb)))
+        if y is None:
+            y = Arc(m, *(BoundaryPoint(rank[p.seg], p.pos) for p in (x.a, x.b)))
+        typed.append(y)
+    return tuple(typed)
 
 
 def is_connected(num_vertices: int, edges: Iterable[tuple[int, int]]) -> bool:

@@ -1,16 +1,9 @@
 """Gentle quivers from dissections, keyboard and piano quivers, graded path algebra.
 
-A keyboard quiver is the gentle quiver of the induced admissible dissection
-of an extended one, remembering which vertices came from binding arcs (the
-sharp vertices).  The piano quiver adds a degree -1 loop at every vertex and
-a degree +1 loop at every non-sharp vertex; words in the resulting graded
-path algebra are normalised by a small rewriting system: a skeleton rule
-and the four local rules, whose instances are the one table
-``PianoQuiver.rules`` that ``one_step_rewrites`` and the critical pairs of
-``confluence`` both read.  How ``normal_form`` applies them in one stack
-pass, what a product reads of two normal forms (``product_row``), and how
-``class_ends`` reads the classes of a vertex pair, is set out once, in
-README.
+How the keyboard and piano are built, the rewriting rules (the one table
+``PianoQuiver.rules``), how ``normal_form`` applies them in one stack pass,
+what a product reads of two normal forms (``product_row``), and how
+``class_ends`` reads the classes of a vertex pair, is set out in README.
 """
 
 from __future__ import annotations
@@ -19,17 +12,17 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .dissections import ChordArc, DissectionSet, check_induces_admissible
+from .geometry import json_fragment
 
 
 class QuiverError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     src: int
     tgt: int
     meet: int  # boundary position where the two chords meet
@@ -49,15 +42,19 @@ class GentleQuiver:
             "vertices": list(range(self.num_vertices)),
             "labels": [list(l.endpoints()) if isinstance(l, ChordArc) else l for l in self.labels],
             "arrows": [[e.src, e.tgt] for e in self.arrows],
-            "relations": sorted(
-                [self.arrows[a].src, self.arrows[a].tgt, self.arrows[b].tgt]
-                for a, b in self.relations
-            ),
+            "relations": self.relation_paths(),
         }
+
+    def relation_paths(self) -> list[list[int]]:
+        """Each relation as its vertices [source, middle, target], sorted."""
+        arrows = self.arrows
+        return sorted([arrows[a].src, arrows[a].tgt, arrows[b].tgt] for a, b in self.relations)
 
 
 def _check_vertex_order(chords: list[ChordArc], arcs: tuple[ChordArc, ...]) -> None:
-    if sorted(chords, key=ChordArc.endpoints) != sorted(arcs, key=ChordArc.endpoints):
+    # A dissection's chords are distinct and interned, so equal lengths and
+    # equal sets make the two lists equal once sorted.
+    if len(chords) != len(arcs) or set(chords) != set(arcs):
         raise QuiverError("vertex order must list exactly the dissection arcs")
 
 
@@ -285,7 +282,22 @@ class PianoQuiver:
         return obj
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        """``json.dumps(self.to_json(), sort_keys=True)``, joined directly: the
+        chord labels from ``json_fragment``s, every other value a list of
+        ints, whose ``str`` is its JSON text."""
+        gentle, vertices = self.keyboard.gentle, list(range(self.num_vertices))
+        labels = ", ".join(
+            json_fragment(l) if isinstance(l, ChordArc) else json.dumps(l, sort_keys=True)
+            for l in gentle.labels
+        )
+        runs = [[start, list(run), end] for start, run, end in self.beta_runs]
+        beta = [v for v in vertices if v not in self.sharp]
+        return (
+            f'{{"arrows": {[[e.src, e.tgt] for e in gentle.arrows]}, "commutation_runs": {runs}, '
+            f'"labels": [{labels}], "loops": {{"alpha": {vertices}, "beta": {beta}}}, '
+            f'"relations": {gentle.relation_paths()}, "sharp": {sorted(self.sharp)}, '
+            f'"vertices": {vertices}}}'
+        )
 
 
 def piano_from_keyboard(kb: KeyboardQuiver) -> PianoQuiver:

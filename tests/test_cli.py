@@ -545,7 +545,7 @@ def test_run_verification_script_refuses_sizes_above_the_enumeration_cap(capsys,
     assert _verification_script().main(["--max-n", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "--max-n 3 exceeds the enumeration cap 2\n"
+    assert captured.err == "n=3 exceeds the enumeration cap 2\n"
 
 
 def test_quiver_dot(capsys, fan3_files):

@@ -270,6 +270,7 @@ def test_keyboard_vertex_order_lists_each_chord_once():
     assert ChordArc(0, 2) not in chords
     for order in (
         chords[:-1] + chords[:1],  # repeated
+        chords + chords[:1],  # every chord, one of them twice
         chords[1:],  # missing
         chords + [ChordArc(0, 2)],  # extra
         [ChordArc(0, 2)] + chords[1:],  # foreign
@@ -290,20 +291,45 @@ def test_keyboard_refuses_what_induced_admissible_refuses(monkeypatch):
         with pytest.raises(DissectionError, match="not an extended admissible dissection"):
             build(crossing)
     # Every other refusal is the rule's last clause, one boundary side per
-    # face, so the faces of an accepted dissection are altered: the first
-    # face's side moves to the second.
+    # face, so the side counts of an accepted dissection are altered: the
+    # first face's side moves to the second.
     fan3 = dissection_from_generator(fan_summands(3), 3)
     assert is_extended_admissible(fan3)
-    faces = dissections._faces
+    side_counts = dissections._side_counts
 
     def moved_side(size, chords, parent):
-        (p0, s0), (p1, s1), *rest = faces(size, chords, parent)
-        return [(p0, []), (p1, s1 + s0)] + rest
+        s0, s1, *rest = side_counts(size, chords, parent)
+        return [0, s1 + s0, *rest]
 
-    monkeypatch.setattr(dissections, "_faces", moved_side)
+    monkeypatch.setattr(dissections, "_side_counts", moved_side)
     for build in (induced_admissible, keyboard_from_extended):
         with pytest.raises(DissectionError, match="not an extended admissible dissection"):
             build(fan3)
+
+
+def test_side_counts_match_the_face_walk():
+    # ``is_extended_admissible`` counts sides from the chord spans; the face
+    # walk lists them.  Every extended dissection with n <= 5 (all its
+    # counts are one), and every candidate with n <= 4 whose chords do not
+    # cross, some of whose faces own no side or two.
+    def dissections_to_compare():
+        for n in (1, 2, 3, 4, 5):
+            yield from enumerate_extended_dissections(n)
+        for n in (1, 2, 3, 4):
+            yield from one_binding_per_green(n)
+
+    compared, counts_seen = 0, set()
+    for d in dissections_to_compare():
+        chords = d.all_chords()
+        parent = dissections._nesting(chords)
+        if parent is None:
+            continue
+        size = 2 * d.n
+        counts = dissections._side_counts(size, chords, parent)
+        assert counts == [len(sides) for _, sides in dissections._faces(size, chords, parent)], d
+        compared += 1
+        counts_seen.update(counts)
+    assert (compared, counts_seen) == (5897 + 585, {0, 1, 2})
 
 
 def test_extended_admissible_matches_the_reference_rule():

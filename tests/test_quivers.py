@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import json
 from collections import Counter
 
 import networkx
@@ -21,6 +22,7 @@ from pianocat.dissections import (
 from pianocat.endo import piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_summands
 from pianocat.geometry import is_connected
+from pianocat.signs import order_for_cone_blocks
 from pianocat.quivers import (
     GentleQuiver,
     Arrow,
@@ -125,6 +127,24 @@ def test_pianos_are_pinned_up_to_n4():
             count += 1
     assert count == 1 + 4 + 36 + 416
     assert digest.hexdigest() == PIANO_DIGEST_N4
+
+
+def test_piano_dumps_is_the_sorted_json_of_to_json():
+    # ``dumps`` joins its text directly; these are the bytes it stands for.
+    # Every piano with n <= 4 (n = 1 has no arrows), in the two summand
+    # orders a sweep builds: generator order and cone-block order.  And a
+    # piano whose labels are no chords.
+    count = 0
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            for arcs in (list(g), order_for_cone_blocks(list(g))):
+                p = piano_of_generator(arcs, n)
+                assert p.dumps() == json.dumps(p.to_json(), sort_keys=True), arcs
+                count += 1
+    assert count == 2 * (1 + 4 + 36 + 416)
+    one_arrow = GentleQuiver(2, ("u", "w"), (Arrow(0, 1, 0),), frozenset())
+    p = piano_from_keyboard(KeyboardQuiver(one_arrow, frozenset({1})))
+    assert p.dumps() == json.dumps(p.to_json(), sort_keys=True)
 
 
 def test_keyboard_is_the_gentle_quiver_of_the_induced_dissection():
