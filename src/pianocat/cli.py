@@ -1,4 +1,10 @@
-"""Command line entry points; the commands and their exit codes are set out in README."""
+"""Command line entry points.
+
+Exit codes: 0 on success, 1 when a verification finds a counterexample,
+2 on usage or parse errors, 3 when a check raises instead of reporting (an
+internal error; its traceback goes to stderr).  Reports are JSON lines so
+runs can be diffed.
+"""
 
 from __future__ import annotations
 
@@ -85,7 +91,7 @@ def cmd_quiver(args: argparse.Namespace) -> int:
         sys.stdout.write(quivers.quiver_to_dot(kb))
     else:
         piano = quivers.piano_from_keyboard(kb)
-        _emit(piano.to_json())
+        sys.stdout.write(piano.dumps() + "\n")
     return EXIT_OK
 
 

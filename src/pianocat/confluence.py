@@ -1,11 +1,17 @@
 """Confluence of the piano rewriting system on words of every length, by critical pairs.
 
-README sets out the argument.  The fifth rule sends a dead word (skeleton
-meets a relation) to zero, its only terminal, since no rule revives it; a
-factor of a live word is live, so only live overlaps need joining (Newman
-1942; Knuth-Bendix 1970; Book-Otto 1993).  ``all_terminals`` follows every
-rule from a word to its irreducible results (None is zero); it decides
-joinability and is the oracle ``quivers.normal_form`` is tested on.
+The four local rules are the instances of ``PianoQuiver.rules``, of two or
+three symbols each, which ``quivers.one_step_rewrites`` also applies.  Each
+keeps the arrow skeleton and lowers (length, loops left of arrows), so
+rewriting terminates, and by Newman's lemma (1942) local confluence
+suffices.  The fifth rule sends a dead word (skeleton meets a relation) to
+zero, its only terminal, since no rule revives it; a factor of a live word
+is live.  So by the critical-pair lemma (Knuth-Bendix 1970; Book-Otto 1993)
+it is enough that ``critical_pair_report`` joins the two reducts of every
+live overlap of two instances, a word of at most five symbols.
+``all_terminals`` follows every rule from a word to its irreducible results
+(None is zero); it decides joinability and is the oracle
+``quivers.normal_form`` is tested on.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ Limit arcs are always normalised so their marked endpoint sits at position 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, starmap
 
 from .geometry import (
     ARC_KEY,
@@ -42,7 +41,11 @@ def _limit_regime(a: ArcSet) -> bool:
 
 
 def _pairwise_shift_noncrossing(arcs: list[Arc]) -> bool:
-    return not any(starmap(crosses_under_some_shift, combinations(arcs, 2)))
+    for i, x in enumerate(arcs):
+        for y in arcs[i + 1 :]:
+            if crosses_under_some_shift(x, y):
+                return False
+    return True
 
 
 def is_homologically_connected(a: ArcSet) -> bool:

@@ -3,8 +3,9 @@
 The boundary carries n accumulation points Acc(0..n-1) in anticlockwise
 order; between Acc(i) and Acc(i+1) sits a copy of the integers, the marked
 points Pt(i, p).  All predicates are exact (no floating point): points are
-compared through a stored key that linearises one full anticlockwise turn
-starting at Acc(0) (README, which also lists the memos).
+compared through a lexicographic key that linearises one full anticlockwise
+turn starting at Acc(0).  Each point computes its key once, at construction,
+and the order predicates compare the stored keys.  README lists the memos.
 """
 
 from __future__ import annotations

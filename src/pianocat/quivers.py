@@ -1,9 +1,16 @@
 """Gentle quivers from dissections, keyboard and piano quivers, graded path algebra.
 
-How the keyboard and piano are built, the rewriting rules (the one table
-``PianoQuiver.rules``), how ``normal_form`` applies them in one stack pass,
-what a product reads of two normal forms (``product_row``), and how
-``class_ends`` reads the classes of a vertex pair, is set out in README.
+A keyboard quiver is the gentle quiver of the induced admissible dissection
+of an extended one, remembering which vertices came from binding arcs (the
+sharp vertices).  The piano quiver adds a degree -1 loop at every vertex and
+a degree +1 loop at every non-sharp vertex; words in the resulting graded
+path algebra are normalised by a small rewriting system: a skeleton rule
+and the four local rules, whose instances are the one table
+``PianoQuiver.rules`` that ``one_step_rewrites`` and the critical pairs of
+``confluence`` both read.  How ``normal_form`` applies them in one stack
+pass, what a product reads of two normal forms (``product_row``), and how
+``class_ends`` reads the classes of a vertex pair, is set out once, in
+README.
 """
 
 from __future__ import annotations

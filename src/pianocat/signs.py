@@ -9,14 +9,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice
 
 from .dissections import DissectionError
 from .endo import EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block
 from .endo import is_piano_of, piano_of_generator
 from .endo import chi_multiply  # noqa: F401  unused here; perfbench's tracer asserts this binding
 from .generators import fan_summands, is_limit_generator
-from .geometry import MEMO_SIZE, Arc, ArcSet, BoundaryPoint, arc_set
+from .geometry import Arc, ArcSet, BoundaryPoint, arc_set
 from .homs import (
     Direction,
     HomError,
@@ -31,10 +31,6 @@ from .quivers import PianoQuiver
 
 class SignError(ValueError):
     pass
-
-
-# Read on hot paths and compared by identity, as ``geometry`` reads ``ArcKind``.
-_FORWARD = Direction.FORWARD
 
 
 @dataclass(frozen=True)
@@ -58,28 +54,27 @@ def _fan(n: int, apex: BoundaryPoint) -> tuple[ArcSet, frozenset[tuple]]:
     return fan, shift_families(fan)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _cone_summand(x: Arc, apex: BoundaryPoint) -> ConeSummand:
-    """The cone presentation of one summand over the fan at the apex."""
-    if x.contains(apex):
-        return ConeSummand(None, x)
-    fan, families = _fan(x.n, apex)
-    return ConeSummand(*cone_presentation(x, fan, families))
-
-
 def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
     """Cone presentations over the fan at the apex; summand order is preserved.
 
     Requires the summands outside the suspension closure of the fan to come
     first, matching the block layout of the signed matrix.
     """
+    n = arcs[0].n
     if apex is None:
-        apex = default_apex(arcs[0].n)
-    entries = tuple(map(_cone_summand, arcs, repeat(apex)))
+        apex = default_apex(n)
+    fan, families = _fan(n, apex)
+    entries: list[ConeSummand] = []
+    for x in arcs:
+        if x.contains(apex):
+            entries.append(ConeSummand(None, x))
+            continue
+        q, p = cone_presentation(x, fan, families)
+        entries.append(ConeSummand(q, p))
     m = sum(1 for e in entries if e.q is not None)
     if any(e.q is None for e in entries[:m]):
         raise SignError("summand order must list the non-fan summands before the fan ones")
-    return ConeData(entries, m)
+    return ConeData(tuple(entries), m)
 
 
 def order_for_cone_blocks(
@@ -206,7 +201,7 @@ def propagate_choice(graph: SignGraph, initial_choice: tuple[str, int]) -> Signe
         for w, direction in graph.adjacency[v]:
             if w in slots:
                 continue
-            if direction is _FORWARD:
+            if direction == Direction.FORWARD:
                 slots[w] = slots[v]
             else:
                 slots[w] = "delta" if slots[v] == "beta" else "beta"
@@ -294,7 +289,7 @@ def check_beta_delta(
     for (j, l), direction in table.items():
         bj, bl = m.beta_of(j), m.beta_of(l)
         dj, dl = m.delta[j], m.delta[l]
-        if direction is _FORWARD:
+        if direction == Direction.FORWARD:
             if bj is not None and bl is not None and bj != bl:
                 failures.append(CheckFailure("forward beta", (j, l)))
             if dj != dl:
@@ -341,7 +336,7 @@ def phi_block(
     has_qj = cones.summands[j].q is not None
     has_ql = cones.summands[l].q is not None
     y = w = z = 0
-    if direction is _FORWARD:
+    if direction == Direction.FORWARD:
         if has_qj and has_ql:
             y = _sign_power(m.beta[j], degree)
         z = _sign_power(m.delta[j], degree)
@@ -428,7 +423,7 @@ def _phi_failures(
             if graded.kind == RingKind.ZERO:
                 continue
             # The degree-0 basis element of a diagonal entry is the identity.
-            direction = _FORWARD if j == l else graph.table[(j, l)]
+            direction = Direction.FORWARD if j == l else graph.table[(j, l)]
             blocks = tuple(phi_block(m, graph.cones, j, l, p, direction).block for p in (0, 1))
             entries[(j, l)] = direction, blocks
             by_source[j].append((l, direction, graded, blocks))

@@ -565,6 +565,8 @@ def test_quiver_of_a_large_fan(capsys, tmp_path):
     code, out = run(capsys, "quiver", "--from", str(source))
     assert code == 0
     piano = json.loads(out)
+    # The bytes ``json.dumps(..., sort_keys=True)`` writes, as ``PianoQuiver.dumps`` promises.
+    assert out == json.dumps(piano, sort_keys=True) + "\n"
     assert piano["vertices"] == list(range(2 * n - 1))
     assert len(piano["sharp"]) == n
 
