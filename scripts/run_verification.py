@@ -24,7 +24,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # The largest size run, refused as ``verify`` refuses it.
         cli._enumerable(cli.Config(n=args.max_n, window=args.window))
-    except ValueError as exc:
+    except cli.InputError as exc:
         sys.stderr.write(f"{exc}\n")
         return cli.EXIT_USAGE
 

@@ -1,9 +1,11 @@
 """Command line entry points.
 
-Exit codes: 0 on success, 1 when a verification finds a counterexample,
-2 on usage or parse errors, 3 when a check raises instead of reporting (an
-internal error; its traceback goes to stderr).  Reports are JSON lines so
-runs can be diffed.
+Every command exits 0 on success; 1 when a verification finds a
+counterexample (``verify`` only); 2 when outside input is refused, as an
+``InputError`` or an argparse error, with one stderr line and no stdout;
+141 when the reader closed stdout early; 3 on any other exception, an
+internal error, with its traceback on stderr.  Only ``main`` maps
+exceptions to exit codes.  Reports are JSON lines so runs can be diffed.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ import os
 import sys
 import traceback
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NoReturn
 
 from . import confluence, dissections, endo, generators, geometry, quivers, render, signs
 
@@ -26,6 +30,22 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 # The shell's status for a writer killed by SIGPIPE (128 + 13).
 EXIT_PIPE = 141
+
+
+class InputError(Exception):
+    """Outside input the CLI refuses; ``main`` writes its one line and exits 2."""
+
+
+@contextmanager
+def _input(name: str) -> Iterator[None]:
+    """A parse of the outside input ``name``; what fails in it (a domain
+    ``ValueError``, a missing key, a wrong shape) is the input's fault."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InputError(f"{name}: missing key {exc}") from None
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
+        raise InputError(f"{name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -38,13 +58,13 @@ class Config:
         for name, least in (("n", 1), ("window", 2), ("word_cap", 1)):
             value = getattr(self, name)
             if value is not None and value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+                raise InputError(f"{name} must be at least {least}, got {value}")
 
 
 def _enumerable(cfg: Config) -> Config:
     """The config of a command that enumerates, refused above the enumeration cap."""
     if cfg.n > generators.ENUMERATION_CAP:
-        raise ValueError(f"n={cfg.n} exceeds the enumeration cap {generators.ENUMERATION_CAP}")
+        raise InputError(f"n={cfg.n} exceeds the enumeration cap {generators.ENUMERATION_CAP}")
     return cfg
 
 
@@ -80,12 +100,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_quiver(args: argparse.Namespace) -> int:
-    try:
-        with open(args.source) as fh:
-            d = dissections.DissectionSet.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"cannot read dissection: {exc}\n")
-        return EXIT_USAGE
+    with _input(f"--from {args.source!r}"), open(args.source) as fh:
+        d = dissections.DissectionSet.from_json(json.load(fh))
+        dissections.check_induces_admissible(d)
     kb = quivers.keyboard_from_extended(d)
     if args.format == "dot":
         sys.stdout.write(quivers.quiver_to_dot(kb))
@@ -98,13 +115,11 @@ def cmd_quiver(args: argparse.Namespace) -> int:
 def cmd_homtable(args: argparse.Namespace) -> int:
     from .homs import HomDegreeTable
 
-    cfg = Config(n=args.n, window=args.window)
-    try:
+    cfg = Config(n=args.n, window=_window(args))
+    with _input("--source"):
         source = geometry.Arc.from_json(json.loads(args.source), cfg.n)
+    with _input("--target"):
         target = geometry.Arc.from_json(json.loads(args.target), cfg.n)
-    except (ValueError, KeyError, IndexError) as exc:
-        sys.stderr.write(f"cannot parse arcs: {exc}\n")
-        return EXIT_USAGE
     table = HomDegreeTable.build(source, target, cfg.window)
     if args.format == "csv":
         for row in table.to_csv_rows():
@@ -116,12 +131,25 @@ def cmd_homtable(args: argparse.Namespace) -> int:
 
 def _parse_choice(text: str, size: int) -> tuple[str, int]:
     slot, _, idx = text.partition(":")
-    if slot not in ("beta", "delta") or not idx.isdigit():
-        raise ValueError(f"choice must look like beta:1 or delta:3, got {text}")
-    j = int(idx) - 1
+    if slot not in ("beta", "delta") or not (idx.isascii() and idx.isdigit()):
+        raise InputError(f"choice must look like beta:1 or delta:3, got {text!r}")
+    with _input("--choice"):  # ``int`` refuses more than 4,300 digits
+        j = int(idx) - 1
     if not (0 <= j < size):
-        raise ValueError(f"choice index out of range: {text}")
+        raise InputError(f"choice index out of range: {text!r}")
     return slot, j
+
+
+def _window(args: argparse.Namespace) -> int:
+    """``--window``; when it is not given, ``PIANO_CAT_WINDOW`` if set, else 6."""
+    if args.window is not None:
+        return args.window
+    raw = os.environ.get("PIANO_CAT_WINDOW", "6")
+    with _input("PIANO_CAT_WINDOW"):
+        window = int(raw) if raw.isascii() and raw.isdigit() else 0
+    if window < 2:
+        raise InputError(f"PIANO_CAT_WINDOW must be an integer of at least 2, got {raw!r}")
+    return window
 
 
 @dataclass(frozen=True)
@@ -283,7 +311,7 @@ def run_verifiers(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _enumerable(Config(n=args.n, window=args.window, word_cap=args.word_cap))
+    cfg = _enumerable(Config(n=args.n, window=_window(args), word_cap=args.word_cap))
     choice = None if args.choice is None else _parse_choice(args.choice, 2 * cfg.n - 1)
     names = list(VERIFIERS) if args.which == "all" else [args.which]
     if cfg.word_cap is not None:
@@ -291,73 +319,52 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "--word-cap bounds nothing: confluence is checked on words of every length\n"
         )
     all_passed = True
-    try:
-        for record in run_verifiers(names, cfg, choice):
-            if not record["passed"]:
-                all_passed = False
-            _emit(record)
-    except BrokenPipeError:
-        raise  # the reader left; ``main`` handles it
-    except Exception:
-        # Bad input was refused above, so a check that raises is a defect.
-        traceback.print_exc()
-        return EXIT_INTERNAL
+    for record in run_verifiers(names, cfg, choice):
+        all_passed = all_passed and record["passed"]
+        _emit(record)
     return EXIT_OK if all_passed else EXIT_FAILED
 
 
+# The formats each figure kind renders to, and the refusal of any other.
+_RENDER_FORMATS = {
+    "arc-diagram": (("svg",), "arc diagrams render to svg only"),
+    "dissection": (("svg", "tikz"), "dissections render to svg or tikz"),
+    "quiver": (("dot",), "quivers render to dot"),
+}
+
+
 def cmd_render(args: argparse.Namespace) -> int:
-    try:
-        with open(args.source) as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError) as exc:
-        sys.stderr.write(f"cannot read input: {exc}\n")
-        return EXIT_USAGE
     kind, fmt = args.kind, args.format
-    try:
-        if kind == "arc-diagram":
-            figure = geometry.ArcSet.from_json(payload)
-        elif kind in ("dissection", "quiver"):
-            figure = dissections.DissectionSet.from_json(payload)
-        else:
-            raise ValueError(f"unknown figure kind {kind}")
+    formats, refusal = _RENDER_FORMATS[kind]
+    if fmt not in formats:
+        raise InputError(refusal)
+    figure_type = geometry.ArcSet if kind == "arc-diagram" else dissections.DissectionSet
+    with _input(f"--input {args.source!r}"), open(args.source) as fh:
+        figure = figure_type.from_json(json.load(fh))
         if figure.n > render.RENDER_CAP:
-            raise ValueError(f"n={figure.n} exceeds the render cap {render.RENDER_CAP}")
-        if kind == "arc-diagram":
-            if fmt != "svg":
-                raise ValueError("arc diagrams render to svg only")
-            sys.stdout.write(render.arc_diagram_svg(figure))
-        elif kind == "dissection":
-            if fmt == "dot":
-                raise ValueError("dissections render to svg or tikz")
-            sys.stdout.write(
-                render.dissection_svg(figure) if fmt == "svg" else render.dissection_tikz(figure)
-            )
-        else:
-            kb = quivers.keyboard_from_extended(figure)
-            if fmt != "dot":
-                raise ValueError("quivers render to dot")
-            sys.stdout.write(quivers.quiver_to_dot(kb))
-    except (ValueError, KeyError) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+            raise InputError(f"n={figure.n} exceeds the render cap {render.RENDER_CAP}")
+        if kind == "quiver":
+            dissections.check_induces_admissible(figure)
+    if kind == "arc-diagram":
+        sys.stdout.write(render.arc_diagram_svg(figure))
+    elif kind == "quiver":
+        sys.stdout.write(quivers.quiver_to_dot(quivers.keyboard_from_extended(figure)))
+    elif fmt == "svg":
+        sys.stdout.write(render.dissection_svg(figure))
+    else:
+        sys.stdout.write(render.dissection_tikz(figure))
     return EXIT_OK
 
 
-def _window_from_env() -> int:
-    """The default degree window: ``PIANO_CAT_WINDOW`` if set, else 6."""
-    raw = os.environ.get("PIANO_CAT_WINDOW", "6")
-    try:
-        window = int(raw)
-    except ValueError:
-        window = 0
-    if window < 2:
-        raise ValueError(f"PIANO_CAT_WINDOW must be an integer of at least 2, got {raw!r}")
-    return window
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ``InputError``s of one line."""
+
+    def error(self, message: str) -> NoReturn:
+        raise InputError(f"{self.prog}: error: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="piano-cat")
-    default_window = _window_from_env()
+    parser = _Parser(prog="piano-cat")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="list limit generators or dissections")
@@ -365,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--equiv", action="store_true")
     p_enum.add_argument("--kind", choices=["generators", "dissections"], default="generators")
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")
-    p_enum.add_argument("--render", choices=["svg"], default=None)
+    p_enum.add_argument("--render", choices=["svg"])
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_quiver = sub.add_parser("quiver", help="quiver of a dissection file")
@@ -377,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.add_argument("--n", type=int, required=True)
     p_hom.add_argument("--source", required=True, help="arc as JSON")
     p_hom.add_argument("--target", required=True, help="arc as JSON")
-    p_hom.add_argument("--window", type=int, default=default_window)
+    p_hom.add_argument("--window", type=int)
     p_hom.add_argument("--format", choices=["json", "csv"], default="json")
     p_hom.set_defaults(func=cmd_homtable)
 
@@ -387,12 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(VERIFIERS) + ["all"],
     )
     p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--window", type=int, default=default_window)
-    p_verify.add_argument("--word-cap", type=int, default=None)
+    p_verify.add_argument("--window", type=int)
+    p_verify.add_argument("--word-cap", type=int)
     p_verify.add_argument(
-        "--choice",
-        default=None,
-        help="initial sign choice of beta-delta and derived-equiv, e.g. beta:5",
+        "--choice", help="initial sign choice of beta-delta and derived-equiv, e.g. beta:5"
     )
     p_verify.set_defaults(func=cmd_verify)
 
@@ -408,16 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-    except ValueError as exc:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit:  # ``--help``; argparse's errors are ``InputError``s
+        return EXIT_OK
+    except InputError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
     except BrokenPipeError:
         # The reader closed stdout early (``| head``).  That is no
         # counterexample, so not exit 1; what is still buffered, and the
@@ -426,9 +428,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_PIPE
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

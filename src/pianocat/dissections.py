@@ -184,6 +184,8 @@ class DissectionSet:
     binding: tuple[ChordArc, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DissectionError("need n >= 1")
         red = tuple(sorted(set(self.red), key=_ENDPOINTS))
         binding = tuple(sorted(set(self.binding), key=_ENDPOINTS))
         if len(red) != len(self.red) or len(binding) != len(self.binding):
@@ -219,14 +221,11 @@ class DissectionSet:
     def from_json(obj: object) -> "DissectionSet":
         if not isinstance(obj, dict):
             raise DissectionError(f"a dissection is a JSON object, got {obj!r}")
-        try:
-            return DissectionSet(
-                json_int(obj["n"], DissectionError),
-                tuple(_chord_from_json(c) for c in obj.get("red", [])),
-                tuple(_chord_from_json(c) for c in obj.get("binding", [])),
-            )
-        except TypeError as exc:
-            raise DissectionError(f"malformed dissection: {exc}") from exc
+        return DissectionSet(
+            json_int(obj["n"], DissectionError),
+            tuple(_chord_from_json(c) for c in obj.get("red", [])),
+            tuple(_chord_from_json(c) for c in obj.get("binding", [])),
+        )
 
     def dumps(self) -> str:
         """``json.dumps(self.to_json(), sort_keys=True)``, joined from ``json_fragment``s."""

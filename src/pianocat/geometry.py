@@ -93,15 +93,14 @@ class BoundaryPoint:
 
     @staticmethod
     def from_json(obj: object) -> "BoundaryPoint":
-        try:
-            if "acc" in obj:
-                return BoundaryPoint(json_int(obj["acc"]))
-            i, p = obj["pt"]
-            return BoundaryPoint(json_int(i), json_int(p))
-        except TypeError as exc:
+        if isinstance(obj, dict) and "acc" in obj:
+            return BoundaryPoint(json_int(obj["acc"]))
+        pt = obj.get("pt") if isinstance(obj, dict) else None
+        if not (isinstance(pt, list) and len(pt) == 2):
             raise GeometryError(
                 f'a boundary point is {{"acc": i}} or {{"pt": [i, p]}}, got {obj!r}'
-            ) from exc
+            )
+        return BoundaryPoint(json_int(pt[0]), json_int(pt[1]))
 
     def __repr__(self) -> str:
         if self.pos is None:
@@ -327,6 +326,8 @@ class ArcSet:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise GeometryError("need n >= 1")
         for x in self.arcs:
             if x.n != self.n:
                 raise GeometryError("arc and arc set disagree on n")
@@ -351,11 +352,8 @@ class ArcSet:
     def from_json(obj: object) -> "ArcSet":
         if not isinstance(obj, dict):
             raise GeometryError(f"an arc set is a JSON object, got {obj!r}")
-        try:
-            n = json_int(obj["n"])
-            return ArcSet(n, tuple(Arc.from_json(a, n) for a in obj["arcs"]))
-        except TypeError as exc:
-            raise GeometryError(f"malformed arc set: {exc}") from exc
+        n = json_int(obj["n"])
+        return ArcSet(n, tuple(Arc.from_json(a, n) for a in obj["arcs"]))
 
     def dumps(self) -> str:
         """``json.dumps(self.to_json(), sort_keys=True)``, joined from ``json_fragment``s."""

@@ -9,9 +9,13 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pianocat import cli, dissections, generators, render
 from pianocat.cli import main
@@ -366,6 +370,36 @@ def test_check_that_raises_exits_3_with_traceback(capsys, monkeypatch):
     assert code == 2 and "Traceback" not in captured.err
 
 
+ARC = '[{"acc":0},{"pt":[0,3]}]'
+
+
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [
+        (["enumerate", "--n", "2"], "generators", "enumerate_limit_generators"),
+        (["quiver", "--from", "DISS"], "quivers", "piano_from_keyboard"),
+        (["homtable", "--n", "2", "--source", ARC, "--target", ARC], "homs", "hom_dim"),
+        (["render", "--kind", "dissection", "--input", "DISS"], "render", "dissection_svg"),
+    ],
+    ids=["enumerate", "quiver", "homtable", "render"],
+)
+def test_internal_defect_exits_3_in_every_command(
+    capsys, monkeypatch, fan3_files, argv, module, name
+):
+    # A domain ``ValueError`` raised past the input boundary is a defect,
+    # not a usage error: exit 3 with its traceback, whatever the command.
+    target = importlib.import_module(f"pianocat.{module}")
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(target, name, broken)
+    code = main([fan3_files[0] if arg == "DISS" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL and captured.out == ""
+    assert "Traceback" in captured.err and "ValueError: internal defect" in captured.err
+
+
 def test_import_does_not_load_numpy():
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -403,7 +437,8 @@ def test_verify_with_choice(capsys):
         "confluence",
     ],
 )
-@pytest.mark.parametrize("choice", ["gamma:1", "delta:4"])
+# ``beta:²`` passes ``str.isdigit`` but not ``int``; ``delta:٣`` is read by ``int`` as 3.
+@pytest.mark.parametrize("choice", ["gamma:1", "delta:4", "beta:\u00b2", "delta:\u0663"])
 def test_bad_choice_rejected_before_any_check(capsys, which, choice):
     code = main(["verify", which, "--n", "2", "--choice", choice])
     captured = capsys.readouterr()
@@ -425,6 +460,9 @@ def test_bad_choice_rejected_before_any_check(capsys, which, choice):
         (["homtable", "--n", "2", "--source", "[5, 6]"], None),
         (["homtable", "--n", "2", "--source", '[{"acc":0},{"acc":1}]', "--window", "-2"], None),
         (["homtable", "--n", "0", "--source", '[{"acc":0},{"acc":1}]'], None),
+        (["render", "--kind", "arc-diagram"], {"n": 0, "arcs": []}),
+        (["render", "--kind", "arc-diagram"], {"n": -1, "arcs": []}),
+        (["render", "--kind", "dissection"], {"n": 0, "red": []}),
     ],
     ids=[
         "render-dissection-list",
@@ -437,6 +475,9 @@ def test_bad_choice_rejected_before_any_check(capsys, which, choice):
         "homtable-point-not-an-object",
         "homtable-negative-window",
         "homtable-n-zero",
+        "render-arcs-n-zero",
+        "render-arcs-n-negative",
+        "render-dissection-n-zero",
     ],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, command, payload):
@@ -452,6 +493,45 @@ def test_malformed_input_exits_2(capsys, tmp_path, command, payload):
     assert code == 2
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+
+
+POINT_SHAPE = 'a boundary point is {"acc": i} or {"pt": [i, p]}, got '
+RENDER_ARCS = ["render", "--kind", "arc-diagram", "--input"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*RENDER_ARCS, '{"n": 2}'], "missing key 'arcs'"),
+        (["quiver", "--from", '{"red": []}'], "missing key 'n'"),
+        (
+            [*RENDER_ARCS, '{"n": 2, "arcs": [[{"zz": [1, 0]}, {"acc": 1}]]}'],
+            POINT_SHAPE + "{'zz': [1, 0]}",
+        ),
+        (
+            [*RENDER_ARCS, '{"n": 2, "arcs": [[{"pt": [1]}, {"acc": 1}]]}'],
+            POINT_SHAPE + "{'pt': [1]}",
+        ),
+        (
+            ["homtable", "--n", "2", "--source", ARC, "--target", '[{"acc":0},{"pt":[0]}]'],
+            POINT_SHAPE + "{'pt': [0]}",
+        ),
+    ],
+    ids=["arcs-key", "n-key", "point-key", "point-pair", "homtable-target"],
+)
+def test_refusals_name_the_input_and_what_is_missing(capsys, tmp_path, argv, message):
+    # A file's refusal names its flag and path, a flag's its flag; a missing
+    # key is named as such, and a point of the wrong shape shows the shape.
+    argv, flag = list(argv), argv[-2]
+    if flag != "--target":
+        path = tmp_path / "input.json"
+        path.write_text(argv[-1])
+        argv[-1] = str(path)
+        flag = f"{flag} {str(path)!r}"
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"{flag}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -612,6 +692,22 @@ def test_render_dissection_refuses_dot(capsys, fan3_files):
     assert captured.err == "dissections render to svg or tikz\n"
 
 
+def test_render_refuses_the_format_before_reading_the_input(
+    capsys, monkeypatch, tmp_path, fan3_files
+):
+    # ``--kind quiver`` with the default svg format: refused without opening
+    # the input or building the keyboard quiver.
+    def unreachable(*args):
+        raise AssertionError("the keyboard quiver was built")
+
+    monkeypatch.setattr(cli.quivers, "keyboard_from_extended", unreachable)
+    for source in (fan3_files[0], str(tmp_path / "missing.json")):
+        code = main(["render", "--input", source, "--kind", "quiver"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "quivers render to dot\n"
+
+
 @pytest.mark.parametrize(
     "kind, fmt, key",
     [("arc-diagram", "svg", "arcs"), ("dissection", "svg", "red"), ("quiver", "dot", "red")],
@@ -705,6 +801,25 @@ def test_window_env_sets_default(capsys, monkeypatch):
     assert sorted(json.loads(out)["dims"], key=int) == [str(i) for i in range(-3, 4)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "1"],
+        ["quiver", "--from", "DISS"],
+        ["render", "--kind", "dissection", "--input", "DISS"],
+        ["--help"],
+        ["verify", "bijection", "--n", "1", "--window", "4"],
+    ],
+    ids=["enumerate", "quiver", "render", "help", "verify-with-window"],
+)
+def test_window_env_is_read_only_as_the_default_window(capsys, monkeypatch, fan3_files, argv):
+    # A command without a window, or given ``--window``, never reads it.
+    monkeypatch.setenv("PIANO_CAT_WINDOW", "abc")
+    code = main([fan3_files[0] if arg == "DISS" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out and captured.err == ""
+
+
 def test_reader_closing_stdout_early_exits_141_quietly():
     # ``piano-cat enumerate --n 4 | head -1``: the output (about 90 kB) is
     # larger than a pipe holds, so the writer meets the closed pipe.
@@ -725,6 +840,120 @@ def test_reader_closing_stdout_early_exits_141_quietly():
     assert proc.wait(timeout=120) == 141
     assert err == b""
     assert "arcs" in json.loads(first)
+
+
+def _int_text(low: int, high: int) -> st.SearchStrategy[str]:
+    """Integers as argument text, and text that is mostly not an integer.
+
+    Text that reads as an integer outside ``low..high`` is left out: a
+    valid size or window beyond it only makes a run slower, and sizes above
+    the enumeration cap have their own tests.
+    """
+
+    def small_or_not_int(text: str) -> bool:
+        try:
+            return low <= int(text) <= high
+        except ValueError:
+            return True
+
+    return st.integers(low, high).map(str) | st.text(max_size=4).filter(small_or_not_int)
+
+
+_KEYS = st.sampled_from(["n", "arcs", "red", "binding", "acc", "pt"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=10,
+)
+# Valid inputs, which the fuzz also breaks one entry of.
+_VALID = [d.to_json() for n in (1, 2, 3) for d in dissections.enumerate_extended_dissections(n)]
+_VALID += [g.to_json() for n in (1, 2, 3) for g in enumerate_limit_generators(n)]
+_VALID_ARCS = [json.dumps(x.to_json()) for g in enumerate_limit_generators(2) for x in g]
+
+
+@st.composite
+def _near_valid(draw) -> object:
+    obj = json.loads(json.dumps(draw(st.sampled_from(_VALID))))
+    key = draw(st.sampled_from(sorted(obj)))
+    if isinstance(obj[key], list) and obj[key] and draw(st.booleans()):
+        obj[key].pop(draw(st.integers(0, len(obj[key]) - 1)))
+    elif draw(st.booleans()):
+        obj[key] = draw(_JSON)
+    return obj
+
+
+_SIZE = st.integers(-1, 4)
+_POINT = (
+    st.builds(lambda i: {"acc": i}, _SIZE)
+    | st.builds(lambda i, p: {"pt": [i, p]}, _SIZE, st.integers(-2, 4))
+    | _JSON
+)
+_ARC = st.lists(_POINT, max_size=3)
+_CHORDS = st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=4)
+# File contents: valid and near-valid inputs, arc sets and dissections of
+# random points and chords, any JSON, and bytes that are not JSON or not UTF-8.
+_FILE = (
+    st.sampled_from(_VALID)
+    | _near_valid()
+    | st.builds(lambda n, arcs: {"n": n, "arcs": arcs}, _SIZE, st.lists(_ARC, max_size=3))
+    | st.builds(lambda n, r, b: {"n": n, "red": r, "binding": b}, _SIZE, _CHORDS, _CHORDS)
+    | _JSON
+).map(lambda obj: json.dumps(obj).encode()) | st.binary(max_size=8)
+_FLAG_JSON = st.sampled_from(_VALID_ARCS) | _ARC.map(json.dumps) | st.text(max_size=6)
+_SLOT = st.sampled_from(["beta", "delta", "gamma", ""])
+_CHOICE = st.builds("{}:{}".format, _SLOT, _int_text(-1, 5)) | st.text(max_size=6)
+_ENV = st.none() | st.sampled_from(["abc", "", "1", "-4", "3"]) | st.text(max_size=3)
+
+
+@st.composite
+def _command(draw) -> tuple[list[str], bytes | None, str | None]:
+    """An argv (``FILE`` for the input file), the file's bytes and ``PIANO_CAT_WINDOW``."""
+    command = draw(st.sampled_from(["enumerate", "verify", "homtable", "quiver", "render"]))
+    window = ["--window", draw(_int_text(-2, 4))] if draw(st.booleans()) else []
+    if command == "enumerate":
+        kind = draw(st.sampled_from(["generators", "dissections"]))
+        argv = ["enumerate", "--n", draw(_int_text(-1, 3)), "--kind", kind]
+    elif command == "verify":
+        which = draw(st.sampled_from([*cli.VERIFIERS, "all"]))
+        argv = ["verify", which, "--n", draw(_int_text(-1, 2)), *window]
+        if draw(st.booleans()):
+            argv += ["--choice", draw(_CHOICE)]
+    elif command == "homtable":
+        argv = ["homtable", "--n", draw(st.just("2") | _int_text(-1, 4)), *window]
+        argv += ["--source", draw(_FLAG_JSON), "--target", draw(_FLAG_JSON)]
+    elif command == "quiver":
+        argv = ["quiver", "--from", "FILE", "--format", draw(st.sampled_from(["dot", "json"]))]
+    else:
+        kind = draw(st.sampled_from(["arc-diagram", "dissection", "quiver"]))
+        fmt = draw(st.sampled_from(["svg", "tikz", "dot"]))
+        argv = ["render", "--kind", kind, "--format", fmt, "--input", "FILE"]
+    env = draw(_ENV.filter(lambda text: text is None or "\0" not in text))
+    return argv, (draw(_FILE) if "FILE" in argv else None), env
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=_command())
+def test_fuzzed_input_is_refused_in_one_line(tmp_path, case):
+    # Malformed files, flag JSON, sizes, windows, choices and
+    # ``PIANO_CAT_WINDOW``: no traceback, no exit 1 outside ``verify``, and
+    # every exit 2 with nothing on stdout and one line on stderr.
+    argv, data, env = case
+    path = tmp_path / "input.json"
+    if data is not None:
+        path.write_bytes(data)
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("PIANO_CAT_WINDOW", None)
+        if env is not None:
+            os.environ["PIANO_CAT_WINDOW"] = env
+        code = main(argv)
+    assert "Traceback" not in err.getvalue(), err.getvalue()
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2))
+    if code == 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
 
 
 FAKE_RUN = """\
