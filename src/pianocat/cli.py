@@ -417,8 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit:  # ``--help``; argparse's errors are ``InputError``s
         return EXIT_OK
-    except InputError as exc:
-        sys.stderr.write(f"{exc}\n")
+    except InputError as exc:  # one line, even when it quotes an argument with a newline
+        sys.stderr.write(" ".join(str(exc).splitlines()) + "\n")
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader closed stdout early (``| head``).  That is no

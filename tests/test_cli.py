@@ -762,6 +762,20 @@ def test_commands_that_enumerate_refuse_n_above_the_cap(capsys, command):
         assert captured.err == f"n={n} exceeds the enumeration cap {cap}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["enumerate", "--n", "abc"], ["render", "--kind", "nonsense", "--input", "x"],
+     ["enumerate", "--n", "1", "a\nb"]],
+    ids=["no-command", "n-not-int", "unknown-kind", "stray-argument-with-newline"],
+)
+def test_argparse_errors_are_one_line(capsys, argv):
+    # Without the usage text argparse prints above its error.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "error:" in captured.err
+
+
 def test_render_unknown_kind(capsys, fan3_files):
     _, arcs = fan3_files
     code = main(["render", "--input", arcs, "--kind", "nonsense"])
