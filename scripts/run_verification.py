@@ -18,8 +18,8 @@ from pianocat import cli
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--max-n", type=int, default=3)
-    parser.add_argument("--window", type=int, default=4)
+    parser.add_argument("--max-n", type=cli.integer, default=3)
+    parser.add_argument("--window", type=cli.integer, default=4)
     args = parser.parse_args(argv)
     try:
         # The largest size run, refused as ``verify`` refuses it.

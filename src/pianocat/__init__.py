@@ -41,7 +41,6 @@ from .generators import (
 from .dissections import (
     ChordArc,
     DissectionSet,
-    MarkedDisc,
     dissection_from_generator,
     generator_from_dissection,
     induced_admissible,

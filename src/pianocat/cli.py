@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import traceback
 from collections.abc import Callable, Iterator
@@ -59,6 +60,20 @@ class Config:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise InputError(f"{name} must be at least {least}, got {value}")
+
+
+# The one syntax of an integer in outside text: ASCII digits after an
+# optional minus.  ``int`` alone also takes other scripts' digits, blanks
+# and underscores.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """``text`` as an integer, refused (``ValueError``) unless it is ``-?[0-9]+``;
+    the argparse type of every integer flag."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _enumerable(cfg: Config) -> Config:
@@ -131,10 +146,12 @@ def cmd_homtable(args: argparse.Namespace) -> int:
 
 def _parse_choice(text: str, size: int) -> tuple[str, int]:
     slot, _, idx = text.partition(":")
-    if slot not in ("beta", "delta") or not (idx.isascii() and idx.isdigit()):
+    try:
+        j = integer(idx) - 1
+    except ValueError:  # not ``-?[0-9]+``, or more digits than ``int`` reads
+        j = None
+    if slot not in ("beta", "delta") or j is None:
         raise InputError(f"choice must look like beta:1 or delta:3, got {text!r}")
-    with _input("--choice"):  # ``int`` refuses more than 4,300 digits
-        j = int(idx) - 1
     if not (0 <= j < size):
         raise InputError(f"choice index out of range: {text!r}")
     return slot, j
@@ -145,8 +162,10 @@ def _window(args: argparse.Namespace) -> int:
     if args.window is not None:
         return args.window
     raw = os.environ.get("PIANO_CAT_WINDOW", "6")
-    with _input("PIANO_CAT_WINDOW"):
-        window = int(raw) if raw.isascii() and raw.isdigit() else 0
+    try:
+        window = integer(raw)
+    except ValueError:  # not ``-?[0-9]+``, or more digits than ``int`` reads
+        window = 0
     if window < 2:
         raise InputError(f"PIANO_CAT_WINDOW must be an integer of at least 2, got {raw!r}")
     return window
@@ -368,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="list limit generators or dissections")
-    p_enum.add_argument("--n", type=int, required=True)
+    p_enum.add_argument("--n", type=integer, required=True)
     p_enum.add_argument("--equiv", action="store_true")
     p_enum.add_argument("--kind", choices=["generators", "dissections"], default="generators")
     p_enum.add_argument("--format", choices=["json", "csv"], default="json")
@@ -381,10 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_quiver.set_defaults(func=cmd_quiver)
 
     p_hom = sub.add_parser("homtable", help="degreewise hom dimensions between two arcs")
-    p_hom.add_argument("--n", type=int, required=True)
+    p_hom.add_argument("--n", type=integer, required=True)
     p_hom.add_argument("--source", required=True, help="arc as JSON")
     p_hom.add_argument("--target", required=True, help="arc as JSON")
-    p_hom.add_argument("--window", type=int)
+    p_hom.add_argument("--window", type=integer)
     p_hom.add_argument("--format", choices=["json", "csv"], default="json")
     p_hom.set_defaults(func=cmd_homtable)
 
@@ -393,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
         "which",
         choices=sorted(VERIFIERS) + ["all"],
     )
-    p_verify.add_argument("--n", type=int, required=True)
-    p_verify.add_argument("--window", type=int)
-    p_verify.add_argument("--word-cap", type=int)
+    p_verify.add_argument("--n", type=integer, required=True)
+    p_verify.add_argument("--window", type=integer)
+    p_verify.add_argument("--word-cap", type=integer)
     p_verify.add_argument(
         "--choice", help="initial sign choice of beta-delta and derived-equiv, e.g. beta:5"
     )

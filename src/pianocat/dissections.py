@@ -33,21 +33,6 @@ class DissectionError(ValueError):
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class MarkedDisc:
-    """The disc with n red and n green boundary points, alternating."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DissectionError("need n >= 1")
-
-    @property
-    def size(self) -> int:
-        return 2 * self.n
-
-
 # Every chord made so far, by its endpoints in increasing order; and those
 # endpoints read in C, the sort key of a dissection's chords.
 _CHORDS: dict[tuple[int, int], "ChordArc"] = {}
@@ -203,10 +188,6 @@ class DissectionSet:
         object.__setattr__(self, "red", red)
         object.__setattr__(self, "binding", binding)
 
-    @property
-    def disc(self) -> MarkedDisc:
-        return MarkedDisc(self.n)
-
     def all_chords(self) -> tuple[ChordArc, ...]:
         return self.red + self.binding
 
@@ -310,7 +291,7 @@ def check_induces_admissible(d: DissectionSet) -> None:
         raise DissectionError("input is not an extended admissible dissection")
 
 
-def induced_admissible(d: DissectionSet) -> tuple[MarkedDisc, DissectionSet]:
+def induced_admissible(d: DissectionSet) -> DissectionSet:
     """Recolour an extended dissection into an admissible one on a larger disc.
 
     All 2n old points become red, and one new green point is placed on the
@@ -323,7 +304,7 @@ def induced_admissible(d: DissectionSet) -> tuple[MarkedDisc, DissectionSet]:
     """
     check_induces_admissible(d)
     new_red = tuple(ChordArc(2 * c.p, 2 * c.q) for c in d.all_chords())
-    return MarkedDisc(2 * d.n), DissectionSet(2 * d.n, new_red, ())
+    return DissectionSet(2 * d.n, new_red, ())
 
 
 def extendability_report(
@@ -418,7 +399,7 @@ def generator_from_dissection(d: DissectionSet) -> list[Arc]:
 
 def rotate_dissection(d: DissectionSet, r: int) -> DissectionSet:
     """Rotate every position by 2r, the colour-preserving disc symmetry."""
-    size = d.disc.size
+    size = 2 * d.n
 
     def rot(c: ChordArc) -> ChordArc:
         return ChordArc((c.p + 2 * r) % size, (c.q + 2 * r) % size)

@@ -20,7 +20,7 @@ from .geometry import (
     suspend,
 )
 from .dissections import dissection_from_generator, rotation_class_representatives
-from .homs import factors_through, hom_dim
+from .homs import default_apex, factors_through, hom_dim
 
 
 class GeneratorError(ValueError):
@@ -120,9 +120,10 @@ def is_limit_generator(a: ArcSet) -> bool:
 
 
 def fan_summands(n: int, apex: BoundaryPoint | None = None) -> list[Arc]:
-    """The 2n-1 fan arcs at the apex (default Acc(n-1)), in radial (anticlockwise) order."""
+    """The 2n-1 fan arcs at the apex (default ``homs.default_apex``), in radial
+    (anticlockwise) order."""
     if apex is None:
-        apex = BoundaryPoint(n - 1)
+        apex = default_apex(n)
     out: list[Arc] = [Arc(n, apex, BoundaryPoint(apex.seg, 0))]
     for k in range(1, n):
         j = (apex.seg + k) % n

@@ -120,18 +120,14 @@ def hom_alignment(
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def morphism_direction(
-    x: Arc, y: Arc, degree: int = 0, apex: BoundaryPoint | None = None
-) -> Direction:
+def morphism_direction(x: Arc, y: Arc, degree: int = 0) -> Direction:
     """Classify the nonzero degree-``degree`` morphism from x to y.
 
     Each endpoint of x advances anticlockwise onto an endpoint of the shifted
     target; the morphism is backward when one of the two advance sweeps picks
-    up the reference apex (sweep excludes its start, includes its end), and
-    forward otherwise.
+    up the reference apex ``default_apex`` (sweep excludes its start,
+    includes its end), and forward otherwise.
     """
-    if apex is None:
-        apex = default_apex(x.n)
     if hom_dim(x, y, degree) != 1:
         raise HomError(f"no nonzero degree {degree} morphism {x} -> {y}")
     target = suspend(y, degree)
@@ -139,6 +135,7 @@ def morphism_direction(
     if aligned is None:
         raise HomError(f"no endpoint alignment for {x} -> {target}")
     (x1, x2), (y1, y2) = aligned
+    apex = default_apex(x.n)
     for start, end in ((x1, y1), (x2, y2)):
         if start == end:
             continue
@@ -251,19 +248,14 @@ def shift_families(gens: ArcSet) -> frozenset[tuple]:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def cone_presentation(
-    x: Arc, gens: ArcSet, families: frozenset[tuple] | None = None
-) -> tuple[Arc | None, Arc]:
+def cone_presentation(x: Arc, gens: ArcSet) -> tuple[Arc | None, Arc]:
     """Present x as the cone of a map between suspended summands of gens.
 
     Returns (q, p) with x isomorphic to cone(q -> p); q is None when x is
     already a suspension of a summand.  Works whenever one shared-endpoint
     triangle suffices, in particular for every arc against a fan.
-    ``families``, when given, is ``shift_families(gens)``, so that a caller
-    presenting many arcs over the same summands computes it once.
     """
-    if families is None:
-        families = shift_families(gens)
+    families = shift_families(gens)
     if _shift_family(x) in families:
         return None, x
     e1, e2 = x.endpoints()

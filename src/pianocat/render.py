@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from .dissections import DissectionSet
-from .geometry import ARC_KEY, Arc, ArcSet, BoundaryPoint
+from .geometry import ArcSet, BoundaryPoint
 
 # The largest n the render command draws.  Figures grow linearly in n and
 # keyboard quivers quadratically: the fan's quiver takes about 0.08 s at
@@ -60,13 +60,11 @@ def _svg_point(x: float, y: float, hollow: bool) -> str:
     return f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="5" fill="green" stroke="green"/>'
 
 
-def arc_diagram_svg(arcs: ArcSet | list[Arc], n: int | None = None) -> str:
+def arc_diagram_svg(arcs: ArcSet) -> str:
     """Chord diagram of arcs on the marked circle; accumulation points hollow."""
-    items = list(arcs)
-    if n is None:
-        n = arcs.n if isinstance(arcs, ArcSet) else items[0].n
+    n = arcs.n
     lines = _svg_header()
-    for x in sorted(items, key=ARC_KEY):
+    for x in arcs:  # an ArcSet keeps its arcs in ``ARC_KEY`` order
         (x1, y1) = _circle_xy(_marked_angle(x.a, n))
         (x2, y2) = _circle_xy(_marked_angle(x.b, n))
         lines.append(
@@ -77,7 +75,7 @@ def arc_diagram_svg(arcs: ArcSet | list[Arc], n: int | None = None) -> str:
         x, y = _circle_xy(Fraction(i, n))
         lines.append(_svg_point(x, y, hollow=True))
     marked = sorted(
-        {p for x in items for p in x.endpoints() if p.is_marked},
+        {p for x in arcs for p in x.endpoints() if p.is_marked},
         key=BoundaryPoint.key,
     )
     for p in marked:
@@ -91,7 +89,7 @@ def arc_diagram_svg(arcs: ArcSet | list[Arc], n: int | None = None) -> str:
 
 def dissection_svg(d: DissectionSet) -> str:
     """Chord picture of a dissection: red arcs solid, binding arcs dashed."""
-    size = d.disc.size
+    size = 2 * d.n
     lines = _svg_header()
 
     def xy(position: int) -> tuple[float, float]:
@@ -117,7 +115,7 @@ def dissection_svg(d: DissectionSet) -> str:
 
 
 def dissection_tikz(d: DissectionSet) -> str:
-    size = d.disc.size
+    size = 2 * d.n
     out = ["\\begin{tikzpicture}", "  \\draw (0,0) circle (3cm);"]
 
     def coord(position: int) -> str:

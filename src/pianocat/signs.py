@@ -16,7 +16,7 @@ from .endo import EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block
 from .endo import is_piano_of, piano_of_generator
 from .endo import chi_multiply  # noqa: F401  unused here; perfbench's tracer asserts this binding
 from .generators import fan_summands, is_limit_generator
-from .geometry import Arc, ArcSet, BoundaryPoint, arc_set
+from .geometry import Arc, ArcSet, arc_set
 from .homs import (
     Direction,
     HomError,
@@ -24,7 +24,6 @@ from .homs import (
     cone_presentation,
     default_apex,
     morphism_direction,
-    shift_families,
 )
 from .quivers import PianoQuiver
 
@@ -48,28 +47,25 @@ class ConeData:
 
 
 @lru_cache(maxsize=64)
-def _fan(n: int, apex: BoundaryPoint) -> tuple[ArcSet, frozenset[tuple]]:
-    """The fan at the apex and its ``shift_families``, built once per (n, apex)."""
-    fan = arc_set(n, fan_summands(n, apex))
-    return fan, shift_families(fan)
+def _fan(n: int) -> ArcSet:
+    """The reference fan, at ``default_apex(n)``, built once per n."""
+    return arc_set(n, fan_summands(n))
 
 
-def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
-    """Cone presentations over the fan at the apex; summand order is preserved.
+def cone_data(arcs: list[Arc]) -> ConeData:
+    """Cone presentations over the reference fan; summand order is preserved.
 
     Requires the summands outside the suspension closure of the fan to come
     first, matching the block layout of the signed matrix.
     """
     n = arcs[0].n
-    if apex is None:
-        apex = default_apex(n)
-    fan, families = _fan(n, apex)
+    apex, fan = default_apex(n), _fan(n)
     entries: list[ConeSummand] = []
     for x in arcs:
         if x.contains(apex):
             entries.append(ConeSummand(None, x))
             continue
-        q, p = cone_presentation(x, fan, families)
+        q, p = cone_presentation(x, fan)
         entries.append(ConeSummand(q, p))
     m = sum(1 for e in entries if e.q is not None)
     if any(e.q is None for e in entries[:m]):
@@ -77,12 +73,9 @@ def cone_data(arcs: list[Arc], apex: BoundaryPoint | None = None) -> ConeData:
     return ConeData(tuple(entries), m)
 
 
-def order_for_cone_blocks(
-    arcs: list[Arc], apex: BoundaryPoint | None = None
-) -> list[Arc]:
+def order_for_cone_blocks(arcs: list[Arc]) -> list[Arc]:
     """Stable reorder putting the summands outside the fan closure first."""
-    if apex is None:
-        apex = default_apex(arcs[0].n)
+    apex = default_apex(arcs[0].n)
     return sorted(arcs, key=lambda x: x.contains(apex))
 
 
@@ -113,7 +106,6 @@ class SignGraph:
     table and cone presentations of its summands."""
 
     algebra: EndoAlgebra
-    apex: BoundaryPoint
     table: dict[tuple[int, int], Direction]
     cones: ConeData
     adjacency: dict[int, list[tuple[int, Direction]]]
@@ -132,9 +124,7 @@ class SignGraph:
         return self.cones.m
 
 
-def sign_graph(
-    algebra: EndoAlgebra, piano: PianoQuiver, apex: BoundaryPoint | None = None
-) -> SignGraph:
+def sign_graph(algebra: EndoAlgebra, piano: PianoQuiver) -> SignGraph:
     """The graph a sign choice propagates over; see ``propagate_choice``.
 
     ``algebra`` and ``piano`` belong to one limit generator with the summands
@@ -144,17 +134,15 @@ def sign_graph(
     its direction from that table.
     """
     arcs, n = algebra.arcs, algebra.n
-    if apex is None:
-        apex = default_apex(n)
     if not is_limit_generator(arc_set(n, arcs)):
         raise SignError("not a limit generator")
     if not is_piano_of(piano, arcs):
         raise SignError("the piano's vertices are not these summands in this order")
-    cones = cone_data(list(arcs), apex)
+    cones = cone_data(list(arcs))
     size = algebra.size
     entries, zero = algebra.entries, RingKind.ZERO
     table = {
-        (j, l): morphism_direction(x, y, 0, apex)
+        (j, l): morphism_direction(x, y, 0)
         for j, x in enumerate(arcs)
         for l, y in enumerate(arcs)
         if j != l and entries[j][l].kind != zero
@@ -166,15 +154,14 @@ def sign_graph(
             raise HomError(f"no nonzero degree 0 morphism {arcs[e.src]} -> {arcs[e.tgt]}")
         adjacency[e.src].append((e.tgt, direction))
         adjacency[e.tgt].append((e.src, direction))
-    return SignGraph(algebra, apex, table, cones, adjacency)
+    return SignGraph(algebra, table, cones, adjacency)
 
 
-def _own_graph(m: SignedMatrix, arcs: list[Arc], apex: BoundaryPoint | None) -> SignGraph:
-    """The sign graph of ``m``, refused unless built for these summands and apex."""
-    graph = m.graph
-    if graph.arcs != tuple(arcs) or apex not in (None, graph.apex):
-        raise SignError("the signed matrix was built for other summands or another apex")
-    return graph
+def _own_graph(m: SignedMatrix, arcs: list[Arc]) -> SignGraph:
+    """The sign graph of ``m``, refused unless built for these summands."""
+    if m.graph.arcs != tuple(arcs):
+        raise SignError("the signed matrix was built for other summands")
+    return m.graph
 
 
 def propagate_choice(graph: SignGraph, initial_choice: tuple[str, int]) -> SignedMatrix:
@@ -217,7 +204,7 @@ def propagate_choice(graph: SignGraph, initial_choice: tuple[str, int]) -> Signe
 DEFAULT_CHOICES: tuple[tuple[str, int], ...] = (("beta", 0), ("delta", 0))
 
 
-def _sign_graph_of(arcs: list[Arc], apex: BoundaryPoint | None) -> SignGraph:
+def _sign_graph_of(arcs: list[Arc]) -> SignGraph:
     """The sign graph of bare summands, over a piano and an algebra built for them."""
     n = arcs[0].n
     try:
@@ -225,23 +212,17 @@ def _sign_graph_of(arcs: list[Arc], apex: BoundaryPoint | None) -> SignGraph:
         algebra = EndoAlgebra.from_arcs(arcs, n)
     except (DissectionError, EndoError) as exc:  # summands of no limit generator
         raise SignError("not a limit generator") from exc
-    return sign_graph(algebra, piano, apex)
+    return sign_graph(algebra, piano)
 
 
-def signed_matrix(
-    arcs: list[Arc],
-    initial_choice: tuple[str, int],
-    apex: BoundaryPoint | None = None,
-) -> SignedMatrix:
+def signed_matrix(arcs: list[Arc], initial_choice: tuple[str, int]) -> SignedMatrix:
     """The signed matrix of one initial choice; see ``propagate_choice``."""
-    return propagate_choice(_sign_graph_of(arcs, apex), initial_choice)
+    return propagate_choice(_sign_graph_of(arcs), initial_choice)
 
 
-def both_signed_matrices(
-    arcs: list[Arc], apex: BoundaryPoint | None = None
-) -> list[SignedMatrix]:
+def both_signed_matrices(arcs: list[Arc]) -> list[SignedMatrix]:
     """The signed matrices of the two ``DEFAULT_CHOICES``, over one sign graph."""
-    graph = _sign_graph_of(arcs, apex)
+    graph = _sign_graph_of(arcs)
     return [propagate_choice(graph, choice) for choice in DEFAULT_CHOICES]
 
 
@@ -269,19 +250,17 @@ class CheckReport:
         return {"passed": self.passed, "failures": [f.to_json() for f in self.failures]}
 
 
-def check_beta_delta(
-    m: SignedMatrix, arcs: list[Arc], apex: BoundaryPoint | None = None
-) -> CheckReport:
+def check_beta_delta(m: SignedMatrix, arcs: list[Arc]) -> CheckReport:
     """Sign coherence along every nonzero morphism between distinct summands.
 
     Forward morphisms must preserve both rows of signs, backward ones must
     swap them; additionally the two signs at a cone summand multiply to -1.
     Between two fan summands every morphism is forward: the anticlockwise
     advance from one free endpoint to the other stops before the apex.
-    The degree-0 table is the one of the matrix's sign graph; ``arcs`` and
-    ``apex``, if given, must be the ones that graph was built for.
+    The degree-0 table is the one of the matrix's sign graph; ``arcs`` must
+    be the summands that graph was built for.
     """
-    table = _own_graph(m, arcs, apex).table
+    table = _own_graph(m, arcs).table
     failures: list[CheckFailure] = []
     for j in range(m.m):
         if m.beta[j] * m.delta[j] != -1:
@@ -304,17 +283,6 @@ def check_beta_delta(
     return CheckReport(tuple(failures), len(table))
 
 
-@dataclass(frozen=True)
-class BlockMorphism:
-    """2x2 scalar block of one homogeneous morphism between cone presentations."""
-
-    source: int
-    target: int
-    degree: int
-    direction: Direction
-    block: tuple[tuple[int, int], tuple[int, int]]
-
-
 def _sign_power(sign: int, degree: int) -> int:
     return sign if degree % 2 else 1
 
@@ -326,7 +294,7 @@ def phi_block(
     l: int,
     degree: int,
     direction: Direction,
-) -> BlockMorphism:
+) -> tuple[tuple[int, int], tuple[int, int]]:
     """Signed 2x2 block of the degree-``degree`` basis morphism from j to l.
 
     Forward morphisms sit on the diagonal with the two signed powers,
@@ -343,14 +311,13 @@ def phi_block(
     else:
         if has_qj:
             w = _sign_power(m.beta[j], degree)
-    return BlockMorphism(j, l, degree, direction, ((y, w), (0, z)))
+    return (y, w), (0, z)
 
 
 def verify_phi_homomorphism(
     arcs: list[Arc],
     m: SignedMatrix,
     window: int = 4,
-    apex: BoundaryPoint | None = None,
     max_failures: int = 20,
 ) -> CheckReport:
     """Verify that the signed block assignment is a degree-zero algebra map.
@@ -369,17 +336,16 @@ def verify_phi_homomorphism(
     phi(x) phi(x') = phi(x x') summed over each degree pair adds up exactly
     these block identities, so it holds whenever part (b) does.
     The algebra, cone data and directions come from the matrix's sign graph,
-    built for ``arcs`` and ``apex`` (if given).  At most ``max_failures``
-    witnesses are reported, in the order they are found; ``pairs`` counts
-    the composable pairs of nonzero entries (j -> j2, j2 -> l) that part (b)
-    examined.  Refuses (``SignError``) a negative window and a cap below
+    built for ``arcs``.  At most ``max_failures`` witnesses are reported, in
+    the order they are found; ``pairs`` counts the composable pairs of
+    nonzero entries (j -> j2, j2 -> l) that part (b) examined.  Refuses (``SignError``) a negative window and a cap below
     one: neither can check anything.
     """
     if window < 0:
         raise SignError(f"window must be at least 0, got {window}")
     if max_failures < 1:
         raise SignError(f"max_failures must be at least 1, got {max_failures}")
-    graph = _own_graph(m, arcs, apex)
+    graph = _own_graph(m, arcs)
     examined = [0]  # incremented by part (b), which may be cut short
     failures = tuple(islice(_phi_failures(m, window, graph, examined), max_failures))
     return CheckReport(failures, examined[0])
@@ -424,7 +390,7 @@ def _phi_failures(
                 continue
             # The degree-0 basis element of a diagonal entry is the identity.
             direction = Direction.FORWARD if j == l else graph.table[(j, l)]
-            blocks = tuple(phi_block(m, graph.cones, j, l, p, direction).block for p in (0, 1))
+            blocks = tuple(phi_block(m, graph.cones, j, l, p, direction) for p in (0, 1))
             entries[(j, l)] = direction, blocks
             by_source[j].append((l, direction, graded, blocks))
 

@@ -43,7 +43,7 @@ def gentle_from_dissection(
         raise QuiverError("dissection is not admissible")
     chords = list(vertex_order) if vertex_order is not None else list(d.red)
     _check_vertex_order(chords, d.red)
-    return _gentle_quiver(d.disc.size, chords, tuple(chords))
+    return _gentle_quiver(2 * d.n, chords, tuple(chords))
 
 
 def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalForm:

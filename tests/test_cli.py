@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pianocat import cli, dissections, generators, render
@@ -609,6 +609,13 @@ def test_run_verification_script_exits_1_on_a_failing_record(monkeypatch, capsys
     assert dict(zip(header.split(), row.split()))["confluence"] == "False"
 
 
+@pytest.mark.parametrize("argv", [["--max-n", "\u0663"], ["--window", "\uff14"]])
+def test_run_verification_script_reads_ascii_integers_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _verification_script().main(argv)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [["--max-n", "0"], ["--window", "1"]])
 def test_run_verification_script_refuses_bad_sizes(capsys, argv):
     assert _verification_script().main(argv) == 2
@@ -765,8 +772,12 @@ def test_commands_that_enumerate_refuse_n_above_the_cap(capsys, command):
 @pytest.mark.parametrize(
     "argv",
     [[], ["enumerate", "--n", "abc"], ["render", "--kind", "nonsense", "--input", "x"],
-     ["enumerate", "--n", "1", "a\nb"]],
-    ids=["no-command", "n-not-int", "unknown-kind", "stray-argument-with-newline"],
+     ["enumerate", "--n", "1", "a\nb"],
+     # ``int`` reads each of these as 3 or 4: other scripts' digits, and blanks.
+     ["enumerate", "--n", "\u0663"], ["enumerate", "--n", " 3"],
+     ["verify", "bijection", "--n", "1", "--window", "\uff14"]],
+    ids=["no-command", "n-not-int", "unknown-kind", "stray-argument-with-newline",
+         "n-arabic-indic-digit", "n-with-a-blank", "window-fullwidth-digit"],
 )
 def test_argparse_errors_are_one_line(capsys, argv):
     # Without the usage text argparse prints above its error.
@@ -856,6 +867,14 @@ def test_reader_closing_stdout_early_exits_141_quietly():
     assert "arcs" in json.loads(first)
 
 
+# Text that ``int`` reads as a small integer, and that is refused.
+_NOT_ASCII_INTEGERS = st.sampled_from(["\u0663", " 3", "3\n", "\uff14", "1_0", "+2"])
+
+
+def _is_integer_text(text: str) -> bool:
+    return text.isascii() and text.removeprefix("-").isdigit()
+
+
 def _int_text(low: int, high: int) -> st.SearchStrategy[str]:
     """Integers as argument text, and text that is mostly not an integer.
 
@@ -870,7 +889,11 @@ def _int_text(low: int, high: int) -> st.SearchStrategy[str]:
         except ValueError:
             return True
 
-    return st.integers(low, high).map(str) | st.text(max_size=4).filter(small_or_not_int)
+    return (
+        st.integers(low, high).map(str)
+        | _NOT_ASCII_INTEGERS
+        | st.text(max_size=4).filter(small_or_not_int)
+    )
 
 
 _KEYS = st.sampled_from(["n", "arcs", "red", "binding", "acc", "pt"])
@@ -949,11 +972,16 @@ def _command(draw) -> tuple[list[str], bytes | None, str | None]:
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(case=_command())
+@example(case=(["enumerate", "--n", "\u0663", "--kind", "generators"], None, None))
+@example(case=(["enumerate", "--n", " 3", "--kind", "dissections"], None, None))
+@example(case=(["verify", "bijection", "--n", "1", "--window", "\uff14"], None, None))
 def test_fuzzed_input_is_refused_in_one_line(tmp_path, case):
     # Malformed files, flag JSON, sizes, windows, choices and
-    # ``PIANO_CAT_WINDOW``: no traceback, no exit 1 outside ``verify``, and
-    # every exit 2 with nothing on stdout and one line on stderr.
+    # ``PIANO_CAT_WINDOW``: no traceback, no exit 1 outside ``verify``,
+    # every exit 2 with nothing on stdout and one line on stderr, and exit 2
+    # whenever ``--n`` or ``--window`` is not ASCII integer text.
     argv, data, env = case
+    sizes = [argv[i + 1] for i, arg in enumerate(argv[:-1]) if arg in ("--n", "--window")]
     path = tmp_path / "input.json"
     if data is not None:
         path.write_bytes(data)
@@ -968,6 +996,8 @@ def test_fuzzed_input_is_refused_in_one_line(tmp_path, case):
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2))
     if code == 2:
         assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+    if not all(_is_integer_text(text) for text in sizes):
+        assert code == 2, argv
 
 
 FAKE_RUN = """\

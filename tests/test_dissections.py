@@ -239,7 +239,7 @@ def test_induced_dissection_is_admissible():
     count = 0
     for n in range(1, 6):
         for d in enumerate_extended_dissections(n):
-            assert is_admissible_dissection(induced_admissible(d)[1])
+            assert is_admissible_dissection(induced_admissible(d))
             count += 1
     assert count == 1 + 4 + 36 + 416 + 5440
 
@@ -254,7 +254,7 @@ def test_builders_still_refuse_invalid_input():
         gentle_from_dissection(triangle)
     with pytest.raises(QuiverError, match="red only"):
         gentle_from_dissection(fan3)
-    _, induced = induced_admissible(fan3)
+    induced = induced_admissible(fan3)
     with pytest.raises(QuiverError, match="vertex order"):
         gentle_from_dissection(induced, vertex_order=list(induced.red[1:]))
     with pytest.raises(QuiverError, match="vertex order"):
@@ -388,8 +388,8 @@ def test_extended_rejects_crossing_binding():
 def test_induced_admissible_and_round_trip():
     for n in (1, 2, 3):
         for d in enumerate_extended_dissections(n):
-            disc, induced = induced_admissible(d)
-            assert disc.n == 2 * n
+            induced = induced_admissible(d)
+            assert induced.n == 2 * n
             assert is_admissible_dissection(induced)
             assert len(induced.red) == 2 * n - 1
             ok, cond, rebuilt = extendability_report(induced)

@@ -24,7 +24,6 @@ from pianocat.homs import (
     hom_alignment,
     hom_dim,
     morphism_direction,
-    shift_families,
 )
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
 
@@ -315,27 +314,23 @@ def test_memos_match_their_bodies():
             for y in g
         }
         summands = {x.sort_key(): x for x, _ in pairs.values()}
-        fans = []
-        for c in range(n):
-            fan = arc_set(n, fan_summands(n, BoundaryPoint(c)))
-            fans.append((BoundaryPoint(c), fan, shift_families(fan)))
+        # The fan at every apex, each an arc set of its own.
+        fans = [arc_set(n, fan_summands(n, BoundaryPoint(c))) for c in range(n)]
         for k in range(-6, 7):
             for x, y in pairs.values():
                 y_k = suspend(y, k)
                 want = ext1_dim.__wrapped__(x, y_k)
                 assert ext1_dim(x, y_k) == want == ext1_dim(x, suspend(y, k))
-                for apex, _, _ in fans:
-                    want = answer(morphism_direction.__wrapped__, x, y, k, apex)
-                    refused += isinstance(want, tuple)
-                    for _ in range(2):
-                        assert answer(morphism_direction, x, y, k, apex) == want
+                want = answer(morphism_direction.__wrapped__, x, y, k)
+                refused += isinstance(want, tuple)
+                for _ in range(2):
+                    assert answer(morphism_direction, x, y, k) == want
             for x in summands.values():
                 x_k = suspend(x, k)
-                for _, fan, families in fans:
-                    want = answer(cone_presentation.__wrapped__, x_k, fan, families)
-                    assert answer(cone_presentation, x_k, fan) == want
+                for fan in fans:
+                    want = answer(cone_presentation.__wrapped__, x_k, fan)
                     for _ in range(2):
-                        assert answer(cone_presentation, suspend(x, k), fan, families) == want
+                        assert answer(cone_presentation, suspend(x, k), fan) == want
     assert refused > 0
     assert all(f.cache_info().hits > hits for f, hits in zip(memos, before))
 
@@ -381,7 +376,7 @@ def test_memos_never_keep_a_refusal():
 def test_memos_are_bounded():
     # Every module-level LRU cache of the package, found by introspection,
     # keeps MEMO_SIZE entries; the one exception is the fan of ``signs``,
-    # one per (n, apex), which keeps 64.
+    # one per n, which keeps 64.
     assert isinstance(MEMO_SIZE, int) and MEMO_SIZE > 0 and MEMO_SIZE == geometry.MEMO_SIZE
     sizes = {}
     for info in pkgutil.iter_modules(pianocat.__path__):

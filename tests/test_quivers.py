@@ -159,7 +159,7 @@ def test_keyboard_is_the_gentle_quiver_of_the_induced_dissection():
         for d in enumerate_extended_dissections(n):
             chords = d.all_chords()
             kb = keyboard_from_extended(d)
-            induced = induced_admissible(d)[1]
+            induced = induced_admissible(d)
             ref = gentle_from_dissection(
                 induced, vertex_order=[ChordArc(2 * c.p, 2 * c.q) for c in chords]
             )

@@ -19,7 +19,6 @@ from pianocat.homs import (
     default_apex,
     hom_dim,
     morphism_direction,
-    shift_families,
 )
 from pianocat.signs import (
     DEFAULT_CHOICES,
@@ -163,14 +162,14 @@ def test_phi_blocks():
     m = signed_matrix(arcs, ("beta", 4))
     cones = cone_data(arcs)
     fwd = phi_block(m, cones, 1, 4, 1, Direction.FORWARD)
-    assert fwd.block == ((m.beta[1], 0), (0, m.delta[1]))
+    assert fwd == ((m.beta[1], 0), (0, m.delta[1]))
     fwd_even = phi_block(m, cones, 1, 4, 2, Direction.FORWARD)
-    assert fwd_even.block == ((1, 0), (0, 1))
+    assert fwd_even == ((1, 0), (0, 1))
     bwd = phi_block(m, cones, 1, 0, 0, Direction.BACKWARD)
-    assert bwd.block == ((0, 1), (0, 0))
+    assert bwd == ((0, 1), (0, 0))
     # Components through an absent cone top are masked away.
     masked = phi_block(m, cones, 5, 1, 1, Direction.FORWARD)
-    assert masked.block[0][0] == 0
+    assert masked == ((0, 0), (0, m.delta[5]))
 
 
 def test_phi_homomorphism_worked_example_and_fans():
@@ -251,7 +250,7 @@ def test_degree_zero_table_matches_pairwise_loop():
 def test_signed_matrices_carry_their_sign_graph():
     arcs = worked_example_arcs()
     graph = graph_of(arcs)
-    assert graph.arcs == tuple(arcs) and graph.n == 4 and graph.apex == BP(3)
+    assert graph.arcs == tuple(arcs) and graph.n == 4
     assert graph.algebra == EndoAlgebra.from_arcs(arcs)
     assert graph.cones == cone_data(arcs) and graph.m == 5
     m = signed_matrix(arcs, ("beta", 4))
@@ -305,29 +304,26 @@ def test_checks_read_the_table_of_their_own_graph(monkeypatch):
         assert verify_phi_homomorphism(arcs, x, window=2) == phi
 
 
-def test_graph_is_never_read_for_other_summands_or_apex():
-    # A matrix is checked only against the summands and apex of its graph.
+def test_graph_is_never_read_for_other_summands():
+    # A matrix is checked only against the summands of its graph, in its order.
     for arcs in ordered_generators((2, 3), n4_stride=None) + [worked_example_arcs()]:
-        default = default_apex(arcs[0].n)
         for m in both_signed_matrices(arcs):
-            assert check_beta_delta(m, arcs, default) == check_beta_delta(m, arcs)
-            with pytest.raises(SignError, match="other summands or another apex"):
-                check_beta_delta(m, arcs[::-1])
-            with pytest.raises(SignError, match="other summands or another apex"):
-                check_beta_delta(m, arcs, BP(0))
+            assert check_beta_delta(m, list(m.graph.arcs)).passed
+            for other in (arcs[::-1], arcs[1:] + arcs[:1]):
+                with pytest.raises(SignError, match="other summands"):
+                    check_beta_delta(m, other)
 
 
-def test_phi_refuses_other_summands_or_apex():
+def test_phi_refuses_other_summands():
     arcs = worked_example_arcs()
     for m in both_signed_matrices(arcs):
         corrupted = dataclasses.replace(m, beta=tuple(-b for b in m.beta))
         for matrix in (m, corrupted):
             report = verify_phi_homomorphism(arcs, matrix, window=2)
-            assert verify_phi_homomorphism(arcs, matrix, window=2, apex=BP(3)) == report
-            with pytest.raises(SignError, match="other summands or another apex"):
-                verify_phi_homomorphism(arcs[::-1], matrix, window=2)
-            with pytest.raises(SignError, match="other summands or another apex"):
-                verify_phi_homomorphism(arcs, matrix, window=2, apex=BP(0))
+            assert report.passed == (matrix is m)
+            for other in (arcs[::-1], arcs[1:] + arcs[:1]):
+                with pytest.raises(SignError, match="other summands"):
+                    verify_phi_homomorphism(other, matrix, window=2)
 
 
 def test_beta_delta_counts_checked_pairs():
@@ -436,17 +432,18 @@ def test_phi_reads_its_shared_answers_right():
 
 
 def test_cone_data_shares_the_fan_families():
-    # cone_data computes the fan's shift families once for all summands;
-    # presenting each summand on its own gives the same cones.
+    # cone_data presents every summand over the one reference fan of its n,
+    # whose shift families cone_presentation reads; presenting each summand
+    # on its own, uncached, gives the same cones.
     for arcs in ordered_generators((1, 2, 3), n4_stride=None):
         n = arcs[0].n
         fan, apex = fan_generator(n), default_apex(n)
-        families = shift_families(fan)
+        assert signs._fan(n) is signs._fan(n) == fan
         for x, summand in zip(arcs, cone_data(arcs).summands):
             if x.contains(apex):
+                assert summand == signs.ConeSummand(None, x)
                 continue
-            assert cone_presentation(x, fan) == cone_presentation(x, fan, families)
-            assert (summand.q, summand.p) == cone_presentation(x, fan)
+            assert (summand.q, summand.p) == cone_presentation.__wrapped__(x, fan)
 
 
 def summed_identity_failures(arcs, m, window):
@@ -480,8 +477,8 @@ def summed_identity_failures(arcs, m, window):
                     if chi_multiply(algebra, (j, j2, 0), (j2, l, 0)) == 0:
                         continue
                     coeffs[j, l] += 1
-                    b1 = phi_block(m, cones, j, j2, i, dir1).block
-                    b2 = phi_block(m, cones, j2, l, i2, dir2).block
+                    b1 = phi_block(m, cones, j, j2, i, dir1)
+                    b2 = phi_block(m, cones, j2, l, i2, dir2)
                     if j < m.m and l < m.m:
                         lhs[j, l] += b1[0][0] * b2[0][0]
                     if j < m.m:
@@ -491,7 +488,7 @@ def summed_identity_failures(arcs, m, window):
                 if (j, l) not in directions:
                     failures.append(("closure", i, i2))
                     continue
-                block = phi_block(m, cones, j, l, i + i2, directions[(j, l)]).block
+                block = phi_block(m, cones, j, l, i + i2, directions[(j, l)])
                 if j < m.m and l < m.m:
                     rhs[j, l] += c * block[0][0]
                 if j < m.m:
@@ -613,7 +610,7 @@ def _reference_phi_failures(m, window, graph, examined):
         key = (j, l, degree & 1, direction)
         b = blocks.get(key)
         if b is None:
-            b = blocks[key] = signs.phi_block(m, graph.cones, j, l, degree, direction).block
+            b = blocks[key] = signs.phi_block(m, graph.cones, j, l, degree, direction)
         return b
 
     for j in range(size):
@@ -726,9 +723,8 @@ def test_phi_check_compares_every_cell(monkeypatch):
     real = signs.phi_block
 
     def marked(*args):
-        b = real(*args)
-        (y, w), (_, z) = b.block
-        return dataclasses.replace(b, block=((y, w), (1, z)))
+        (y, w), (_, z) = real(*args)
+        return (y, w), (1, z)
 
     monkeypatch.setattr(signs, "phi_block", marked)
     cells = 0
@@ -755,7 +751,7 @@ def test_phi_check_walks_a_triple_whose_parities_split(monkeypatch):
         b = real(m, cones, j, l, degree, direction)
         if (j, l) != target or degree % 2 == 0:
             return b
-        return dataclasses.replace(b, block=tuple(tuple(-c for c in row) for row in b.block))
+        return tuple(tuple(-c for c in row) for row in b)
 
     monkeypatch.setattr(signs, "phi_block", odd_negated)
     algebra = m.graph.algebra
