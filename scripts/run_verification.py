@@ -9,7 +9,6 @@ Example:
     python3 scripts/run_verification.py --max-n 3 --window 4
 """
 
-import argparse
 import sys
 import time
 
@@ -17,15 +16,15 @@ from pianocat import cli
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser()
+    parser = cli._Parser()
     parser.add_argument("--max-n", type=cli.integer, default=3)
     parser.add_argument("--window", type=cli.integer, default=4)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         # The largest size run, refused as ``verify`` refuses it.
         cli._enumerable(cli.Config(n=args.max_n, window=args.window))
-    except cli.InputError as exc:
-        sys.stderr.write(f"{exc}\n")
+    except cli.InputError as exc:  # one line, as ``piano-cat`` writes it
+        sys.stderr.write(" ".join(str(exc).splitlines()) + "\n")
         return cli.EXIT_USAGE
 
     checks = list(cli.VERIFIERS)

@@ -49,6 +49,11 @@ def _input(name: str) -> Iterator[None]:
         raise InputError(f"{name}: {exc}") from None
 
 
+# The widest window a command takes: its work grows with the window, and
+# ``verify all --n 3`` at 64 runs in about a second.
+MAX_WINDOW = 64
+
+
 @dataclass(frozen=True)
 class Config:
     n: int
@@ -60,6 +65,8 @@ class Config:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise InputError(f"{name} must be at least {least}, got {value}")
+        if self.window > MAX_WINDOW:
+            raise InputError(f"window must be at most {MAX_WINDOW}, got {self.window}")
 
 
 # The one syntax of an integer in outside text: ASCII digits after an

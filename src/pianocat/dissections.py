@@ -171,9 +171,9 @@ class DissectionSet:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DissectionError("need n >= 1")
-        red = tuple(sorted(set(self.red), key=_ENDPOINTS))
-        binding = tuple(sorted(set(self.binding), key=_ENDPOINTS))
-        if len(red) != len(self.red) or len(binding) != len(self.binding):
+        red = tuple(sorted(self.red, key=_ENDPOINTS))
+        binding = tuple(sorted(self.binding, key=_ENDPOINTS))
+        if len(set(red)) != len(red) or len(set(binding)) != len(binding):
             raise DissectionError("duplicate chords")
         for c in red:
             if not c.is_red_arc:

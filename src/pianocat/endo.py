@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from operator import and_, not_
 from typing import Iterable, NamedTuple
 
@@ -154,7 +154,7 @@ class EndoAlgebra:
         swept = [seg for x in items for seg in _marked_segments(x)]
         if len(set(swept)) != len(swept) or len(set(items)) != len(items):
             raise EndoError("orbits overlap")
-        entries = tuple(tuple(_entry(x, y) for y in items) for x in items)
+        entries = tuple(tuple(map(_entry, repeat(x), items)) for x in items)
         return EndoAlgebra(n, tuple(items), entries)
 
     @property

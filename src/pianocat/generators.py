@@ -6,9 +6,11 @@ Limit arcs are always normalised so their marked endpoint sits at position 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .geometry import (
     ARC_KEY,
+    MEMO_SIZE,
     Arc,
     ArcKind,
     ArcSet,
@@ -101,22 +103,26 @@ def decompose(a: ArcSet) -> LimitGeneratorDecomposition:
 
 def is_limit_generator(a: ArcSet) -> bool:
     """Pre-generator tree plus one limit arc per segment, nothing crossing under shifts."""
-    arcs = list(a)
-    if not _limit_regime(a):
+    double, limit = ArcKind.DOUBLE_LIMIT, ArcKind.LIMIT
+    doubles, free_segments = [], []
+    for x in a:
+        if x.kind is double:
+            doubles.append(x)
+        elif x.kind is limit:
+            free_segments.append((x.a if x.a.is_marked else x.b).seg)
+        else:
+            return False
+    if not _is_pre_generator_tree(a.n, tuple(doubles)):
         return False
-    doubles = [x for x in arcs if x.kind == ArcKind.DOUBLE_LIMIT]
-    limits = [x for x in arcs if x.kind == ArcKind.LIMIT]
-    if not is_limit_pre_generator(arc_set(a.n, doubles)):
-        return False
-    if len(limits) != a.n:
-        return False
-    free_segments = []
-    for x in limits:
-        free = x.a if x.a.is_marked else x.b
-        free_segments.append(free.seg)
     if sorted(free_segments) != list(range(a.n)):
         return False
-    return _pairwise_shift_noncrossing(arcs)
+    return _pairwise_shift_noncrossing(list(a))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _is_pre_generator_tree(n: int, doubles: tuple[Arc, ...]) -> bool:
+    """``is_limit_pre_generator`` of the double limit arcs, decided once per tree."""
+    return is_limit_pre_generator(arc_set(n, doubles))
 
 
 def fan_summands(n: int, apex: BoundaryPoint | None = None) -> list[Arc]:

@@ -331,8 +331,8 @@ class ArcSet:
         for x in self.arcs:
             if x.n != self.n:
                 raise GeometryError("arc and arc set disagree on n")
-        ordered = tuple(sorted(set(self.arcs), key=ARC_KEY))
-        if len(ordered) != len(self.arcs):
+        ordered = tuple(sorted(self.arcs, key=ARC_KEY))
+        if len(set(ordered)) != len(ordered):
             raise GeometryError("duplicate arcs in arc set")
         object.__setattr__(self, "arcs", ordered)
 

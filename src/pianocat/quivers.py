@@ -69,21 +69,22 @@ def _gentle_quiver(size: int, chords: list[ChordArc], labels: tuple) -> GentleQu
     """The gentle quiver of an admissible dissection's arcs, in vertex
     order, with the given vertex labels.
 
-    Arrows are read off a table of the arcs at each boundary point, sorted by
-    how far anticlockwise their other endpoint lies; relations off an index
-    of the arrows by (source, meet point), looked up at (target, far end of
-    the middle arc).
+    Arrows are read off the ends of the arcs, sorted by boundary point and
+    then by how far anticlockwise the other endpoint lies: each two ends
+    next to each other at one point make an arrow.  Relations are read off
+    an index of the arrows by (source, meet point), looked up at (target,
+    far end of the middle arc).
     """
-    at_point: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for i, c in enumerate(chords):
-        at_point[c.p].append(((c.q - c.p) % size, i))
-        at_point[c.q].append(((c.p - c.q) % size, i))
+    ends = sorted(
+        [(c.p, (c.q - c.p) % size, i) for i, c in enumerate(chords)]
+        + [(c.q, (c.p - c.q) % size, i) for i, c in enumerate(chords)]
+    )
     arrows: list[Arrow] = []
-    for point, incident in enumerate(at_point):
-        incident.sort()
-        for (_, i), (_, j) in zip(incident, incident[1:]):
+    leaving: dict[tuple[int, int], int] = {}
+    for (point, _, i), (next_point, _, j) in zip(ends, ends[1:]):
+        if point == next_point:
+            leaving[i, point] = len(arrows)
             arrows.append(Arrow(i, j, point))
-    leaving = {(e.src, e.meet): k for k, e in enumerate(arrows)}
     relations = set()
     for k, e in enumerate(arrows):
         middle = chords[e.tgt]
@@ -315,18 +316,16 @@ def piano_from_keyboard(kb: KeyboardQuiver) -> PianoQuiver:
     never adjacent, runs have length one or two.
     """
     runs: list[tuple[int, tuple[int, ...], int]] = []
-    arrows = kb.gentle.arrows
-    for i, e in enumerate(arrows):
-        if e.src in kb.sharp:
+    arrows, sharp = kb.gentle.arrows, kb.sharp
+    for i, (src, mid, _) in enumerate(arrows):
+        if src in sharp:
             continue
-        if e.tgt not in kb.sharp:
-            runs.append((e.src, (i,), e.tgt))
+        if mid not in sharp:
+            runs.append((src, (i,), mid))
             continue
         for j, f in enumerate(arrows):
-            if f.src != e.tgt or (i, j) in kb.gentle.relations:
-                continue
-            if f.tgt not in kb.sharp:
-                runs.append((e.src, (i, j), f.tgt))
+            if f.src == mid and f.tgt not in sharp and (i, j) not in kb.gentle.relations:
+                runs.append((src, (i, j), f.tgt))
     return PianoQuiver(kb, tuple(runs))
 
 

@@ -16,7 +16,7 @@ from .endo import EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block
 from .endo import is_piano_of, piano_of_generator
 from .endo import chi_multiply  # noqa: F401  unused here; perfbench's tracer asserts this binding
 from .generators import fan_summands, is_limit_generator
-from .geometry import Arc, ArcSet, arc_set
+from .geometry import MEMO_SIZE, Arc, ArcSet, arc_set
 from .homs import (
     Direction,
     HomError,
@@ -30,6 +30,10 @@ from .quivers import PianoQuiver
 
 class SignError(ValueError):
     pass
+
+
+# Read on hot paths and compared by identity, as ``geometry`` reads ``ArcKind``.
+_FORWARD = Direction.FORWARD
 
 
 @dataclass(frozen=True)
@@ -52,25 +56,25 @@ def _fan(n: int) -> ArcSet:
     return arc_set(n, fan_summands(n))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _cone_summand(x: Arc) -> ConeSummand:
+    """The cone presentation of one summand over the reference fan."""
+    if x.contains(default_apex(x.n)):
+        return ConeSummand(None, x)
+    return ConeSummand(*cone_presentation(x, _fan(x.n)))
+
+
 def cone_data(arcs: list[Arc]) -> ConeData:
     """Cone presentations over the reference fan; summand order is preserved.
 
     Requires the summands outside the suspension closure of the fan to come
     first, matching the block layout of the signed matrix.
     """
-    n = arcs[0].n
-    apex, fan = default_apex(n), _fan(n)
-    entries: list[ConeSummand] = []
-    for x in arcs:
-        if x.contains(apex):
-            entries.append(ConeSummand(None, x))
-            continue
-        q, p = cone_presentation(x, fan)
-        entries.append(ConeSummand(q, p))
+    entries = tuple(map(_cone_summand, arcs))
     m = sum(1 for e in entries if e.q is not None)
     if any(e.q is None for e in entries[:m]):
         raise SignError("summand order must list the non-fan summands before the fan ones")
-    return ConeData(tuple(entries), m)
+    return ConeData(entries, m)
 
 
 def order_for_cone_blocks(arcs: list[Arc]) -> list[Arc]:
@@ -94,9 +98,6 @@ class SignedMatrix:
 
     def diagonal(self) -> tuple[int, ...]:
         return self.beta + self.delta
-
-    def beta_of(self, j: int) -> int | None:
-        return self.beta[j] if j < self.m else None
 
 
 @dataclass(frozen=True)
@@ -139,15 +140,14 @@ def sign_graph(algebra: EndoAlgebra, piano: PianoQuiver) -> SignGraph:
     if not is_piano_of(piano, arcs):
         raise SignError("the piano's vertices are not these summands in this order")
     cones = cone_data(list(arcs))
-    size = algebra.size
-    entries, zero = algebra.entries, RingKind.ZERO
+    zero = RingKind.ZERO
     table = {
         (j, l): morphism_direction(x, y, 0)
-        for j, x in enumerate(arcs)
-        for l, y in enumerate(arcs)
-        if j != l and entries[j][l].kind != zero
+        for j, (x, row) in enumerate(zip(arcs, algebra.entries))
+        for l, (y, entry) in enumerate(zip(arcs, row))
+        if j != l and entry.kind is not zero
     }
-    adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(size)}
+    adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(algebra.size)}
     for e in piano.arrows:
         direction = table.get((e.src, e.tgt))
         if direction is None:
@@ -188,7 +188,7 @@ def propagate_choice(graph: SignGraph, initial_choice: tuple[str, int]) -> Signe
         for w, direction in graph.adjacency[v]:
             if w in slots:
                 continue
-            if direction == Direction.FORWARD:
+            if direction is _FORWARD:
                 slots[w] = slots[v]
             else:
                 slots[w] = "delta" if slots[v] == "beta" else "beta"
@@ -265,10 +265,11 @@ def check_beta_delta(m: SignedMatrix, arcs: list[Arc]) -> CheckReport:
     for j in range(m.m):
         if m.beta[j] * m.delta[j] != -1:
             failures.append(CheckFailure("beta*delta=-1", (j,)))
+    # The beta row, with no slot (None) at the summands past the split index.
+    beta, delta = m.beta + (None,) * (len(m.delta) - m.m), m.delta
     for (j, l), direction in table.items():
-        bj, bl = m.beta_of(j), m.beta_of(l)
-        dj, dl = m.delta[j], m.delta[l]
-        if direction == Direction.FORWARD:
+        bj, bl, dj, dl = beta[j], beta[l], delta[j], delta[l]
+        if direction is _FORWARD:
             if bj is not None and bl is not None and bj != bl:
                 failures.append(CheckFailure("forward beta", (j, l)))
             if dj != dl:
@@ -304,7 +305,7 @@ def phi_block(
     has_qj = cones.summands[j].q is not None
     has_ql = cones.summands[l].q is not None
     y = w = z = 0
-    if direction == Direction.FORWARD:
+    if direction is _FORWARD:
         if has_qj and has_ql:
             y = _sign_power(m.beta[j], degree)
         z = _sign_power(m.delta[j], degree)
@@ -389,7 +390,7 @@ def _phi_failures(
             if graded.kind == RingKind.ZERO:
                 continue
             # The degree-0 basis element of a diagonal entry is the identity.
-            direction = Direction.FORWARD if j == l else graph.table[(j, l)]
+            direction = _FORWARD if j == l else graph.table[(j, l)]
             blocks = tuple(phi_block(m, graph.cones, j, l, p, direction) for p in (0, 1))
             entries[(j, l)] = direction, blocks
             by_source[j].append((l, direction, graded, blocks))

@@ -609,11 +609,17 @@ def test_run_verification_script_exits_1_on_a_failing_record(monkeypatch, capsys
     assert dict(zip(header.split(), row.split()))["confluence"] == "False"
 
 
-@pytest.mark.parametrize("argv", [["--max-n", "\u0663"], ["--window", "\uff14"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-n", "\u0663"], ["--window", "\uff14"], ["--max-n", "abc"], ["--window", "x"]],
+)
 def test_run_verification_script_reads_ascii_integers_only(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        _verification_script().main(argv)
-    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    # Refused by the parser as ``piano-cat`` refuses a flag: exit 2 and one
+    # stderr line, without the usage text.
+    assert _verification_script().main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "invalid integer value" in captured.err
 
 
 @pytest.mark.parametrize("argv", [["--max-n", "0"], ["--window", "1"]])
@@ -746,6 +752,7 @@ def test_render_refuses_n_above_the_cap(capsys, tmp_path, kind, fmt, key):
         (["verify", "all", "--n", "2", "--word-cap", "0"], "word_cap must be at least 1, got 0"),
         (["verify", "bijection", "--n", "1", "--window", "1"], "window must be at least 2, got 1"),
         (["verify", "bijection", "--n", "-3"], "n must be at least 1, got -3"),
+        (["verify", "bijection", "--n", "1", "--window", "65"], "window must be at most 64, got 65"),
     ],
 )
 def test_config_errors_name_the_field(capsys, argv, message):
@@ -816,6 +823,31 @@ def test_window_env_rejected(capsys, monkeypatch, value):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "PIANO_CAT_WINDOW" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("via", ["homtable", "verify", "env", "script"])
+def test_window_is_bounded_by_max_window(capsys, monkeypatch, via):
+    # Every way a window reaches a check passes through ``Config``, which
+    # takes 64 and refuses 65 in one line.
+    assert cli.MAX_WINDOW == 64
+    source = '[{"acc":0},{"pt":[0,3]}]'
+    for window, accepted in ((64, True), (65, False)):
+        if via == "homtable":
+            code = main(["homtable", "--n", "2", "--source", source, "--target", source,
+                         "--window", str(window)])
+        elif via == "verify":
+            code = main(["verify", "all", "--n", "1", "--window", str(window)])
+        elif via == "env":
+            monkeypatch.setenv("PIANO_CAT_WINDOW", str(window))
+            code = main(["verify", "all", "--n", "1"])
+        else:
+            code = _verification_script().main(["--max-n", "1", "--window", str(window)])
+        captured = capsys.readouterr()
+        if accepted:
+            assert code == 0 and captured.out and captured.err == ""
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err == "window must be at most 64, got 65\n"
 
 
 def test_window_env_sets_default(capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from quiver_oracle import compose, is_locally_gentle
 from summand_triples import own_segments, summand_triples
 
-from pianocat import dissections, endo, geometry, homs, quivers
+from pianocat import dissections, endo, generators, geometry, homs, quivers, signs
 from pianocat.endo import (
     EndoAlgebra,
     EndoError,
@@ -900,6 +900,8 @@ def test_endo_memos_are_bounded():
         dissections.chord_of_arc,
         dissections.chord_to_arc,
         homs.default_apex,
+        generators._is_pre_generator_tree,
+        signs._cone_summand,
     ):
         assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE
 

@@ -1,9 +1,20 @@
 import hashlib
 import itertools
+from collections import Counter
 
 import pytest
 
-from pianocat.geometry import Arc, acc, arc_set, pt, rotate_arc
+from pianocat.geometry import (
+    Arc,
+    ArcKind,
+    GeometryError,
+    acc,
+    arc_set,
+    cross,
+    crosses_under_some_shift,
+    pt,
+    rotate_arc,
+)
 from pianocat.generators import (
     GeneratorError,
     check_linear_generator,
@@ -72,6 +83,74 @@ def test_limit_generator_and_decomposition():
     n = 3
     extra = arc_set(n, list(fan) + [Arc(n, acc(2, n), pt(0, 5, n))])
     assert not is_limit_generator(extra)
+
+
+def reference_is_limit_generator(a):
+    """Test oracle: the limit-generator rule as first written, which builds
+    the tree test of every generator afresh.  A tree of double limit arcs,
+    one limit arc per segment, no two arcs crossing under shifts."""
+    arcs = list(a)
+    if not all(x.kind in (ArcKind.LIMIT, ArcKind.DOUBLE_LIMIT) for x in arcs):
+        return False
+    doubles = [x for x in arcs if x.kind == ArcKind.DOUBLE_LIMIT]
+    limits = [x for x in arcs if x.kind == ArcKind.LIMIT]
+    if not is_limit_pre_generator(arc_set(a.n, doubles)):
+        return False
+    if len(limits) != a.n:
+        return False
+    free_segments = [(x.a if x.a.is_marked else x.b).seg for x in limits]
+    if sorted(free_segments) != list(range(a.n)):
+        return False
+    return not any(crosses_under_some_shift(x, y) for x, y in itertools.combinations(arcs, 2))
+
+
+def _near_generators(g):
+    """Inputs made from the generator g, each with its kind: g with one
+    summand dropped, with one limit arc moved to another segment, with a
+    short or a long arc added, and with one double limit arc of its tree
+    swapped for one that crosses the rest of the tree."""
+    n, arcs = g.n, list(g)
+    for x in arcs:
+        yield "dropped", [y for y in arcs if y is not x]
+    for x in arcs:
+        if x.kind is not ArcKind.LIMIT:
+            continue
+        acc_end = x.b if x.a.is_marked else x.a
+        for seg in range(n):
+            moved = Arc(n, acc_end, pt(seg, 0, n))
+            if moved not in arcs:
+                yield "moved", [moved if y is x else y for y in arcs]
+    yield "short", arcs + [Arc(n, pt(0, 0, n), pt(0, 2, n))]
+    if n > 1:
+        yield "long", arcs + [Arc(n, pt(0, 0, n), pt(1, 1, n))]
+    tree = [x for x in arcs if x.kind is ArcKind.DOUBLE_LIMIT]
+    for x in tree:
+        rest = [y for y in tree if y is not x]
+        for i, j in itertools.combinations(range(n), 2):
+            c = Arc(n, acc(i, n), acc(j, n))
+            if c not in tree and any(cross(c, y) for y in rest):
+                yield "swapped", [c if y is x else y for y in arcs]
+
+
+def test_limit_generator_rule_matches_the_reference():
+    # Every generator with n <= 4 and the inputs made from each; the rule
+    # and the oracle agree on all, and each kind of input is refused.
+    refused, accepted = Counter(), 0
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            assert is_limit_generator(g) and reference_is_limit_generator(g)
+            accepted += 1
+            for kind, arcs in _near_generators(g):
+                try:
+                    a = arc_set(n, arcs)
+                except GeometryError:  # a repeated arc is no arc set
+                    continue
+                got = is_limit_generator(a)
+                assert got == reference_is_limit_generator(a), (kind, a)
+                refused[kind] += not got
+    assert accepted == 1 + 4 + 36 + 416
+    assert set(refused) == {"dropped", "moved", "short", "long", "swapped"}
+    assert min(refused.values()) > 0
 
 
 def test_n_equals_one_has_no_long_or_double_limit_arcs():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pianocat
-from pianocat import geometry
+from pianocat import generators, geometry, signs
 from pianocat.geometry import Arc, BoundaryPoint, acc, arc_set, pt, suspend
 from pianocat.homs import (
     MEMO_SIZE,
@@ -335,6 +335,33 @@ def test_memos_match_their_bodies():
     assert all(f.cache_info().hits > hits for f, hits in zip(memos, before))
 
 
+def test_tree_and_cone_memos_match_their_bodies():
+    """The per-tree memo of ``is_limit_generator`` and the per-summand cone
+    memo of ``cone_data`` against their uncached bodies, asked twice so that
+    the second answer comes from the cache, on every tree and every summand
+    with n <= 5.  Each tree is also asked without its last arc, which no
+    tree spans."""
+    memos = (generators._is_pre_generator_tree, signs._cone_summand)
+    before = [f.cache_info().hits for f in memos]
+    answers = Counter()
+    for n in (1, 2, 3, 4, 5):
+        for pre in generators.enumerate_pre_generators(n):
+            doubles = tuple(pre)
+            for key in {doubles, doubles[:-1]}:
+                want = generators._is_pre_generator_tree.__wrapped__(n, key)
+                answers[want] += 1
+                for _ in range(2):
+                    assert generators._is_pre_generator_tree(n, key) is want
+        summands = {x.sort_key(): x for g in enumerate_limit_generators(n) for x in g}
+        for x in summands.values():
+            want = signs._cone_summand.__wrapped__(x)
+            for _ in range(2):
+                assert signs._cone_summand(x) == want
+    # 1 + 1 + 3 + 12 + 55 trees, and as many non-trees less the empty one of n = 1.
+    assert (answers[True], answers[False]) == (72, 71)
+    assert all(f.cache_info().hits > hits for f, hits in zip(memos, before))
+
+
 def test_hom_alignment_memo_matches_its_body():
     # Every ordered pair of summands of the n <= 3 generators of one n,
     # each suspended by -4..4, asked twice so that the second answer comes
@@ -395,6 +422,7 @@ def test_memos_are_bounded():
         "endo._matrix_block",
         "endo._shared",
         "endo._typed_block",
+        "generators._is_pre_generator_tree",
         "geometry._suspended",
         "geometry.crosses_under_some_shift",
         "geometry.json_fragment",
@@ -403,6 +431,7 @@ def test_memos_are_bounded():
         "homs.ext1_dim",
         "homs.hom_alignment",
         "homs.morphism_direction",
+        "signs._cone_summand",
     } <= set(sizes)
 
 

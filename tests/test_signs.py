@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pianocat import endo, signs
 from pianocat.endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
-from pianocat.geometry import Arc, BoundaryPoint as BP
+from pianocat.geometry import Arc, BoundaryPoint as BP, suspend
 from pianocat.homs import (
     Direction,
     HomError,
@@ -444,6 +444,27 @@ def test_cone_data_shares_the_fan_families():
                 assert summand == signs.ConeSummand(None, x)
                 continue
             assert (summand.q, summand.p) == cone_presentation.__wrapped__(x, fan)
+
+
+def test_cone_summand_never_keeps_a_refusal(monkeypatch):
+    # No summand has a cone the fan refuses, so a stand-in for
+    # cone_presentation refuses one: each call asks it again and raises.
+    x = suspend(Arc(3, BP(0), BP(1, 0)), 1000)  # a summand no other test asks
+    asked = []
+
+    def refuse(arc, fan):
+        asked.append(arc)
+        raise HomError(f"{arc} is not the cone of a single map between summand suspensions")
+
+    monkeypatch.setattr(signs, "cone_presentation", refuse)
+    for _ in range(2):
+        with pytest.raises(HomError, match="not the cone"):
+            signs._cone_summand(x)
+        with pytest.raises(HomError, match="not the cone"):
+            cone_data([x])
+    assert asked == [x] * 4
+    monkeypatch.undo()
+    assert signs._cone_summand(x) == signs.ConeSummand(*cone_presentation.__wrapped__(x, fan_generator(3)))
 
 
 def summed_identity_failures(arcs, m, window):
