@@ -14,6 +14,7 @@ What the runs are and what the file holds is set out in README.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -45,7 +46,11 @@ def run_once(
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    result = subprocess.run(cmd, cwd=path, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    # No run writes bytecode, so each run of each checkout compiles the same source.
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        cmd, cwd=path, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    )
     lines = result.stdout.splitlines()
     if result.returncode not in (0, 1) or len(lines) < 2:
         raise RuntimeError(
@@ -79,6 +84,12 @@ def main() -> int:
                 f"--checkout wants NAME=PATH of a checkout with {' and '.join(CHECKOUT_FILES)}, "
                 f"got {item!r}"
             )
+        # Bytecode would let its runs skip compilation and lower their setup_s.
+        src = Path(path) / "src"
+        stale = [*src.rglob("__pycache__"), *src.rglob("*.pyc")]
+        if stale:
+            sys.stderr.write(f"--checkout {item!r}: {stale[0]} is compiled bytecode; remove it\n")
+            return 2
         checkouts[name] = Path(path).resolve()
 
     sides = {

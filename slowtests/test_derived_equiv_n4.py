@@ -44,4 +44,4 @@ def test_every_generator_passes_with_pinned_stdout(run):
 def test_examined_pairs_are_pinned(run):
     _, _, reports = run
     assert len(reports) == 832
-    assert sum(r.pairs for r in reports) == PAIRS
+    assert sum(r.checked for r in reports) == PAIRS

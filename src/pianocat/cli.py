@@ -214,11 +214,11 @@ class GeneratorContext:
         return [signs.propagate_choice(graph, choice) for choice in choices]
 
 
-def _check_record(check: str, n: int, report, failures: str) -> dict:
+def _check_record(check: str, n: int, report: endo.CheckReport) -> dict:
     """The JSON line of one check, with up to three witnesses when it failed."""
     record = {"check": check, "n": n, "passed": report.passed}
     if not report.passed:
-        record["witnesses"] = report.to_json()[failures][:3]
+        record["witnesses"] = report.to_json()["witnesses"][:3]
     return record
 
 
@@ -240,7 +240,7 @@ def _verify_path_algebra(ctx: GeneratorContext, cfg: Config) -> list[dict]:
     report = endo.verify_path_algebra_iso(
         ctx.arcs, ctx.n, window=cfg.window, piano=ctx.piano, algebra=ctx.algebra
     )
-    return [_check_record("path-algebra-iso", ctx.n, report, "mismatches")]
+    return [_check_record("path-algebra-iso", ctx.n, report)]
 
 
 def _piano_as_paths(p: quivers.PianoQuiver, window: int) -> bool:
@@ -266,7 +266,7 @@ def _verify_piano_as_paths(ctx: GeneratorContext, cfg: Config) -> list[dict]:
 
 def _verify_beta_delta(ctx: GeneratorContext, cfg: Config) -> list[dict]:
     return [
-        _check_record("beta-delta", ctx.n, signs.check_beta_delta(m, ctx.arcs), "failures")
+        _check_record("beta-delta", ctx.n, signs.check_beta_delta(m, ctx.arcs))
         for m in ctx.matrices
     ]
 
@@ -274,10 +274,7 @@ def _verify_beta_delta(ctx: GeneratorContext, cfg: Config) -> list[dict]:
 def _verify_derived_equiv(ctx: GeneratorContext, cfg: Config) -> list[dict]:
     return [
         _check_record(
-            "derived-equiv",
-            ctx.n,
-            signs.verify_phi_homomorphism(ctx.arcs, m, window=cfg.window),
-            "failures",
+            "derived-equiv", ctx.n, signs.verify_phi_homomorphism(ctx.arcs, m, window=cfg.window)
         )
         for m in ctx.matrices
     ]

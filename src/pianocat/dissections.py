@@ -361,15 +361,15 @@ def chord_of_arc(x: Arc) -> ChordArc:
 
 
 def dissection_from_generator(arcs: list[Arc] | ArcSet, n: int | None = None) -> DissectionSet:
-    """Image of a set of (double) limit arcs on the marked disc; see ``chord_of_arc``."""
+    """Image of a set of (double) limit arcs on the marked disc; see ``chord_of_arc``.
+    Refuses (``DissectionError``) an ``n`` other than the summands'."""
     items = list(arcs)
-    if n is None:
-        if isinstance(arcs, ArcSet):
-            n = arcs.n
-        elif items:
-            n = items[0].n
-        else:
-            raise DissectionError("cannot infer n from an empty arc list")
+    own = arcs.n if isinstance(arcs, ArcSet) else items[0].n if items else n
+    if own is None:
+        raise DissectionError("cannot infer n from an empty arc list")
+    if n is not None and n != own:
+        raise DissectionError(f"n={n} disagrees with the summands' n={own}")
+    n = own
     chords = [chord_of_arc(x) for x in items]
     return DissectionSet(
         n,

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import and_, not_
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .dissections import chord_of_arc, dissection_from_generator
 from .geometry import MEMO_SIZE, Arc, ArcKind, order_type, suspend, within_row
@@ -141,7 +141,8 @@ class EndoAlgebra:
     def from_arcs(arcs: list[Arc], n: int | None = None) -> "EndoAlgebra":
         """The algebra of the summands in this order; a sign graph is built over it.
 
-        Refuses (``EndoError``) overlapping suspension orbits, then reads
+        Refuses (``EndoError``) an ``n`` other than the summands' and
+        overlapping suspension orbits, then reads
         each cell from the ``_entry`` memo, which refuses a short summand.
         """
         items = list(arcs)
@@ -149,6 +150,8 @@ class EndoAlgebra:
             if not items:
                 raise EndoError("need at least one summand")
             n = items[0].n
+        elif items and items[0].n != n:
+            raise EndoError(f"n={n} disagrees with the summands' n={items[0].n}")
         # Disjoint suspension orbits: no summand is repeated, and no two
         # sweep the same segment (a segment counts once per summand).
         swept = [seg for x in items for seg in _marked_segments(x)]
@@ -248,30 +251,29 @@ class IsoMismatch:
     expected: object
     found: object
 
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "location": [repr(x) for x in self.location],
+            "expected": repr(self.expected),
+            "found": repr(self.found),
+        }
+
 
 @dataclass(frozen=True)
-class IsoReport:
-    mismatches: tuple[IsoMismatch, ...]
-    # Composable pairs of basis elements whose products were compared.
-    products: int = 0
+class CheckReport:
+    """A check's witnesses in the order found, up to its cap, each with a
+    ``to_json``; ``checked`` counts what it walked up to the cut (README)."""
+
+    witnesses: tuple
+    checked: int = 0
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches
+        return not self.witnesses
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "mismatches": [
-                {
-                    "kind": m.kind,
-                    "location": [repr(x) for x in m.location],
-                    "expected": repr(m.expected),
-                    "found": repr(m.found),
-                }
-                for m in self.mismatches
-            ],
-        }
+        return {"passed": self.passed, "witnesses": [w.to_json() for w in self.witnesses]}
 
 
 def piano_of_generator(arcs: list[Arc], n: int | None = None) -> PianoQuiver:
@@ -306,7 +308,7 @@ def verify_path_algebra_iso(
     piano: PianoQuiver | None = None,
     max_mismatches: int = 20,
     algebra: EndoAlgebra | None = None,
-) -> IsoReport:
+) -> CheckReport:
     """Compare the matrix algebra of a limit generator with its path algebra.
 
     Checks degreewise dimensions on [-window, window] for every vertex pair,
@@ -316,16 +318,15 @@ def verify_path_algebra_iso(
     of such classes, a row at a time (README).  ``piano`` and ``algebra``,
     when given, are those of ``arcs`` in this order, so that other checks
     can share them; either of another generator or order is refused
-    (``EndoError``).  Refuses (``EndoError``) a negative window and a cap
-    below one: neither can check anything.
+    (``EndoError``).  At most ``max_mismatches`` witnesses are reported, in
+    the order they are found.  Refuses (``EndoError``) a negative window and
+    a cap below one: neither can check anything.
     """
     if window < 0:
         raise EndoError(f"window must be at least 0, got {window}")
     if max_mismatches < 1:
         raise EndoError(f"max_mismatches must be at least 1, got {max_mismatches}")
     items = list(arcs)
-    if n is None:
-        n = items[0].n
     if algebra is None:
         algebra = EndoAlgebra.from_arcs(items, n)
     elif algebra.arcs != tuple(items):
@@ -334,8 +335,16 @@ def verify_path_algebra_iso(
         piano = piano_of_generator(items, n)
     elif not is_piano_of(piano, items):
         raise EndoError("the piano's vertices are not these summands in this order")
-    p, size = piano, len(items)
-    mismatches: list[IsoMismatch] = []
+    examined = [0]  # incremented by the product pass, which may be cut short
+    found = _iso_mismatches(algebra, piano, window, examined)
+    return CheckReport(tuple(islice(found, max_mismatches)), examined[0])
+
+
+def _iso_mismatches(
+    algebra: EndoAlgebra, p: PianoQuiver, window: int, examined: list[int]
+) -> Iterator[IsoMismatch]:
+    """The mismatches of ``verify_path_algebra_iso``, lazily and in order."""
+    items, size = algebra.arcs, algebra.size
 
     # The degrees of the nonzero classes of each pair, on both sides, read
     # off one dimension row per side (one per ring kind on the algebra's);
@@ -353,9 +362,7 @@ def verify_path_algebra_iso(
             if lhs != rhs:
                 for m, left, right in zip(window_degrees, lhs, rhs):
                     if left != right:
-                        mismatches.append(IsoMismatch("dimension", (a, b, m), left, right))
-                        if len(mismatches) >= max_mismatches:
-                            return IsoReport(tuple(mismatches))
+                        yield IsoMismatch("dimension", (a, b, m), left, right)
             both_sides[(a, b)] = tuple(compress(window_degrees, map(and_, lhs, rhs)))
 
     # Each pair's class degrees, and the ends of their normal forms on the
@@ -367,12 +374,10 @@ def verify_path_algebra_iso(
     for (a, b), ms in both_sides.items():
         kept = []
         for m, ends in zip(ms, class_ends(p, a, b, ms) if ms else ()):
-            if not isinstance(ends, QuiverError):
+            if isinstance(ends, QuiverError):
+                yield IsoMismatch("word", (a, b, m), "a word of the piano", str(ends))
+            else:
                 kept.append((m, ends))
-                continue
-            mismatches.append(IsoMismatch("word", (a, b, m), "a word of the piano", str(ends)))
-            if len(mismatches) >= max_mismatches:
-                return IsoReport(tuple(mismatches))
         degrees[(a, b)] = tuple(m for m, _ in kept)
         junctions[(a, b)] = tuple((zero, last) for _, (zero, _, last, _) in kept)
         starts[(a, b)] = tuple((zero, first) for _, (zero, first, _, _) in kept)
@@ -389,7 +394,6 @@ def verify_path_algebra_iso(
     # Few pairs have distinct degree tuples, so each set of totals is formed once.
     sumset = cache(lambda ms, ms2: frozenset(m + m2 for m in ms for m2 in ms2))
     totals = range(-2 * window, 2 * window + 1)
-    products = 0
     for a in range(size):
         # For each c, the totals where the piano has no class from a to c.
         off_piano = [
@@ -414,29 +418,17 @@ def verify_path_algebra_iso(
                 if path_block == chi_block and not (
                     off_c and _lands_in(path_block, left_degrees, right_degrees, off_c)
                 ):
-                    products += len(left_degrees) * len(right_degrees)
+                    examined[0] += len(left_degrees) * len(right_degrees)
                     continue
                 # Walk a block that disagrees, or has a nonzero path off the
                 # piano, cell by cell, so that the witnesses, their order and
                 # the count at a cap are those of a per-cell loop.
                 for m, path_row, chi_row in zip(left_degrees, path_block, chi_block):
                     for m2, path_nonzero, chi in zip(right_degrees, path_row, chi_row):
-                        products += 1
+                        examined[0] += 1
                         if path_nonzero and m + m2 in off_c:
-                            mismatches.append(
-                                IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1)
-                            )
-                            if len(mismatches) >= max_mismatches:
-                                return IsoReport(tuple(mismatches), products)
+                            yield IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1)
                         if path_nonzero != chi:
-                            mismatches.append(
-                                IsoMismatch(
-                                    "multiplication",
-                                    (a, b, c, m, m2),
-                                    chi,
-                                    int(path_nonzero),
-                                )
+                            yield IsoMismatch(
+                                "multiplication", (a, b, c, m, m2), chi, int(path_nonzero)
                             )
-                            if len(mismatches) >= max_mismatches:
-                                return IsoReport(tuple(mismatches), products)
-    return IsoReport(tuple(mismatches), products)

@@ -138,7 +138,9 @@ def fan_summands(n: int, apex: BoundaryPoint | None = None) -> list[Arc]:
     return out
 
 
+@lru_cache(maxsize=64)
 def fan_generator(n: int) -> ArcSet:
+    """The fan at ``homs.default_apex``, the sign layer's reference fan, built once per n."""
     return arc_set(n, fan_summands(n))
 
 

@@ -158,9 +158,9 @@ class PathNormalForm:
     degree: int | None
     shape: Shape
     word: tuple[Symbol, ...] = ()
-    # What a product continues from (``product_is_zero``, and the test
-    # oracle ``compose``): the irreducible word as blocks, and the first
-    # and last arrow of its skeleton (None without arrows).
+    # What a product continues from (the test oracle ``compose``, through
+    # ``product_row``): the irreducible word as blocks, and the first and
+    # last arrow of its skeleton (None without arrows).
     blocks: tuple[Block, ...] = field(default=(), compare=False, repr=False)
     first_arrow: int | None = field(default=None, compare=False, repr=False)
     last_arrow: int | None = field(default=None, compare=False, repr=False)
@@ -435,13 +435,6 @@ def product_row(
     )
 
 
-def product_is_zero(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> bool:
-    """Whether the product ``u`` then ``v`` of two composable normal forms is
-    zero: the one-cell case of ``product_row``.  The full product is the
-    test oracle ``compose`` (``tests/quiver_oracle.py``)."""
-    return not product_row(p, (u.is_zero, u.last_arrow), ((v.is_zero, v.first_arrow),))[0]
-
-
 def _scan_blocks(p: PianoQuiver, word: tuple[Symbol, ...]) -> tuple[list[Block] | None, int]:
     """One pass over a nonempty word: its blocks and its degree.
 
@@ -567,11 +560,6 @@ def _reduce_blocks(
     return stack
 
 
-def zero_degree_pairs(p: PianoQuiver) -> set[tuple[int, int]]:
-    """Ordered vertex pairs joined by a nonzero arrow path (a radial run)."""
-    return set(p.arrow_paths)
-
-
 def arrow_path(p: PianoQuiver, a: int, b: int) -> tuple[int, ...] | None:
     """The unique nonzero arrow path from a to b, or None."""
     if a == b:
@@ -675,7 +663,7 @@ def degree_component_structure(p: PianoQuiver, degree: int) -> list[list[int]]:
     diagonal (and with it every sharp source column) drops out.
     """
     nv = p.num_vertices
-    pairs = zero_degree_pairs(p)
+    pairs = p.arrow_paths
     keyboard = [[1 if (a == b or (a, b) in pairs) else 0 for b in range(nv)] for a in range(nv)]
     if degree <= 0:
         return [row[:] for row in keyboard]

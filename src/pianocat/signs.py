@@ -12,11 +12,11 @@ from functools import lru_cache
 from itertools import islice
 
 from .dissections import DissectionError
-from .endo import EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block
+from .endo import CheckReport, EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block
 from .endo import is_piano_of, piano_of_generator
 from .endo import chi_multiply  # noqa: F401  unused here; perfbench's tracer asserts this binding
-from .generators import fan_summands, is_limit_generator
-from .geometry import MEMO_SIZE, Arc, ArcSet, arc_set
+from .generators import fan_generator, is_limit_generator
+from .geometry import MEMO_SIZE, Arc, arc_set
 from .homs import (
     Direction,
     HomError,
@@ -50,18 +50,12 @@ class ConeData:
     m: int  # number of summands outside the reference suspension closure
 
 
-@lru_cache(maxsize=64)
-def _fan(n: int) -> ArcSet:
-    """The reference fan, at ``default_apex(n)``, built once per n."""
-    return arc_set(n, fan_summands(n))
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _cone_summand(x: Arc) -> ConeSummand:
     """The cone presentation of one summand over the reference fan."""
     if x.contains(default_apex(x.n)):
         return ConeSummand(None, x)
-    return ConeSummand(*cone_presentation(x, _fan(x.n)))
+    return ConeSummand(*cone_presentation(x, fan_generator(x.n)))
 
 
 def cone_data(arcs: list[Arc]) -> ConeData:
@@ -235,21 +229,6 @@ class CheckFailure:
         return {"identity": self.identity, "witness": [repr(x) for x in self.witness]}
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    failures: tuple[CheckFailure, ...]
-    # What the check walked: for beta-delta the nonzero degree-0 morphisms
-    # between distinct summands, for phi the composable pairs of entries.
-    pairs: int = 0
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "failures": [f.to_json() for f in self.failures]}
-
-
 def check_beta_delta(m: SignedMatrix, arcs: list[Arc]) -> CheckReport:
     """Sign coherence along every nonzero morphism between distinct summands.
 
@@ -258,7 +237,8 @@ def check_beta_delta(m: SignedMatrix, arcs: list[Arc]) -> CheckReport:
     Between two fan summands every morphism is forward: the anticlockwise
     advance from one free endpoint to the other stops before the apex.
     The degree-0 table is the one of the matrix's sign graph; ``arcs`` must
-    be the summands that graph was built for.
+    be the summands that graph was built for.  ``checked`` counts the
+    nonzero degree-0 morphisms between distinct summands.
     """
     table = _own_graph(m, arcs).table
     failures: list[CheckFailure] = []
@@ -338,9 +318,10 @@ def verify_phi_homomorphism(
     these block identities, so it holds whenever part (b) does.
     The algebra, cone data and directions come from the matrix's sign graph,
     built for ``arcs``.  At most ``max_failures`` witnesses are reported, in
-    the order they are found; ``pairs`` counts the composable pairs of
-    nonzero entries (j -> j2, j2 -> l) that part (b) examined.  Refuses (``SignError``) a negative window and a cap below
-    one: neither can check anything.
+    the order they are found; ``checked`` counts the composable pairs of
+    nonzero entries (j -> j2, j2 -> l) that part (b) examined.  Refuses
+    (``SignError``) a negative window and a cap below one: neither can check
+    anything.
     """
     if window < 0:
         raise SignError(f"window must be at least 0, got {window}")

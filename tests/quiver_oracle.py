@@ -5,7 +5,7 @@ dissection with its own validation; ``quivers.keyboard_from_extended``
 builds the same quiver on the induced dissection of an extended one.
 ``is_locally_gentle`` checks the axioms of a gentle quiver on either.
 ``compose`` is the full product of two path normal forms;
-``quivers.product_is_zero`` decides only whether it vanishes, and
+``quivers.product_row`` decides only whether it vanishes, and
 ``endo.verify_path_algebra_iso`` reads no more than that.
 """
 
@@ -23,7 +23,7 @@ from pianocat.quivers import (
     _form,
     _gentle_quiver,
     _reduce_blocks,
-    product_is_zero,
+    product_row,
 )
 
 
@@ -50,14 +50,14 @@ def compose(p: PianoQuiver, u: PathNormalForm, v: PathNormalForm) -> PathNormalF
     """The normal form of the product ``u`` then ``v`` of two normal forms.
 
     Both are irreducible, so every redex of the concatenation straddles the
-    junction.  ``product_is_zero`` decides at the junction whether the
+    junction.  ``product_row`` decides at the junction whether the
     product vanishes; otherwise pushing ``v``'s blocks onto a copy of
     ``u``'s stack finishes the one stack pass of ``normal_form`` over the
     concatenation.  The identity (the empty word at a vertex) is a unit.
     """
     if not (u.is_zero or v.is_zero) and u.target != v.source:
         raise QuiverError(f"normal forms do not compose: {u.target} -> {v.source}")
-    if product_is_zero(p, u, v):
+    if not product_row(p, (u.is_zero, u.last_arrow), ((v.is_zero, v.first_arrow),))[0]:
         return ZERO_FORM
     stack = _reduce_blocks(p, v.blocks, list(u.blocks))
     return _form(u.source, v.target, u.degree + v.degree, stack)

@@ -130,7 +130,7 @@ def test_criterion_05_path_algebra_isomorphism():
             report = verify_path_algebra_iso(list(g), n, window=6)
             if not report.passed:
                 ok = False
-                print("  mismatch:", report.to_json()["mismatches"][:2])
+                print("  mismatch:", report.to_json()["witnesses"][:2])
                 break
     elapsed = time.time() - t0
     _report(5, "graded path algebra isomorphism", ok and elapsed < 300.0, t0)
@@ -261,7 +261,7 @@ def test_criterion_10_negative_controls():
     corrupted = dataclasses.replace(m, beta=tuple(-b for b in m.beta))
     r = check_beta_delta(corrupted, arcs)
     r2 = verify_phi_homomorphism(arcs, corrupted, window=2)
-    detections.append(not (r.passed and r2.passed) and bool(r.failures + r2.failures))
+    detections.append(not (r.passed and r2.passed) and bool(r.witnesses + r2.witnesses))
 
     # Removed relation: a dead word is no longer detected as zero.
     p = _nine_vertex_example_piano()
@@ -299,7 +299,7 @@ def test_criterion_10_negative_controls():
         )
     )
     report = verify_path_algebra_iso(fan_summands(2), 2, window=3, piano=swapped)
-    detections.append(not report.passed and len(report.mismatches) > 0)
+    detections.append(not report.passed and len(report.witnesses) > 0)
 
     # Removed commutation: normal forms of one class diverge.
     p3 = piano_of_generator(fan_summands(3))

@@ -10,7 +10,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
+
+from pianocat import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -80,6 +83,21 @@ def test_workload_calls_resolve():
         "endo.EndoAlgebra.from_arcs",
         "cli.main",
     } <= bound
+
+
+def test_verify_argv_passes(capsys):
+    # The verify-n3 workload runs ``cli.main(VERIFY_ARGV)``, and its gate
+    # wants exit 0 with every record passed: a flag the CLI stopped taking
+    # (``--word-cap``, say) would make every run exit 2.
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    (argv,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "VERIFY_ARGV"
+    ]
+    assert cli.main(list(argv)) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records and all(record["passed"] for record in records)
 
 
 def test_perfbench_test_names_resolve():

@@ -10,6 +10,7 @@ import sys
 import weakref
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cached_property
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pianocat import cli, dissections, generators, render
+from pianocat import cli, dissections, endo, generators, quivers, render, signs
 from pianocat.cli import main
 from pianocat.dissections import (
     DissectionSet,
@@ -221,6 +222,115 @@ def test_verify_all_streams_the_first_walked_check(monkeypatch):
     first = next(records)
     assert first["check"] == "path-algebra-iso" and first["passed"]
     assert len(built) == 1
+
+
+class _FlippedSharps(cli.GeneratorContext):
+    """Every vertex's sharpness flipped: dimension witnesses."""
+
+    @cached_property
+    def piano(self) -> quivers.PianoQuiver:
+        honest = endo.piano_of_generator(self.arcs, self.n)
+        kb = honest.keyboard
+        flipped = frozenset(range(honest.num_vertices)) - kb.sharp
+        return quivers.piano_from_keyboard(quivers.KeyboardQuiver(kb.gentle, flipped))
+
+
+class _SpuriousRelations(cli.GeneratorContext):
+    """Every composable pair of arrows a relation: multiplication witnesses."""
+
+    @cached_property
+    def piano(self) -> quivers.PianoQuiver:
+        honest = endo.piano_of_generator(self.arcs, self.n)
+        g = honest.keyboard.gentle
+        pairs = frozenset(
+            (i, k) for i, e in enumerate(g.arrows) for k, f in enumerate(g.arrows) if e.tgt == f.src
+        )
+        gentle = quivers.GentleQuiver(g.num_vertices, g.labels, g.arrows, pairs)
+        return quivers.PianoQuiver(quivers.KeyboardQuiver(gentle, honest.sharp), honest.beta_runs)
+
+
+class _FlippedSign(cli.GeneratorContext):
+    """The first delta sign of each signed matrix flipped: sign witnesses."""
+
+    @cached_property
+    def matrices(self) -> list[signs.SignedMatrix]:
+        return [
+            dataclasses.replace(m, delta=(-m.delta[0],) + m.delta[1:]) for m in super().matrices
+        ]
+
+
+def _dimension(expected: str, found: str) -> list[dict]:
+    return [
+        {"expected": expected, "found": found, "kind": "dimension", "location": ["0", "0", m]}
+        for m in ("1", "2", "3")
+    ]
+
+
+def _multiplication(a: str) -> list[dict]:
+    return [
+        {"expected": "1", "found": "0", "kind": "multiplication", "location": [a, "0", "1", "-6", m]}
+        for m in ("-6", "-5", "-4")
+    ]
+
+
+def _sign(*witnesses: tuple[str, list[str]]) -> list[dict]:
+    return [{"identity": identity, "witness": witness} for identity, witness in witnesses]
+
+
+_DIFFERENTIAL = _sign(*(("differential", ["0", i]) for i in ("-5", "-3", "-1")))
+
+
+def _multiplicativity(prod: str, want: str) -> list[dict]:
+    return _sign(
+        *(("multiplicativity", ["0", "1", "1", "-6", i, prod, want]) for i in ("-5", "-3", "-1"))
+    )
+
+
+_PLUS, _MINUS = "((0, 0), (0, 1))", "((0, 0), (0, -1))"
+
+# The witnesses of each record of ``verify <check> --n 2`` on corrupted
+# contexts, None for a record that passed.
+_FAILING_RECORDS = {
+    "flipped-sharps": (
+        _FlippedSharps,
+        "path-algebra-iso",
+        [_dimension("0", "1"), _dimension("1", "0"), _dimension("0", "1"), _dimension("0", "1")],
+    ),
+    "spurious-relations": (
+        _SpuriousRelations,
+        "path-algebra-iso",
+        [None, _multiplication("2"), _multiplication("0"), None],
+    ),
+    "flipped-sign-beta-delta": (
+        _FlippedSign,
+        "beta-delta",
+        [_sign(("beta*delta=-1", ["0"]), ("forward delta", ["1", "0"]))] * 2
+        + [_sign(("forward delta", ["0", "1"]), ("forward delta", ["2", "0"]))] * 2
+        + [_sign(("beta*delta=-1", ["0"]), ("backward delta/beta", ["0", "1"]))] * 2
+        + [_sign(("beta*delta=-1", ["0"]))] * 2,
+    ),
+    "flipped-sign-derived-equiv": (
+        _FlippedSign,
+        "derived-equiv",
+        [_DIFFERENTIAL] * 2
+        + [_multiplicativity(_PLUS, _MINUS), _multiplicativity(_MINUS, _PLUS)]
+        + [_DIFFERENTIAL] * 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAILING_RECORDS))
+def test_failing_records_are_pinned(monkeypatch, capsys, case):
+    # The bytes of every record of a failing check: its first three
+    # witnesses as JSON, each value a ``repr`` string, the keys sorted.
+    context, check, witnesses = _FAILING_RECORDS[case]
+    monkeypatch.setattr(cli, "GeneratorContext", context)
+    assert main(["verify", check, "--n", "2"]) == 1
+    records = [{"check": check, "n": 2, "passed": w is None} for w in witnesses]
+    for record, w in zip(records, witnesses):
+        if w is not None:
+            record["witnesses"] = w
+    assert capsys.readouterr().out == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def test_verify_all_small(capsys):
@@ -1033,12 +1143,13 @@ def test_fuzzed_input_is_refused_in_one_line(tmp_path, case):
 
 
 FAKE_RUN = """\
-import json, sys
+import json, os, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 seed = int(args["--seed"])
 if seed == 99:
     sys.exit(2)
-print(json.dumps({"env": {"src_sha256": %r, "seconds": args["--seconds"]}}))
+print(json.dumps({"env": {"src_sha256": %r, "seconds": args["--seconds"],
+                          "no_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE")}}))
 wall = seed * %d
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
                   "metrics": {"wall_s": {"value": wall, "unit": "s"}}}))
@@ -1061,9 +1172,10 @@ def test_bench_record_alternates_checkouts_and_summarises(tmp_path):
     assert result.returncode == 0, result.stderr
     record = json.loads(out.read_text())
     out.unlink()
-    # Each checkout runs for the run length its BENCHMARK.json sets.
+    # Each checkout runs for the run length its BENCHMARK.json sets, and
+    # writes no bytecode.
     assert record["checkouts"]["old"] == {
-        "env": {"src_sha256": "old", "seconds": "7"}, "run_seconds": 7
+        "env": {"src_sha256": "old", "seconds": "7", "no_bytecode": "1"}, "run_seconds": 7
     }
     runs = record["workloads"]["w"]["runs"]
     # Which checkout runs first alternates from seed to seed.
@@ -1077,6 +1189,30 @@ def test_bench_record_alternates_checkouts_and_summarises(tmp_path):
         argv + ["--seeds", "99"], capture_output=True, text=True, timeout=120, cwd=tmp_path
     )
     assert failed.returncode == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("stale", ["src/pianocat/__pycache__", "src/pianocat/stray.pyc"])
+def test_bench_record_refuses_a_checkout_with_bytecode(tmp_path, stale):
+    # Bytecode in a checkout's src/ would let its runs skip compilation and
+    # read a lower setup_s and peak_rss_mb: the checkout is refused in one
+    # line naming the path, before any run, and no record is written.
+    for name in ("old", "new"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(FAKE_RUN % (name, 1))
+        (tmp_path / name / "BENCHMARK.json").write_text('{"run_seconds": 7}')
+    path = tmp_path / "new" / stale
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.suffix == ".pyc":
+        path.write_bytes(b"")
+    else:
+        path.mkdir()
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+    argv = [sys.executable, str(script), "--label", "t", "--workload", "w", "--seeds", "1",
+            "--checkout", f"old={tmp_path / 'old'}", "--checkout", f"new={tmp_path / 'new'}"]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1 and str(path) in result.stderr
+    assert not list(tmp_path.glob("BENCH_*.json"))
 
 
 def test_bench_record_keeps_one_traced_run_per_checkout(tmp_path):

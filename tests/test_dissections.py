@@ -261,6 +261,16 @@ def test_builders_still_refuse_invalid_input():
         keyboard_from_extended(fan3, vertex_order=list(fan3.all_chords())[1:])
 
 
+def test_dissection_from_generator_refuses_an_n_other_than_the_summands():
+    # A dissection labelled with another n than its summands' is refused,
+    # naming both, whether the summands come as a list or an arc set.
+    arcs = fan_summands(3)
+    assert dissection_from_generator(arcs, 3) == dissection_from_generator(arcs)
+    for given in (arcs, arc_set(3, arcs)):
+        with pytest.raises(DissectionError, match="n=4 disagrees with the summands' n=3"):
+            dissection_from_generator(given, 4)
+
+
 def test_keyboard_vertex_order_lists_each_chord_once():
     # The vertex order is checked against the dissection's own chords: a
     # repeated, missing, extra or foreign chord is refused, and the order is

@@ -10,8 +10,8 @@ from pianocat.endo import (
     EndoAlgebra,
     EndoError,
     GradedEntry,
+    CheckReport,
     IsoMismatch,
-    IsoReport,
     RingKind,
     chi_multiply,
     classify_entry,
@@ -60,6 +60,14 @@ def test_fan3_dimension_counts():
     for i in range(-6, 7):
         total = sum(algebra.dim(a, b, i) for a in range(algebra.size) for b in range(algebra.size))
         assert total == (15 if i <= 0 else 12)
+
+
+def test_from_arcs_refuses_an_n_other_than_the_summands():
+    # An algebra labelled with another n than its summands' is refused, naming both.
+    arcs = fan_summands(3)
+    assert EndoAlgebra.from_arcs(arcs, 3) == EndoAlgebra.from_arcs(arcs)
+    with pytest.raises(EndoError, match="n=4 disagrees with the summands' n=3"):
+        EndoAlgebra.from_arcs(arcs, 4)
 
 
 def test_classify_entry_errors():
@@ -205,21 +213,19 @@ def test_verify_detects_corrupted_sharp_set():
     )
     report = verify_path_algebra_iso(arcs, n, window=3, piano=corrupted)
     assert not report.passed
-    kinds = {m.kind for m in report.mismatches}
+    kinds = {m.kind for m in report.witnesses}
     assert "dimension" in kinds
-    located = report.mismatches[0].location
+    located = report.witnesses[0].location
     assert len(located) == 3  # a concrete (vertex, vertex, degree) witness
 
 
 def test_degree_zero_part_is_the_keyboard_algebra():
-    from pianocat.quivers import zero_degree_pairs
-
     for n in (1, 2, 3):
         for g in enumerate_limit_generators(n)[:12]:
             algebra = EndoAlgebra.from_arcs(list(g), n)
             p = piano_of_generator(list(g), n)
             assert is_locally_gentle(p.keyboard.gentle)
-            keyboard_dim = p.num_vertices + len(zero_degree_pairs(p))
+            keyboard_dim = p.num_vertices + len(p.arrow_paths)
             chi_zero_dim = sum(
                 algebra.dim(a, b, 0) for a in range(algebra.size) for b in range(algebra.size)
             )
@@ -337,11 +343,11 @@ def test_iso_report_counts_every_composable_pair():
             )
             report = verify_path_algebra_iso(arcs, n, window=window, piano=p)
             assert report.passed
-            assert report.products == expected > 0
-            assert "products" not in report.to_json()
+            assert report.checked == expected > 0
+            assert "checked" not in report.to_json()
 
 
-def _reference_iso(arcs, n, window, piano=None, max_mismatches=20, algebra=None) -> IsoReport:
+def _reference_iso(arcs, n, window, piano=None, max_mismatches=20, algebra=None) -> CheckReport:
     """``verify_path_algebra_iso`` as a plain per-cell loop: every degree of
     every pair has its dimensions compared, and every composable pair of
     nonzero classes with a word of the piano is composed in full
@@ -356,7 +362,7 @@ def _reference_iso(arcs, n, window, piano=None, max_mismatches=20, algebra=None)
         if lhs != rhs:
             mismatches.append(IsoMismatch("dimension", (a, b, m), lhs, rhs))
             if len(mismatches) >= max_mismatches:
-                return IsoReport(tuple(mismatches))
+                return CheckReport(tuple(mismatches))
     forms = {}
     for a, b, m in itertools.product(range(size), range(size), degrees):
         if algebra.dim(a, b, m) and graded_dim(p, a, b, m):
@@ -365,7 +371,7 @@ def _reference_iso(arcs, n, window, piano=None, max_mismatches=20, algebra=None)
             except QuiverError as err:
                 mismatches.append(IsoMismatch("word", (a, b, m), "a word of the piano", str(err)))
                 if len(mismatches) >= max_mismatches:
-                    return IsoReport(tuple(mismatches))
+                    return CheckReport(tuple(mismatches))
     classes = {
         (a, b): [m for m in degrees if (a, b, m) in forms]
         for a, b in itertools.product(range(size), repeat=2)
@@ -378,15 +384,15 @@ def _reference_iso(arcs, n, window, piano=None, max_mismatches=20, algebra=None)
             if path_nonzero and graded_dim(p, a, c, m + m2) == 0:
                 mismatches.append(IsoMismatch("rewriting", (a, b, c, m, m2), 0, 1))
                 if len(mismatches) >= max_mismatches:
-                    return IsoReport(tuple(mismatches), products)
+                    return CheckReport(tuple(mismatches), products)
             chi = chi_multiply(algebra, (a, b, m), (b, c, m2))
             if int(path_nonzero) != chi:
                 mismatches.append(
                     IsoMismatch("multiplication", (a, b, c, m, m2), chi, int(path_nonzero))
                 )
                 if len(mismatches) >= max_mismatches:
-                    return IsoReport(tuple(mismatches), products)
-    return IsoReport(tuple(mismatches), products)
+                    return CheckReport(tuple(mismatches), products)
+    return CheckReport(tuple(mismatches), products)
 
 
 def _with_relations(p: PianoQuiver, relations) -> PianoQuiver:
@@ -427,7 +433,7 @@ def test_verify_detects_a_dropped_relation():
     # piano says is zero.
     arcs, pianos = _corrupted_pianos()
     report = verify_path_algebra_iso(arcs, 3, window=3, piano=pianos["dropped"])
-    assert {m.kind for m in report.mismatches} == {"multiplication", "rewriting"}
+    assert {m.kind for m in report.witnesses} == {"multiplication", "rewriting"}
 
 
 def test_verify_detects_a_spurious_relation():
@@ -443,7 +449,7 @@ def test_verify_detects_a_spurious_relation():
         if a != b and canonical_word(p, a, b, 0)
     )
     report = verify_path_algebra_iso(arcs, 3, window=3, piano=p)
-    assert {m.kind for m in report.mismatches} == {"multiplication"}
+    assert {m.kind for m in report.witnesses} == {"multiplication"}
 
 
 def test_verify_detects_a_missing_arrow_path():
@@ -454,7 +460,7 @@ def test_verify_detects_a_missing_arrow_path():
     arcs, pianos = _corrupted_pianos()
     p = pianos["pathless"]
     report = verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=10**6)
-    assert {m.kind for m in report.mismatches} == {"dimension", "rewriting"}
+    assert {m.kind for m in report.witnesses} == {"dimension", "rewriting"}
 
 
 def test_verify_refuses_a_cap_below_one_and_a_negative_window():
@@ -465,14 +471,14 @@ def test_verify_refuses_a_cap_below_one_and_a_negative_window():
     arcs, pianos = _corrupted_pianos()
     p = pianos["dropped"]
     report = verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=1)
-    assert not report.passed and len(report.mismatches) == 1
+    assert not report.passed and len(report.witnesses) == 1
     for cap in (0, -5):
         with pytest.raises(EndoError, match="max_mismatches"):
             verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=cap)
     with pytest.raises(EndoError, match="window"):
         verify_path_algebra_iso(arcs, 3, window=-1)
     report = verify_path_algebra_iso(arcs, 3, window=0)
-    assert report.passed and report.products > 0
+    assert report.passed and report.checked > 0
 
 
 @pytest.mark.parametrize("n, stride", [(1, 1), (2, 1), (3, 1), (4, 7)], ids=["n1", "n2", "n3", "n4"])
@@ -491,9 +497,9 @@ def test_verify_on_corrupted_pianos_matches_the_reference_loop():
             expected = _reference_iso(arcs, 3, 3, piano=p, max_mismatches=cap)
             assert verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=cap) == expected
             if cap < 10**6:
-                assert len(expected.mismatches) == cap  # the cut happened
+                assert len(expected.witnesses) == cap  # the cut happened
             else:
-                assert len(expected.mismatches) > 4
+                assert len(expected.witnesses) > 4
 
 
 def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
@@ -636,12 +642,12 @@ def test_verify_on_a_corrupted_matrix_side_matches_the_reference_loop(
     for cap in (1, 4, 10**6):
         expected = _reference_iso(arcs, n, window, max_mismatches=cap)
         assert verify_path_algebra_iso(arcs, n, window=window, max_mismatches=cap) == expected
-        assert {m.kind for m in expected.mismatches} == {"multiplication"}
+        assert {m.kind for m in expected.witnesses} == {"multiplication"}
         if cap < 10**6:
-            assert len(expected.mismatches) == cap  # the cut happened
+            assert len(expected.witnesses) == cap  # the cut happened
         else:
-            assert len(expected.mismatches) > 4
-    assert {middle[0], last[0]} <= {m.location for m in expected.mismatches}
+            assert len(expected.witnesses) > 4
+    assert {middle[0], last[0]} <= {m.location for m in expected.witnesses}
 
 
 def test_verify_walks_the_one_disagreeing_row_of_a_block(cold_matrix_rows, monkeypatch):
@@ -677,14 +683,14 @@ def test_verify_walks_the_one_disagreeing_row_of_a_block(cold_matrix_rows, monke
 
     monkeypatch.setattr(endo, "within_row", flip)
     full = _reference_iso(arcs, n, window, max_mismatches=10**6)
-    assert {m.kind for m in full.mismatches} == {"multiplication"}
-    assert len(full.mismatches) > 2  # caps 1 and 2 cut the list
-    assert location in {m.location for m in full.mismatches}
-    in_block = {m.location[3] for m in full.mismatches if m.location[:3] == location[:3]}
+    assert {m.kind for m in full.witnesses} == {"multiplication"}
+    assert len(full.witnesses) > 2  # caps 1 and 2 cut the list
+    assert location in {m.location for m in full.witnesses}
+    in_block = {m.location[3] for m in full.witnesses if m.location[:3] == location[:3]}
     assert in_block == {location[3]}
     for cap in (1, 2, 10**6):
         expected = _reference_iso(arcs, n, window, max_mismatches=cap)
-        assert expected.mismatches == full.mismatches[:cap]
+        assert expected.witnesses == full.witnesses[:cap]
         assert verify_path_algebra_iso(arcs, n, window=window, max_mismatches=cap) == expected
 
 
@@ -883,7 +889,7 @@ def test_verify_does_not_depend_on_what_the_memos_hold():
     for arcs in reversed(gens):
         verify_path_algebra_iso(arcs, 4, window=6)
     assert [verify_path_algebra_iso(arcs, 4, window=6) for arcs in gens[::7]] == cold
-    assert all(report.passed and report.products > 0 for report in cold)
+    assert all(report.passed and report.checked > 0 for report in cold)
 
 
 def test_endo_memos_are_bounded():
@@ -995,8 +1001,8 @@ def test_verify_reports_canonical_words_off_a_corrupted_sharp_set():
                     words.append((a, b, m))
         report = verify_path_algebra_iso(arcs, 3, window=3, piano=p, max_mismatches=10**6)
         assert not report.passed
-        found = [m for m in report.mismatches if m.kind in ("dimension", "word")]
-        assert report.mismatches[: len(found)] == tuple(found)
+        found = [m for m in report.witnesses if m.kind in ("dimension", "word")]
+        assert report.witnesses[: len(found)] == tuple(found)
         assert [m.location for m in found] == dimension + words, g
         assert all(m.kind == "word" for m in found[len(dimension) :])
         # Classes without a word take part in no product.
@@ -1040,11 +1046,11 @@ def test_dimension_rows_off_a_flipped_sharp_vertex_or_entry_match_the_reference_
                 (flipped, replaced, {(v, v), (a, b)}),
             ):
                 full = _reference_iso(arcs, n, window, p, 10**6, alg)
-                dims = [m for m in full.mismatches if m.kind == "dimension"]
+                dims = [m for m in full.witnesses if m.kind == "dimension"]
                 assert {m.location[:2] for m in dims} == pairs
                 for cap in sorted({1, 2, max(len(dims) - 1, 1), len(dims), len(dims) + 1, 10**6}):
                     expected = _reference_iso(arcs, n, window, p, cap, alg)
-                    assert expected.mismatches == full.mismatches[:cap]
+                    assert expected.witnesses == full.witnesses[:cap]
                     found = verify_path_algebra_iso(
                         arcs, n, window=window, piano=p, algebra=alg, max_mismatches=cap
                     )
@@ -1059,7 +1065,7 @@ def test_dimension_rows_off_a_flipped_sharp_vertex_or_entry_match_the_reference_
         kind = RingKind.LAURENT if algebra.entry(a, b).kind == RingKind.ZERO else RingKind.ZERO
         replaced = _replaced_entry(algebra, a, b, kind)
         expected = _reference_iso(arcs, n, 0, None, 20, replaced)
-        assert [m.location for m in expected.mismatches if m.kind == "dimension"] == [(a, b, 0)]
+        assert [m.location for m in expected.witnesses if m.kind == "dimension"] == [(a, b, 0)]
         assert verify_path_algebra_iso(arcs, n, window=0, algebra=replaced) == expected
 
 

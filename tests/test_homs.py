@@ -402,7 +402,7 @@ def test_memos_never_keep_a_refusal():
 
 def test_memos_are_bounded():
     # Every module-level LRU cache of the package, found by introspection,
-    # keeps MEMO_SIZE entries; the one exception is the fan of ``signs``,
+    # keeps MEMO_SIZE entries; the one exception is the reference fan,
     # one per n, which keeps 64.
     assert isinstance(MEMO_SIZE, int) and MEMO_SIZE > 0 and MEMO_SIZE == geometry.MEMO_SIZE
     sizes = {}
@@ -411,7 +411,7 @@ def test_memos_are_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert sizes.pop("signs._fan") == 64
+    assert sizes.pop("generators.fan_generator") == 64
     assert set(sizes.values()) == {MEMO_SIZE}
     assert {
         "dissections.chord_of_arc",

@@ -39,11 +39,9 @@ from pianocat.quivers import (
     one_step_rewrites,
     piano_from_extended,
     piano_from_keyboard,
-    product_is_zero,
     quiver_to_dot,
     skeleton_dead,
     validate_word,
-    zero_degree_pairs,
 )
 
 # The five-green-point worked example: red arcs 1,3,5,8 and binding arcs
@@ -306,7 +304,7 @@ def test_canonical_words_match_graded_dim():
 
 def test_graded_dim_rules():
     p = piano_of_generator(fan_summands(3))
-    pairs = zero_degree_pairs(p)
+    pairs = p.arrow_paths
     assert (0, 4) in pairs and (4, 0) not in pairs
     # Non-sharp diagonal in every degree, sharp only non-positive.
     for m in (-3, 0, 3):
@@ -471,12 +469,12 @@ def test_is_zero_follows_the_shape_however_the_form_is_made():
     # or by dataclasses.replace reads as zero, and a product with it too.
     p = piano_of_generator(fan_summands(2))
     nf = normal_form(p, (("a", 1),))
-    assert not nf.is_zero and not product_is_zero(p, nf, nf)
+    assert not nf.is_zero and not compose(p, nf, nf).is_zero
     for zero in (
         PathNormalForm(None, None, None, Shape.ZERO),
         dataclasses.replace(nf, shape=Shape.ZERO),
     ):
-        assert zero.is_zero and product_is_zero(p, nf, zero) and product_is_zero(p, zero, nf)
+        assert zero.is_zero and compose(p, nf, zero).is_zero and compose(p, zero, nf).is_zero
     assert not dataclasses.replace(nf, degree=-2).is_zero
     with pytest.raises(TypeError):
         PathNormalForm(None, None, None, Shape.DELTA_ALPHA, is_zero=True)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pianocat import endo, signs
 from pianocat.endo import EndoAlgebra, RingKind, chi_multiply, piano_of_generator
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
-from pianocat.geometry import Arc, BoundaryPoint as BP, suspend
+from pianocat.geometry import Arc, BoundaryPoint as BP, arc_set, suspend
 from pianocat.homs import (
     Direction,
     HomError,
@@ -138,7 +138,7 @@ def test_beta_delta_detects_flipped_sign():
     assert corrupted.graph is m.graph
     report = check_beta_delta(corrupted, arcs)
     assert not report.passed
-    assert any("delta" in f.identity or "beta" in f.identity for f in report.failures)
+    assert any("delta" in f.identity or "beta" in f.identity for f in report.witnesses)
 
 
 def test_beta_delta_detects_backward_fan_morphism():
@@ -154,7 +154,7 @@ def test_beta_delta_detects_backward_fan_morphism():
     assert m.graph.table[(5, 6)] == Direction.FORWARD
     graph = dataclasses.replace(m.graph, table=m.graph.table | {(5, 6): Direction.BACKWARD})
     report = check_beta_delta(dataclasses.replace(m, graph=graph), arcs)
-    assert [(f.identity, f.witness) for f in report.failures] == [("fan backward", (5, 6))]
+    assert [(f.identity, f.witness) for f in report.witnesses] == [("fan backward", (5, 6))]
 
 
 def test_phi_blocks():
@@ -194,7 +194,7 @@ def test_phi_detects_sign_violation():
     r1 = check_beta_delta(corrupted, arcs)
     r2 = verify_phi_homomorphism(arcs, corrupted, window=2)
     assert not (r1.passed and r2.passed)
-    witnesses = r1.failures + r2.failures
+    witnesses = r1.witnesses + r2.witnesses
     assert witnesses and witnesses[0].witness
     # A graph over a freshly built algebra yields the same report; an
     # algebra of reordered summands does not pair with this piano.
@@ -339,8 +339,8 @@ def test_beta_delta_counts_checked_pairs():
         )
         for m in both_signed_matrices(arcs):
             report = check_beta_delta(m, arcs)
-            assert report.pairs == expected > 0
-            assert "pairs" not in report.to_json()
+            assert report.checked == expected > 0
+            assert "checked" not in report.to_json()
 
 
 def test_phi_counts_examined_pairs():
@@ -359,8 +359,8 @@ def test_phi_counts_examined_pairs():
         )
         for m in both_signed_matrices(arcs):
             report = verify_phi_homomorphism(arcs, m, window=2)
-            assert report.passed and report.pairs == expected > 0
-            assert "pairs" not in report.to_json()
+            assert report.passed and report.checked == expected > 0
+            assert "checked" not in report.to_json()
 
 
 def _survival_off_degree_zero(arcs, window):
@@ -433,12 +433,12 @@ def test_phi_reads_its_shared_answers_right():
 
 def test_cone_data_shares_the_fan_families():
     # cone_data presents every summand over the one reference fan of its n,
-    # whose shift families cone_presentation reads; presenting each summand
-    # on its own, uncached, gives the same cones.
+    # ``fan_generator(n)``, whose shift families cone_presentation reads;
+    # presenting each summand on its own, uncached, gives the same cones.
     for arcs in ordered_generators((1, 2, 3), n4_stride=None):
         n = arcs[0].n
         fan, apex = fan_generator(n), default_apex(n)
-        assert signs._fan(n) is signs._fan(n) == fan
+        assert fan is fan_generator(n) == arc_set(n, fan_summands(n))
         for x, summand in zip(arcs, cone_data(arcs).summands):
             if x.contains(apex):
                 assert summand == signs.ConeSummand(None, x)
@@ -545,9 +545,9 @@ def test_one_pass_check_implies_summed_identity(data):
 
 
 def first_identity(report):
-    kinds = {f.identity for f in report.failures}
+    kinds = {f.identity for f in report.witnesses}
     assert len(kinds) == 1, kinds
-    return report.failures[0].identity
+    return report.witnesses[0].identity
 
 
 def test_each_phi_identity_has_a_negative_control():
@@ -692,7 +692,7 @@ def test_phi_check_matches_the_per_cell_loop(ns, n4_stride, windows):
         for m in matrices:
             for window in windows:
                 report = verify_phi_homomorphism(arcs, m, window=window)
-                assert report.passed and report.pairs > 0
+                assert report.passed and report.checked > 0
                 assert report == reference_phi(arcs, m, window)
 
 
@@ -711,12 +711,12 @@ def test_phi_check_matches_the_per_cell_loop_on_corrupted_matrices():
         for window in (2, 4):
             full = verify_phi_homomorphism(arcs, bad, window=window, max_failures=uncapped)
             assert full == reference_phi(arcs, bad, window, uncapped)
-            assert 4 < len(full.failures) < uncapped, name
+            assert 4 < len(full.witnesses) < uncapped, name
             for cap in (1, 4):
                 report = verify_phi_homomorphism(arcs, bad, window=window, max_failures=cap)
                 assert report == reference_phi(arcs, bad, window, cap)
                 # The cut happens: the first cap witnesses of the full list.
-                assert report.failures == full.failures[:cap]
+                assert report.witnesses == full.witnesses[:cap]
 
 
 def test_phi_refuses_a_cap_below_one_and_a_negative_window():
@@ -727,14 +727,14 @@ def test_phi_refuses_a_cap_below_one_and_a_negative_window():
     m = both_signed_matrices(arcs)[0]
     bad = dataclasses.replace(m, delta=(-m.delta[0],) + m.delta[1:])
     report = verify_phi_homomorphism(arcs, bad, window=4, max_failures=1)
-    assert not report.passed and len(report.failures) == 1
+    assert not report.passed and len(report.witnesses) == 1
     for cap in (0, -1):
         with pytest.raises(SignError, match="max_failures"):
             verify_phi_homomorphism(arcs, bad, window=4, max_failures=cap)
     with pytest.raises(SignError, match="window"):
         verify_phi_homomorphism(arcs, m, window=-1)
     report = verify_phi_homomorphism(arcs, m, window=0)
-    assert report.passed and report.pairs > 0
+    assert report.passed and report.checked > 0
 
 
 def test_phi_check_compares_every_cell(monkeypatch):
@@ -753,8 +753,8 @@ def test_phi_check_compares_every_cell(monkeypatch):
         for m in both_signed_matrices(arcs):
             report = verify_phi_homomorphism(arcs, m, window=4, max_failures=10**6)
             assert report == reference_phi(arcs, m, 4, 10**6)
-            assert {f.identity for f in report.failures} <= {"multiplicativity"}
-            cells += len(report.failures)
+            assert {f.identity for f in report.witnesses} <= {"multiplicativity"}
+            cells += len(report.witnesses)
     assert cells == 90_990
 
 
@@ -780,11 +780,11 @@ def test_phi_check_walks_a_triple_whose_parities_split(monkeypatch):
     for window in (2, 4):
         full = verify_phi_homomorphism(arcs, m, window=window, max_failures=uncapped)
         assert full == reference_phi(arcs, m, window, uncapped)
-        assert {f.identity for f in full.failures} == {"multiplicativity"}
-        assert all(f.witness[3] % 2 or f.witness[4] % 2 for f in full.failures)
+        assert {f.identity for f in full.witnesses} == {"multiplicativity"}
+        assert all(f.witness[3] % 2 or f.witness[4] % 2 for f in full.witnesses)
         # Every failing triple also has cells that pass: its even ones.
         failing = defaultdict(int)
-        for f in full.failures:
+        for f in full.witnesses:
             failing[f.witness[:3]] += 1
         assert failing
         for j, j2, l in failing:
@@ -795,4 +795,4 @@ def test_phi_check_walks_a_triple_whose_parities_split(monkeypatch):
         for cap in (1, 4):
             report = verify_phi_homomorphism(arcs, m, window=window, max_failures=cap)
             assert report == reference_phi(arcs, m, window, cap)
-            assert report.failures == full.failures[:cap]
+            assert report.witnesses == full.witnesses[:cap]
