@@ -7,10 +7,10 @@ from summand_triples import own_segments, summand_triples
 
 from pianocat import dissections, endo, generators, geometry, homs, quivers, signs
 from pianocat.endo import (
+    CheckReport,
     EndoAlgebra,
     EndoError,
     GradedEntry,
-    CheckReport,
     IsoMismatch,
     RingKind,
     chi_multiply,
