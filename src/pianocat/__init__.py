@@ -56,7 +56,7 @@ from .quivers import (
     normal_form,
     piano_from_extended,
 )
-from .endo import EndoAlgebra, GradedEntry, RingKind, chi_multiply, verify_path_algebra_iso
+from .endo import EndoAlgebra, RingKind, chi_multiply, verify_path_algebra_iso
 from .signs import (
     SignedMatrix,
     both_signed_matrices,

@@ -23,6 +23,7 @@ from .geometry import (
     is_connected,
     json_fragment,
     json_int,
+    json_object,
 )
 
 
@@ -200,8 +201,7 @@ class DissectionSet:
 
     @staticmethod
     def from_json(obj: object) -> "DissectionSet":
-        if not isinstance(obj, dict):
-            raise DissectionError(f"a dissection is a JSON object, got {obj!r}")
+        json_object(obj, "a dissection", {"n", "red", "binding"}, DissectionError)
         return DissectionSet(
             json_int(obj["n"], DissectionError),
             tuple(_chord_from_json(c) for c in obj.get("red", [])),

@@ -5,12 +5,15 @@ Entries are one of four graded rings determined by arc geometry: polynomial
 everywhere), the long-arc ring (one dimension everywhere except degree one),
 or zero.  Products of distinguished basis elements have coefficients in
 {0, 1}, computed from the factorisation calculus on arcs.  An
-``EndoAlgebra`` is a plain frozen value: its order, summands and entries.
+``EndoAlgebra`` is a plain frozen value: its order, summands and entries,
+each entry a ``RingKind``.
 
-The entries and the matrix side of a product are memoised for the whole
-process (``MEMO_SIZE``), the blocks in two levels: by arcs, then by order
-type.  What each memo holds, and how ``verify_path_algebra_iso`` compares
-this algebra with the piano's path algebra a row at a time, is in README.
+The entries (``classify_entry``), the landings of products (``_landing``,
+an endpoint alignment's point keys) and the matrix side of a product are
+memoised for the whole process (``MEMO_SIZE``), the blocks in two levels:
+by arcs, then by order type.  What each memo holds, and how
+``verify_path_algebra_iso`` compares this algebra with the piano's path
+algebra a row at a time, is in README.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from enum import Enum
 from functools import cache, lru_cache
 from itertools import compress, islice, repeat
 from operator import and_, not_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .dissections import chord_of_arc, dissection_from_generator
 from .geometry import MEMO_SIZE, Arc, ArcKind, order_type, suspend, within_row
@@ -41,36 +44,27 @@ class EndoError(ValueError):
 
 
 class RingKind(Enum):
+    """An entry of the algebra: one of four graded rings, or zero."""
+
     POLY = "k[x]"
     LAURENT = "k[x^pm1]"
     LONG = "long_arc_ring"
     ZERO = "0"
 
-
-@dataclass(frozen=True)
-class GradedEntry:
-    """One graded entry: its ring kind and the induced degreewise dimensions."""
-
-    kind: RingKind
-
     def dim(self, degree: int) -> int:
-        if self.kind == RingKind.ZERO:
+        """The entry's dimension in the given degree."""
+        if self is RingKind.ZERO:
             return 0
-        if self.kind == RingKind.LAURENT:
+        if self is RingKind.LAURENT:
             return 1
-        if self.kind == RingKind.POLY:
+        if self is RingKind.POLY:
             return 1 if degree <= 0 else 0
         return 0 if degree == 1 else 1
 
 
-# One shared entry per ring kind; entries compare by value.
-_POLY, _LAURENT, _LONG, _ZERO = (
-    GradedEntry(kind) for kind in (RingKind.POLY, RingKind.LAURENT, RingKind.LONG, RingKind.ZERO)
-)
-
-
-def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
-    """Entry (i, j) of the generalised matrix algebra of the given summands.
+@lru_cache(maxsize=MEMO_SIZE)
+def classify_entry(x: Arc, y: Arc) -> RingKind:
+    """The entry from summand x to summand y, the diagonal one when they are equal.
 
     Assumes the suspension orbits of distinct summands are disjoint, which
     ``EndoAlgebra.from_arcs`` checks once for all of them.  Diagonal entries
@@ -78,49 +72,31 @@ def classify_entry(arcs: list[Arc], i: int, j: int) -> GradedEntry:
     degree-one extension (``homs.ext1_dim``), that is in the
     anticlockwise-rotation or crossing direction, and zero otherwise.
     """
-    x = arcs[i]
-    if i == j:
+    if x is y:
         if x.kind == ArcKind.LIMIT:
-            return _POLY
+            return RingKind.POLY
         if x.kind == ArcKind.DOUBLE_LIMIT:
-            return _LAURENT
+            return RingKind.LAURENT
         if x.kind == ArcKind.LONG:
-            return _LONG
+            return RingKind.LONG
         raise EndoError("short arcs are never summands of a minimal generator")
-    return _LAURENT if ext1_dim(x, arcs[j]) else _ZERO
-
-
-class ProductTarget(NamedTuple):
-    """Where a nonzero Hom from a summand x to a suspended summand y lands:
-    the endpoint alignment of x with y suspended by the degree
-    (``homs.hom_alignment``), None when that suspension is x itself."""
-
-    aligned: tuple | None
-
-
-def product_record(x: Arc, y: Arc, degree: int) -> ProductTarget | None:
-    """The record of products from summand x to summand y in the given degree:
-    None when ``hom_dim`` is zero there, else the memoised ``_landing``.
-    ``hom_dim`` is asked outside the memo, for the tracer (README)."""
-    if hom_dim(x, y, degree) == 0:
-        return None
-    return _landing(x, y, degree)
+    return RingKind.LAURENT if ext1_dim(x, y) else RingKind.ZERO
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _landing(x: Arc, y: Arc, degree: int) -> ProductTarget | None:
+def _landing(x: Arc, y: Arc, degree: int) -> tuple | None:
+    """Where the products from summand x to summand y in the given degree
+    land: None when ``hom_dim`` is zero there, else the point keys
+    (``homs.alignment_keys``) of the endpoint alignment of x with y
+    suspended by the degree.  A round trip, that suspension being x, lands
+    in x's alignment with itself, within which lies x alone.  Refuses
+    (``EndoError``) a nonzero Hom without an alignment."""
     if hom_dim(x, y, degree) == 0:
         return None
-    z = suspend(y, degree)
-    return ProductTarget(None if z is x else hom_alignment(x, z))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _entry(x: Arc, y: Arc) -> GradedEntry:
-    """The entry from summand x to summand y, the diagonal one when they are
-    equal: ``classify_entry``'s rule, keyed by the arc pair.  Only for
-    summands without repeats, which ``EndoAlgebra.from_arcs`` checks."""
-    return classify_entry([x, y], 0, 0 if x == y else 1)
+    aligned = hom_alignment(x, suspend(y, degree))
+    if aligned is None:
+        raise EndoError(f"no endpoint alignment for {x} -> {y} in degree {degree}")
+    return alignment_keys(aligned)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -135,15 +111,15 @@ class EndoAlgebra:
 
     n: int
     arcs: tuple[Arc, ...]
-    entries: tuple[tuple[GradedEntry, ...], ...]
+    entries: tuple[tuple[RingKind, ...], ...]
 
     @staticmethod
     def from_arcs(arcs: list[Arc], n: int | None = None) -> "EndoAlgebra":
         """The algebra of the summands in this order; a sign graph is built over it.
 
         Refuses (``EndoError``) an ``n`` other than the summands' and
-        overlapping suspension orbits, then reads
-        each cell from the ``_entry`` memo, which refuses a short summand.
+        overlapping suspension orbits, then reads each cell from the
+        ``classify_entry`` memo, which refuses a short summand.
         """
         items = list(arcs)
         if n is None:
@@ -157,14 +133,14 @@ class EndoAlgebra:
         swept = [seg for x in items for seg in _marked_segments(x)]
         if len(set(swept)) != len(swept) or len(set(items)) != len(items):
             raise EndoError("orbits overlap")
-        entries = tuple(tuple(map(_entry, repeat(x), items)) for x in items)
+        entries = tuple(tuple(map(classify_entry, repeat(x), items)) for x in items)
         return EndoAlgebra(n, tuple(items), entries)
 
     @property
     def size(self) -> int:
         return len(self.arcs)
 
-    def entry(self, i: int, j: int) -> GradedEntry:
+    def entry(self, i: int, j: int) -> RingKind:
         return self.entries[i][j]
 
     def dim(self, i: int, j: int, degree: int) -> int:
@@ -183,12 +159,12 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
     applies the product rule; ``homs.factors_through`` decides the same
     question from scratch and is the test oracle.
 
-    The rule: zero when the record (``product_record``) is; else nonzero
-    when the middle arc w (summand j shifted by p) is x, the only survivor
-    of a round trip, which splits off the middle object; else when w lies
-    within the record's alignment (``geometry.within_row`` on a one-cell
-    row), which every record that is no round trip has (tested on every
-    summand pair up to n = 5) and which holds w == z at its ends.
+    The rule: zero when ``hom_dim`` from x to summand l is zero in degree
+    p + q; else nonzero when the middle arc w (summand j shifted by p) lies
+    within the alignment the product lands in (``_landing``, and
+    ``geometry.within_row`` on a one-cell row), whose ends hold x and z.  In
+    a round trip (z is x) that is w is x alone, the only survivor, which
+    splits off the middle object.
     """
     i, j1, p = f
     j2, l, q = g
@@ -198,10 +174,10 @@ def chi_multiply(a: EndoAlgebra, f: tuple[int, int, int], g: tuple[int, int, int
         raise EndoError("zero operand")
     x, y, v = a.arcs[i], a.arcs[j1], a.arcs[l]
     w = suspend(y, p)
-    target = product_record(x, v, p + q)
-    if target is None:
+    # ``hom_dim`` is asked outside the ``_landing`` memo, for the tracer (README).
+    if hom_dim(x, v, p + q) == 0:
         return 0
-    return 1 if w is x else within_row(w.sort_key(), (alignment_keys(target.aligned),))[0]
+    return within_row(w.sort_key(), (_landing(x, v, p + q),))[0]
 
 
 # Rows and blocks take very few distinct values (eight among the 2,855 rows
@@ -231,7 +207,6 @@ def _typed_block(
         return _shared(((),) * len(left_degrees))
     low = min(left_degrees) + min(right_degrees)
     landings = [_landing(x, v, t) for t in range(low, max(left_degrees) + max(right_degrees) + 1)]
-    aligned = [target and alignment_keys(target.aligned) for target in landings]
     offsets = [m2 - low for m2 in right_degrees]
     rows = []
     for m in left_degrees:
@@ -239,7 +214,7 @@ def _typed_block(
         if w is x:
             row = tuple(0 if landings[m + k] is None else 1 for k in offsets)
         else:
-            row = within_row(w.sort_key(), [aligned[m + k] for k in offsets])
+            row = within_row(w.sort_key(), [landings[m + k] for k in offsets])
         rows.append(_shared(row))
     return _shared(tuple(rows))
 
@@ -350,14 +325,11 @@ def _iso_mismatches(
     # off one dimension row per side (one per ring kind on the algebra's);
     # only a pair whose rows differ is walked.
     window_degrees = range(-window, window + 1)
-    kind_rows: dict[GradedEntry, tuple[int, ...]] = {}
+    kind_rows = {kind: tuple(map(kind.dim, window_degrees)) for kind in RingKind}
     both_sides: dict[tuple[int, int], tuple[int, ...]] = {}
     for a in range(size):
         for b in range(size):
-            entry = algebra.entries[a][b]
-            lhs = kind_rows.get(entry)
-            if lhs is None:
-                lhs = kind_rows[entry] = tuple(entry.dim(m) for m in window_degrees)
+            lhs = kind_rows[algebra.entries[a][b]]
             rhs = graded_row(p, a, b, window_degrees)
             if lhs != rhs:
                 for m, left, right in zip(window_degrees, lhs, rhs):

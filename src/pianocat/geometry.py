@@ -48,6 +48,15 @@ def json_int(value: object, error: type[ValueError] = GeometryError) -> int:
     return value
 
 
+def json_object(obj: object, what: str, keys: set, error: type = GeometryError) -> dict:
+    """An object read from JSON input, which may hold no key but ``keys``."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} is a JSON object, got {obj!r}")
+    if not obj.keys() <= keys:
+        raise error(f"{what} takes the keys {sorted(keys)}, got {sorted(obj.keys() - keys)}")
+    return obj
+
+
 @dataclass(frozen=True)
 class BoundaryPoint:
     """A boundary point: Pt(seg, pos) when pos is an int, Acc(seg) when pos is None.
@@ -93,9 +102,10 @@ class BoundaryPoint:
 
     @staticmethod
     def from_json(obj: object) -> "BoundaryPoint":
-        if isinstance(obj, dict) and "acc" in obj:
+        keys = obj.keys() if isinstance(obj, dict) else None
+        if keys == {"acc"}:
             return BoundaryPoint(json_int(obj["acc"]))
-        pt = obj.get("pt") if isinstance(obj, dict) else None
+        pt = obj["pt"] if keys == {"pt"} else None
         if not (isinstance(pt, list) and len(pt) == 2):
             raise GeometryError(
                 f'a boundary point is {{"acc": i}} or {{"pt": [i, p]}}, got {obj!r}'
@@ -350,9 +360,7 @@ class ArcSet:
 
     @staticmethod
     def from_json(obj: object) -> "ArcSet":
-        if not isinstance(obj, dict):
-            raise GeometryError(f"an arc set is a JSON object, got {obj!r}")
-        n = json_int(obj["n"])
+        n = json_int(json_object(obj, "an arc set", {"n", "arcs"})["n"])
         return ArcSet(n, tuple(Arc.from_json(a, n) for a in obj["arcs"]))
 
     def dumps(self) -> str:

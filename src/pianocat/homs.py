@@ -160,10 +160,8 @@ def factors_through(y: Arc, w: Arc, z: Arc) -> bool:
     return within_keys(w.sort_key(), alignment_keys(aligned))
 
 
-def alignment_keys(aligned: tuple | None) -> tuple | None:
+def alignment_keys(aligned: tuple) -> tuple:
     """An alignment (``hom_alignment``) as point keys, for ``geometry.within_keys``."""
-    if aligned is None:
-        return None
     (x1, x2), (y1, y2) = aligned
     return ((x1.key(), x2.key()), (y1.key(), y2.key()))
 
@@ -247,7 +245,6 @@ def shift_families(gens: ArcSet) -> frozenset[tuple]:
     return frozenset(_shift_family(g) for g in gens)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def cone_presentation(x: Arc, gens: ArcSet) -> tuple[Arc | None, Arc]:
     """Present x as the cone of a map between suspended summands of gens.
 

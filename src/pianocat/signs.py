@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import islice
 
 from .dissections import DissectionError
-from .endo import CheckReport, EndoAlgebra, EndoError, GradedEntry, RingKind, _matrix_block
+from .endo import CheckReport, EndoAlgebra, EndoError, RingKind, _matrix_block
 from .endo import is_piano_of, piano_of_generator
 from .endo import chi_multiply  # noqa: F401  unused here; perfbench's tracer asserts this binding
 from .generators import fan_generator, is_limit_generator
@@ -134,12 +134,11 @@ def sign_graph(algebra: EndoAlgebra, piano: PianoQuiver) -> SignGraph:
     if not is_piano_of(piano, arcs):
         raise SignError("the piano's vertices are not these summands in this order")
     cones = cone_data(list(arcs))
-    zero = RingKind.ZERO
     table = {
         (j, l): morphism_direction(x, y, 0)
         for j, (x, row) in enumerate(zip(arcs, algebra.entries))
         for l, (y, entry) in enumerate(zip(arcs, row))
-        if j != l and entry.kind is not zero
+        if j != l and entry is not RingKind.ZERO
     }
     adjacency: dict[int, list[tuple[int, Direction]]] = {v: [] for v in range(algebra.size)}
     for e in piano.arrows:
@@ -269,21 +268,16 @@ def _sign_power(sign: int, degree: int) -> int:
 
 
 def phi_block(
-    m: SignedMatrix,
-    cones: ConeData,
-    j: int,
-    l: int,
-    degree: int,
-    direction: Direction,
+    m: SignedMatrix, j: int, l: int, degree: int, direction: Direction
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """Signed 2x2 block of the degree-``degree`` basis morphism from j to l.
 
     Forward morphisms sit on the diagonal with the two signed powers,
     backward ones occupy the upper-right corner; components through a zero
-    cone top are omitted.
+    cone top are omitted.  The summands with a cone top are the first
+    ``m.m`` (``cone_data``).
     """
-    has_qj = cones.summands[j].q is not None
-    has_ql = cones.summands[l].q is not None
+    has_qj, has_ql = j < m.m, l < m.m
     y = w = z = 0
     if direction is _FORWARD:
         if has_qj and has_ql:
@@ -333,7 +327,7 @@ def verify_phi_homomorphism(
     return CheckReport(failures, examined[0])
 
 
-def _cells(e1: GradedEntry, e2: GradedEntry, degrees: range) -> Iterator[tuple[int, int]]:
+def _cells(e1: RingKind, e2: RingKind, degrees: range) -> Iterator[tuple[int, int]]:
     """The degree pairs (i, i2) where e1 has a basis element in degree i and
     e2 one in degree i2, i first."""
     live2 = [i2 for i2 in degrees if e2.dim(i2)]
@@ -368,11 +362,11 @@ def _phi_failures(
     for j in range(size):
         for l in range(size):
             graded = algebra.entry(j, l)
-            if graded.kind == RingKind.ZERO:
+            if graded is RingKind.ZERO:
                 continue
             # The degree-0 basis element of a diagonal entry is the identity.
             direction = _FORWARD if j == l else graph.table[(j, l)]
-            blocks = tuple(phi_block(m, graph.cones, j, l, p, direction) for p in (0, 1))
+            blocks = tuple(phi_block(m, j, l, p, direction) for p in (0, 1))
             entries[(j, l)] = direction, blocks
             by_source[j].append((l, direction, graded, blocks))
 

@@ -21,10 +21,10 @@ def summand_triples(
     n: int, window: int = 6
 ) -> Iterator[tuple[tuple[Arc, Arc, Arc], tuple[int, ...], tuple[int, ...]]]:
     """Every ordered triple of summands of n, with the degrees in
-    [-window, window] of its two entries (``endo._entry``)."""
+    [-window, window] of its two entries (``endo.classify_entry``)."""
     summands = sorted({x for g in enumerate_limit_generators(n) for x in g}, key=ARC_KEY)
     degrees = {
-        (x, y): tuple(m for m in range(-window, window + 1) if endo._entry(x, y).dim(m))
+        (x, y): tuple(m for m in range(-window, window + 1) if endo.classify_entry(x, y).dim(m))
         for x, y in itertools.product(summands, repeat=2)
     }
     for x, y, v in itertools.product(summands, repeat=3):

@@ -107,7 +107,7 @@ def test_criterion_04_fan_endomorphism_ring():
         algebra = EndoAlgebra.from_arcs(fan_summands(n))
         for i in range(algebra.size):
             for j in range(algebra.size):
-                kind = algebra.entry(i, j).kind
+                kind = algebra.entry(i, j)
                 if i == j:
                     ok &= kind == (RingKind.POLY if i % 2 == 0 else RingKind.LAURENT)
                 elif i > j:

@@ -26,7 +26,7 @@ from pianocat.dissections import (
     dissection_from_generator,
 )
 from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
-from pianocat.geometry import ArcSet
+from pianocat.geometry import ArcSet, BoundaryPoint
 from pianocat.render import arc_diagram_svg, dissection_svg, dissection_tikz
 
 
@@ -607,6 +607,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, command, payload):
 
 POINT_SHAPE = 'a boundary point is {"acc": i} or {"pt": [i, p]}, got '
 RENDER_ARCS = ["render", "--kind", "arc-diagram", "--input"]
+RENDER_DISSECTION = ["render", "--kind", "dissection", "--format", "tikz", "--input"]
+BOTH_KEYS = '[{"pt":[1,0],"acc":0},{"acc":1}]'  # its first point has both keys
 
 
 @pytest.mark.parametrize(
@@ -626,8 +628,36 @@ RENDER_ARCS = ["render", "--kind", "arc-diagram", "--input"]
             ["homtable", "--n", "2", "--source", ARC, "--target", '[{"acc":0},{"pt":[0]}]'],
             POINT_SHAPE + "{'pt': [0]}",
         ),
+        # A misspelled or an unknown key is refused, not skipped, and a
+        # point with both keys is neither kind.
+        (
+            [*RENDER_DISSECTION, '{"n": 2, "red": [[0, 2]], "bindings": [[1, 0], [3, 2]]}'],
+            "a dissection takes the keys ['binding', 'n', 'red'], got ['bindings']",
+        ),
+        (
+            ["quiver", "--from", '{"n": 2, "red": [], "binding": [], "blue": [], "arcs": []}'],
+            "a dissection takes the keys ['binding', 'n', 'red'], got ['arcs', 'blue']",
+        ),
+        (
+            [*RENDER_ARCS, '{"n": 2, "arcs": [], "arc": []}'],
+            "an arc set takes the keys ['arcs', 'n'], got ['arc']",
+        ),
+        (
+            ["homtable", "--n", "2", "--source", ARC, "--target", BOTH_KEYS],
+            POINT_SHAPE + "{'pt': [1, 0], 'acc': 0}",
+        ),
     ],
-    ids=["arcs-key", "n-key", "point-key", "point-pair", "homtable-target"],
+    ids=[
+        "arcs-key",
+        "n-key",
+        "point-key",
+        "point-pair",
+        "homtable-target",
+        "dissection-misspelled-key",
+        "dissection-unknown-keys",
+        "arcs-unknown-key",
+        "point-both-keys",
+    ],
 )
 def test_refusals_name_the_input_and_what_is_missing(capsys, tmp_path, argv, message):
     # A file's refusal names its flag and path, a flag's its flag; a missing
@@ -642,6 +672,23 @@ def test_refusals_name_the_input_and_what_is_missing(capsys, tmp_path, argv, mes
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"{flag}: {message}\n"
+
+
+def test_every_record_with_n_at_most_3_reads_back():
+    # The readers refuse unknown keys, yet every record the writers make
+    # reads back from its JSON text: each generator, each endpoint of its
+    # summands and each extended dissection with n <= 3.
+    records = 0
+    for n in (1, 2, 3):
+        for g in enumerate_limit_generators(n):
+            assert ArcSet.from_json(json.loads(g.dumps())) == g
+            for p in {p for x in g for p in x.endpoints()}:
+                assert BoundaryPoint.from_json(json.loads(json.dumps(p.to_json()))) == p
+            records += 1
+        for d in dissections.enumerate_extended_dissections(n):
+            assert DissectionSet.from_json(json.loads(d.dumps())) == d
+            records += 1
+    assert records == 2 * (1 + 4 + 36)
 
 
 @pytest.mark.parametrize(

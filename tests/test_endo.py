@@ -10,7 +10,6 @@ from pianocat.endo import (
     CheckReport,
     EndoAlgebra,
     EndoError,
-    GradedEntry,
     IsoMismatch,
     RingKind,
     chi_multiply,
@@ -35,10 +34,10 @@ from pianocat.signs import order_for_cone_blocks
 
 
 def test_entry_dimension_profiles():
-    assert [GradedEntry(RingKind.POLY).dim(i) for i in (-2, 0, 1)] == [1, 1, 0]
-    assert [GradedEntry(RingKind.LAURENT).dim(i) for i in (-2, 0, 5)] == [1, 1, 1]
-    assert [GradedEntry(RingKind.LONG).dim(i) for i in (-1, 0, 1, 2)] == [1, 1, 0, 1]
-    assert GradedEntry(RingKind.ZERO).dim(0) == 0
+    assert [RingKind.POLY.dim(i) for i in (-2, 0, 1)] == [1, 1, 0]
+    assert [RingKind.LAURENT.dim(i) for i in (-2, 0, 5)] == [1, 1, 1]
+    assert [RingKind.LONG.dim(i) for i in (-1, 0, 1, 2)] == [1, 1, 0, 1]
+    assert RingKind.ZERO.dim(0) == 0
 
 
 def test_fan_pattern():
@@ -46,7 +45,7 @@ def test_fan_pattern():
         algebra = EndoAlgebra.from_arcs(fan_summands(n))
         for i in range(algebra.size):
             for j in range(algebra.size):
-                kind = algebra.entry(i, j).kind
+                kind = algebra.entry(i, j)
                 if i == j:
                     assert kind == (RingKind.POLY if i % 2 == 0 else RingKind.LAURENT)
                 elif i > j:
@@ -93,15 +92,15 @@ def test_classify_entry_errors():
 def test_crossing_double_limits_laurent_both_ways():
     n = 4
     arcs = [Arc(n, acc(0, n), acc(2, n)), Arc(n, acc(1, n), acc(3, n))]
-    assert classify_entry(arcs, 0, 1).kind == RingKind.LAURENT
-    assert classify_entry(arcs, 1, 0).kind == RingKind.LAURENT
+    assert classify_entry(arcs[0], arcs[1]) == RingKind.LAURENT
+    assert classify_entry(arcs[1], arcs[0]) == RingKind.LAURENT
 
 
 def test_long_ring_multiplication_table():
     n = 2
     z = Arc(n, pt(0, 0, n), pt(1, 0, n))
     algebra = EndoAlgebra.from_arcs([z])
-    assert algebra.entry(0, 0).kind == RingKind.LONG
+    assert algebra.entry(0, 0) == RingKind.LONG
 
     def product(p, q):
         return chi_multiply(algebra, (0, 0, p), (0, 0, q))
@@ -132,7 +131,7 @@ def _assert_associative(algebra: EndoAlgebra, window: range) -> None:
     outgoing: dict[int, list[int]] = {}
     for i in range(size):
         for j in range(size):
-            if algebra.entry(i, j).kind != RingKind.ZERO:
+            if algebra.entry(i, j) != RingKind.ZERO:
                 outgoing.setdefault(i, []).append(j)
     for i in range(size):
         for j in outgoing.get(i, []):
@@ -240,10 +239,10 @@ def test_scalar_degree_independence_matches_per_degree_products():
         size = algebra.size
         for j in range(size):
             for j2 in range(size):
-                if algebra.entry(j, j2).kind == RingKind.ZERO:
+                if algebra.entry(j, j2) == RingKind.ZERO:
                     continue
                 for l in range(size):
-                    if algebra.entry(j2, l).kind == RingKind.ZERO:
+                    if algebra.entry(j2, l) == RingKind.ZERO:
                         continue
                     base = chi_multiply(algebra, (j, j2, 0), (j2, l, 0))
                     for i, i2 in itertools.product(range(-3, 4), repeat=2):
@@ -590,17 +589,15 @@ def _interval_cells(arcs, n, window):
             w = suspend(arcs[b], m)
             w_is_source = w == arcs[a]
             for k, m2 in enumerate(rights):
-                target = endo.product_record(arcs[a], arcs[c], m + m2)
                 z = suspend(arcs[c], m + m2)
                 if (
-                    target is None
+                    hom_dim(arcs[a], arcs[c], m + m2) == 0
                     or z is arcs[a]
                     or w_is_source
                     or (b == c and w == z)
-                    or target.aligned is None
                 ):
                     continue
-                keys = homs.alignment_keys(target.aligned)
+                keys = endo._landing(arcs[a], arcs[c], m + m2)
                 cells.append(((a, b, c, m, m2), k, len(rights), (w.sort_key(), keys)))
     return cells
 
@@ -743,22 +740,56 @@ def test_block_rows_equal_the_one_cell_rule(cold_matrix_rows, monkeypatch):
 
 def test_every_landing_off_the_source_has_an_alignment():
     # The product rule needs no flag for w == z: a nonzero landing that is
-    # not a round trip has an alignment, and z lies within it.  Checked on
-    # every pair of summands of the n <= 5 generators, |degree| <= 14.
+    # not a round trip has an alignment (the body refuses one without), and
+    # z lies within it.  Checked on every pair of summands of the n <= 5
+    # generators, |degree| <= 14.
     landed = 0
     for n in (1, 2, 3, 4, 5):
         summands = {x for g in enumerate_limit_generators(n) for x in g}
         for x, y in itertools.product(summands, repeat=2):
             for degree in range(-14, 15):
-                target = endo._landing.__wrapped__(x, y, degree)
+                aligned = endo._landing.__wrapped__(x, y, degree)
                 z = suspend(y, degree)
-                if target is None or z is x:
+                if aligned is None or z is x:
                     continue
-                assert target.aligned is not None, (x, y, degree)
-                aligned = homs.alignment_keys(target.aligned)
                 assert geometry.within_keys(z.sort_key(), aligned)
                 landed += 1
     assert landed > 0
+
+
+def test_a_round_trip_lands_where_only_its_source_lies():
+    # A round trip (y suspended by the degree is x) lands in x's alignment
+    # with itself, so the product rule needs no flag for it: on every pair
+    # of summands of each n <= 4 generator, at every such degree with
+    # |degree| <= 8, the closed-interval test holds exactly for the middle
+    # arcs w that are x, over every summand of the generator suspended by
+    # -8..8.
+    trips = tested = 0
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            middles = {suspend(y, m) for y in g for m in range(-8, 9)}
+            for x, y in itertools.product(g, repeat=2):
+                for degree in range(-8, 9):
+                    if suspend(y, degree) is not x:
+                        continue
+                    aligned = endo._landing(x, y, degree)
+                    assert aligned is not None, (x, degree)
+                    trips += 1
+                    for w in middles:
+                        assert geometry.within_row(w.sort_key(), (aligned,)) == (int(w is x),)
+                        tested += 1
+    assert trips > 0 and tested > trips
+
+
+def test_a_nonzero_landing_without_an_alignment_is_refused(monkeypatch):
+    # Negative control: None means a zero Hom and nothing else, so a nonzero
+    # Hom whose alignment is missing raises instead of landing nowhere.
+    x = fan_summands(3)[0]
+    assert endo._landing.__wrapped__(x, x, 0) is not None
+    monkeypatch.setattr(endo, "hom_alignment", lambda x, y: None)
+    with pytest.raises(EndoError, match="no endpoint alignment"):
+        endo._landing.__wrapped__(x, x, 0)
+    assert endo._landing.__wrapped__(x, x, 1) is None  # a zero Hom needs none
 
 
 def test_class_records_mark_the_source_summand_only_where_it_is_met():
@@ -866,8 +897,8 @@ def test_blocks_keep_their_values_on_the_order_type():
             compressed[n] += typed is not arcs
             direct = body(*arcs, lefts, rights)
             assert body(*typed, lefts, rights) == direct, arcs
-            entries = [endo._entry(*pair) for pair in (arcs[:2], arcs[1:])]
-            assert [endo._entry(*pair) for pair in (typed[:2], typed[1:])] == entries, arcs
+            entries = [endo.classify_entry(*pair) for pair in (arcs[:2], arcs[1:])]
+            assert [endo.classify_entry(*pair) for pair in (typed[:2], typed[1:])] == entries, arcs
             forgetful[n] += body(*own_segments(arcs), lefts, rights) != direct
     assert compressed == {1: 0, 2: 2, 3: 372, 4: 6_166}
     assert forgetful == {1: 0, 2: 2, 3: 21, 4: 100}
@@ -898,7 +929,7 @@ def test_endo_memos_are_bounded():
         endo._typed_block,
         endo._shared,
         endo._landing,
-        endo._entry,
+        endo.classify_entry,
         endo._marked_segments,
         geometry._suspended,
         geometry.crosses_under_some_shift,
@@ -926,17 +957,18 @@ def test_algebra_entries_follow_classify_entry():
     for warm in (False, True):
         for n, arcs in orders:
             if not warm:
-                for memo in (endo._entry, endo._marked_segments, homs.ext1_dim):
+                for memo in (classify_entry, endo._marked_segments, homs.ext1_dim):
                     memo.cache_clear()
             entries = EndoAlgebra.from_arcs(arcs, n).entries
             size = len(arcs)
             expected = tuple(
-                tuple(classify_entry(arcs, i, j) for j in range(size)) for i in range(size)
+                tuple(classify_entry.__wrapped__(arcs[i], arcs[j]) for j in range(size))
+                for i in range(size)
             )
             assert entries == expected, (warm, arcs)
             algebras += 1
     assert algebras == 2 * 2 * (1 + 4 + 36 + 416)
-    assert endo._entry.cache_info().hits > 0
+    assert classify_entry.cache_info().hits > 0
 
 
 def test_entry_memos_match_their_bodies():
@@ -944,7 +976,7 @@ def test_entry_memos_match_their_bodies():
     # included), and every summand, as the shared objects and as fresh
     # equal copies, which are the shared objects, asked twice so that the
     # second answer comes from the cache.
-    hits = [memo.cache_info().hits for memo in (endo._entry, endo._marked_segments)]
+    hits = [memo.cache_info().hits for memo in (classify_entry, endo._marked_segments)]
     for n in (1, 2, 3, 4):
         for g in enumerate_limit_generators(n):
             for x in g:
@@ -954,10 +986,10 @@ def test_entry_memos_match_their_bodies():
                 for _ in range(2):
                     assert endo._marked_segments(x) == want == endo._marked_segments(fresh_x)
                 for y in g:
-                    want = endo._entry.__wrapped__(x, y)
+                    want = classify_entry.__wrapped__(x, y)
                     for _ in range(2):
-                        assert endo._entry(x, y) == want == endo._entry(fresh_x, Arc(n, y.a, y.b))
-    assert endo._entry.cache_info().hits > hits[0]
+                        assert classify_entry(x, y) == want == classify_entry(fresh_x, Arc(n, y.a, y.b))
+    assert classify_entry.cache_info().hits > hits[0]
     assert endo._marked_segments.cache_info().hits > hits[1]
 
 
@@ -967,11 +999,11 @@ def test_entry_memo_never_keeps_a_refusal():
     short = Arc(n, pt(0, 0, n), pt(0, 2, n))
     for arcs in ([short], [long_arc, short]):
         for _ in range(2):
-            misses = endo._entry.cache_info().misses
+            misses = classify_entry.cache_info().misses
             with pytest.raises(EndoError, match="short"):
                 EndoAlgebra.from_arcs(arcs)
             # The refused diagonal cell is asked afresh each time.
-            assert endo._entry.cache_info().misses > misses
+            assert classify_entry.cache_info().misses > misses
 
 
 def test_verify_reports_canonical_words_off_a_corrupted_sharp_set():
@@ -1014,7 +1046,7 @@ def test_verify_reports_canonical_words_off_a_corrupted_sharp_set():
 def _replaced_entry(algebra: EndoAlgebra, a: int, b: int, kind: RingKind) -> EndoAlgebra:
     """The algebra with entry (a, b) of another ring kind and nothing else changed."""
     entries = [list(row) for row in algebra.entries]
-    entries[a][b] = GradedEntry(kind)
+    entries[a][b] = kind
     return EndoAlgebra(algebra.n, algebra.arcs, tuple(map(tuple, entries)))
 
 
@@ -1038,7 +1070,7 @@ def test_dimension_rows_off_a_flipped_sharp_vertex_or_entry_match_the_reference_
             # odd v, turned into one of the three other ring kinds.
             a, b = (v + 1) % size, (v + 1 + v % 2) % size
             shift = 1 + v % 3
-            kind = kinds[(kinds.index(algebra.entry(a, b).kind) + shift) % len(kinds)]
+            kind = kinds[(kinds.index(algebra.entry(a, b)) + shift) % len(kinds)]
             replaced = _replaced_entry(algebra, a, b, kind)
             for p, alg, pairs in (
                 (flipped, algebra, {(v, v)}),
@@ -1062,7 +1094,7 @@ def test_dimension_rows_off_a_flipped_sharp_vertex_or_entry_match_the_reference_
     arcs = list(enumerate_limit_generators(n)[0])
     algebra = EndoAlgebra.from_arcs(arcs, n)
     for a, b in itertools.product(range(len(arcs)), repeat=2):
-        kind = RingKind.LAURENT if algebra.entry(a, b).kind == RingKind.ZERO else RingKind.ZERO
+        kind = RingKind.LAURENT if algebra.entry(a, b) == RingKind.ZERO else RingKind.ZERO
         replaced = _replaced_entry(algebra, a, b, kind)
         expected = _reference_iso(arcs, n, 0, None, 20, replaced)
         assert [m.location for m in expected.witnesses if m.kind == "dimension"] == [(a, b, 0)]

@@ -25,7 +25,7 @@ from pianocat.homs import (
     hom_dim,
     morphism_direction,
 )
-from pianocat.generators import enumerate_limit_generators, fan_generator, fan_summands
+from pianocat.generators import enumerate_limit_generators, fan_generator
 
 
 def test_ext1_double_limit_self():
@@ -301,7 +301,7 @@ def answer(fn, *args):
 def test_memos_match_their_bodies():
     """Each memoised function against its uncached body, asked twice so that
     the second answer comes from the cache."""
-    memos = (ext1_dim, morphism_direction, cone_presentation)
+    memos = (ext1_dim, morphism_direction)
     before = [f.cache_info().hits for f in memos]
     refused = 0
     for n in (1, 2, 3, 4):
@@ -313,9 +313,6 @@ def test_memos_match_their_bodies():
             for x in g
             for y in g
         }
-        summands = {x.sort_key(): x for x, _ in pairs.values()}
-        # The fan at every apex, each an arc set of its own.
-        fans = [arc_set(n, fan_summands(n, BoundaryPoint(c))) for c in range(n)]
         for k in range(-6, 7):
             for x, y in pairs.values():
                 y_k = suspend(y, k)
@@ -325,12 +322,6 @@ def test_memos_match_their_bodies():
                 refused += isinstance(want, tuple)
                 for _ in range(2):
                     assert answer(morphism_direction, x, y, k) == want
-            for x in summands.values():
-                x_k = suspend(x, k)
-                for fan in fans:
-                    want = answer(cone_presentation.__wrapped__, x_k, fan)
-                    for _ in range(2):
-                        assert answer(cone_presentation, suspend(x, k), fan) == want
     assert refused > 0
     assert all(f.cache_info().hits > hits for f, hits in zip(memos, before))
 
@@ -416,17 +407,16 @@ def test_memos_are_bounded():
     assert {
         "dissections.chord_of_arc",
         "dissections.chord_to_arc",
-        "endo._entry",
         "endo._landing",
         "endo._marked_segments",
         "endo._matrix_block",
         "endo._shared",
         "endo._typed_block",
+        "endo.classify_entry",
         "generators._is_pre_generator_tree",
         "geometry._suspended",
         "geometry.crosses_under_some_shift",
         "geometry.json_fragment",
-        "homs.cone_presentation",
         "homs.default_apex",
         "homs.ext1_dim",
         "homs.hom_alignment",

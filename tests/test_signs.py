@@ -160,15 +160,16 @@ def test_beta_delta_detects_backward_fan_morphism():
 def test_phi_blocks():
     arcs = worked_example_arcs()
     m = signed_matrix(arcs, ("beta", 4))
-    cones = cone_data(arcs)
-    fwd = phi_block(m, cones, 1, 4, 1, Direction.FORWARD)
+    # The summands with a cone top are the first m.m: 1 and 4, not 5.
+    assert m.m == 5 and cone_data(arcs).summands[5].q is None
+    fwd = phi_block(m, 1, 4, 1, Direction.FORWARD)
     assert fwd == ((m.beta[1], 0), (0, m.delta[1]))
-    fwd_even = phi_block(m, cones, 1, 4, 2, Direction.FORWARD)
+    fwd_even = phi_block(m, 1, 4, 2, Direction.FORWARD)
     assert fwd_even == ((1, 0), (0, 1))
-    bwd = phi_block(m, cones, 1, 0, 0, Direction.BACKWARD)
+    bwd = phi_block(m, 1, 0, 0, Direction.BACKWARD)
     assert bwd == ((0, 1), (0, 0))
     # Components through an absent cone top are masked away.
-    masked = phi_block(m, cones, 5, 1, 1, Direction.FORWARD)
+    masked = phi_block(m, 5, 1, 1, Direction.FORWARD)
     assert masked == ((0, 0), (0, m.delta[5]))
 
 
@@ -266,7 +267,7 @@ def test_keyboard_arrow_missing_from_table_is_refused():
     arcs = worked_example_arcs()
     algebra = EndoAlgebra.from_arcs(arcs)
     entries = [list(row) for row in algebra.entries]
-    entries[1][0] = dataclasses.replace(entries[1][0], kind=RingKind.ZERO)
+    entries[1][0] = RingKind.ZERO
     hollow = dataclasses.replace(algebra, entries=tuple(map(tuple, entries)))
     with pytest.raises(HomError, match="no nonzero degree 0 morphism"):
         sign_graph(hollow, piano_of_generator(arcs))
@@ -335,7 +336,7 @@ def test_beta_delta_counts_checked_pairs():
             1
             for j in range(len(arcs))
             for l in range(len(arcs))
-            if j != l and algebra.entry(j, l).kind != RingKind.ZERO
+            if j != l and algebra.entry(j, l) != RingKind.ZERO
         )
         for m in both_signed_matrices(arcs):
             report = check_beta_delta(m, arcs)
@@ -351,7 +352,7 @@ def test_phi_counts_examined_pairs():
         algebra = EndoAlgebra.from_arcs(arcs)
         size = len(arcs)
         nonzero = [
-            [algebra.entry(j, l).kind != RingKind.ZERO for l in range(size)] for j in range(size)
+            [algebra.entry(j, l) != RingKind.ZERO for l in range(size)] for j in range(size)
         ]
         expected = sum(
             sum(nonzero[j][k] for j in range(size)) * sum(nonzero[k][l] for l in range(size))
@@ -409,7 +410,7 @@ def test_phi_reads_its_shared_answers_right():
         fresh = [Arc.from_json(x.to_json(), x.n) for x in arcs]
         assert all(f is x for f, x in zip(fresh, arcs))
         size = algebra.size
-        live = [[algebra.entry(j, l).kind != RingKind.ZERO for l in range(size)] for j in range(size)]
+        live = [[algebra.entry(j, l) != RingKind.ZERO for l in range(size)] for j in range(size)]
         for j, j2, l in itertools.product(range(size), repeat=3):
             if not (live[j][j2] and live[j2][l]):
                 continue
@@ -422,9 +423,8 @@ def test_phi_reads_its_shared_answers_right():
     # at window 0 and both parities at every wider window, so the phi check
     # sets them from the window.
     for kind in RingKind:
-        entry = endo.GradedEntry(kind)
         for w in range(7):
-            met = {i & 1 for i in range(-w, w + 1) if entry.dim(i)}
+            met = {i & 1 for i in range(-w, w + 1) if kind.dim(i)}
             if kind == RingKind.ZERO:
                 assert met == set()
             else:
@@ -434,7 +434,7 @@ def test_phi_reads_its_shared_answers_right():
 def test_cone_data_shares_the_fan_families():
     # cone_data presents every summand over the one reference fan of its n,
     # ``fan_generator(n)``, whose shift families cone_presentation reads;
-    # presenting each summand on its own, uncached, gives the same cones.
+    # presenting each summand on its own gives the same cones.
     for arcs in ordered_generators((1, 2, 3), n4_stride=None):
         n = arcs[0].n
         fan, apex = fan_generator(n), default_apex(n)
@@ -443,7 +443,7 @@ def test_cone_data_shares_the_fan_families():
             if x.contains(apex):
                 assert summand == signs.ConeSummand(None, x)
                 continue
-            assert (summand.q, summand.p) == cone_presentation.__wrapped__(x, fan)
+            assert (summand.q, summand.p) == cone_presentation(x, fan)
 
 
 def test_cone_summand_never_keeps_a_refusal(monkeypatch):
@@ -464,7 +464,7 @@ def test_cone_summand_never_keeps_a_refusal(monkeypatch):
             cone_data([x])
     assert asked == [x] * 4
     monkeypatch.undo()
-    assert signs._cone_summand(x) == signs.ConeSummand(*cone_presentation.__wrapped__(x, fan_generator(3)))
+    assert signs._cone_summand(x) == signs.ConeSummand(*cone_presentation(x, fan_generator(3)))
 
 
 def summed_identity_failures(arcs, m, window):
@@ -476,13 +476,12 @@ def summed_identity_failures(arcs, m, window):
     per pair.  Returns the identities that fail with their degree pairs.
     """
     algebra = EndoAlgebra.from_arcs(arcs)
-    cones = cone_data(arcs)
     size = len(arcs)
     directions = {
         (j, l): morphism_direction(arcs[j], arcs[l], 0)
         for j in range(size)
         for l in range(size)
-        if algebra.entry(j, l).kind != RingKind.ZERO
+        if algebra.entry(j, l) != RingKind.ZERO
     }
     failures = []
     degrees = range(-window, window + 1)
@@ -498,8 +497,8 @@ def summed_identity_failures(arcs, m, window):
                     if chi_multiply(algebra, (j, j2, 0), (j2, l, 0)) == 0:
                         continue
                     coeffs[j, l] += 1
-                    b1 = phi_block(m, cones, j, j2, i, dir1)
-                    b2 = phi_block(m, cones, j2, l, i2, dir2)
+                    b1 = phi_block(m, j, j2, i, dir1)
+                    b2 = phi_block(m, j2, l, i2, dir2)
                     if j < m.m and l < m.m:
                         lhs[j, l] += b1[0][0] * b2[0][0]
                     if j < m.m:
@@ -509,7 +508,7 @@ def summed_identity_failures(arcs, m, window):
                 if (j, l) not in directions:
                     failures.append(("closure", i, i2))
                     continue
-                block = phi_block(m, cones, j, l, i + i2, directions[(j, l)])
+                block = phi_block(m, j, l, i + i2, directions[(j, l)])
                 if j < m.m and l < m.m:
                     rhs[j, l] += c * block[0][0]
                 if j < m.m:
@@ -574,7 +573,7 @@ def test_each_phi_identity_has_a_negative_control():
     # A nonzero product landing in an entry the algebra says is zero.
     algebra = EndoAlgebra.from_arcs(arcs)
     entries = [list(row) for row in algebra.entries]
-    entries[1][3] = dataclasses.replace(entries[1][3], kind=RingKind.ZERO)
+    entries[1][3] = RingKind.ZERO
     hollow = dataclasses.replace(algebra, entries=tuple(map(tuple, entries)))
     over_hollow = dataclasses.replace(m, graph=sign_graph(hollow, piano_of_generator(arcs)))
     report = verify_phi_homomorphism(arcs, over_hollow, window=2)
@@ -619,7 +618,7 @@ def _reference_phi_failures(m, window, graph, examined):
     by_source = [[] for _ in range(size)]
     for j in range(size):
         for l in range(size):
-            if algebra.entry(j, l).kind == RingKind.ZERO:
+            if algebra.entry(j, l) == RingKind.ZERO:
                 continue
             direction = Direction.FORWARD if j == l else graph.table[(j, l)]
             directions[(j, l)] = direction
@@ -631,7 +630,7 @@ def _reference_phi_failures(m, window, graph, examined):
         key = (j, l, degree & 1, direction)
         b = blocks.get(key)
         if b is None:
-            b = blocks[key] = signs.phi_block(m, graph.cones, j, l, degree, direction)
+            b = blocks[key] = signs.phi_block(m, j, l, degree, direction)
         return b
 
     for j in range(size):
@@ -768,8 +767,8 @@ def test_phi_check_walks_a_triple_whose_parities_split(monkeypatch):
     target = next(jl for jl, d in m.graph.table.items() if d == Direction.FORWARD)
     real = signs.phi_block
 
-    def odd_negated(m, cones, j, l, degree, direction):
-        b = real(m, cones, j, l, degree, direction)
+    def odd_negated(m, j, l, degree, direction):
+        b = real(m, j, l, degree, direction)
         if (j, l) != target or degree % 2 == 0:
             return b
         return tuple(tuple(-c for c in row) for row in b)
