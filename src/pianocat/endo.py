@@ -11,7 +11,9 @@ each entry a ``RingKind``.
 The entries (``classify_entry``), the landings of products (``_landing``,
 an endpoint alignment's point keys) and the matrix side of a product are
 memoised for the whole process (``MEMO_SIZE``), the blocks in two levels:
-by arcs, then by order type.  What each memo holds, and how
+by arcs, then by order type.  The path side's classes are memoised the
+same way, by the local type of each pair's arrow path
+(``quivers.class_ends``).  What each memo holds, and how
 ``verify_path_algebra_iso`` compares this algebra with the piano's path
 algebra a row at a time, is in README.
 """
@@ -351,8 +353,8 @@ def _iso_mismatches(
             else:
                 kept.append((m, ends))
         degrees[(a, b)] = tuple(m for m, _ in kept)
-        junctions[(a, b)] = tuple((zero, last) for _, (zero, _, last, _) in kept)
-        starts[(a, b)] = tuple((zero, first) for _, (zero, first, _, _) in kept)
+        junctions[(a, b)] = tuple((zero, last) for _, (zero, _, last) in kept)
+        starts[(a, b)] = tuple((zero, first) for _, (zero, first, _) in kept)
     # A path row depends on the left class only through its junction, so
     # each row is built once per (junction, b, c) and read for every source.
     into = [set() for _ in range(size)]

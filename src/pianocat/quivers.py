@@ -7,10 +7,13 @@ a degree +1 loop at every non-sharp vertex; words in the resulting graded
 path algebra are normalised by a small rewriting system: a skeleton rule
 and the four local rules, whose instances are the one table
 ``PianoQuiver.rules`` that ``one_step_rewrites`` and the critical pairs of
-``confluence`` both read.  How ``normal_form`` applies them in one stack
-pass, what a product reads of two normal forms (``product_row``), and how
-``class_ends`` reads the classes of a vertex pair, is set out once, in
-README.
+``confluence`` both read.  The classes of a vertex pair read only the
+piano along its arrow path, so ``class_ends`` decides them once per local
+type of that path (``path_type``) in a process-wide memo
+(``_typed_ends``, bounded by ``geometry.MEMO_SIZE``).  How ``normal_form``
+applies the rules in one stack pass, what a product reads of two normal
+forms (``product_row``), and how ``class_ends`` reads the classes of a
+pair, is set out once, in README.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .dissections import ChordArc, DissectionSet, check_induces_admissible
-from .geometry import json_fragment
+from .geometry import MEMO_SIZE, json_fragment
 
 
 class QuiverError(ValueError):
@@ -175,6 +178,30 @@ class PathNormalForm:
 ZERO_FORM = PathNormalForm(None, None, None, Shape.ZERO)
 
 
+def _symbol_table(
+    sharp: Iterable[bool], arrows: tuple[Arrow, ...]
+) -> dict[Symbol, tuple[int, int, int]]:
+    """``PianoQuiver.symbol_table`` of vertices with these sharp flags and these arrows."""
+    table: dict[Symbol, tuple[int, int, int]] = {}
+    for v, is_sharp in enumerate(sharp):
+        table[("a", v)] = (v, v, -1)
+        if not is_sharp:
+            table[("b", v)] = (v, v, 1)
+    for k, e in enumerate(arrows):
+        table[("d", k)] = (e.src, e.tgt, 0)
+    return table
+
+
+def _runs_into(
+    runs: Iterable[tuple[int, tuple[int, ...]]]
+) -> dict[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(start, run) pairs keyed by the run's last arrow, in order."""
+    out: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+    for start, run in runs:
+        out[run[-1]] = out.get(run[-1], ()) + ((start, run),)
+    return out
+
+
 @dataclass(frozen=True)
 class PianoQuiver:
     """Keyboard quiver with graded loops and the induced relation data."""
@@ -204,14 +231,7 @@ class PianoQuiver:
     @cached_property
     def symbol_table(self) -> dict[Symbol, tuple[int, int, int]]:
         """(source, target, degree) of every symbol the piano's words may use."""
-        table: dict[Symbol, tuple[int, int, int]] = {}
-        for v in range(self.num_vertices):
-            table[("a", v)] = (v, v, -1)
-            if self.has_beta(v):
-                table[("b", v)] = (v, v, 1)
-        for k, e in enumerate(self.arrows):
-            table[("d", k)] = (e.src, e.tgt, 0)
-        return table
+        return _symbol_table([v in self.sharp for v in range(self.num_vertices)], self.arrows)
 
     @cached_property
     def run_by_start(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -221,10 +241,7 @@ class PianoQuiver:
     @cached_property
     def runs_into(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], ...]]:
         """The (start, run) pairs of ``run_by_start``, keyed by the run's last arrow."""
-        out: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
-        for (start, _), run in self.run_by_start.items():
-            out[run[-1]] = out.get(run[-1], ()) + ((start, run),)
-        return out
+        return _runs_into((start, run) for (start, _), run in self.run_by_start.items())
 
     @cached_property
     def rules(self) -> dict[tuple[Symbol, ...], tuple[Symbol, ...]]:
@@ -603,9 +620,30 @@ def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...]
     return deltas[:-1] + (("b", park),) * m + deltas[-1:]
 
 
-# What a product reads of a class's normal form: zero or not, the first and
-# last arrow of its skeleton (None without arrows), and its reduced blocks.
-ClassEnds = tuple[bool, int | None, int | None, tuple[Block, ...]]
+# What a product reads of a class's normal form: zero or not, and the first
+# and last arrow of its skeleton (None without arrows).
+ClassEnds = tuple[bool, int | None, int | None]
+
+
+def path_type(p: PianoQuiver, a: int, b: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """The local type of the pair (see ``class_ends``), and the arrow path
+    and its vertices, which map the type's positions back to the piano."""
+    path = arrow_path(p, a, b)
+    arrows, runs_into, relations = p.arrows, p.runs_into, p.relations
+    vertices = (a, *[arrows[k].tgt for k in path])
+    runs = []
+    for end, k in enumerate(path, 1):
+        for start, run in runs_into.get(k, ()):
+            at = end - len(run)
+            if at >= 0 and vertices[at] == start and path[at:end] == run:
+                runs.append((at, len(run)))
+    key = (
+        len(path),
+        tuple(v in p.sharp for v in vertices),
+        tuple(sorted(runs)),
+        tuple((i, j) in relations for i, j in zip(path, path[1:])),
+    )
+    return key, path, vertices
 
 
 def class_ends(
@@ -614,43 +652,99 @@ def class_ends(
     """``ClassEnds`` of ``normal_form(p, canonical_word(p, a, b, m), base=a)``
     for each degree m of a nonzero class from a to b (a pair that has some).
 
-    The arrow path, the parked loop and each arrow prefix (README) are
-    worked out once; each class pushes its loop block, and the parked
-    arrow, onto a copy of its prefix's reduced stack (``_reduce_blocks``)
-    and reads its ends off the result.  The skeleton dies at the junction
-    when the prefix's last arrow and the parked arrow form a relation.  A
-    class whose word uses a loop the piano lacks (a degree +1 loop at a
-    sharp vertex) gets the ``QuiverError`` its full word raises.
+    The ends read only the piano along the arrow path from a to b.  Every
+    rule's left-hand side is a contiguous run of symbols, and a word on the
+    path (its arrows, loops at its vertices) rewrites only to words on the
+    path: a degree -1 loop crosses a path arrow to the next path vertex, a
+    degree +1 loop moves along a run of path arrows to its end.  So only the
+    rules among the path's symbols fire, and only relations of consecutive
+    path arrows are read.  The local type (``path_type``) relabels the
+    path's vertices as ``0..L`` and its arrows as ``0..L-1`` and is ``(L,
+    sharp, runs, relations)``: the sharp flags of the path vertices, the
+    runs of ``PianoQuiver.run_by_start`` (which ``_reduce_blocks`` reads
+    through ``runs_into``) that lie wholly on the path as (position,
+    length), and the relation flags of consecutive path arrows (false on a
+    sound piano, but a spurious relation must not read a clean answer).
+    The classes are decided once per type and degrees, in path positions,
+    by the memo ``_typed_ends``; only the zero flag and the first and last
+    arrows are mapped back.  A class whose word uses a loop the piano lacks
+    (a degree +1 loop at a sharp vertex) never reaches the memo: it gets
+    the ``QuiverError`` its full word raises, naming the piano's vertex.
     """
-    path = arrow_path(p, a, b)
+    key, path, vertices = path_type(p, a, b)
+    length, sharp = key[0], key[1]
     # Positive degrees into a sharp vertex park their loop before the last arrow.
-    parked = a != b and not p.has_beta(b)
-    rise = ("b", p.arrows[path[-1]].src if parked else b)
+    rise = length - (length > 0 and sharp[-1])
+    degrees = tuple(degrees)
+    raises = sharp[rise]  # the piano has no degree +1 loop there
+    ends: list = [
+        (zero, None if first is None else path[first], None if last is None else path[last])
+        for zero, first, last, _ in _typed_ends(
+            *key, tuple(m for m in degrees if m <= 0) if raises else degrees
+        )
+    ]
+    if raises:
+        words = iter(ends)
+        ends = [_bad_symbol(p, ("b", vertices[rise])) if m > 0 else next(words) for m in degrees]
+    return ends
+
+
+class _PathPiano(NamedTuple):
+    """The piano of a local type (vertices ``0..L``, arrow i from i to i + 1)
+    with only what ``normal_form`` and ``_reduce_blocks`` read."""
+
+    symbol_table: dict[Symbol, tuple[int, int, int]]
+    relations: frozenset[tuple[int, int]]
+    arrows: tuple[Arrow, ...]
+    runs_into: dict[int, tuple[tuple[int, tuple[int, ...]], ...]]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _typed_ends(
+    length: int,
+    sharp: tuple[bool, ...],
+    runs: tuple[tuple[int, int], ...],
+    relations: tuple[bool, ...],
+    degrees: tuple[int, ...],
+) -> tuple[tuple[bool, int | None, int | None, tuple[Block, ...]], ...]:
+    """``class_ends``'s body on the piano of the local type alone, in path
+    positions: each class's zero flag, first and last arrow, and blocks.
+
+    The parked loop and each arrow prefix (README) are worked out once; each
+    class pushes its loop block, and the parked arrow, onto a copy of its
+    prefix's reduced stack (``_reduce_blocks``) and reads its ends off the
+    result.  The skeleton dies at the junction when the prefix's last arrow
+    and the parked arrow form a relation.
+    """
+    arrows = tuple(Arrow(i, i + 1, 0) for i in range(length))
+    p = _PathPiano(
+        _symbol_table(sharp, arrows),
+        frozenset((i, i + 1) for i, dead in enumerate(relations) if dead),
+        arrows,
+        _runs_into((at, tuple(range(at, at + size))) for at, size in runs),
+    )
+    parked = length > 0 and sharp[-1]
+    rise = ("b", length - parked)
     # Per prefix length: its normal form, a dead junction, the blocks after the loop.
     heads: dict[int, tuple[PathNormalForm, bool, list[Block]]] = {}
-    out: list[ClassEnds | QuiverError] = []
+    out = []
     for m in degrees:
-        cut = len(path) - (parked and m > 0)
+        cut = length - (parked and m > 0)
         if cut not in heads:
-            head = normal_form(p, tuple(("d", k) for k in path[:cut]), base=a)
-            dead = head.is_zero or (cut < len(path) and (head.last_arrow, path[-1]) in p.relations)
-            heads[cut] = (head, dead, [("d", k, 1) for k in path[cut:]])
+            head = normal_form(p, tuple(("d", k) for k in range(cut)), base=0)
+            dead = head.is_zero or (cut < length and (head.last_arrow, length - 1) in p.relations)
+            heads[cut] = (head, dead, [("d", k, 1) for k in range(cut, length)])
         head, dead, parked_arrow = heads[cut]
         if not m:
             out.append((head.is_zero, head.first_arrow, head.last_arrow, head.blocks))
-        elif m > 0 and rise not in p.symbol_table:
-            try:
-                normal_form(p, canonical_word(p, a, b, m), base=a)  # raises, naming the loop
-            except QuiverError as err:
-                out.append(err)
         elif dead:
             out.append((True, None, None, ()))
         else:
-            loop = (*rise, m) if m > 0 else ("a", b, -m)
+            loop = (*rise, m) if m > 0 else ("a", length, -m)
             stack = _reduce_blocks(p, [loop, *parked_arrow], list(head.blocks))
             skeleton = [k for tag, k, _ in stack if tag == "d"] or [None]
             out.append((False, skeleton[0], skeleton[-1], tuple(stack)))
-    return out
+    return tuple(out)
 
 
 def degree_component_structure(p: PianoQuiver, degree: int) -> list[list[int]]:

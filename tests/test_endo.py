@@ -2,6 +2,7 @@ import collections
 import itertools
 
 import pytest
+from memos import FAN_MEMO, FAN_MEMO_SIZE, package_memos
 from quiver_oracle import compose, is_locally_gentle
 from summand_triples import own_segments, summand_triples
 
@@ -501,12 +502,22 @@ def test_verify_on_corrupted_pianos_matches_the_reference_loop():
                 assert len(expected.witnesses) > 4
 
 
+def _on_the_piano(blocks, path, vertices) -> tuple:
+    """Blocks in path positions (``quivers._typed_ends``) as blocks of the piano."""
+    return tuple(
+        ("d", path[k], 1) if tag == "d" else (tag, vertices[k], power) for tag, k, power in blocks
+    )
+
+
 def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
     """``quivers.class_ends``, one pass per vertex pair, against
     ``normal_form`` on the full canonical word, for every class of the piano
-    with |degree| <= window: the same zero flag, first and last arrow and
-    reduced blocks (equal blocks are an equal irreducible word), or a
-    ``QuiverError`` with the same text.  Counts the classes by outcome."""
+    with |degree| <= window: the same zero flag, first and last arrow, and
+    the same reduced blocks (equal blocks are an equal irreducible word),
+    which the memo on the pair's ``path_type`` holds in path positions and
+    which are mapped back here, or a ``QuiverError`` with the same text.
+    The memo's value is also its body's, asked afresh.  Counts the classes
+    by outcome."""
     seen = collections.Counter()
     for a, b in itertools.product(range(p.num_vertices), repeat=2):
         ms = [m for m in range(-window, window + 1) if graded_dim(p, a, b, m)]
@@ -514,6 +525,11 @@ def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
             continue
         ends = quivers.class_ends(p, a, b, ms)
         assert len(ends) == len(ms), (a, b)
+        key, path, vertices = quivers.path_type(p, a, b)
+        words = tuple(m for m, got in zip(ms, ends) if not isinstance(got, QuiverError))
+        typed = quivers._typed_ends(*key, words)
+        assert typed == quivers._typed_ends.__wrapped__(*key, words), (a, b)
+        blocks = {m: _on_the_piano(t[3], path, vertices) for m, t in zip(words, typed)}
         for m, got in zip(ms, ends):
             word = canonical_word(p, a, b, m)
             try:
@@ -523,7 +539,8 @@ def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
                 assert str(got) == str(err), (a, b, m)
                 seen["raised"] += 1
                 continue
-            assert got == (want.is_zero, want.first_arrow, want.last_arrow, want.blocks), (a, b, m)
+            assert got == (want.is_zero, want.first_arrow, want.last_arrow), (a, b, m)
+            assert blocks[m] == want.blocks, (a, b, m)
             # A parked loop whose prefix is alive, with the prefix's last
             # arrow and the parked arrow in a relation: the class is zero.
             if m > 0 and word[-1][0] == "d" and len(word) > m + 1:
@@ -546,7 +563,8 @@ def test_shared_prefix_forms_match_the_full_pass_on_generators():
 def test_shared_prefix_forms_match_the_full_pass_off_generators():
     # The corrupted pianos, one with a relation between the last two arrows
     # of an arrow path into a sharp vertex (its parked words have an alive
-    # prefix and a dead junction), and every n = 3 piano with the
+    # prefix and a dead junction), one with a spurious commutation run
+    # (which moves a parked loop), and every n = 3 piano with the
     # complemented sharp set, where some words raise.
     arcs, pianos = _corrupted_pianos()
     honest = piano_of_generator(arcs, 3)
@@ -556,6 +574,7 @@ def test_shared_prefix_forms_match_the_full_pass_off_generators():
         if len(path) > 1 and not honest.has_beta(b)
     )
     pianos["dead junction"] = _with_relations(honest, honest.relations | {last_two})
+    pianos["spurious run"] = _one_spurious_run(honest)
     seen = collections.Counter()
     for p in pianos.values():
         seen += _shared_prefix_matches_the_full_pass(p)
@@ -567,6 +586,100 @@ def test_shared_prefix_forms_match_the_full_pass_off_generators():
         )
     assert seen["dead junction"] > 0 and seen["raised"] > 0
     assert seen["zero"] > seen["dead junction"]
+
+
+def test_path_types_are_few():
+    # Every nonzero pair of every generator, verified at window 6 from a
+    # cold memo: its classes are decided once per local type and degrees.
+    keys, calls = {}, {}
+    for n in (1, 2, 3, 4):
+        quivers._typed_ends.cache_clear()
+        for g in enumerate_limit_generators(n):
+            assert verify_path_algebra_iso(list(g), n, window=6).passed
+        info = quivers._typed_ends.cache_info()
+        keys[n], calls[n] = info.currsize, info.hits + info.misses
+    assert keys == {1: 1, 2: 5, 3: 13, 4: 29}
+    assert calls == {1: 1, 2: 22, 3: 405, 4: 7_236}
+
+
+def _one_spurious_run(p: PianoQuiver) -> PianoQuiver:
+    """The piano p with one more commutation run: the last arrow of the
+    first arrow path into a sharp vertex, where a parked degree +1 loop
+    stands in front of it."""
+    (_, b), path = min(
+        (pair, path) for pair, path in p.arrow_paths.items() if not p.has_beta(pair[1])
+    )
+    park = p.arrows[path[-1]].src
+    return PianoQuiver(p.keyboard, p.beta_runs + ((park, path[-1:], b),))
+
+
+def test_path_type_needs_its_sharp_flags_relation_flags_and_runs():
+    # Group the classes of every pair of a set of pianos (window 6) by the
+    # local type with one part left out, and count the groups whose pairs
+    # disagree somewhere (the memo's body, blocks included).  On the clean
+    # pianos with n <= 4 only the sharp flags tell pairs apart.  The n = 3
+    # piano with a spurious relation meets a clean pair on the type without
+    # relation flags, and one with a spurious run on the type without runs.
+    # Dropping the real run tells nothing apart: no canonical word puts a
+    # degree +1 loop in front of a run.
+    def classes(p):
+        for a, b in itertools.product(range(p.num_vertices), repeat=2):
+            ms = tuple(m for m in range(-6, 7) if graded_dim(p, a, b, m))
+            if ms:
+                key = quivers.path_type(p, a, b)[0]
+                yield key, ms, quivers._typed_ends.__wrapped__(*key, ms)
+
+    def clashes(other, part):
+        values = collections.defaultdict(set)
+        for key, ms, typed in clean + ([] if other is None else list(classes(other))):
+            values[key[:part] + key[part + 1 :], ms].add(typed)
+        return sum(len(v) > 1 for v in values.values())
+
+    clean = [
+        c for n in (1, 2, 3, 4) for g in enumerate_limit_generators(n)
+        for c in classes(piano_of_generator(list(g), n))
+    ]
+    arcs, pianos = _corrupted_pianos()
+    honest = piano_of_generator(arcs, 3)
+    assert honest.beta_runs
+    sharp, runs, relations = 1, 2, 3
+    assert [clashes(None, part) for part in (sharp, runs, relations)] == [1, 0, 0]
+    assert clashes(pianos["spurious"], relations) > 0
+    assert clashes(PianoQuiver(honest.keyboard, ()), runs) == 0
+    assert clashes(_one_spurious_run(honest), runs) > 0
+
+
+def test_a_warm_path_memo_does_not_mask_a_corrupted_piano():
+    # The corrupted pianos of the test_verify_detects_* tests and the n = 3
+    # piano without its one commutation run, each verified at window 6 from
+    # cold memos and again after every clean piano with n <= 4 has filled
+    # them: the same reports, though the warm runs read entries the clean
+    # pianos made.  The piano without its run passes either way (no
+    # canonical word puts a degree +1 loop in front of a run), so for it
+    # only the equality says anything.
+    arcs, pianos = _corrupted_pianos()
+    fan = fan_summands(2)
+    honest_fan = piano_of_generator(fan, 2)
+    sharp = frozenset(range(honest_fan.num_vertices)) - honest_fan.sharp
+    cases = [(arcs, 3, p) for p in pianos.values()] + [
+        (fan, 2, piano_from_keyboard(KeyboardQuiver(honest_fan.keyboard.gentle, sharp))),
+        (arcs, 3, PianoQuiver(piano_of_generator(arcs, 3).keyboard, ())),
+    ]
+    cold = []
+    for arcs_, n, p in cases:
+        _clear_memos()
+        cold.append(verify_path_algebra_iso(arcs_, n, window=6, piano=p, max_mismatches=10**6))
+    for n in (1, 2, 3, 4):
+        for g in enumerate_limit_generators(n):
+            assert verify_path_algebra_iso(list(g), n, window=6).passed
+    hits = quivers._typed_ends.cache_info().hits
+    warm = [
+        verify_path_algebra_iso(arcs_, n, window=6, piano=p, max_mismatches=10**6)
+        for arcs_, n, p in cases
+    ]
+    assert quivers._typed_ends.cache_info().hits > hits
+    assert warm == cold
+    assert [report.passed for report in cold] == [False, False, False, False, True]
 
 
 def _interval_cells(arcs, n, window):
@@ -817,19 +930,11 @@ def test_class_records_mark_the_source_summand_only_where_it_is_met():
     assert shifted > 0
 
 
-_MEMOS = (
-    endo._matrix_block,
-    endo._typed_block,
-    endo._shared,
-    endo._landing,
-    geometry._suspended,
-    homs.ext1_dim,
-    homs.hom_alignment,
-)
+_MEMOS = package_memos()
 
 
 def _clear_memos() -> None:
-    for memo in _MEMOS:
+    for memo in _MEMOS.values():
         memo.cache_clear()
 
 
@@ -924,7 +1029,13 @@ def test_verify_does_not_depend_on_what_the_memos_hold():
 
 
 def test_endo_memos_are_bounded():
-    for memo in (
+    # The memos ``_clear_memos`` clears are every memo of the package, and
+    # all but the reference fan keep MEMO_SIZE entries.
+    for name, memo in _MEMOS.items():
+        if name != FAN_MEMO:
+            assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE, name
+    assert _MEMOS[FAN_MEMO].cache_info().maxsize == FAN_MEMO_SIZE
+    assert set(_MEMOS.values()) >= {
         endo._matrix_block,
         endo._typed_block,
         endo._shared,
@@ -937,10 +1048,13 @@ def test_endo_memos_are_bounded():
         dissections.chord_of_arc,
         dissections.chord_to_arc,
         homs.default_apex,
+        homs.ext1_dim,
+        homs.hom_alignment,
+        homs.morphism_direction,
         generators._is_pre_generator_tree,
+        quivers._typed_ends,
         signs._cone_summand,
-    ):
-        assert memo.cache_info().maxsize == MEMO_SIZE == homs.MEMO_SIZE
+    }
 
 
 def test_algebra_entries_follow_classify_entry():

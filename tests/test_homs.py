@@ -1,13 +1,11 @@
-import importlib
 import itertools
-import pkgutil
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from memos import FAN_MEMO, FAN_MEMO_SIZE, package_memos
 
-import pianocat
 from pianocat import generators, geometry, signs
 from pianocat.geometry import Arc, BoundaryPoint, acc, arc_set, pt, suspend
 from pianocat.homs import (
@@ -396,13 +394,8 @@ def test_memos_are_bounded():
     # keeps MEMO_SIZE entries; the one exception is the reference fan,
     # one per n, which keeps 64.
     assert isinstance(MEMO_SIZE, int) and MEMO_SIZE > 0 and MEMO_SIZE == geometry.MEMO_SIZE
-    sizes = {}
-    for info in pkgutil.iter_modules(pianocat.__path__):
-        module = importlib.import_module(f"pianocat.{info.name}")
-        for name, value in vars(module).items():
-            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
-                sizes[f"{info.name}.{name}"] = value.cache_info().maxsize
-    assert sizes.pop("generators.fan_generator") == 64
+    sizes = {name: memo.cache_info().maxsize for name, memo in package_memos().items()}
+    assert sizes.pop(FAN_MEMO) == FAN_MEMO_SIZE == 64
     assert set(sizes.values()) == {MEMO_SIZE}
     assert {
         "dissections.chord_of_arc",
@@ -421,6 +414,7 @@ def test_memos_are_bounded():
         "homs.ext1_dim",
         "homs.hom_alignment",
         "homs.morphism_direction",
+        "quivers._typed_ends",
         "signs._cone_summand",
     } <= set(sizes)
 
