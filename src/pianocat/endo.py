@@ -353,8 +353,8 @@ def _iso_mismatches(
             else:
                 kept.append((m, ends))
         degrees[(a, b)] = tuple(m for m, _ in kept)
-        junctions[(a, b)] = tuple((zero, last) for _, (zero, _, last) in kept)
-        starts[(a, b)] = tuple((zero, first) for _, (zero, first, _) in kept)
+        junctions[(a, b)] = tuple(junction for _, (junction, _) in kept)
+        starts[(a, b)] = tuple(start for _, (_, start) in kept)
     # A path row depends on the left class only through its junction, so
     # each row is built once per (junction, b, c) and read for every source.
     into = [set() for _ in range(size)]

@@ -620,9 +620,11 @@ def canonical_word(p: PianoQuiver, a: int, b: int, m: int) -> tuple[Symbol, ...]
     return deltas[:-1] + (("b", park),) * m + deltas[-1:]
 
 
-# What a product reads of a class's normal form: zero or not, and the first
-# and last arrow of its skeleton (None without arrows).
-ClassEnds = tuple[bool, int | None, int | None]
+# What a product reads of a class's normal form, as ``product_row`` takes
+# it: its junction (zero or not, last arrow of its skeleton) on the left of
+# a product and its start (zero or not, first arrow) on the right; None
+# without arrows.
+ClassEnds = tuple[tuple[bool, int | None], tuple[bool, int | None]]
 
 
 def path_type(p: PianoQuiver, a: int, b: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
@@ -667,9 +669,10 @@ def class_ends(
     sound piano, but a spurious relation must not read a clean answer).
     The classes are decided once per type and degrees, in path positions,
     by the memo ``_typed_ends``; only the zero flag and the first and last
-    arrows are mapped back.  A class whose word uses a loop the piano lacks
-    (a degree +1 loop at a sharp vertex) never reaches the memo: it gets
-    the ``QuiverError`` its full word raises, naming the piano's vertex.
+    arrows are mapped back, once per distinct value, so equal ends are one
+    object.  A class whose word uses a loop the piano lacks (a degree +1
+    loop at a sharp vertex) never reaches the memo: it gets the
+    ``QuiverError`` its full word raises, naming the piano's vertex.
     """
     key, path, vertices = path_type(p, a, b)
     length, sharp = key[0], key[1]
@@ -677,12 +680,11 @@ def class_ends(
     rise = length - (length > 0 and sharp[-1])
     degrees = tuple(degrees)
     raises = sharp[rise]  # the piano has no degree +1 loop there
-    ends: list = [
-        (zero, None if first is None else path[first], None if last is None else path[last])
-        for zero, first, last, _ in _typed_ends(
-            *key, tuple(m for m in degrees if m <= 0) if raises else degrees
-        )
-    ]
+    asked = tuple(m for m in degrees if m <= 0) if raises else degrees
+    distinct, which, _ = _typed_ends(*key, asked)
+    arrow = (*path, None)  # position -1 is no arrow
+    mapped = [((zero, arrow[last]), (zero, arrow[first])) for zero, first, last in distinct]
+    ends: list = [mapped[i] for i in which]
     if raises:
         words = iter(ends)
         ends = [_bad_symbol(p, ("b", vertices[rise])) if m > 0 else next(words) for m in degrees]
@@ -706,9 +708,11 @@ def _typed_ends(
     runs: tuple[tuple[int, int], ...],
     relations: tuple[bool, ...],
     degrees: tuple[int, ...],
-) -> tuple[tuple[bool, int | None, int | None, tuple[Block, ...]], ...]:
+) -> tuple[tuple[tuple[bool, int, int], ...], tuple[int, ...], tuple[tuple[Block, ...], ...]]:
     """``class_ends``'s body on the piano of the local type alone, in path
-    positions: each class's zero flag, first and last arrow, and blocks.
+    positions: the distinct ends (zero flag, first and last arrow, -1
+    without arrows) of the classes, the index of each class's ends among
+    them, and each class's reduced blocks.
 
     The parked loop and each arrow prefix (README) are worked out once; each
     class pushes its loop block, and the parked arrow, onto a copy of its
@@ -727,7 +731,8 @@ def _typed_ends(
     rise = ("b", length - parked)
     # Per prefix length: its normal form, a dead junction, the blocks after the loop.
     heads: dict[int, tuple[PathNormalForm, bool, list[Block]]] = {}
-    out = []
+    ends: list[tuple[bool, int, int]] = []
+    blocks: list[tuple[Block, ...]] = []
     for m in degrees:
         cut = length - (parked and m > 0)
         if cut not in heads:
@@ -735,16 +740,19 @@ def _typed_ends(
             dead = head.is_zero or (cut < length and (head.last_arrow, length - 1) in p.relations)
             heads[cut] = (head, dead, [("d", k, 1) for k in range(cut, length)])
         head, dead, parked_arrow = heads[cut]
-        if not m:
-            out.append((head.is_zero, head.first_arrow, head.last_arrow, head.blocks))
-        elif dead:
-            out.append((True, None, None, ()))
-        else:
+        if dead:
+            ends.append((True, -1, -1))
+            blocks.append(())
+            continue
+        stack = head.blocks
+        if m:
             loop = (*rise, m) if m > 0 else ("a", length, -m)
-            stack = _reduce_blocks(p, [loop, *parked_arrow], list(head.blocks))
-            skeleton = [k for tag, k, _ in stack if tag == "d"] or [None]
-            out.append((False, skeleton[0], skeleton[-1], tuple(stack)))
-    return tuple(out)
+            stack = tuple(_reduce_blocks(p, [loop, *parked_arrow], list(stack)))
+        skeleton = [k for tag, k, _ in stack if tag == "d"] or [-1]
+        ends.append((False, skeleton[0], skeleton[-1]))
+        blocks.append(stack)
+    distinct = list(dict.fromkeys(ends))
+    return tuple(distinct), tuple(map(distinct.index, ends)), tuple(blocks)
 
 
 def degree_component_structure(p: PianoQuiver, degree: int) -> list[list[int]]:

@@ -512,8 +512,8 @@ def _on_the_piano(blocks, path, vertices) -> tuple:
 def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
     """``quivers.class_ends``, one pass per vertex pair, against
     ``normal_form`` on the full canonical word, for every class of the piano
-    with |degree| <= window: the same zero flag, first and last arrow, and
-    the same reduced blocks (equal blocks are an equal irreducible word),
+    with |degree| <= window: the same zero flag, last arrow (junction) and
+    first arrow (start), and the same reduced blocks (equal blocks are an equal irreducible word),
     which the memo on the pair's ``path_type`` holds in path positions and
     which are mapped back here, or a ``QuiverError`` with the same text.
     The memo's value is also its body's, asked afresh.  Counts the classes
@@ -529,7 +529,7 @@ def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
         words = tuple(m for m, got in zip(ms, ends) if not isinstance(got, QuiverError))
         typed = quivers._typed_ends(*key, words)
         assert typed == quivers._typed_ends.__wrapped__(*key, words), (a, b)
-        blocks = {m: _on_the_piano(t[3], path, vertices) for m, t in zip(words, typed)}
+        blocks = {m: _on_the_piano(t, path, vertices) for m, t in zip(words, typed[2])}
         for m, got in zip(ms, ends):
             word = canonical_word(p, a, b, m)
             try:
@@ -539,14 +539,14 @@ def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
                 assert str(got) == str(err), (a, b, m)
                 seen["raised"] += 1
                 continue
-            assert got == (want.is_zero, want.first_arrow, want.last_arrow), (a, b, m)
+            assert got == ((want.is_zero, want.last_arrow), (want.is_zero, want.first_arrow)), (a, b, m)
             assert blocks[m] == want.blocks, (a, b, m)
             # A parked loop whose prefix is alive, with the prefix's last
             # arrow and the parked arrow in a relation: the class is zero.
             if m > 0 and word[-1][0] == "d" and len(word) > m + 1:
                 prefix = normal_form(p, word[: -m - 1], base=a)
                 if not prefix.is_zero and (prefix.last_arrow, word[-1][1]) in p.relations:
-                    assert got[0]
+                    assert got[0][0]
                     seen["dead junction"] += 1
             seen["zero" if want.is_zero else "nonzero"] += 1
     return seen
