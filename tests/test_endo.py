@@ -513,11 +513,11 @@ def _shared_prefix_matches_the_full_pass(p, window=6) -> collections.Counter:
     """``quivers.class_ends``, one pass per vertex pair, against
     ``normal_form`` on the full canonical word, for every class of the piano
     with |degree| <= window: the same zero flag, last arrow (junction) and
-    first arrow (start), and the same reduced blocks (equal blocks are an equal irreducible word),
-    which the memo on the pair's ``path_type`` holds in path positions and
-    which are mapped back here, or a ``QuiverError`` with the same text.
-    The memo's value is also its body's, asked afresh.  Counts the classes
-    by outcome."""
+    first arrow (start), and the same reduced blocks (equal blocks are an
+    equal irreducible word), which the memo on the pair's ``path_type``
+    holds in path positions and which are mapped back here; or a
+    ``QuiverError`` with the same text.  The memo's value is also its
+    body's, asked afresh.  Counts the classes by outcome."""
     seen = collections.Counter()
     for a, b in itertools.product(range(p.num_vertices), repeat=2):
         ms = [m for m in range(-window, window + 1) if graded_dim(p, a, b, m)]
